@@ -7,8 +7,6 @@ them, plus independent oracles (Irwin-Hall, Monte Carlo) for validation.
 """
 
 from .powerseries import (
-    EXACT,
-    FLOAT,
     DomainError,
     EGFSeries,
     QC,

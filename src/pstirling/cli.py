@@ -14,7 +14,6 @@ import sys
 import warnings
 from fractions import Fraction
 
-from . import randomvars
 from .edgeworth import edgeworth_cdf, edgeworth_model, normal_cdf
 from .levy import (
     LevySpec,
@@ -28,7 +27,7 @@ from .levy import (
 )
 from .oracle import run_validation, uniform_fn_exact
 from .powerseries import QC
-from .randomvars import UNIFORM_STD, DistSpec, dist_from_json, moments_of
+from .randomvars import UNIFORM_STD, DistSpec, dist_from_json, moments_of, param_key
 from .stirling import psn_egf
 from .moments import cumulants_oracle, sum_moment
 
@@ -90,6 +89,8 @@ def _load_config(args) -> dict:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError("config must be a JSON object")
     merged = dict(config)
     for key in (
         "dist", "param", "jmax", "mode", "seed", "out", "format",
@@ -113,13 +114,7 @@ def _dist_spec(config) -> DistSpec:
     data = {"dist": dist}
     param = config.get("param")
     if param is not None:
-        key = {
-            randomvars.POINT_MASS: "c",
-            randomvars.BERNOULLI: "p",
-            randomvars.POISSON: "lambda",
-            randomvars.GAMMA_SHAPE: "a",
-            randomvars.NORMAL: "sigma2",
-        }.get(dist)
+        key = param_key(dist)
         if key is None:
             raise ValueError(f"--param is not meaningful for {dist!r}")
         data[key] = param
@@ -241,6 +236,8 @@ def _cmd_edgeworth(config) -> int:
     if "n" not in config:
         raise ValueError("edgeworth needs --n")
     n = int(config["n"])
+    if n < 1:
+        raise ValueError("edgeworth needs n >= 1")
     K = int(config.get("K", 2))
     jmax = config.get("jmax")
     model = edgeworth_model(spec, K, order=int(jmax) if jmax is not None else None)

@@ -27,7 +27,6 @@ from .levy import (
 )
 from .moments import cumulants_from_stirling, cumulants_from_sum_moments, cumulants_oracle, sum_moment
 from .randomvars import (
-    CUSTOM,
     DistSpec,
     moments_of,
     point_mass,
@@ -112,8 +111,6 @@ def mc_sum_moment(spec: DistSpec, n: int, j: int, n_samples: int, seed: int) -> 
     stream seeded seed + index, and reduced in stream order, making the
     result a pure function of (spec, n, j, n_samples, seed).
     """
-    if spec.kind == CUSTOM:
-        raise randomvars.UnsupportedSpecError("custom specs cannot be sampled")
     if n_samples < 1:
         raise ValueError("need at least one sample")
     total = 0.0
@@ -159,8 +156,6 @@ def mc_empirical_cdf(
     The attached bound sqrt(ln(2/delta)/(2 n_samples)) bounds the sup
     deviation from the true CDF with probability 1 - delta.
     """
-    if spec.kind == CUSTOM:
-        raise randomvars.UnsupportedSpecError("custom specs cannot be sampled")
     mu2 = float(moments_of(spec, 2)[2].as_fraction())
     scale = 1.0 / math.sqrt(n * mu2)
     values = []

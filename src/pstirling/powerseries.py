@@ -1,14 +1,9 @@
 """Truncated exponential-generating-function arithmetic.
 
-A series of order J represents sum_{j<=J} a_j z^j / j!.  Coefficients live
-in one of two scalar modes:
-
-* EXACT -- complex numbers with rational real/imaginary parts (:class:`QC`),
-  the default everywhere; every operation is exact.
-* FLOAT -- plain ``complex``, used only for evaluation-heavy paths.
-
-Mixing modes is an error, never a silent coercion, and all binary
-operations require equal truncation orders.
+A series of order J represents sum_{j<=J} a_j z^j / j!.  Coefficients are
+complex numbers with rational real/imaginary parts (:class:`QC`), so every
+operation is exact.  All binary operations require equal truncation
+orders.
 """
 
 from __future__ import annotations
@@ -18,12 +13,9 @@ from fractions import Fraction
 from math import comb
 from numbers import Rational
 
-EXACT = "exact"
-FLOAT = "float"
-
 
 class SeriesMismatchError(ValueError):
-    """Order or scalar-mode mismatch between series operands."""
+    """Order mismatch between series operands."""
 
 
 class DomainError(ValueError):
@@ -35,7 +27,7 @@ class QC:
 
     Fraction keeps both parts normalized (gcd 1, positive denominator).
     Arithmetic accepts int/Fraction on either side; floats and complex
-    are rejected so exact and float modes cannot mix silently.
+    are rejected so that inexact values cannot enter silently.
     """
 
     __slots__ = ("re", "im")
@@ -142,25 +134,16 @@ ZERO = QC(0)
 ONE = QC(1)
 
 
-def _coerce(values, mode):
-    if mode == EXACT:
-        return tuple(QC.of(v) for v in values)
-    if mode == FLOAT:
-        return tuple(complex(v) for v in values)
-    raise ValueError(f"unknown scalar mode {mode!r}")
-
-
 @dataclass(frozen=True)
 class EGFSeries:
-    """Truncated EGF: coeffs (a_0..a_J) for sum a_j z^j/j!, plus mode tag."""
+    """Truncated EGF: coeffs (a_0..a_J) for sum a_j z^j/j!."""
 
     coeffs: tuple
-    mode: str = EXACT
 
     def __post_init__(self):
         if len(self.coeffs) == 0:
             raise ValueError("series needs at least the order-0 coefficient")
-        object.__setattr__(self, "coeffs", _coerce(self.coeffs, self.mode))
+        object.__setattr__(self, "coeffs", tuple(QC.of(v) for v in self.coeffs))
 
     @property
     def order(self) -> int:
@@ -179,39 +162,29 @@ class EGFSeries:
             return egf_add(self, other)
         return NotImplemented
 
-    def to_float(self) -> "EGFSeries":
-        if self.mode == FLOAT:
-            return self
-        return EGFSeries(tuple(complex(c) for c in self.coeffs), FLOAT)
+
+def egf_zero(order: int) -> EGFSeries:
+    return EGFSeries((0,) * (order + 1))
 
 
-def egf_zero(order: int, mode: str = EXACT) -> EGFSeries:
-    return EGFSeries((0,) * (order + 1), mode)
-
-
-def egf_one(order: int, mode: str = EXACT) -> EGFSeries:
-    return EGFSeries((1,) + (0,) * order, mode)
+def egf_one(order: int) -> EGFSeries:
+    return EGFSeries((1,) + (0,) * order)
 
 
 def _check_compatible(a: EGFSeries, b: EGFSeries):
     if a.order != b.order:
         raise SeriesMismatchError(f"order mismatch: {a.order} vs {b.order}")
-    if a.mode != b.mode:
-        raise SeriesMismatchError(f"mode mismatch: {a.mode} vs {b.mode}")
 
 
 def egf_add(a: EGFSeries, b: EGFSeries) -> EGFSeries:
     _check_compatible(a, b)
-    return EGFSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)), a.mode)
+    return EGFSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
 
 def egf_scale(a: EGFSeries, c) -> EGFSeries:
-    """Multiply every coefficient by the scalar c (same mode as a)."""
-    if a.mode == EXACT:
-        c = QC.of(c)
-    else:
-        c = complex(c)
-    return EGFSeries(tuple(c * x for x in a.coeffs), a.mode)
+    """Multiply every coefficient by the exact scalar c."""
+    c = QC.of(c)
+    return EGFSeries(tuple(c * x for x in a.coeffs))
 
 
 def egf_mul(a: EGFSeries, b: EGFSeries) -> EGFSeries:
@@ -228,14 +201,14 @@ def egf_mul(a: EGFSeries, b: EGFSeries) -> EGFSeries:
         for k in range(1, j + 1):
             acc = acc + comb(j, k) * (av[k] * bv[j - k])
         out.append(acc)
-    return EGFSeries(tuple(out), a.mode)
+    return EGFSeries(tuple(out))
 
 
 def egf_pow(a: EGFSeries, n: int) -> EGFSeries:
     """n-fold egf_mul; egf_pow(a, 0) is the series of e^0."""
     if n < 0:
         raise DomainError("negative powers are not defined for truncated EGFs")
-    result = egf_one(a.order, a.mode)
+    result = egf_one(a.order)
     base = a
     while n:
         if n & 1:
@@ -252,29 +225,27 @@ def egf_log(a: EGFSeries) -> EGFSeries:
     Solves a_{j+1} = sum_k C(j,k) L_{k+1} a_{j-k} for L_{j+1}, which is
     the coefficient form of a' = L' a.
     """
-    one = ONE if a.mode == EXACT else complex(1)
-    if a.coeffs[0] != one:
+    if a.coeffs[0] != ONE:
         raise DomainError("egf_log needs constant coefficient 1")
     av = a.coeffs
-    lv = [one - one]  # zero in the right mode
+    lv = [ZERO]
     for j in range(a.order):
         acc = av[j + 1]
         for k in range(j):
             acc = acc - comb(j, k) * (lv[k + 1] * av[j - k])
         lv.append(acc)
-    return EGFSeries(tuple(lv), a.mode)
+    return EGFSeries(tuple(lv))
 
 
 def egf_exp(a: EGFSeries) -> EGFSeries:
     """Inverse of egf_log: series E with E_0 = 1, egf_log(E) = a; needs a_0 = 0."""
-    zero = ZERO if a.mode == EXACT else complex(0)
-    if a.coeffs[0] != zero:
+    if a.coeffs[0] != ZERO:
         raise DomainError("egf_exp needs constant coefficient 0")
     av = a.coeffs
-    ev = [zero + 1]
+    ev = [ONE]
     for j in range(a.order):
         acc = av[1] * ev[j]
         for k in range(1, j + 1):
             acc = acc + comb(j, k) * (av[k + 1] * ev[j - k])
         ev.append(acc)
-    return EGFSeries(tuple(ev), a.mode)
+    return EGFSeries(tuple(ev))

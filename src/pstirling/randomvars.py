@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .powerseries import EXACT, QC, DomainError, EGFSeries
+from .powerseries import QC, DomainError, EGFSeries
 
 SQRT3 = math.sqrt(3.0)
 
@@ -29,9 +29,6 @@ EXPONENTIAL = "exponential"
 GAMMA_SHAPE = "gamma"
 NORMAL = "normal"
 CUSTOM = "custom"
-
-_LATTICE_KINDS = frozenset({POINT_MASS, RADEMACHER, BERNOULLI, POISSON})
-_SYMMETRIC_KINDS = frozenset({RADEMACHER, UNIFORM_STD, NORMAL})
 
 
 class UnsupportedSpecError(ValueError):
@@ -61,16 +58,15 @@ class MomentSeq:
         return self.mu[k]
 
     def to_egf(self) -> EGFSeries:
-        return EGFSeries(self.mu, EXACT)
+        return EGFSeries(self.mu)
 
 
 @dataclass(frozen=True)
 class DistSpec:
     """Catalog distribution: a variant tag plus at most one rational parameter.
 
-    ``param`` holds c for point masses, p for Bernoulli, lambda for
-    Poisson, the shape for gamma, and the variance for normal.  Custom
-    specs carry an explicit moment list instead.
+    The kind's record in ``_KINDS`` names the parameter.  Custom specs
+    carry an explicit moment list instead.
     """
 
     kind: str
@@ -78,42 +74,24 @@ class DistSpec:
     custom_moments: Optional[tuple] = None
 
     def __post_init__(self):
+        kind = _kind(self.kind)
         if self.param is not None:
             object.__setattr__(self, "param", Fraction(self.param))
-        if self.kind in {POINT_MASS, BERNOULLI, POISSON, GAMMA_SHAPE, NORMAL}:
-            if self.param is None:
-                raise ValueError(f"{self.kind} spec needs its parameter")
-        if self.kind == BERNOULLI and not 0 <= self.param <= 1:
-            raise ValueError("bernoulli parameter must satisfy 0 <= p <= 1")
-        if self.kind == POISSON and self.param <= 0:
-            raise ValueError("poisson rate must be positive")
-        if self.kind == GAMMA_SHAPE and self.param <= 0:
-            raise ValueError("gamma shape must be positive")
-        if self.kind == NORMAL and self.param < 0:
-            raise ValueError("normal variance must be nonnegative")
-        if self.kind == CUSTOM:
-            if self.custom_moments is None:
-                raise ValueError("custom spec needs a moment list")
+        if self.custom_moments is not None:
             object.__setattr__(
                 self, "custom_moments", tuple(QC.of(v) for v in self.custom_moments)
             )
-            if self.custom_moments[0] != 1:
-                raise ValueError("custom moments must start with mu_0 = 1")
-        elif self.kind not in {
-            POINT_MASS, RADEMACHER, BERNOULLI, UNIFORM_STD,
-            POISSON, EXPONENTIAL, GAMMA_SHAPE, NORMAL,
-        }:
-            raise ValueError(f"unknown distribution kind {self.kind!r}")
+        if kind.key is not None and self.param is None:
+            raise ValueError(f"{self.kind} spec needs its parameter")
+        kind.check(self)
 
     @property
     def lattice(self) -> bool:
-        return self.kind in _LATTICE_KINDS
+        return _KINDS[self.kind].lattice
 
     @property
     def symmetric(self) -> bool:
-        if self.kind == POINT_MASS:
-            return self.param == 0
-        return self.kind in _SYMMETRIC_KINDS
+        return _KINDS[self.kind].symmetric(self)
 
 
 def point_mass(c) -> DistSpec:
@@ -165,41 +143,7 @@ def moments_of(spec: DistSpec, order: int) -> MomentSeq:
     """Exact rational moments mu_0..mu_J for a catalog spec."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    k_range = range(order + 1)
-    if spec.kind == POINT_MASS:
-        mu = [spec.param**k for k in k_range]
-    elif spec.kind == RADEMACHER:
-        mu = [Fraction(1 - k % 2) for k in k_range]
-    elif spec.kind == BERNOULLI:
-        mu = [Fraction(1)] + [spec.param] * order
-    elif spec.kind == UNIFORM_STD:
-        mu = [
-            Fraction(3 ** (k // 2), k + 1) if k % 2 == 0 else Fraction(0)
-            for k in k_range
-        ]
-    elif spec.kind == POISSON:
-        # Touchard recurrence: mu_{n+1} = lambda * sum_k C(n,k) mu_k.
-        mu = [Fraction(1)]
-        for n in range(order):
-            mu.append(spec.param * sum(comb(n, k) * mu[k] for k in range(n + 1)))
-    elif spec.kind == EXPONENTIAL:
-        mu = [Fraction(factorial(k)) for k in k_range]
-    elif spec.kind == GAMMA_SHAPE:
-        mu = [Fraction(1)]
-        for k in range(order):
-            mu.append(mu[-1] * (spec.param + k))
-    elif spec.kind == NORMAL:
-        mu = [
-            spec.param ** (k // 2) * normal_even_moment(k) if k % 2 == 0 else Fraction(0)
-            for k in k_range
-        ]
-    elif spec.kind == CUSTOM:
-        if order > len(spec.custom_moments) - 1:
-            raise ValueError("custom spec does not carry that many moments")
-        return MomentSeq(spec.custom_moments[: order + 1])
-    else:  # pragma: no cover - ruled out at construction
-        raise ValueError(f"unknown distribution kind {spec.kind!r}")
-    return MomentSeq(tuple(mu))
+    return MomentSeq(tuple(_KINDS[spec.kind].moments(spec, order)))
 
 
 def abs_moments_of(spec: DistSpec, order: int) -> MomentSeq:
@@ -210,15 +154,12 @@ def abs_moments_of(spec: DistSpec, order: int) -> MomentSeq:
     uniform and the normal have irrational odd absolute moments, and
     custom specs carry no support information.
     """
-    if spec.kind in {BERNOULLI, POISSON, EXPONENTIAL, GAMMA_SHAPE}:
-        return moments_of(spec, order)
-    if spec.kind == POINT_MASS:
-        return moments_of(point_mass(abs(spec.param)), order)
-    if spec.kind == RADEMACHER:
-        return moments_of(point_mass(1), order)
-    raise UnsupportedSpecError(
-        f"exact absolute moments are unavailable for {spec.kind!r}"
-    )
+    abs_spec = _KINDS[spec.kind].abs_spec
+    if abs_spec is None:
+        raise UnsupportedSpecError(
+            f"exact absolute moments are unavailable for {spec.kind!r}"
+        )
+    return moments_of(abs_spec(spec), order)
 
 
 def beta_moments(r: int, order: int) -> MomentSeq:
@@ -354,43 +295,154 @@ def _sample_gamma(rng: random.Random, shape: Fraction) -> float:
 
 def sample_one(spec: DistSpec, rng: random.Random) -> float:
     """One draw of Y for a samplable (non-custom) spec."""
-    if spec.kind == POINT_MASS:
-        return float(spec.param)
-    if spec.kind == RADEMACHER:
-        return 1.0 if rng.random() < 0.5 else -1.0
-    if spec.kind == BERNOULLI:
-        return 1.0 if rng.random() < spec.param else 0.0
-    if spec.kind == UNIFORM_STD:
-        return SQRT3 * (2.0 * rng.random() - 1.0)
-    if spec.kind == POISSON:
-        return float(_sample_poisson(rng, float(spec.param)))
-    if spec.kind == EXPONENTIAL:
-        return -math.log(1.0 - rng.random())
-    if spec.kind == GAMMA_SHAPE:
-        return _sample_gamma(rng, spec.param)
-    if spec.kind == NORMAL:
-        return _sample_normal(rng, math.sqrt(float(spec.param)))
-    raise UnsupportedSpecError(f"{spec.kind!r} specs cannot be sampled")
+    return sample_sum(spec, 1, rng)
 
 
 def sample_sum(spec: DistSpec, n: int, rng: random.Random) -> float:
     """One draw of S_n = Y_1 + ... + Y_n, deterministic given the rng state."""
     if n < 1:
         raise ValueError("n must be positive")
-    return sum(sample_one(spec, rng) for _ in range(n))
+    draw = _KINDS[spec.kind].draw
+    if draw is None:
+        raise UnsupportedSpecError(f"{spec.kind!r} specs cannot be sampled")
+    return sum(draw(spec, rng) for _ in range(n))
+
+
+# --- the distribution kinds -------------------------------------------------
+# One record per kind holds all that the package knows of it.
+
+
+def _poisson_moments(spec: DistSpec, order: int) -> list:
+    # Touchard recurrence: mu_{n+1} = lambda * sum_k C(n,k) mu_k.
+    mu = [Fraction(1)]
+    for n in range(order):
+        mu.append(spec.param * sum(comb(n, k) * mu[k] for k in range(n + 1)))
+    return mu
+
+
+def _gamma_moments(spec: DistSpec, order: int) -> list:
+    mu = [Fraction(1)]
+    for k in range(order):
+        mu.append(mu[-1] * (spec.param + k))
+    return mu
+
+
+def _custom_moments(spec: DistSpec, order: int) -> tuple:
+    _require(order < len(spec.custom_moments), "custom spec does not carry that many moments")
+    return spec.custom_moments[: order + 1]
+
+
+def _require(holds: bool, message: str) -> None:
+    if not holds:
+        raise ValueError(message)
+
+
+def _check_custom(spec: DistSpec) -> None:
+    _require(spec.custom_moments is not None, "custom spec needs a moment list")
+    _require(spec.custom_moments[:1] == (1,), "custom moments must start with mu_0 = 1")
+
+
+class _Kind(NamedTuple):
+    """How one distribution kind is parameterized, described and sampled."""
+
+    moments: Callable[[DistSpec, int], Sequence]  # exact mu_0..mu_order
+    key: Optional[str] = None  # JSON and --param name of the rational parameter
+    default: Optional[Fraction] = None  # the parameter when JSON omits its key
+    check: Callable[[DistSpec], None] = lambda spec: None  # rejects a parameter off the domain
+    abs_spec: Optional[Callable[[DistSpec], DistSpec]] = None  # |Y|, when E|Y|^k is rational
+    draw: Optional[Callable[[DistSpec, random.Random], float]] = None  # None: not samplable
+    lattice: bool = False
+    symmetric: Callable[[DistSpec], bool] = lambda spec: False
+    moment_list: bool = False  # carries its moments (JSON "moments") instead of a parameter
+
+
+_KINDS = {
+    POINT_MASS: _Kind(
+        lambda spec, order: [spec.param**k for k in range(order + 1)],
+        key="c",
+        abs_spec=lambda spec: point_mass(abs(spec.param)),
+        draw=lambda spec, rng: float(spec.param),
+        lattice=True,
+        symmetric=lambda spec: spec.param == 0,
+    ),
+    RADEMACHER: _Kind(
+        lambda spec, order: [Fraction(1 - k % 2) for k in range(order + 1)],
+        abs_spec=lambda spec: point_mass(1),
+        draw=lambda spec, rng: 1.0 if rng.random() < 0.5 else -1.0,
+        lattice=True,
+        symmetric=lambda spec: True,
+    ),
+    BERNOULLI: _Kind(
+        lambda spec, order: [Fraction(1)] + [spec.param] * order,
+        key="p",
+        check=lambda spec: _require(
+            0 <= spec.param <= 1, "bernoulli parameter must satisfy 0 <= p <= 1"
+        ),
+        abs_spec=lambda spec: spec,
+        # compared with the exact p: float(p) could flip a draw on the boundary
+        draw=lambda spec, rng: 1.0 if rng.random() < spec.param else 0.0,
+        lattice=True,
+    ),
+    UNIFORM_STD: _Kind(
+        lambda spec, order: [
+            Fraction(3 ** (k // 2), k + 1) if k % 2 == 0 else Fraction(0) for k in range(order + 1)
+        ],
+        draw=lambda spec, rng: SQRT3 * (2.0 * rng.random() - 1.0),
+        symmetric=lambda spec: True,
+    ),
+    POISSON: _Kind(
+        _poisson_moments,
+        key="lambda",
+        check=lambda spec: _require(spec.param > 0, "poisson rate must be positive"),
+        abs_spec=lambda spec: spec,
+        draw=lambda spec, rng: float(_sample_poisson(rng, float(spec.param))),
+        lattice=True,
+    ),
+    EXPONENTIAL: _Kind(
+        lambda spec, order: [Fraction(factorial(k)) for k in range(order + 1)],
+        abs_spec=lambda spec: spec,
+        draw=lambda spec, rng: -math.log(1.0 - rng.random()),
+    ),
+    GAMMA_SHAPE: _Kind(
+        _gamma_moments,
+        key="a",
+        check=lambda spec: _require(spec.param > 0, "gamma shape must be positive"),
+        abs_spec=lambda spec: spec,
+        draw=lambda spec, rng: _sample_gamma(rng, spec.param),
+    ),
+    NORMAL: _Kind(
+        lambda spec, order: [
+            spec.param ** (k // 2) * normal_even_moment(k) if k % 2 == 0 else Fraction(0)
+            for k in range(order + 1)
+        ],
+        key="sigma2",
+        default=Fraction(1),
+        check=lambda spec: _require(spec.param >= 0, "normal variance must be nonnegative"),
+        draw=lambda spec, rng: _sample_normal(rng, math.sqrt(float(spec.param))),
+        symmetric=lambda spec: True,
+    ),
+    CUSTOM: _Kind(_custom_moments, check=_check_custom, moment_list=True),
+}
+
+
+def _kind(name) -> _Kind:
+    if not (isinstance(name, str) and name in _KINDS):
+        raise ValueError(f"unknown distribution kind {name!r}")
+    return _KINDS[name]
+
+
+def param_key(kind: str) -> Optional[str]:
+    """Name of the kind's rational parameter in JSON and for --param, or None."""
+    return _kind(kind).key
 
 
 # --- JSON wire format -------------------------------------------------------
 
 
-def _fraction_to_str(q: Fraction) -> str:
-    return str(q)
-
-
 def _scalar_to_json(v: QC):
     if v.is_real:
-        return _fraction_to_str(v.re)
-    return {"re": _fraction_to_str(v.re), "im": _fraction_to_str(v.im)}
+        return str(v.re)
+    return {"re": str(v.re), "im": str(v.im)}
 
 
 def _scalar_from_json(v) -> QC:
@@ -401,40 +453,23 @@ def _scalar_from_json(v) -> QC:
 
 def dist_to_json(spec: DistSpec) -> dict:
     out = {"dist": spec.kind}
-    if spec.kind == POINT_MASS:
-        out["c"] = _fraction_to_str(spec.param)
-    elif spec.kind == BERNOULLI:
-        out["p"] = _fraction_to_str(spec.param)
-    elif spec.kind == POISSON:
-        out["lambda"] = _fraction_to_str(spec.param)
-    elif spec.kind == GAMMA_SHAPE:
-        out["a"] = _fraction_to_str(spec.param)
-    elif spec.kind == NORMAL:
-        out["sigma2"] = _fraction_to_str(spec.param)
-    elif spec.kind == CUSTOM:
+    kind = _KINDS[spec.kind]
+    if kind.moment_list:
         out["moments"] = [_scalar_to_json(v) for v in spec.custom_moments]
+    elif kind.key is not None:
+        out[kind.key] = str(spec.param)
     return out
 
 
 def dist_from_json(data: dict) -> DistSpec:
     """Parse {"dist": "<name>", ...params}; rationals are "p/q" strings."""
-    kind = data.get("dist")
-    if kind == POINT_MASS:
-        return point_mass(Fraction(data["c"]))
-    if kind == RADEMACHER:
-        return rademacher()
-    if kind == BERNOULLI:
-        return bernoulli(Fraction(data["p"]))
-    if kind == UNIFORM_STD:
-        return uniform_std()
-    if kind == POISSON:
-        return poisson(Fraction(data["lambda"]))
-    if kind == EXPONENTIAL:
-        return exponential()
-    if kind == GAMMA_SHAPE:
-        return gamma_shape(Fraction(data["a"]))
-    if kind == NORMAL:
-        return normal(Fraction(data.get("sigma2", 1)))
-    if kind == CUSTOM:
-        return custom(tuple(_scalar_from_json(v) for v in data["moments"]))
-    raise ValueError(f"unknown distribution kind {kind!r}")
+    name = data.get("dist")
+    kind = _kind(name)
+    key = "moments" if kind.moment_list else kind.key
+    if key is None:
+        return DistSpec(name)
+    value = data.get(key, kind.default)
+    _require(value is not None, f"{name} spec needs {key!r}")
+    if kind.moment_list:
+        return custom(map(_scalar_from_json, value))
+    return DistSpec(name, Fraction(value))

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .powerseries import EXACT, QC, EGFSeries, egf_mul, egf_one, egf_pow
+from .powerseries import QC, EGFSeries, egf_mul, egf_one, egf_pow
 from .randomvars import (
     DistSpec,
     MomentSeq,
@@ -106,7 +106,7 @@ def psn_egf(m: MomentSeq) -> StirlingTable:
     convolution per column, O(J^2) exact operations each.
     """
     J = m.order
-    shifted = EGFSeries((m.mu[0] - 1,) + m.mu[1:], EXACT)
+    shifted = EGFSeries((m.mu[0] - 1,) + m.mu[1:])
     rows = [[None] * (j + 1) for j in range(J + 1)]
     power = egf_one(J)
     for col in range(J + 1):
@@ -115,9 +115,6 @@ def psn_egf(m: MomentSeq) -> StirlingTable:
         inv_fact = Fraction(1, factorial(col))
         for j in range(col, J + 1):
             rows[j][col] = power[j] * inv_fact
-    for j in range(J + 1):
-        for col in range(j + 1):
-            assert rows[j][col] is not None
     return StirlingTable(tuple(tuple(r) for r in rows), "egf")
 
 
@@ -196,7 +193,7 @@ def weighted_sum_moment(m: MomentSeq, r: int, m_idx: int, p: int) -> QC:
     if p > m.order:
         raise ValueError("p exceeds the available moment order")
     bm = beta_moments(r, p)
-    h = EGFSeries(tuple(bm[k].re * m.mu[k] for k in range(p + 1)), EXACT)
+    h = EGFSeries(tuple(bm[k].re * m.mu[k] for k in range(p + 1)))
     return egf_pow(h, m_idx)[p]
 
 
@@ -220,7 +217,7 @@ def psn_gr_rep(m: MomentSeq, r: int, j: int, m_idx: int) -> QC:
     if p + r + 1 > m.order:
         raise ValueError("j exceeds the available moment order for this route")
     bm = beta_moments(r + 1, p)
-    g = EGFSeries(tuple(bm[k].re * m.mu[k + r + 1] for k in range(p + 1)), EXACT)
+    g = EGFSeries(tuple(bm[k].re * m.mu[k + r + 1] for k in range(p + 1)))
     pref = Fraction(
         factorial(m_idx * (r + 1)),
         factorial(m_idx) * factorial(r + 1) ** m_idx,

@@ -164,6 +164,31 @@ class TestConfigAndOutput:
         assert code == 2
         assert "distribution" in err
 
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["moments", "--dist", "poisson", "--n", "2"], None, "'lambda'"),
+            (["moments", "--dist", "gamma", "--n", "2"], None, "'a'"),
+            (["moments", "--dist", "bernoulli", "--n", "2"], None, "'p'"),
+            (["moments", "--dist", "pointmass", "--n", "2"], None, "'c'"),
+            (["moments", "--dist", "custom", "--n", "2"], None, "'moments'"),
+            (["moments", "--n", "2"], {"dist": {"dist": "poisson"}}, "'lambda'"),
+            (["moments", "--dist", "rademacher", "--n", "2"], [1, 2], "JSON object"),
+            (["edgeworth", "--dist", "uniformstd", "--n", "0"], None, "n >= 1"),
+            (["edgeworth", "--dist", "uniformstd", "--n", "-2"], None, "n >= 1"),
+        ],
+    )
+    def test_bad_input_is_one_line_exit_2(self, tmp_path, capsys, argv, config, message):
+        if config is not None:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("pstirling: error:")
+        assert message in err and "Traceback" not in err
+
     def test_bad_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -4,8 +4,6 @@ from fractions import Fraction as F
 import pytest
 
 from pstirling.powerseries import (
-    EXACT,
-    FLOAT,
     DomainError,
     EGFSeries,
     QC,
@@ -76,10 +74,6 @@ class TestMul:
     def test_order_mismatch(self):
         with pytest.raises(SeriesMismatchError):
             egf_mul(EGFSeries([1, 1]), EGFSeries([1, 1, 1]))
-
-    def test_mode_mismatch(self):
-        with pytest.raises(SeriesMismatchError):
-            egf_mul(EGFSeries([1, 1]), EGFSeries([1, 1], FLOAT))
 
 
 class TestPow:
@@ -173,22 +167,3 @@ class TestRingLaws:
         a = EGFSeries([1, 2, 3])
         assert coeffs(egf_scale(a, F(1, 2))) == [QC(F(1, 2)), QC(1), QC(F(3, 2))]
 
-
-class TestFloatMode:
-    def test_matches_exact_within_tolerance(self):
-        rng = random.Random(42)
-        a = EGFSeries([1] + [F(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(7)])
-        b = EGFSeries([1] + [F(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(7)])
-        for op in (lambda x, y: egf_mul(x, y), lambda x, y: egf_pow(x, 5)):
-            exact = op(a, b)
-            approx = op(a.to_float(), b.to_float())
-            for e, f in zip(exact.coeffs, approx.coeffs):
-                ec = complex(e)
-                if abs(ec) >= 1:
-                    assert abs(ec - f) / abs(ec) < 1e-12
-        lg_exact = egf_log(a)
-        lg_float = egf_log(a.to_float())
-        for e, f in zip(lg_exact.coeffs, lg_float.coeffs):
-            ec = complex(e)
-            if abs(ec) >= 1:
-                assert abs(ec - f) / abs(ec) < 1e-12

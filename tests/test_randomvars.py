@@ -21,6 +21,7 @@ from pstirling.randomvars import (
     moments_of,
     normal,
     normal_even_moment,
+    param_key,
     point_mass,
     poisson,
     rademacher,
@@ -99,6 +100,51 @@ class TestMomentsOf:
             DistSpec("pointmass")
         with pytest.raises(ValueError):
             custom([F(2), F(1)])
+        with pytest.raises(ValueError):
+            custom([])
+        with pytest.raises(ValueError, match="'lambda'"):
+            dist_from_json({"dist": "poisson"})
+        with pytest.raises(ValueError, match="'moments'"):
+            dist_from_json({"dist": "custom"})
+        with pytest.raises(ValueError, match="unknown"):
+            dist_from_json({"dist": ["poisson"]})
+
+
+# spec, --param/JSON key, lattice, symmetric, samplable, exact absolute moments
+KIND_RECORDS = [
+    (point_mass(0), "c", True, True, True, True),
+    (point_mass(2), "c", True, False, True, True),
+    (rademacher(), None, True, True, True, True),
+    (bernoulli(F(1, 2)), "p", True, False, True, True),
+    (uniform_std(), None, False, True, True, False),
+    (poisson(1), "lambda", True, False, True, True),
+    (exponential(), None, False, False, True, True),
+    (gamma_shape(F(5, 2)), "a", False, False, True, True),
+    (normal(1), "sigma2", False, True, True, False),
+    (custom([1, 0, 1]), None, False, False, False, False),
+]
+
+
+def _supported(call) -> bool:
+    try:
+        call()
+    except UnsupportedSpecError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "spec, key, lattice, symmetric, samplable, exact_abs",
+    KIND_RECORDS,
+    ids=[f"{row[0].kind}({row[0].param})" for row in KIND_RECORDS],
+)
+def test_kind_record(spec, key, lattice, symmetric, samplable, exact_abs):
+    assert param_key(spec.kind) == key
+    if key is not None:
+        assert dist_to_json(spec)[key] == str(spec.param)
+    assert (spec.lattice, spec.symmetric) == (lattice, symmetric)
+    assert _supported(lambda: sample_one(spec, random.Random(0))) == samplable
+    assert _supported(lambda: abs_moments_of(spec, 4)) == exact_abs
 
 
 class TestTilde:
@@ -213,6 +259,26 @@ class TestStandardize:
             standardize_moments(moments_of(poisson(F(1, 2)), 4))
 
 
+# The first six draws of Y from random.Random(2020), as float.hex.
+GOLDEN_DRAWS = [
+    (point_mass(F(-3, 2)), ["-0x1.8000000000000p+0"] * 6),
+    (rademacher(), ["-0x1.0000000000000p+0", "0x1.0000000000000p+0", "-0x1.0000000000000p+0",
+                    "-0x1.0000000000000p+0", "0x1.0000000000000p+0", "-0x1.0000000000000p+0"]),
+    (bernoulli(F(1, 3)), ["0x0.0p+0", "0x1.0000000000000p+0"] + ["0x0.0p+0"] * 4),
+    (uniform_std(), ["0x1.a87ee19d6375fp-2", "-0x1.20a2afd4e757fp+0", "0x1.dc2d41cc3f0aap-1",
+                     "0x1.8b3ed3ff508f0p+0", "-0x1.6ea11df0d7f43p-4", "0x1.808e7253dcd59p+0"]),
+    (poisson(F(3, 2)), ["0x1.0000000000000p+0", "0x1.0000000000000p+2", "0x1.0000000000000p+1",
+                        "0x0.0p+0", "0x1.0000000000000p+1", "0x0.0p+0"]),
+    (exponential(), ["0x1.eef525568c43bp-1", "0x1.88cbc73749b9ap-3", "0x1.768c3f9f07465p+0",
+                     "0x1.74e0cedd4bd56p+1", "0x1.4917d9a03a853p-1", "0x1.5b388bd6e3aa9p+1"]),
+    (gamma_shape(F(5, 2)), ["0x1.6ceb1efa99179p+0", "0x1.b901ca73e7b7ap-1",
+                            "0x1.3e4791e0f2923p+0", "0x1.0dd2bb416c724p+2",
+                            "0x1.0699f2e7cb71dp+1", "0x1.7804cc2ed2ee0p+0"]),
+    (normal(4), ["0x1.451a6d08da2bap+0", "0x1.9caac654bd47ap+1", "0x1.096357a64b59cp+1",
+                 "-0x1.da01bf3a91727p+0", "0x1.1ae4ce9c5e528p-3", "-0x1.517104003f717p-1"]),
+]
+
+
 class TestSamplers:
     def test_point_mass_deterministic(self):
         rng = random.Random(1)
@@ -228,6 +294,19 @@ class TestSamplers:
         a = [sample_one(normal(1), random.Random(99)) for _ in range(3)]
         b = [sample_one(normal(1), random.Random(99)) for _ in range(3)]
         assert a == b
+
+    @pytest.mark.parametrize(
+        "spec, expected", GOLDEN_DRAWS, ids=[spec.kind for spec, _ in GOLDEN_DRAWS]
+    )
+    def test_golden_stream(self, spec, expected):
+        # The seeded Monte Carlo reports repeat only while these draws do.
+        # Sums are compared with sum() of the pinned draws, because sum()
+        # rounds differently from Python 3.12 on.
+        rng = random.Random(2020)
+        assert [sample_one(spec, rng).hex() for _ in expected] == expected
+        draws = [float.fromhex(h) for h in expected]
+        rng = random.Random(2020)
+        assert [sample_sum(spec, 3, rng) for _ in range(2)] == [sum(draws[:3]), sum(draws[3:])]
 
     def test_custom_unsupported(self):
         with pytest.raises(UnsupportedSpecError):
