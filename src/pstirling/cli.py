@@ -27,9 +27,19 @@ from .levy import (
 )
 from .oracle import run_validation, uniform_fn_exact
 from .powerseries import QC
-from .randomvars import UNIFORM_STD, DistSpec, dist_from_json, moments_of, param_key
+from .randomvars import (
+    UNIFORM_STD,
+    DistSpec,
+    dist_from_json,
+    moments_of,
+    param_key,
+    parse_rational,
+)
 from .stirling import psn_egf
 from .moments import cumulants_oracle, sum_moment
+
+# the values a flag or a config may give these fields
+_CHOICES = {"mode": ("exact", "float"), "format": ("csv", "json"), "suite": ("all", "exact", "mc")}
 
 _NAMED_PROCESSES = {
     "poisson": poisson_subordinator,
@@ -52,10 +62,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--param", help="distribution parameter as a rational p/q")
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--jmax", type=int, help="maximum order")
-        p.add_argument("--mode", choices=["exact", "float"], help="numeric mode (default exact)")
+        p.add_argument("--mode", choices=_CHOICES["mode"], help="numeric mode (default exact)")
         p.add_argument("--seed", type=int, help="base seed for stochastic paths")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
+        p.add_argument("--format", choices=_CHOICES["format"], help="output format (default csv)")
 
     p = sub.add_parser("stirling", help="emit the probabilistic Stirling triangle")
     add_common(p)
@@ -79,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the validation suite and emit JSON reports")
     add_common(p)
-    p.add_argument("--suite", choices=["all", "exact", "mc"], help="which checks to run")
+    p.add_argument("--suite", choices=_CHOICES["suite"], help="which checks to run")
     p.add_argument("--mc-samples", type=int, dest="mc_samples", help="Monte Carlo sample count")
     return parser
 
@@ -102,7 +112,38 @@ def _load_config(args) -> dict:
     merged.setdefault("mode", "exact")
     merged.setdefault("format", "csv")
     merged.setdefault("seed", 7)
+    _check_fields(merged)
     return merged
+
+
+_INTEGER_FIELDS = ("jmax", "n", "K", "seed", "mc_samples")
+
+
+def _check_fields(config: dict) -> None:
+    """Reject, or normalize in place, config values of the wrong JSON type."""
+    for key in _INTEGER_FIELDS:
+        if key in config:
+            config[key] = _integer(key, config[key])
+    for key, choices in _CHOICES.items():
+        if key in config and config[key] not in choices:
+            raise ValueError(f"{key} must be one of {', '.join(choices)}, not {config[key]!r}")
+    if "t" in config:
+        config["t"] = parse_rational(config["t"], "t")
+    for key in ("out", "grid"):
+        if not isinstance(config.get(key, ""), str):
+            raise ValueError(f"{key} must be a string, not {config[key]!r}")
+
+
+def _integer(key: str, value) -> int:
+    # JSON ints and integer strings; a float or a bool is a type error, not a count
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{key} must be an integer, not {value!r}")
 
 
 def _dist_spec(config) -> DistSpec:
@@ -156,7 +197,7 @@ def _parse_grid(spec: str) -> list:
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError("grid must be start:stop:step")
-    start, stop, step = (Fraction(p) for p in parts)
+    start, stop, step = (parse_rational(p, "a grid value") for p in parts)
     if step <= 0:
         raise ValueError("grid step must be positive")
     ys = []
@@ -169,7 +210,7 @@ def _parse_grid(spec: str) -> list:
 
 def _cmd_stirling(config) -> int:
     spec = _dist_spec(config)
-    jmax = int(config.get("jmax", 8))
+    jmax = config.get("jmax", 8)
     table = psn_egf(moments_of(spec, jmax))
     mode = config["mode"]
     rows = []
@@ -183,10 +224,10 @@ def _cmd_stirling(config) -> int:
 
 def _cmd_moments(config) -> int:
     spec = _dist_spec(config)
-    jmax = int(config.get("jmax", 8))
+    jmax = config.get("jmax", 8)
     if "n" not in config:
         raise ValueError("moments needs --n")
-    n = int(config["n"])
+    n = config["n"]
     mom = moments_of(spec, jmax)
     rows = [(n, j, _scalar_str(sum_moment(mom, n, j), config["mode"])) for j in range(jmax + 1)]
     _write(_emit(rows, ("n", "j", "value"), config), config)
@@ -195,7 +236,7 @@ def _cmd_moments(config) -> int:
 
 def _cmd_cumulants(config) -> int:
     spec = _dist_spec(config)
-    jmax = int(config.get("jmax", 8))
+    jmax = config.get("jmax", 8)
     seq = cumulants_oracle(moments_of(spec, jmax))
     rows = [(j + 1, _scalar_str(v, config["mode"])) for j, v in enumerate(seq.kappa)]
     _write(_emit(rows, ("j", "value"), config), config)
@@ -216,9 +257,9 @@ def _process_spec(config, jmax: int):
 
 
 def _cmd_levy(config) -> int:
-    jmax = int(config.get("jmax", 8))
+    jmax = config.get("jmax", 8)
     proc = _process_spec(config, jmax)
-    t = Fraction(config.get("t", 1))
+    t = config.get("t", Fraction(1))
     if t <= 0:
         raise ValueError("t must be positive")
     mode = config["mode"]
@@ -235,13 +276,13 @@ def _cmd_edgeworth(config) -> int:
     spec = _dist_spec(config)
     if "n" not in config:
         raise ValueError("edgeworth needs --n")
-    n = int(config["n"])
+    n = config["n"]
     if n < 1:
         raise ValueError("edgeworth needs n >= 1")
-    K = int(config.get("K", 2))
+    K = config.get("K", 2)
     jmax = config.get("jmax")
-    model = edgeworth_model(spec, K, order=int(jmax) if jmax is not None else None)
-    grid = _parse_grid(str(config.get("grid", "-3:3:1/2")))
+    model = edgeworth_model(spec, K, order=jmax)
+    grid = _parse_grid(config.get("grid", "-3:3:1/2"))
     if model.lattice:
         print(
             "warning: lattice distribution; the expansion's integrability "
@@ -268,8 +309,8 @@ def _cmd_edgeworth(config) -> int:
 
 def _cmd_validate(config) -> int:
     suite = config.get("suite", "all")
-    seed = int(config["seed"])
-    n_samples = int(config.get("mc_samples", 10**6))
+    seed = config["seed"]
+    n_samples = config.get("mc_samples", 10**6)
     reports = run_validation(suite, seed, n_samples)
     payload = json.dumps([r.to_json() for r in reports], indent=2) + "\n"
     _write(payload, config)

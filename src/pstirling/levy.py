@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .randomvars import MomentSeq, normal_even_moment
+from .randomvars import MomentSeq, normal_even_moment, parse_rational
 from .stirling import weighted_sum_moment
 
 
@@ -202,15 +202,19 @@ def process_to_json(spec) -> dict:
 
 def process_from_json(data: dict):
     """Parse a process spec; the key set picks the process family."""
+
+    def rational(key):
+        if key not in data:
+            raise ValueError(f"process spec needs {key!r}")
+        return parse_rational(data[key], repr(key))
+
+    def moments(key):
+        if not isinstance(data[key], list):
+            raise ValueError(f"process spec needs {key!r} as a list, not {data[key]!r}")
+        return MomentSeq(tuple(parse_rational(v, f"a {key} entry") for v in data[key]))
+
     if "u_moments" in data:
-        return LevySpec(
-            Fraction(data["sigma2"]),
-            Fraction(data["kappa2"]),
-            MomentSeq(tuple(Fraction(v) for v in data["u_moments"])),
-        )
+        return LevySpec(rational("sigma2"), rational("kappa2"), moments("u_moments"))
     if "tstar_moments" in data:
-        return SubordinatorSpec(
-            Fraction(data["tau2"]),
-            MomentSeq(tuple(Fraction(v) for v in data["tstar_moments"])),
-        )
+        return SubordinatorSpec(rational("tau2"), moments("tstar_moments"))
     raise ValueError("process spec needs u_moments or tstar_moments")

@@ -15,7 +15,7 @@ from math import comb, factorial
 
 from .powerseries import QC, egf_log, egf_pow
 from .randomvars import MomentSeq, vanishing_order
-from .stirling import psn_egf_cached
+from .stirling import alternating, psn_egf_cached
 
 
 def falling(n: int, m: int) -> int:
@@ -95,8 +95,7 @@ def sum_moment_recursion(m: MomentSeq, n: int, j: int, r=None) -> QC:
     table = psn_egf_cached(m)
     acc = QC.of(table.entry(j, tau))
     for k in range(tau):
-        sign = -1 if (tau - k - 1) % 2 else 1
-        coeff = Fraction(sign * comb(tau - 1, k), (n - k) * factorial(tau - 1))
+        coeff = Fraction(alternating(tau - 1 - k, comb(tau - 1, k)), (n - k) * factorial(tau - 1))
         acc = acc + coeff * sum_moment_egf(m, k, j)
     return falling(n, tau) * acc
 
@@ -141,8 +140,7 @@ def cumulants_from_stirling(m: MomentSeq) -> CumulantSeq:
     for j in range(1, m.order + 1):
         acc = QC(0)
         for mm in range(1, j + 1):
-            sign = -1 if (mm - 1) % 2 else 1
-            acc = acc + (sign * factorial(mm - 1)) * table.entry(j, mm)
+            acc = acc + alternating(mm - 1, factorial(mm - 1)) * table.entry(j, mm)
         kappa.append(acc)
     return CumulantSeq(tuple(kappa))
 
@@ -154,8 +152,7 @@ def cumulants_from_sum_moments(m: MomentSeq) -> CumulantSeq:
     for j in range(1, m.order + 1):
         acc = QC(0)
         for k in range(1, j + 1):
-            sign = -1 if (k - 1) % 2 else 1
-            acc = acc + Fraction(sign * comb(j, k), k) * pows[k][j]
+            acc = acc + Fraction(alternating(k - 1, comb(j, k)), k) * pows[k][j]
         kappa.append(acc)
     return CumulantSeq(tuple(kappa))
 

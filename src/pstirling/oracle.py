@@ -156,6 +156,8 @@ def mc_empirical_cdf(
     The attached bound sqrt(ln(2/delta)/(2 n_samples)) bounds the sup
     deviation from the true CDF with probability 1 - delta.
     """
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
     mu2 = float(moments_of(spec, 2)[2].as_fraction())
     scale = 1.0 / math.sqrt(n * mu2)
     values = []

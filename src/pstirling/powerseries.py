@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from itertools import repeat
+from math import comb, gcd, lcm
 from numbers import Rational
 
 
@@ -33,8 +35,9 @@ class QC:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # a Fraction part is immutable, so it is kept rather than copied
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("QC is immutable")
@@ -194,14 +197,10 @@ def egf_mul(a: EGFSeries, b: EGFSeries) -> EGFSeries:
     common order; with moment sequences as inputs it multiplies MGFs.
     """
     _check_compatible(a, b)
-    av, bv = a.coeffs, b.coeffs
-    out = []
-    for j in range(a.order + 1):
-        acc = av[0] * bv[j]
-        for k in range(1, j + 1):
-            acc = acc + comb(j, k) * (av[k] * bv[j - k])
-        out.append(acc)
-    return EGFSeries(tuple(out))
+    da, ar, ai = _numerators(a)
+    db, br, bi = _numerators(b)
+    re, im = zip(*(_product(_binomials(j), j, j + 1, ar, ai, br, bi) for j in range(len(ar))))
+    return _series(re, im, repeat(da * db))
 
 
 def egf_pow(a: EGFSeries, n: int) -> EGFSeries:
@@ -227,25 +226,110 @@ def egf_log(a: EGFSeries) -> EGFSeries:
     """
     if a.coeffs[0] != ONE:
         raise DomainError("egf_log needs constant coefficient 1")
-    av = a.coeffs
-    lv = [ZERO]
+    dens, ar, ai = _dilated(a)
+    # lr[k], li[k]: the numerators of L_{k+1}
+    lr, li = [], (None if ai is None else [])
     for j in range(a.order):
-        acc = av[j + 1]
-        for k in range(j):
-            acc = acc - comb(j, k) * (lv[k + 1] * av[j - k])
-        lv.append(acc)
-    return EGFSeries(tuple(lv))
+        re, im = _product(_binomials(j), j, j, lr, li, ar, ai)
+        lr.append(ar[j + 1] - re)
+        if li is not None:
+            li.append(ai[j + 1] - im)
+    return _series([0] + lr, li and [0] + li, dens)
 
 
 def egf_exp(a: EGFSeries) -> EGFSeries:
     """Inverse of egf_log: series E with E_0 = 1, egf_log(E) = a; needs a_0 = 0."""
     if a.coeffs[0] != ZERO:
         raise DomainError("egf_exp needs constant coefficient 0")
-    av = a.coeffs
-    ev = [ONE]
+    dens, ar, ai = _dilated(a)
+    # E_{j+1} = sum_k C(j,k) a_{k+1} E_{j-k}, the coefficient form of E' = a' E
+    xr, xi = ar[1:], ai and ai[1:]
+    er, ei = [1], (None if ai is None else [0])
     for j in range(a.order):
-        acc = av[1] * ev[j]
-        for k in range(1, j + 1):
-            acc = acc + comb(j, k) * (av[k + 1] * ev[j - k])
-        ev.append(acc)
-    return EGFSeries(tuple(ev))
+        re, im = _product(_binomials(j), j, j + 1, xr, xi, er, ei)
+        er.append(re)
+        if ei is not None:
+            ei.append(im)
+    return _series(er, ei, dens)
+
+
+# --- the integer kernel -----------------------------------------------------
+#
+# Series arithmetic runs on Python ints.  An operand enters as integer
+# numerators over one common denominator (the layout of FLINT's
+# fmpq_poly; log and exp use the powers c**j of one integer instead), a
+# complex operand as two numerator vectors, and each output coefficient
+# becomes a QC, reduced once, only at the end.
+
+
+@lru_cache(maxsize=None)
+def _binomials(j: int) -> tuple:
+    """Row j of Pascal's triangle, built on first use."""
+    return tuple(comb(j, k) for k in range(j + 1))
+
+
+def _numerators(a: EGFSeries):
+    """(d, re, im) with a_j = (re[j] + i im[j]) / d over the lcm d of all denominators.
+
+    ``im`` is None when every imaginary part is zero.
+    """
+    re = [v.re for v in a.coeffs]
+    im = [v.im for v in a.coeffs]
+    if not any(im):
+        im = None
+    d = lcm(*(q.denominator for q in re), *(q.denominator for q in im or ()))
+    return d, _scaled(re, repeat(d)), im and _scaled(im, repeat(d))
+
+
+def _dilated(a: EGFSeries):
+    """(dens, re, im) with a_j = (re[j] + i im[j]) / dens[j], dens[j] = c**j, for a_0 of 0 or 1.
+
+    These are the integer coefficients of a(c z), so a recursion over them
+    (log, exp) never divides.  c grows one coefficient at a time, by just
+    the factor that a_j's denominator still lacks in c**j: series whose
+    denominators grow like d**j, as outputs of log, exp and powers do,
+    keep c near d rather than near their lcm.  ``im`` is None when every
+    imaginary part is zero.
+    """
+    c = 1
+    for j, v in enumerate(a.coeffs[1:], 1):
+        g = lcm(v.re.denominator, v.im.denominator)
+        c *= g // gcd(g, pow(c, j, g))
+    dens = [c**j for j in range(len(a.coeffs))]
+    im = [v.im for v in a.coeffs]
+    re = _scaled([v.re for v in a.coeffs], dens)
+    return dens, re, (_scaled(im, dens) if any(im) else None)
+
+
+def _scaled(parts, dens) -> list:
+    """Numerators of the rationals ``parts`` over ``dens``, which each denominator divides."""
+    return [q.numerator * (d // q.denominator) for q, d in zip(parts, dens)]
+
+
+def _dot(row, x, y, j: int, stop: int) -> int:
+    """sum_{k < stop} row[k] x[k] y[j-k] over ints, skipping zero terms."""
+    return sum(row[k] * x[k] * y[j - k] for k in range(stop) if x[k] and y[j - k])
+
+
+def _product(row, j: int, stop: int, xr, xi, yr, yi):
+    """Numerators (re, im) of sum_{k < stop} row[k] x_k y_{j-k}; xi, yi None when zero."""
+    re = _dot(row, xr, yr, j, stop)
+    im = 0
+    if xi is not None:
+        im += _dot(row, xi, yr, j, stop)
+        if yi is not None:
+            re -= _dot(row, xi, yi, j, stop)
+    if yi is not None:
+        im += _dot(row, xr, yi, j, stop)
+    return re, im
+
+
+def _series(re, im, dens) -> EGFSeries:
+    """The series with coefficients (re[j] + i im[j]) / dens[j]; im None when zero."""
+    zero = ZERO.im  # shared, so a real coefficient builds one Fraction, not two
+    return EGFSeries(
+        tuple(
+            QC(Fraction(r, d), Fraction(i, d) if i else zero)
+            for r, i, d in zip(re, im or repeat(0), dens)
+        )
+    )

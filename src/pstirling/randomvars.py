@@ -327,6 +327,12 @@ def _gamma_moments(spec: DistSpec, order: int) -> list:
     return mu
 
 
+def _draw_bernoulli(spec: DistSpec, rng: random.Random) -> float:
+    # u < p compared exactly in integers: float(p) could flip a draw on the boundary
+    u, scale = rng.random().as_integer_ratio()
+    return 1.0 if u * spec.param.denominator < spec.param.numerator * scale else 0.0
+
+
 def _custom_moments(spec: DistSpec, order: int) -> tuple:
     _require(order < len(spec.custom_moments), "custom spec does not carry that many moments")
     return spec.custom_moments[: order + 1]
@@ -379,8 +385,7 @@ _KINDS = {
             0 <= spec.param <= 1, "bernoulli parameter must satisfy 0 <= p <= 1"
         ),
         abs_spec=lambda spec: spec,
-        # compared with the exact p: float(p) could flip a draw on the boundary
-        draw=lambda spec, rng: 1.0 if rng.random() < spec.param else 0.0,
+        draw=_draw_bernoulli,
         lattice=True,
     ),
     UNIFORM_STD: _Kind(
@@ -445,10 +450,22 @@ def _scalar_to_json(v: QC):
     return {"re": str(v.re), "im": str(v.im)}
 
 
+def parse_rational(value, what: str) -> Fraction:
+    """A rational from JSON or a flag: an int or a "p/q" string; ValueError names ``what``."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"{what} must be a rational p/q, not {value!r}") from None
+
+
 def _scalar_from_json(v) -> QC:
     if isinstance(v, dict):
-        return QC(Fraction(v["re"]), Fraction(v.get("im", 0)))
-    return QC(Fraction(v))
+        _require("re" in v, f"a complex moment needs 're', not {v!r}")
+        return QC(
+            parse_rational(v["re"], "a moment's 're'"),
+            parse_rational(v.get("im", 0), "a moment's 'im'"),
+        )
+    return QC(parse_rational(v, "a moment"))
 
 
 def dist_to_json(spec: DistSpec) -> dict:
@@ -471,5 +488,6 @@ def dist_from_json(data: dict) -> DistSpec:
     value = data.get(key, kind.default)
     _require(value is not None, f"{name} spec needs {key!r}")
     if kind.moment_list:
+        _require(isinstance(value, list), f"{name} spec needs {key!r} as a list, not {value!r}")
         return custom(map(_scalar_from_json, value))
-    return DistSpec(name, Fraction(value))
+    return DistSpec(name, parse_rational(value, repr(key)))

@@ -34,6 +34,11 @@ from .randomvars import (
 )
 
 
+def alternating(e: int, value):
+    """(-1)^e * value: the sign of alternating sums and binomial transforms."""
+    return -value if e % 2 else value
+
+
 @lru_cache(maxsize=None)
 def classical_s2(j: int, m: int) -> int:
     """Classical second-kind number: partitions of a j-set into m blocks.
@@ -43,7 +48,7 @@ def classical_s2(j: int, m: int) -> int:
     """
     if j < 0 or m < 0:
         raise ValueError("indices must be nonnegative")
-    total = sum(comb(m, k) * (-1) ** (m - k) * k**j for k in range(m + 1))
+    total = sum(alternating(m - k, comb(m, k)) * k**j for k in range(m + 1))
     q, rem = divmod(total, factorial(m))
     assert rem == 0
     return q
@@ -145,8 +150,7 @@ def psn_direct(m: MomentSeq, j: int, m_idx: int) -> QC:
     pows = _sum_moment_powers(m, m_idx)
     acc = QC(0)
     for k in range(m_idx + 1):
-        sign = -1 if (m_idx - k) % 2 else 1
-        acc = acc + (sign * comb(m_idx, k)) * pows[k][j]
+        acc = acc + alternating(m_idx - k, comb(m_idx, k)) * pows[k][j]
     return acc / factorial(m_idx)
 
 
@@ -175,8 +179,7 @@ def psn_via_classical(m: MomentSeq, j: int, m_idx: int) -> QC:
             continue
         inner = QC(0)
         for k in range(m_idx + 1):
-            sign = -1 if (m_idx - k) % 2 else 1
-            inner = inner + (sign * comb(m_idx, k)) * falling_moment(k, l)
+            inner = inner + alternating(m_idx - k, comb(m_idx, k)) * falling_moment(k, l)
         acc = acc + s2 * inner
     return acc / factorial(m_idx)
 

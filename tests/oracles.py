@@ -3,13 +3,17 @@
 Everything here deliberately avoids the library's production code paths:
 lattice sums are enumerated state by state, Bell/Poisson values come from
 the Touchard recurrence, beta moments from term-by-term integration, the
-Irwin-Hall CDF from piecewise-polynomial convolution, and the normal CDF
-from a rational Maclaurin series with Machin's formula for pi.
+Irwin-Hall CDF from piecewise-polynomial convolution, the normal CDF
+from a rational Maclaurin series with Machin's formula for pi, and the
+series product, log and exp from term-by-term loops over the exact
+scalar ``QC``, which bypass the integer kernel that ``powerseries`` uses.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import comb
+
+from pstirling.powerseries import QC
 
 
 def enum_sum_moment(support, n, j):
@@ -188,3 +192,39 @@ def normal_cdf_series(x):
 
     half_scaled = erf_series(Fraction(x) / Fraction(_math.isqrt(2 * 10**60), 10**30))
     return float(Fraction(1, 2) + half_scaled / 2)
+
+
+def schoolbook_egf_mul(a, b):
+    """Coefficients of the binomial convolution c_j = sum_k C(j,k) a_k b_{j-k}, term by term."""
+    av, bv = a.coeffs, b.coeffs
+    out = []
+    for j in range(len(av)):
+        acc = av[0] * bv[j]
+        for k in range(1, j + 1):
+            acc = acc + comb(j, k) * (av[k] * bv[j - k])
+        out.append(acc)
+    return tuple(out)
+
+
+def schoolbook_egf_log(a):
+    """Coefficients of L with L_0 = 0 from a_{j+1} = sum_k C(j,k) L_{k+1} a_{j-k}; a_0 = 1."""
+    av = a.coeffs
+    lv = [QC(0)]
+    for j in range(len(av) - 1):
+        acc = av[j + 1]
+        for k in range(j):
+            acc = acc - comb(j, k) * (lv[k + 1] * av[j - k])
+        lv.append(acc)
+    return tuple(lv)
+
+
+def schoolbook_egf_exp(a):
+    """Coefficients of E with E_0 = 1 from E_{j+1} = sum_k C(j,k) a_{k+1} E_{j-k}; a_0 = 0."""
+    av = a.coeffs
+    ev = [QC(1)]
+    for j in range(len(av) - 1):
+        acc = av[1] * ev[j]
+        for k in range(1, j + 1):
+            acc = acc + comb(j, k) * (av[k + 1] * ev[j - k])
+        ev.append(acc)
+    return tuple(ev)

@@ -176,6 +176,19 @@ class TestConfigAndOutput:
             (["moments", "--dist", "rademacher", "--n", "2"], [1, 2], "JSON object"),
             (["edgeworth", "--dist", "uniformstd", "--n", "0"], None, "n >= 1"),
             (["edgeworth", "--dist", "uniformstd", "--n", "-2"], None, "n >= 1"),
+            (["moments", "--n", "2"], {"dist": {"dist": "custom", "moments": 5}}, "'moments'"),
+            (["moments", "--n", "2"], {"dist": {"dist": "custom", "moments": ["1", {"im": "1"}]}},
+             "'re'"),
+            (["moments", "--n", "2"], {"dist": {"dist": "poisson", "lambda": [1]}}, "'lambda'"),
+            (["stirling", "--dist", "rademacher"], {"jmax": [1]}, "jmax"),
+            (["moments", "--dist", "poisson", "--param", "1/0", "--n", "2"], None, "'lambda'"),
+            (["levy", "--dist", "poisson"], {"t": "1/0"}, "t must be"),
+            (["stirling", "--dist", "rademacher"], {"out": 5}, "out"),
+            (["stirling", "--dist", "rademacher"], {"mode": "decimal"}, "mode"),
+            (["levy"], {"process": {"tstar_moments": ["1", "2"]}}, "'tau2'"),
+            (["levy"], {"process": {"tau2": [1], "tstar_moments": ["1", "2"]}}, "'tau2'"),
+            (["levy"], {"process": {"sigma2": "0", "kappa2": "1", "u_moments": "11"}},
+             "'u_moments'"),
         ],
     )
     def test_bad_input_is_one_line_exit_2(self, tmp_path, capsys, argv, config, message):

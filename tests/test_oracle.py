@@ -140,6 +140,11 @@ class TestMcEmpiricalCdf:
         with pytest.raises(UnsupportedSpecError):
             mc_empirical_cdf(custom([1, 0, 1]), 2, [0.0], 10_000, seed=0)
 
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_needs_a_sample(self, n_samples):
+        with pytest.raises(ValueError, match="at least one sample"):
+            mc_empirical_cdf(uniform_std(), 2, [0.0], n_samples, seed=1)
+
 
 class TestValidationSuite:
     def test_exact_suite_passes(self):

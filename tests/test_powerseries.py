@@ -18,7 +18,14 @@ from pstirling.powerseries import (
     egf_zero,
 )
 
-from oracles import RADEMACHER_SUPPORT, bell_numbers, enum_sum_moment
+from oracles import (
+    RADEMACHER_SUPPORT,
+    bell_numbers,
+    enum_sum_moment,
+    schoolbook_egf_exp,
+    schoolbook_egf_log,
+    schoolbook_egf_mul,
+)
 
 
 def coeffs(series):
@@ -167,3 +174,74 @@ class TestRingLaws:
         a = EGFSeries([1, 2, 3])
         assert coeffs(egf_scale(a, F(1, 2))) == [QC(F(1, 2)), QC(1), QC(F(3, 2))]
 
+
+
+# Pairwise coprime denominators, so a series' common denominator is their product.
+BIG_DENOMINATORS = (998_244_353, 1_000_000_007, 2**61 - 1, 3**20, 7**11, 10**9 + 9)
+KINDS = ("real", "complex", "sparse", "zero")
+
+
+def random_series(rng, order, kind, head=None, small=False):
+    """Seeded series with signed numerators over large or coprime denominators.
+
+    ``small`` draws parts p/q with |p|, q <= 9 instead, whose log and exp
+    stay cheap enough for the schoolbook loops at order 40.
+    """
+
+    def part():
+        if small:
+            return F(rng.randint(-9, 9), rng.randint(1, 9))
+        den = rng.choice(BIG_DENOMINATORS) if rng.random() < 0.5 else rng.randint(1, 10**9)
+        return F(rng.randint(-(10**12), 10**12), den)
+
+    def scalar():
+        if kind == "zero" or (kind == "sparse" and rng.random() < 0.7):
+            return QC(0)
+        return QC(part(), part() if kind != "real" else 0)
+
+    values = [scalar() for _ in range(order + 1)]
+    if head is not None:
+        values[0] = QC(head)
+    return EGFSeries(values)
+
+
+class TestKernelAgainstSchoolbook:
+    """The integer kernel equals the schoolbook QC loops exactly."""
+
+    @pytest.mark.parametrize("kind_b", KINDS)
+    @pytest.mark.parametrize("kind_a", KINDS)
+    def test_mul(self, kind_a, kind_b):
+        rng = random.Random(f"mul {kind_a} {kind_b}")
+        for order in (0, 1, 2, 3, rng.randint(4, 39), 40):
+            a = random_series(rng, order, kind_a)
+            b = random_series(rng, order, kind_b)
+            assert egf_mul(a, b).coeffs == schoolbook_egf_mul(a, b)
+
+    def test_mul_every_order(self):
+        rng = random.Random(40)
+        for order in range(41):
+            a = random_series(rng, order, "complex")
+            b = random_series(rng, order, KINDS[order % len(KINDS)])
+            assert egf_mul(a, b).coeffs == schoolbook_egf_mul(a, b)
+            assert egf_mul(b, a).coeffs == schoolbook_egf_mul(b, a)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pow(self, kind):
+        rng = random.Random(f"pow {kind}")
+        for order in (0, 1, 6, 12):
+            a = random_series(rng, order, kind)
+            expected = egf_one(order)
+            for n in range(6):
+                assert egf_pow(a, n) == expected
+                expected = EGFSeries(schoolbook_egf_mul(expected, a))
+
+    def test_log_exp(self):
+        rng = random.Random(2020)
+        for order in range(41):
+            kind = ("complex", "real", "sparse")[order % 3]
+            a = random_series(rng, order, kind, head=1, small=order > 12)
+            l = random_series(rng, order, kind, head=0, small=order > 12)
+            assert egf_log(a).coeffs == schoolbook_egf_log(a)
+            assert egf_exp(l).coeffs == schoolbook_egf_exp(l)
+            assert egf_exp(egf_log(a)) == a
+            assert egf_log(egf_exp(l)) == l

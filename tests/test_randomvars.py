@@ -290,6 +290,16 @@ class TestSamplers:
             v = sample_sum(rademacher(), 5, rng)
             assert v in {-5.0, -3.0, -1.0, 1.0, 3.0, 5.0}
 
+    def test_bernoulli_compares_exactly(self):
+        # float(1/3) lies below 1/3, so a draw of exactly that value is a success
+        class FixedDraw:
+            def random(self):
+                return float(F(1, 3))
+
+        assert sample_one(bernoulli(F(1, 3)), FixedDraw()) == 1.0
+        assert sample_one(bernoulli(F(2, 3)), FixedDraw()) == 1.0
+        assert sample_one(bernoulli(F(1, 4)), FixedDraw()) == 0.0
+
     def test_seed_determinism(self):
         a = [sample_one(normal(1), random.Random(99)) for _ in range(3)]
         b = [sample_one(normal(1), random.Random(99)) for _ in range(3)]
