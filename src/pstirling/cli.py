@@ -38,6 +38,11 @@ from .randomvars import (
 from .stirling import psn_egf
 from .moments import cumulants_oracle, sum_moment
 
+# Input bounds, checked before any work starts; far above every documented use
+MAX_JMAX = 200
+MAX_MC_SAMPLES = 10**8
+MAX_GRID_POINTS = 10**5
+
 # the values a flag or a config may give these fields
 _CHOICES = {"mode": ("exact", "float"), "format": ("csv", "json"), "suite": ("all", "exact", "mc")}
 
@@ -124,6 +129,10 @@ def _check_fields(config: dict) -> None:
     for key in _INTEGER_FIELDS:
         if key in config:
             config[key] = _integer(key, config[key])
+    _check_range(config, "jmax", 0, MAX_JMAX)
+    _check_range(config, "mc_samples", 1, MAX_MC_SAMPLES)
+    # an expansion of order K reads 3K moments; K < 0 is edgeworth_model's to reject
+    _check_range(config, "K", None, MAX_JMAX // 3)
     for key, choices in _CHOICES.items():
         if key in config and config[key] not in choices:
             raise ValueError(f"{key} must be one of {', '.join(choices)}, not {config[key]!r}")
@@ -132,6 +141,16 @@ def _check_fields(config: dict) -> None:
     for key in ("out", "grid"):
         if not isinstance(config.get(key, ""), str):
             raise ValueError(f"{key} must be a string, not {config[key]!r}")
+
+
+def _check_range(config: dict, key: str, low, high: int) -> None:
+    value = config.get(key)
+    if value is None:
+        return
+    if low is not None and value < low:
+        raise ValueError(f"{key} must be at least {low}, not {value}")
+    if value > high:
+        raise ValueError(f"{key} must be at most {high}, not {value}")
 
 
 def _integer(key: str, value) -> int:
@@ -200,12 +219,10 @@ def _parse_grid(spec: str) -> list:
     start, stop, step = (parse_rational(p, "a grid value") for p in parts)
     if step <= 0:
         raise ValueError("grid step must be positive")
-    ys = []
-    y = start
-    while y <= stop:
-        ys.append(y)
-        y += step
-    return ys
+    count = (stop - start) // step + 1 if stop >= start else 0
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"grid has {count} points, more than {MAX_GRID_POINTS}")
+    return [start + i * step for i in range(count)]
 
 
 def _cmd_stirling(config) -> int:
@@ -279,10 +296,10 @@ def _cmd_edgeworth(config) -> int:
     n = config["n"]
     if n < 1:
         raise ValueError("edgeworth needs n >= 1")
+    grid = _parse_grid(config.get("grid", "-3:3:1/2"))
     K = config.get("K", 2)
     jmax = config.get("jmax")
     model = edgeworth_model(spec, K, order=jmax)
-    grid = _parse_grid(config.get("grid", "-3:3:1/2"))
     if model.lattice:
         print(
             "warning: lattice distribution; the expansion's integrability "

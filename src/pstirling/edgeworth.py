@@ -97,6 +97,8 @@ def edgeworth_model(source, K: int, order: int | None = None) -> EdgeworthModel:
     read off the hat-transformed sequence.  ``order`` controls how many
     moments are consumed (default 3K, always enough for K terms).
     """
+    if K < 0:
+        raise ValueError(f"K must be at least 0, not {K}")
     lattice = False
     if isinstance(source, DistSpec):
         J = order if order is not None else max(3 * K, 4)

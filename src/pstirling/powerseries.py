@@ -197,8 +197,8 @@ def egf_mul(a: EGFSeries, b: EGFSeries) -> EGFSeries:
     common order; with moment sequences as inputs it multiplies MGFs.
     """
     _check_compatible(a, b)
-    da, ar, ai = _numerators(a)
-    db, br, bi = _numerators(b)
+    da, ar, ai = numerators(a)
+    db, br, bi = numerators(b)
     re, im = zip(*(_product(_binomials(j), j, j + 1, ar, ai, br, bi) for j in range(len(ar))))
     return _series(re, im, repeat(da * db))
 
@@ -268,7 +268,7 @@ def _binomials(j: int) -> tuple:
     return tuple(comb(j, k) for k in range(j + 1))
 
 
-def _numerators(a: EGFSeries):
+def numerators(a: EGFSeries):
     """(d, re, im) with a_j = (re[j] + i im[j]) / d over the lcm d of all denominators.
 
     ``im`` is None when every imaginary part is zero.

@@ -12,6 +12,8 @@ the classical S(j,m) for Y = 1.  Four independent routes are provided:
 * ``psn_gr_rep`` -- the beta-weighted-sum representation available when
   the first r moments vanish.
 
+``psn_direct`` and ``psn_via_classical`` read E S_k^j from one shared
+ladder per sequence (``sum_moment_ladder``), built from M(z) alone.
 All arithmetic is exact; no floating point enters this module.
 """
 
@@ -20,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
-from .powerseries import QC, EGFSeries, egf_mul, egf_one, egf_pow
+from .powerseries import QC, EGFSeries, egf_mul, egf_one, egf_pow, numerators
 from .randomvars import (
     DistSpec,
     MomentSeq,
@@ -129,13 +131,55 @@ def psn_egf_cached(m: MomentSeq) -> StirlingTable:
     return psn_egf(m)
 
 
-def _sum_moment_powers(m: MomentSeq, k_max: int) -> list:
-    # pows[k][j] = E S_k^j, truncated at the sequence order
-    pows = [egf_one(m.order)]
-    base = m.to_egf()
-    for _ in range(k_max):
-        pows.append(egf_mul(pows[-1], base))
-    return pows
+class SumMomentLadder:
+    """E S_k^j for k = 0, 1, ...: the powers M(z)^k of one sequence's MGF.
+
+    The ladder grows on demand by one egf_mul of M itself per step, never
+    of M - 1 or of anything psn_egf builds, so the routes that read it stay
+    independent of the table they check.  Each power is kept both as a
+    series and as its integer numerators (see powerseries.numerators).
+    """
+
+    __slots__ = ("base", "series", "numerators")
+
+    def __init__(self, base: EGFSeries):
+        self.base = base
+        self.series = [egf_one(base.order)]
+        self.numerators = [numerators(self.series[0])]
+
+    def upto(self, k_max: int) -> "SumMomentLadder":
+        """The ladder, grown through E S_{k_max}^j."""
+        while len(self.series) <= k_max:
+            power = egf_mul(self.series[-1], self.base)
+            self.series.append(power)
+            self.numerators.append(numerators(power))
+        return self
+
+
+@lru_cache(maxsize=128)
+def sum_moment_ladder(m: MomentSeq) -> SumMomentLadder:
+    """The one shared ladder of m; callers grow it with ``upto`` and only read its lists."""
+    return SumMomentLadder(m.to_egf())
+
+
+def _alternating_sum(m: MomentSeq, m_idx: int, f) -> QC:
+    """(1/m!) sum_k C(m,k)(-1)^{m-k} f(E S_k^.), exactly, for an f linear over the integers.
+
+    f maps the integer numerators of one rung of the ladder to an int.
+    It runs on Python ints, on the real and then on the imaginary parts;
+    the terms meet over the lcm of the rungs' denominators, and the
+    result becomes a QC once.
+    """
+    rungs = sum_moment_ladder(m).upto(m_idx).numerators[: m_idx + 1]
+    d = lcm(*(dk for dk, _, _ in rungs))
+    re = im = 0
+    for k, (dk, xr, xi) in enumerate(rungs):
+        c = alternating(m_idx - k, comb(m_idx, k)) * (d // dk)
+        re += c * f(xr)
+        if xi is not None:
+            im += c * f(xi)
+    den = d * factorial(m_idx)
+    return QC(Fraction(re, den), Fraction(im, den))
 
 
 def psn_direct(m: MomentSeq, j: int, m_idx: int) -> QC:
@@ -147,11 +191,7 @@ def psn_direct(m: MomentSeq, j: int, m_idx: int) -> QC:
         raise ValueError("j exceeds the available moment order")
     if m_idx > j:
         return QC(0)
-    pows = _sum_moment_powers(m, m_idx)
-    acc = QC(0)
-    for k in range(m_idx + 1):
-        acc = acc + alternating(m_idx - k, comb(m_idx, k)) * pows[k][j]
-    return acc / factorial(m_idx)
+    return _alternating_sum(m, m_idx, lambda x: x[j])
 
 
 def psn_via_classical(m: MomentSeq, j: int, m_idx: int) -> QC:
@@ -164,24 +204,18 @@ def psn_via_classical(m: MomentSeq, j: int, m_idx: int) -> QC:
         raise ValueError("j exceeds the available moment order")
     if m_idx > j:
         return QC(0)
-    pows = _sum_moment_powers(m, m_idx)
 
-    def falling_moment(k: int, l: int) -> QC:
-        acc = QC(0)
-        for i in range(l + 1):
-            acc = acc + classical_s1_signed(l, i) * pows[k][i]
+    def classical(x):
+        # sum_l S(j,l) E (S_k)_l, with E (S_k)_l = sum_i s(l,i) E S_k^i
+        acc = 0
+        for l in range(j + 1):
+            s2 = classical_s2(j, l)
+            if s2:
+                s1 = _falling_factorial_coeffs(l)
+                acc += s2 * sum(s1[i] * x[i] for i in range(l + 1))
         return acc
 
-    acc = QC(0)
-    for l in range(j + 1):
-        s2 = classical_s2(j, l)
-        if s2 == 0:
-            continue
-        inner = QC(0)
-        for k in range(m_idx + 1):
-            inner = inner + alternating(m_idx - k, comb(m_idx, k)) * falling_moment(k, l)
-        acc = acc + s2 * inner
-    return acc / factorial(m_idx)
+    return _alternating_sum(m, m_idx, classical)
 
 
 def weighted_sum_moment(m: MomentSeq, r: int, m_idx: int, p: int) -> QC:

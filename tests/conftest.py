@@ -1,0 +1,16 @@
+"""Shared fixtures for the test suite."""
+
+import pytest
+
+from pstirling import stirling
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Start every test with empty table and ladder caches.
+
+    The wall-clock budgets in test_acceptance.py then measure cold work,
+    whatever the test order or selection.
+    """
+    stirling.psn_egf_cached.cache_clear()
+    stirling.sum_moment_ladder.cache_clear()

@@ -11,9 +11,9 @@ scalar ``QC``, which bypass the integer kernel that ``powerseries`` uses.
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, factorial
 
-from pstirling.powerseries import QC
+from pstirling.powerseries import QC, EGFSeries
 
 
 def enum_sum_moment(support, n, j):
@@ -228,3 +228,67 @@ def schoolbook_egf_exp(a):
             acc = acc + comb(j, k) * (av[k + 1] * ev[j - k])
         ev.append(acc)
     return tuple(ev)
+
+
+def schoolbook_sum_moment_powers(m, k_max):
+    """E S_k^j for k = 0..k_max as coefficient tuples, by repeated schoolbook products of M."""
+    pows = [(QC(1),) + (QC(0),) * m.order]
+    for _ in range(k_max):
+        pows.append(schoolbook_egf_mul(EGFSeries(pows[-1]), m.to_egf()))
+    return pows
+
+
+def stirling2_triangle(j):
+    """Rows 0..j of S(n,k) from S(n,k) = k S(n-1,k) + S(n-1,k-1)."""
+    rows = [[1]]
+    for n in range(1, j + 1):
+        prev = rows[-1] + [0]
+        rows.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, n + 1)])
+    return rows
+
+
+def stirling1_signed_triangle(j):
+    """Rows 0..j of s(n,k) from s(n,k) = s(n-1,k-1) - (n-1) s(n-1,k)."""
+    rows = [[1]]
+    for n in range(1, j + 1):
+        prev = rows[-1] + [0]
+        rows.append([0] + [prev[k - 1] - (n - 1) * prev[k] for k in range(1, n + 1)])
+    return rows
+
+
+def schoolbook_psn_direct(m, j, m_idx):
+    """(1/m!) sum_k C(m,k)(-1)^{m-k} E S_k^j, term by term over QC."""
+    if m_idx > j:
+        return QC(0)
+    pows = schoolbook_sum_moment_powers(m, m_idx)
+    acc = QC(0)
+    for k in range(m_idx + 1):
+        sign = -1 if (m_idx - k) % 2 else 1
+        acc = acc + sign * comb(m_idx, k) * pows[k][j]
+    return acc / factorial(m_idx)
+
+
+def schoolbook_psn_via_classical(m, j, m_idx):
+    """(1/m!) sum_l S(j,l) sum_k C(m,k)(-1)^{m-k} E (S_k)_l, term by term over QC."""
+    if m_idx > j:
+        return QC(0)
+    pows = schoolbook_sum_moment_powers(m, m_idx)
+    s1 = stirling1_signed_triangle(j)
+    s2 = stirling2_triangle(j)[j]
+
+    def falling_moment(k, l):
+        acc = QC(0)
+        for i in range(l + 1):
+            acc = acc + s1[l][i] * pows[k][i]
+        return acc
+
+    acc = QC(0)
+    for l in range(j + 1):
+        if s2[l] == 0:
+            continue
+        inner = QC(0)
+        for k in range(m_idx + 1):
+            sign = -1 if (m_idx - k) % 2 else 1
+            inner = inner + sign * comb(m_idx, k) * falling_moment(k, l)
+        acc = acc + s2[l] * inner
+    return acc / factorial(m_idx)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from pstirling.cli import main
+from fractions import Fraction as F
+
+from pstirling.cli import MAX_GRID_POINTS, MAX_JMAX, MAX_MC_SAMPLES, _parse_grid, main
 
 
 def run_cli(capsys, *argv):
@@ -189,6 +191,20 @@ class TestConfigAndOutput:
             (["levy"], {"process": {"tau2": [1], "tstar_moments": ["1", "2"]}}, "'tau2'"),
             (["levy"], {"process": {"sigma2": "0", "kappa2": "1", "u_moments": "11"}},
              "'u_moments'"),
+            (["edgeworth", "--dist", "uniformstd", "--n", "4", "--K", "-1"], None,
+             "K must be at least 0"),
+            (["levy", "--dist", "gamma", "--jmax", "-1"], None, "jmax must be at least 0"),
+            (["stirling", "--dist", "rademacher"], {"jmax": "-3"}, "jmax must be at least 0"),
+            (["stirling", "--dist", "rademacher", "--jmax", str(MAX_JMAX + 1)], None,
+             f"jmax must be at most {MAX_JMAX}"),
+            (["validate", "--mc-samples", "0"], None, "mc_samples must be at least 1"),
+            (["validate"], {"mc_samples": MAX_MC_SAMPLES + 1}, f"at most {MAX_MC_SAMPLES}"),
+            (["edgeworth", "--dist", "uniformstd", "--n", "4", "--K", str(MAX_JMAX // 3 + 1)],
+             None, f"K must be at most {MAX_JMAX // 3}"),
+            (["edgeworth", "--dist", "uniformstd", "--n", "4", "--grid=-3:3:1/1000000000"],
+             None, "6000000001 points"),
+            (["edgeworth", "--dist", "uniformstd", "--n", "4"],
+             {"grid": f"1:{MAX_GRID_POINTS + 1}:1"}, f"more than {MAX_GRID_POINTS}"),
         ],
     )
     def test_bad_input_is_one_line_exit_2(self, tmp_path, capsys, argv, config, message):
@@ -201,6 +217,13 @@ class TestConfigAndOutput:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("pstirling: error:")
         assert message in err and "Traceback" not in err
+
+    def test_grid_points_are_counted_exactly(self):
+        assert _parse_grid("0:1:1/4") == [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
+        assert _parse_grid("0:1:1/3") == [F(0), F(1, 3), F(2, 3), F(1)]
+        assert _parse_grid("0:7/10:1/4") == [F(0), F(1, 4), F(1, 2)]
+        assert _parse_grid("1:0:1") == []
+        assert len(_parse_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
 
     def test_bad_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -127,6 +127,11 @@ class TestModel:
         with pytest.raises(DomainError):
             edgeworth_model(uniform_std(), K=4, order=6)
 
+    def test_rejects_negative_truncation(self):
+        with pytest.raises(ValueError, match="K must be at least 0"):
+            edgeworth_model(uniform_std(), K=-1)
+        assert edgeworth_model(uniform_std(), K=0).K == 0
+
     def test_vanishing_structure_enforced(self):
         hat = hat_transform(moments_of(uniform_std(), 8))
         from pstirling.stirling import psn_egf

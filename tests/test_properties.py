@@ -1,0 +1,159 @@
+"""Seeded property tests on fresh custom moment sequences, real and complex.
+
+Each sequence has mu_1 = ... = mu_r = 0 and random small rationals after
+that, for vanishing orders r = 0, 1, 2.  The identities are the ones the
+acceptance suite checks on catalog sequences, by exact equality.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from pstirling import moments, stirling
+from pstirling.powerseries import QC
+from pstirling.randomvars import MomentSeq, vanishing_order
+
+from oracles import schoolbook_psn_direct, schoolbook_psn_via_classical
+
+J = 10
+CASES = [(r, is_complex) for r in (0, 1, 2) for is_complex in (False, True)]
+CASE_IDS = [f"r{r}-{'complex' if c else 'real'}" for r, c in CASES]
+
+
+def fresh_sequence(seed, r, is_complex, order=J):
+    """mu_0 = 1, mu_1..mu_r = 0, then nonzero-led random rationals (complex ones too)."""
+    rng = random.Random(seed)
+
+    def rational():
+        return F(rng.randint(-9, 9), rng.randint(1, 9))
+
+    def scalar():
+        return QC(rational(), rational() if is_complex else 0)
+
+    lead = scalar()
+    while not lead:
+        lead = scalar()
+    mu = [QC(1)] + [QC(0)] * r + [lead] + [scalar() for _ in range(order - r - 1)]
+    return MomentSeq(tuple(mu))
+
+
+@pytest.fixture(params=CASES, ids=CASE_IDS)
+def seq(request):
+    r, is_complex = request.param
+    m = fresh_sequence(1000 + 10 * r + is_complex, r, is_complex)
+    assert vanishing_order(m) == r and m.is_real != is_complex
+    return m
+
+
+def test_four_routes_equal_the_table(seq):
+    table = stirling.psn_egf(seq)
+    v = vanishing_order(seq)
+    for j in range(J + 1):
+        for mm in range(j + 1):
+            expected = table.entry(j, mm)
+            assert stirling.psn_direct(seq, j, mm) == expected, (j, mm)
+            assert stirling.psn_via_classical(seq, j, mm) == expected, (j, mm)
+            p = j - mm * (v + 1)
+            if mm == 0 or p < 0 or p + v + 1 <= J:
+                assert stirling.psn_gr_rep(seq, v, j, mm) == expected, (j, mm)
+
+
+def test_three_cumulant_routes_agree(seq):
+    kappa = moments.cumulants_oracle(seq).kappa
+    assert moments.cumulants_from_stirling(seq).kappa == kappa
+    assert moments.cumulants_from_sum_moments(seq).kappa == kappa
+
+
+def test_recursion_equals_table_route(seq):
+    v = vanishing_order(seq)
+    checked = 0
+    for j in range(1, J + 1):
+        tau = j // (v + 1)
+        if tau < 1:
+            continue
+        for n in sorted({tau, 2 * tau + 1, 20}):
+            assert moments.sum_moment_recursion(seq, n, j) == moments.sum_moment(seq, n, j)
+            checked += 1
+    assert checked > 0
+
+
+def test_vanishing_structure(seq):
+    table = stirling.psn_egf(seq)
+    v = vanishing_order(seq)
+    for j in range(J + 1):
+        for mm in range(1, j + 1):
+            if j < mm * (v + 1):
+                assert table.entry(j, mm) == 0, (j, mm)
+
+
+class TestLadder:
+    # (route, j, m_idx), with m_idx rising; walked forwards and backwards
+    CALLS = [
+        (stirling.psn_via_classical, 4, 1),
+        (stirling.psn_direct, 7, 3),
+        (stirling.psn_via_classical, 9, 5),
+        (stirling.psn_direct, 10, 8),
+    ]
+
+    def test_growth_order_does_not_matter(self):
+        m = fresh_sequence(77, 1, True)
+        expected = {}
+        for route, j, m_idx in self.CALLS:
+            oracle = (schoolbook_psn_direct if route is stirling.psn_direct
+                      else schoolbook_psn_via_classical)
+            expected[route, j, m_idx] = oracle(m, j, m_idx)
+        for calls in (self.CALLS[::-1], self.CALLS):
+            stirling.sum_moment_ladder.cache_clear()
+            for route, j, m_idx in calls:
+                assert route(m, j, m_idx) == expected[route, j, m_idx], (route.__name__, j, m_idx)
+            assert len(stirling.sum_moment_ladder(m).series) == 9
+
+    def test_grows_lazily_by_one_product_per_step(self, monkeypatch):
+        m = fresh_sequence(78, 0, False)
+        stirling.psn_egf_cached(m)  # the recursion reads one table entry
+        calls = []
+        real = stirling.egf_mul
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(stirling, "egf_mul", counting)
+        stirling.psn_direct(m, 6, 4)
+        assert len(calls) == 4
+        stirling.psn_via_classical(m, 6, 3)
+        moments.sum_moment_recursion(m, 9, 5)
+        assert len(calls) == 4
+        stirling.psn_direct(m, 8, 6)
+        assert len(calls) == 6
+        moments.cumulants_from_sum_moments(m)
+        assert len(calls) == J
+
+
+def test_routes_never_read_the_table(monkeypatch):
+    """The ladder is built from M alone: with psn_egf unusable the routes still agree."""
+    m = fresh_sequence(79, 1, True)
+    table = stirling.psn_egf(m)
+    kappa = moments.cumulants_oracle(m).kappa
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("a cross-check route read the table it checks")
+
+    real = stirling.egf_mul
+
+    def powers_of_m_only(a, b):
+        # the ladder multiplies powers of M, whose constant term is 1; M - 1 has 0
+        assert a[0] == 1 and b[0] == 1
+        return real(a, b)
+
+    monkeypatch.setattr(stirling, "psn_egf", unavailable)
+    monkeypatch.setattr(stirling, "psn_egf_cached", unavailable)
+    monkeypatch.setattr(moments, "psn_egf_cached", unavailable)
+    monkeypatch.setattr(stirling, "egf_mul", powers_of_m_only)
+    stirling.sum_moment_ladder.cache_clear()
+    for j in range(J + 1):
+        for mm in range(j + 1):
+            assert stirling.psn_direct(m, j, mm) == table.entry(j, mm)
+            assert stirling.psn_via_classical(m, j, mm) == table.entry(j, mm)
+    assert moments.cumulants_from_sum_moments(m).kappa == kappa
