@@ -33,6 +33,7 @@ from .randomvars import (
     poisson,
     rademacher,
     sample_sum,
+    sample_sums,
     tilde_transform,
     uniform_std,
     vanishing_order,

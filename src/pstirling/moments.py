@@ -86,6 +86,8 @@ def sum_moment_recursion(m: MomentSeq, n: int, j: int, r=None) -> QC:
     Evaluates (n)_tau * [ S_Y(j,tau)
         + (1/(tau-1)!) sum_{k<tau} C(tau-1,k) (-1)^{tau-k-1}/(n-k) E S_k^j ].
     """
+    if j > m.order:
+        raise ValueError("j exceeds the available moment order")
     r = _resolve_r(m, r)
     tau = j // (r + 1)
     if tau < 1:

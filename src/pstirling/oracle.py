@@ -30,7 +30,7 @@ from .randomvars import (
     DistSpec,
     moments_of,
     point_mass,
-    sample_sum,
+    sample_sums,
     uniform_std,
 )
 from .stirling import classical_s2, psn_direct, psn_egf, psn_gr_rep, psn_via_classical, weighted_sum_moment
@@ -104,6 +104,12 @@ def _stream_rng(seed: int, index: int) -> random.Random:
     return random.Random(seed + index)
 
 
+def _stream_sums(spec: DistSpec, n: int, n_samples: int, seed: int):
+    """Per stream, the lazy sums of S_n it draws: chunks of _CHUNK, stream i seeded seed + i."""
+    for stream, done in enumerate(range(0, n_samples, _CHUNK)):
+        yield sample_sums(spec, n, min(_CHUNK, n_samples - done), _stream_rng(seed, stream))
+
+
 def mc_sum_moment(spec: DistSpec, n: int, j: int, n_samples: int, seed: int) -> MCEstimate:
     """Sample mean of S_n^j over independent replicas, with standard error.
 
@@ -115,21 +121,15 @@ def mc_sum_moment(spec: DistSpec, n: int, j: int, n_samples: int, seed: int) -> 
         raise ValueError("need at least one sample")
     total = 0.0
     total_sq = 0.0
-    done = 0
-    stream = 0
-    while done < n_samples:
-        count = min(_CHUNK, n_samples - done)
-        rng = _stream_rng(seed, stream)
+    for sums in _stream_sums(spec, n, n_samples, seed):
         chunk = 0.0
         chunk_sq = 0.0
-        for _ in range(count):
-            v = sample_sum(spec, n, rng) ** j
+        for s in sums:
+            v = s**j
             chunk += v
             chunk_sq += v * v
         total += chunk
         total_sq += chunk_sq
-        done += count
-        stream += 1
     mean = total / n_samples
     if n_samples > 1:
         var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
@@ -160,15 +160,7 @@ def mc_empirical_cdf(
         raise ValueError("need at least one sample")
     mu2 = float(moments_of(spec, 2)[2].as_fraction())
     scale = 1.0 / math.sqrt(n * mu2)
-    values = []
-    done = 0
-    stream = 0
-    while done < n_samples:
-        count = min(_CHUNK, n_samples - done)
-        rng = _stream_rng(seed, stream)
-        values.extend(sample_sum(spec, n, rng) * scale for _ in range(count))
-        done += count
-        stream += 1
+    values = [s * scale for sums in _stream_sums(spec, n, n_samples, seed) for s in sums]
     values.sort()
     points = tuple((float(y), bisect_right(values, float(y)) / n_samples) for y in grid)
     bound = math.sqrt(math.log(2.0 / delta) / (2.0 * n_samples))

@@ -14,11 +14,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, NamedTuple, Optional, Sequence
+from itertools import islice, repeat
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .powerseries import QC, DomainError, EGFSeries
 
 SQRT3 = math.sqrt(3.0)
+
+_Draw = Callable[[], float]  # a zero-argument source of floats, such as rng.random
 
 POINT_MASS = "pointmass"
 RADEMACHER = "rademacher"
@@ -255,42 +258,11 @@ def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
 # --- samplers ---------------------------------------------------------------
 #
 # All samplers draw from a caller-owned random.Random instance so that a
-# fixed seed fixes the entire stream.  The normal sampler is Box-Muller
-# on two uniforms; Poisson uses the product method; gamma sums whole
+# fixed seed fixes the entire stream.  A kind's sampler factory converts
+# the exact parameter once and returns a zero-argument draw over the
+# rng's bound ``random`` method.  The normal sampler is Box-Muller on two
+# uniforms; Poisson uses the product method; gamma sums whole
 # exponentials and handles a fractional shape by beta rejection.
-
-
-def _sample_normal(rng: random.Random, sigma: float) -> float:
-    u1 = 1.0 - rng.random()
-    u2 = rng.random()
-    return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-
-def _sample_poisson(rng: random.Random, lam: float) -> int:
-    limit = math.exp(-lam)
-    k = 0
-    p = rng.random()
-    while p > limit:
-        k += 1
-        p *= rng.random()
-    return k
-
-
-def _sample_gamma(rng: random.Random, shape: Fraction) -> float:
-    whole = int(shape)
-    frac = float(shape - whole)
-    total = 0.0
-    for _ in range(whole):
-        total += -math.log(1.0 - rng.random())
-    if frac > 0.0:
-        # Johnk rejection for the fractional shape in (0,1).
-        while True:
-            x = rng.random() ** (1.0 / frac)
-            y = rng.random() ** (1.0 / (1.0 - frac))
-            if x + y <= 1.0:
-                break
-        total += -math.log(1.0 - rng.random()) * x / (x + y)
-    return total
 
 
 def sample_one(spec: DistSpec, rng: random.Random) -> float:
@@ -300,12 +272,23 @@ def sample_one(spec: DistSpec, rng: random.Random) -> float:
 
 def sample_sum(spec: DistSpec, n: int, rng: random.Random) -> float:
     """One draw of S_n = Y_1 + ... + Y_n, deterministic given the rng state."""
+    return next(sample_sums(spec, n, 1, rng))
+
+
+def sample_sums(spec: DistSpec, n: int, count: int, rng: random.Random) -> Iterator[float]:
+    """Lazily, ``count`` successive draws of S_n from one rng.
+
+    Each sum is ``sum()`` of the next n draws of Y, so the values equal
+    ``count`` calls of ``sample_sum`` on the same rng.  ``n`` and the spec
+    are checked here, not when the iterator is first read.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    draw = _KINDS[spec.kind].draw
-    if draw is None:
+    sampler = _KINDS[spec.kind].sampler
+    if sampler is None:
         raise UnsupportedSpecError(f"{spec.kind!r} specs cannot be sampled")
-    return sum(draw(spec, rng) for _ in range(n))
+    draws = iter(sampler(spec, rng.random), None)
+    return map(sum, map(islice, repeat(draws, count), repeat(n)))
 
 
 # --- the distribution kinds -------------------------------------------------
@@ -327,10 +310,61 @@ def _gamma_moments(spec: DistSpec, order: int) -> list:
     return mu
 
 
-def _draw_bernoulli(spec: DistSpec, rng: random.Random) -> float:
+def _bernoulli_sampler(spec: DistSpec, random: _Draw) -> _Draw:
     # u < p compared exactly in integers: float(p) could flip a draw on the boundary
-    u, scale = rng.random().as_integer_ratio()
-    return 1.0 if u * spec.param.denominator < spec.param.numerator * scale else 0.0
+    num, den = spec.param.numerator, spec.param.denominator
+
+    def draw():
+        u, scale = random().as_integer_ratio()
+        return 1.0 if u * den < num * scale else 0.0
+
+    return draw
+
+
+def _poisson_sampler(spec: DistSpec, random: _Draw) -> _Draw:
+    limit = math.exp(-float(spec.param))
+
+    def draw():
+        k = 0
+        p = random()
+        while p > limit:
+            k += 1
+            p *= random()
+        return float(k)
+
+    return draw
+
+
+def _gamma_sampler(spec: DistSpec, random: _Draw) -> _Draw:
+    whole = int(spec.param)
+    frac = float(spec.param - whole)
+
+    def draw():
+        total = 0.0
+        for _ in range(whole):
+            total += -math.log(1.0 - random())
+        if frac > 0.0:
+            # Johnk rejection for the fractional shape in (0,1).
+            while True:
+                x = random() ** (1.0 / frac)
+                y = random() ** (1.0 / (1.0 - frac))
+                if x + y <= 1.0:
+                    break
+            total += -math.log(1.0 - random()) * x / (x + y)
+        return total
+
+    return draw
+
+
+def _normal_sampler(spec: DistSpec, random: _Draw) -> _Draw:
+    sigma = math.sqrt(float(spec.param))
+
+    def draw():
+        u1 = 1.0 - random()
+        u2 = random()
+        return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    return draw
 
 
 def _custom_moments(spec: DistSpec, order: int) -> tuple:
@@ -356,7 +390,8 @@ class _Kind(NamedTuple):
     default: Optional[Fraction] = None  # the parameter when JSON omits its key
     check: Callable[[DistSpec], None] = lambda spec: None  # rejects a parameter off the domain
     abs_spec: Optional[Callable[[DistSpec], DistSpec]] = None  # |Y|, when E|Y|^k is rational
-    draw: Optional[Callable[[DistSpec, random.Random], float]] = None  # None: not samplable
+    # (spec, rng.random) -> a zero-argument draw of Y; None: not samplable
+    sampler: Optional[Callable[[DistSpec, _Draw], _Draw]] = None
     lattice: bool = False
     symmetric: Callable[[DistSpec], bool] = lambda spec: False
     moment_list: bool = False  # carries its moments (JSON "moments") instead of a parameter
@@ -367,14 +402,14 @@ _KINDS = {
         lambda spec, order: [spec.param**k for k in range(order + 1)],
         key="c",
         abs_spec=lambda spec: point_mass(abs(spec.param)),
-        draw=lambda spec, rng: float(spec.param),
+        sampler=lambda spec, random: repeat(float(spec.param)).__next__,
         lattice=True,
         symmetric=lambda spec: spec.param == 0,
     ),
     RADEMACHER: _Kind(
         lambda spec, order: [Fraction(1 - k % 2) for k in range(order + 1)],
         abs_spec=lambda spec: point_mass(1),
-        draw=lambda spec, rng: 1.0 if rng.random() < 0.5 else -1.0,
+        sampler=lambda spec, random: lambda: 1.0 if random() < 0.5 else -1.0,
         lattice=True,
         symmetric=lambda spec: True,
     ),
@@ -385,14 +420,14 @@ _KINDS = {
             0 <= spec.param <= 1, "bernoulli parameter must satisfy 0 <= p <= 1"
         ),
         abs_spec=lambda spec: spec,
-        draw=_draw_bernoulli,
+        sampler=_bernoulli_sampler,
         lattice=True,
     ),
     UNIFORM_STD: _Kind(
         lambda spec, order: [
             Fraction(3 ** (k // 2), k + 1) if k % 2 == 0 else Fraction(0) for k in range(order + 1)
         ],
-        draw=lambda spec, rng: SQRT3 * (2.0 * rng.random() - 1.0),
+        sampler=lambda spec, random: lambda: SQRT3 * (2.0 * random() - 1.0),
         symmetric=lambda spec: True,
     ),
     POISSON: _Kind(
@@ -400,20 +435,20 @@ _KINDS = {
         key="lambda",
         check=lambda spec: _require(spec.param > 0, "poisson rate must be positive"),
         abs_spec=lambda spec: spec,
-        draw=lambda spec, rng: float(_sample_poisson(rng, float(spec.param))),
+        sampler=_poisson_sampler,
         lattice=True,
     ),
     EXPONENTIAL: _Kind(
         lambda spec, order: [Fraction(factorial(k)) for k in range(order + 1)],
         abs_spec=lambda spec: spec,
-        draw=lambda spec, rng: -math.log(1.0 - rng.random()),
+        sampler=lambda spec, random: lambda: -math.log(1.0 - random()),
     ),
     GAMMA_SHAPE: _Kind(
         _gamma_moments,
         key="a",
         check=lambda spec: _require(spec.param > 0, "gamma shape must be positive"),
         abs_spec=lambda spec: spec,
-        draw=lambda spec, rng: _sample_gamma(rng, spec.param),
+        sampler=_gamma_sampler,
     ),
     NORMAL: _Kind(
         lambda spec, order: [
@@ -423,7 +458,7 @@ _KINDS = {
         key="sigma2",
         default=Fraction(1),
         check=lambda spec: _require(spec.param >= 0, "normal variance must be nonnegative"),
-        draw=lambda spec, rng: _sample_normal(rng, math.sqrt(float(spec.param))),
+        sampler=_normal_sampler,
         symmetric=lambda spec: True,
     ),
     CUSTOM: _Kind(_custom_moments, check=_check_custom, moment_list=True),

@@ -4,7 +4,14 @@ import pytest
 
 from fractions import Fraction as F
 
-from pstirling.cli import MAX_GRID_POINTS, MAX_JMAX, MAX_MC_SAMPLES, _parse_grid, main
+from pstirling.cli import (
+    MAX_EDGEWORTH_N,
+    MAX_GRID_POINTS,
+    MAX_JMAX,
+    MAX_MC_SAMPLES,
+    _parse_grid,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +51,14 @@ class TestMomentsCommand:
         lines = out.strip().split("\n")
         assert lines[0] == "n,j,value"
         assert "3,4,21" in lines
+
+    def test_edgeworth_cap_leaves_n_free(self, capsys):
+        n = 4 * MAX_EDGEWORTH_N
+        code, out, _ = run_cli(
+            capsys, "moments", "--dist", "rademacher", "--n", str(n), "--jmax", "4"
+        )
+        assert code == 0
+        assert f"{n},4,{3 * n * n - 2 * n}" in out.split("\n")
 
     def test_missing_n_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--dist", "rademacher", "--jmax", "4")
@@ -205,6 +220,10 @@ class TestConfigAndOutput:
              None, "6000000001 points"),
             (["edgeworth", "--dist", "uniformstd", "--n", "4"],
              {"grid": f"1:{MAX_GRID_POINTS + 1}:1"}, f"more than {MAX_GRID_POINTS}"),
+            (["edgeworth", "--dist", "uniformstd", "--n", str(MAX_EDGEWORTH_N + 1)], None,
+             f"n must be at most {MAX_EDGEWORTH_N}"),
+            (["edgeworth", "--dist", "uniformstd", "--grid=1:1:1"], {"n": "3000"},
+             f"n must be at most {MAX_EDGEWORTH_N}"),
         ],
     )
     def test_bad_input_is_one_line_exit_2(self, tmp_path, capsys, argv, config, message):

@@ -24,7 +24,7 @@ from pstirling.randomvars import (
     rademacher,
     uniform_std,
 )
-from pstirling.stirling import psn_egf
+from pstirling.stirling import psn_egf, psn_egf_cached, sum_moment_ladder
 
 from oracles import RADEMACHER_SUPPORT, enum_sum_moment, shift_moments, touchard_moments
 
@@ -104,6 +104,11 @@ class TestRecursion:
             sum_moment_recursion(m, 1, 4)  # tau = 2 > n
         with pytest.raises(ValueError):
             sum_moment_recursion(m, 5, 1)  # tau = 0
+        with pytest.raises(ValueError, match="j exceeds the available moment order"):
+            sum_moment_recursion(moments_of(rademacher(), 4), 9, 6)
+        # all three were refused before a table or a ladder was built
+        assert psn_egf_cached.cache_info().currsize == 0
+        assert sum_moment_ladder.cache_info().currsize == 0
 
     def test_report_routes_agree(self):
         m = moments_of(poisson(1), 6)

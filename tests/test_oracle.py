@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from pstirling import oracle
 from pstirling.oracle import (
     EmpiricalCdf,
     irwin_hall_cdf,
@@ -13,8 +14,13 @@ from pstirling.oracle import (
 )
 from pstirling.randomvars import (
     UnsupportedSpecError,
+    bernoulli,
     custom,
+    exponential,
+    gamma_shape,
+    normal,
     point_mass,
+    poisson,
     rademacher,
     uniform_std,
 )
@@ -144,6 +150,69 @@ class TestMcEmpiricalCdf:
     def test_needs_a_sample(self, n_samples):
         with pytest.raises(ValueError, match="at least one sample"):
             mc_empirical_cdf(uniform_std(), 2, [0.0], n_samples, seed=1)
+
+
+# mc_sum_moment(spec, 2, 3, 20, seed=5) value and stderr, then the
+# mc_empirical_cdf(spec, 2, GOLDEN_GRID, 20, seed=5) values, as float.hex, read
+# with _CHUNK = 7: each call draws 7 + 7 + 6 samples from streams 5, 6 and 7.
+# n = 2 because a sum of two floats rounds once however sum() accumulates,
+# and Python 3.12 changed how it does.
+GOLDEN_GRID = [-1.0, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0, 1.25]
+GOLDEN_ESTIMATES = [
+    (point_mass(F(-3, 2)), "-0x1.b000000000000p+4", "0x0.0p+0", [
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+    ]),
+    (rademacher(), "0x1.999999999999ap-2", "0x1.5ba702ba3f7a3p+0", [
+        "0x1.0000000000000p-2", "0x1.0000000000000p-2", "0x1.6666666666666p-1",
+        "0x1.6666666666666p-1", "0x1.6666666666666p-1", "0x1.6666666666666p-1",
+        "0x1.6666666666666p-1", "0x1.6666666666666p-1",
+    ]),
+    (bernoulli(F(1, 3)), "0x1.4000000000000p+0", "0x1.0e189b885dbf5p-1", [
+        "0x0.0p+0", "0x0.0p+0", "0x1.ccccccccccccdp-2",
+        "0x1.ccccccccccccdp-2", "0x1.ccccccccccccdp-2", "0x1.ccccccccccccdp-2",
+        "0x1.ccccccccccccdp-2", "0x1.ccccccccccccdp-1",
+    ]),
+    (uniform_std(), "0x1.302877884b19ap-7", "0x1.dd3f00c87aab5p+0", [
+        "0x1.0000000000000p-2", "0x1.ccccccccccccdp-2", "0x1.0000000000000p-1",
+        "0x1.3333333333333p-1", "0x1.6666666666666p-1", "0x1.8000000000000p-1",
+        "0x1.999999999999ap-1", "0x1.999999999999ap-1",
+    ]),
+    (poisson(F(3, 2)), "0x1.42ccccccccccdp+6", "0x1.890868251cef8p+5", [
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x1.0000000000000p-2", "0x1.ccccccccccccdp-2",
+        "0x1.ccccccccccccdp-2", "0x1.6666666666666p-1",
+    ]),
+    (exponential(), "0x1.eb51496713bbbp+3", "0x1.6791518dac4e0p+2", [
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x1.999999999999ap-5", "0x1.6666666666666p-2", "0x1.0000000000000p-1",
+        "0x1.4cccccccccccdp-1", "0x1.999999999999ap-1",
+    ]),
+    (gamma_shape(F(5, 2)), "0x1.630fa053494a8p+7", "0x1.347bbc331978fp+5", [
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x1.3333333333333p-3", "0x1.3333333333333p-2",
+        "0x1.999999999999ap-2", "0x1.0000000000000p-1",
+    ]),
+    (normal(4), "0x1.5687c53b2716ap+2", "0x1.ce942b52aeacap+2", [
+        "0x1.3333333333333p-3", "0x1.3333333333333p-2", "0x1.3333333333333p-2",
+        "0x1.0000000000000p-1", "0x1.4cccccccccccdp-1", "0x1.8000000000000p-1",
+        "0x1.999999999999ap-1", "0x1.b333333333333p-1",
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, value, stderr, cdf", GOLDEN_ESTIMATES, ids=[row[0].kind for row in GOLDEN_ESTIMATES]
+)
+def test_golden_estimates(monkeypatch, spec, value, stderr, cdf):
+    # The validation reports repeat only while these estimates do.
+    monkeypatch.setattr(oracle, "_CHUNK", 7)
+    est = mc_sum_moment(spec, 2, 3, 20, seed=5)
+    assert (est.value.hex(), est.stderr.hex()) == (value, stderr)
+    emp = mc_empirical_cdf(spec, 2, GOLDEN_GRID, 20, seed=5)
+    assert [y for y, _ in emp.points] == GOLDEN_GRID
+    assert [f.hex() for _, f in emp.points] == cdf
 
 
 class TestValidationSuite:

@@ -27,6 +27,7 @@ from pstirling.randomvars import (
     rademacher,
     sample_one,
     sample_sum,
+    sample_sums,
     standardize_moments,
     tilde_transform,
     uniform_std,
@@ -321,6 +322,30 @@ class TestSamplers:
     def test_custom_unsupported(self):
         with pytest.raises(UnsupportedSpecError):
             sample_sum(custom([1, 0, 1]), 2, random.Random(0))
+
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("spec", [spec for spec, _ in GOLDEN_DRAWS], ids=lambda s: s.kind)
+    def test_sample_sums_equal_sample_sum_calls(self, spec, n, count):
+        rng, twin = random.Random(2020), random.Random(2020)
+        sums = list(sample_sums(spec, n, count, rng))
+        assert sums == [sample_sum(spec, n, twin) for _ in range(count)]
+        # both consumed exactly n * count draws of Y
+        assert rng.random() == twin.random()
+
+    def test_sample_sums_checks_on_call(self):
+        # raised by the call itself, before the iterator is read
+        with pytest.raises(UnsupportedSpecError):
+            sample_sums(custom([1, 0, 1]), 2, 5, random.Random(0))
+        with pytest.raises(ValueError, match="n must be positive"):
+            sample_sums(rademacher(), 0, 5, random.Random(0))
+
+    def test_sample_sums_draw_on_demand(self):
+        rng, twin = random.Random(4), random.Random(4)
+        sums = sample_sums(uniform_std(), 2, 1000, rng)
+        assert next(sums) == sample_sum(uniform_std(), 2, twin)
+        # the first sum has taken two draws, not the 2000 of the whole batch
+        assert rng.random() == twin.random()
 
     @pytest.mark.parametrize(
         "spec",
