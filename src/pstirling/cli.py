@@ -106,7 +106,10 @@ def _load_config(args) -> dict:
     config = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+            try:
+                config = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"config {args.config} nests too deeply") from None
         if not isinstance(config, dict):
             raise ValueError("config must be a JSON object")
     merged = dict(config)

@@ -185,21 +185,6 @@ def gamma_subordinator(order: int) -> SubordinatorSpec:
     return SubordinatorSpec(1, MomentSeq(mu))
 
 
-def process_to_json(spec) -> dict:
-    if isinstance(spec, LevySpec):
-        return {
-            "sigma2": str(spec.sigma2),
-            "kappa2": str(spec.kappa2),
-            "u_moments": [str(v.re) for v in spec.u_moments.mu],
-        }
-    if isinstance(spec, SubordinatorSpec):
-        return {
-            "tau2": str(spec.tau2),
-            "tstar_moments": [str(v.re) for v in spec.tstar_moments.mu],
-        }
-    raise TypeError("spec must be a LevySpec or SubordinatorSpec")
-
-
 def process_from_json(data: dict):
     """Parse a process spec; the key set picks the process family."""
 

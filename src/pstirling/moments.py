@@ -27,14 +27,6 @@ def falling(n: int, m: int) -> int:
 
 
 @dataclass(frozen=True)
-class SumMomentReport:
-    n: int
-    j: int
-    value: QC
-    route: str
-
-
-@dataclass(frozen=True)
 class CumulantSeq:
     """Cumulants kappa_1..kappa_J; kappa[i] is kappa_{i+1}."""
 
@@ -101,18 +93,6 @@ def sum_moment_recursion(m: MomentSeq, n: int, j: int, r=None) -> QC:
         coeff = Fraction(alternating(tau - 1 - k, comb(tau - 1, k)), (n - k) * factorial(tau - 1))
         acc = acc + coeff * pows[k][j]
     return falling(n, tau) * acc
-
-
-def sum_moment_report(m: MomentSeq, n: int, j: int, route: str = "stirling") -> SumMomentReport:
-    if route == "stirling":
-        value = sum_moment(m, n, j)
-    elif route == "recursion":
-        value = sum_moment_recursion(m, n, j)
-    elif route == "egf-oracle":
-        value = sum_moment_egf(m, n, j)
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    return SumMomentReport(n, j, value, route)
 
 
 def even_moment_sequence(m: MomentSeq, j: int, n_max: int):

@@ -1,7 +1,8 @@
 """Truncated exponential-generating-function arithmetic.
 
 A series of order J represents sum_{j<=J} a_j z^j / j!.  Coefficients are
-complex numbers with rational real/imaginary parts (:class:`QC`), so every
+complex numbers with rational real/imaginary parts, stored as integer
+numerators over one denominator and read as :class:`QC` values, so every
 operation is exact.  All binary operations require equal truncation
 orders.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import comb, gcd, lcm
 from numbers import Rational
 
@@ -133,27 +133,41 @@ class QC:
         return f"QC({self.re}, {self.im})"
 
 
-ZERO = QC(0)
-ONE = QC(1)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EGFSeries:
-    """Truncated EGF: coeffs (a_0..a_J) for sum a_j z^j/j!."""
+    """Truncated EGF sum_{j<=J} a_j z^j / j! with a_j = (re[j] + i im[j]) / den.
 
-    coeffs: tuple
+    ``re`` and ``im`` are tuples of ints over one denominator, the layout
+    of FLINT's fmpq_poly.  The form is canonical: den > 0,
+    gcd(den, *re, *im) == 1, and ``im`` is None exactly when every a_j is
+    real.  So den is the lcm of the coefficients' reduced denominators, and
+    equal series have equal fields.  ``s[j]`` and ``coeffs`` build QC
+    values when read.
+    """
 
-    def __post_init__(self):
-        if len(self.coeffs) == 0:
+    den: int
+    re: tuple
+    im: tuple | None
+
+    def __init__(self, coeffs):
+        values = [QC.of(v) for v in coeffs]
+        if not values:
             raise ValueError("series needs at least the order-0 coefficient")
-        object.__setattr__(self, "coeffs", tuple(QC.of(v) for v in self.coeffs))
+        parts = [v.re for v in values] + [v.im for v in values]
+        den = lcm(*(q.denominator for q in parts))
+        nums = [q.numerator * (den // q.denominator) for q in parts]
+        _canonical(self, den, nums[: len(values)], nums[len(values) :])
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.re) - 1
 
-    def __getitem__(self, j: int):
-        return self.coeffs[j]
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(self[j] for j in range(len(self.re)))
+
+    def __getitem__(self, j: int) -> QC:
+        return QC(Fraction(self.re[j], self.den), Fraction(self.im[j], self.den) if self.im else 0)
 
     def __mul__(self, other):
         if isinstance(other, EGFSeries):
@@ -166,12 +180,24 @@ class EGFSeries:
         return NotImplemented
 
 
-def egf_zero(order: int) -> EGFSeries:
-    return EGFSeries((0,) * (order + 1))
+def _canonical(s: EGFSeries, den: int, re, im) -> EGFSeries:
+    """Store (re[j] + i im[j]) / den in s, reduced to the canonical form; den > 0."""
+    if not any(im or ()):
+        im = None
+    g = gcd(den, *re, *(im or ()))
+    object.__setattr__(s, "den", den // g)
+    object.__setattr__(s, "re", tuple(x // g for x in re))
+    object.__setattr__(s, "im", im and tuple(x // g for x in im))
+    return s
+
+
+def _series(den: int, re, im) -> EGFSeries:
+    """The series with coefficients (re[j] + i im[j]) / den; im None when zero."""
+    return _canonical(object.__new__(EGFSeries), den, re, im)
 
 
 def egf_one(order: int) -> EGFSeries:
-    return EGFSeries((1,) + (0,) * order)
+    return _series(1, (1,) + (0,) * order, None)
 
 
 def _check_compatible(a: EGFSeries, b: EGFSeries):
@@ -184,12 +210,6 @@ def egf_add(a: EGFSeries, b: EGFSeries) -> EGFSeries:
     return EGFSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
 
-def egf_scale(a: EGFSeries, c) -> EGFSeries:
-    """Multiply every coefficient by the exact scalar c."""
-    c = QC.of(c)
-    return EGFSeries(tuple(c * x for x in a.coeffs))
-
-
 def egf_mul(a: EGFSeries, b: EGFSeries) -> EGFSeries:
     """Binomial convolution: c_j = sum_k C(j,k) a_k b_{j-k}.
 
@@ -197,10 +217,10 @@ def egf_mul(a: EGFSeries, b: EGFSeries) -> EGFSeries:
     common order; with moment sequences as inputs it multiplies MGFs.
     """
     _check_compatible(a, b)
-    da, ar, ai = numerators(a)
-    db, br, bi = numerators(b)
-    re, im = zip(*(_product(_binomials(j), j, j + 1, ar, ai, br, bi) for j in range(len(ar))))
-    return _series(re, im, repeat(da * db))
+    re, im = zip(
+        *(_product(_binomials(j), j, j + 1, a.re, a.im, b.re, b.im) for j in range(len(a.re)))
+    )
+    return _series(a.den * b.den, re, im)
 
 
 def egf_pow(a: EGFSeries, n: int) -> EGFSeries:
@@ -224,7 +244,7 @@ def egf_log(a: EGFSeries) -> EGFSeries:
     Solves a_{j+1} = sum_k C(j,k) L_{k+1} a_{j-k} for L_{j+1}, which is
     the coefficient form of a' = L' a.
     """
-    if a.coeffs[0] != ONE:
+    if a[0] != 1:
         raise DomainError("egf_log needs constant coefficient 1")
     dens, ar, ai = _dilated(a)
     # lr[k], li[k]: the numerators of L_{k+1}
@@ -234,12 +254,12 @@ def egf_log(a: EGFSeries) -> EGFSeries:
         lr.append(ar[j + 1] - re)
         if li is not None:
             li.append(ai[j + 1] - im)
-    return _series([0] + lr, li and [0] + li, dens)
+    return _undilated(dens, [0] + lr, li and [0] + li)
 
 
 def egf_exp(a: EGFSeries) -> EGFSeries:
     """Inverse of egf_log: series E with E_0 = 1, egf_log(E) = a; needs a_0 = 0."""
-    if a.coeffs[0] != ZERO:
+    if a[0] != 0:
         raise DomainError("egf_exp needs constant coefficient 0")
     dens, ar, ai = _dilated(a)
     # E_{j+1} = sum_k C(j,k) a_{k+1} E_{j-k}, the coefficient form of E' = a' E
@@ -250,16 +270,15 @@ def egf_exp(a: EGFSeries) -> EGFSeries:
         er.append(re)
         if ei is not None:
             ei.append(im)
-    return _series(er, ei, dens)
+    return _undilated(dens, er, ei)
 
 
 # --- the integer kernel -----------------------------------------------------
 #
-# Series arithmetic runs on Python ints.  An operand enters as integer
-# numerators over one common denominator (the layout of FLINT's
-# fmpq_poly; log and exp use the powers c**j of one integer instead), a
-# complex operand as two numerator vectors, and each output coefficient
-# becomes a QC, reduced once, only at the end.
+# Series arithmetic runs on the Python ints of EGFSeries.  A complex
+# operand has a second numerator vector, so a product of real series runs
+# one convolution.  Each result is reduced once, by one gcd over its
+# denominator and all its numerators.
 
 
 @lru_cache(maxsize=None)
@@ -268,42 +287,36 @@ def _binomials(j: int) -> tuple:
     return tuple(comb(j, k) for k in range(j + 1))
 
 
-def numerators(a: EGFSeries):
-    """(d, re, im) with a_j = (re[j] + i im[j]) / d over the lcm d of all denominators.
-
-    ``im`` is None when every imaginary part is zero.
-    """
-    re = [v.re for v in a.coeffs]
-    im = [v.im for v in a.coeffs]
-    if not any(im):
-        im = None
-    d = lcm(*(q.denominator for q in re), *(q.denominator for q in im or ()))
-    return d, _scaled(re, repeat(d)), im and _scaled(im, repeat(d))
-
-
 def _dilated(a: EGFSeries):
     """(dens, re, im) with a_j = (re[j] + i im[j]) / dens[j], dens[j] = c**j, for a_0 of 0 or 1.
 
     These are the integer coefficients of a(c z), so a recursion over them
     (log, exp) never divides.  c grows one coefficient at a time, by just
-    the factor that a_j's denominator still lacks in c**j: series whose
-    denominators grow like d**j, as outputs of log, exp and powers do,
-    keep c near d rather than near their lcm.  ``im`` is None when every
-    imaginary part is zero.
+    the factor that a_j's reduced denominator still lacks in c**j: series
+    whose denominators grow like d**j, as outputs of log, exp and powers
+    do, keep c near d rather than near their lcm.  ``im`` is None when a
+    is real.
     """
     c = 1
-    for j, v in enumerate(a.coeffs[1:], 1):
-        g = lcm(v.re.denominator, v.im.denominator)
+    for j in range(1, len(a.re)):
+        g = a.den // gcd(a.den, a.re[j], a.im[j] if a.im else 0)
         c *= g // gcd(g, pow(c, j, g))
-    dens = [c**j for j in range(len(a.coeffs))]
-    im = [v.im for v in a.coeffs]
-    re = _scaled([v.re for v in a.coeffs], dens)
-    return dens, re, (_scaled(im, dens) if any(im) else None)
+    dens = [c**j for j in range(len(a.re))]
+
+    def scaled(nums):
+        return [x * d // a.den for x, d in zip(nums, dens)]
+
+    return dens, scaled(a.re), a.im and scaled(a.im)
 
 
-def _scaled(parts, dens) -> list:
-    """Numerators of the rationals ``parts`` over ``dens``, which each denominator divides."""
-    return [q.numerator * (d // q.denominator) for q, d in zip(parts, dens)]
+def _undilated(dens, re, im) -> EGFSeries:
+    """The series with coefficients (re[j] + i im[j]) / dens[j], brought over dens[-1]."""
+    top = len(dens) - 1
+
+    def lifted(nums):
+        return [x * dens[top - j] for j, x in enumerate(nums)]
+
+    return _series(dens[top], lifted(re), im and lifted(im))
 
 
 def _dot(row, x, y, j: int, stop: int) -> int:
@@ -322,14 +335,3 @@ def _product(row, j: int, stop: int, xr, xi, yr, yi):
     if yi is not None:
         im += _dot(row, xr, yi, j, stop)
     return re, im
-
-
-def _series(re, im, dens) -> EGFSeries:
-    """The series with coefficients (re[j] + i im[j]) / dens[j]; im None when zero."""
-    zero = ZERO.im  # shared, so a real coefficient builds one Fraction, not two
-    return EGFSeries(
-        tuple(
-            QC(Fraction(r, d), Fraction(i, d) if i else zero)
-            for r, i, d in zip(re, im or repeat(0), dens)
-        )
-    )

@@ -265,11 +265,6 @@ def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
 # exponentials and handles a fractional shape by beta rejection.
 
 
-def sample_one(spec: DistSpec, rng: random.Random) -> float:
-    """One draw of Y for a samplable (non-custom) spec."""
-    return sample_sum(spec, 1, rng)
-
-
 def sample_sum(spec: DistSpec, n: int, rng: random.Random) -> float:
     """One draw of S_n = Y_1 + ... + Y_n, deterministic given the rng state."""
     return next(sample_sums(spec, n, 1, rng))
@@ -311,14 +306,12 @@ def _gamma_moments(spec: DistSpec, order: int) -> list:
 
 
 def _bernoulli_sampler(spec: DistSpec, random: _Draw) -> _Draw:
-    # u < p compared exactly in integers: float(p) could flip a draw on the boundary
-    num, den = spec.param.numerator, spec.param.denominator
-
-    def draw():
-        u, scale = random().as_integer_ratio()
-        return 1.0 if u * den < num * scale else 0.0
-
-    return draw
+    # for a float u, u < p exactly iff u < t, the least float >= p; float(p)
+    # alone could round below p and flip a draw on the boundary
+    t = float(spec.param)
+    if t < spec.param:
+        t = math.nextafter(t, math.inf)
+    return lambda: 1.0 if random() < t else 0.0
 
 
 def _poisson_sampler(spec: DistSpec, random: _Draw) -> _Draw:
@@ -479,18 +472,36 @@ def param_key(kind: str) -> Optional[str]:
 # --- JSON wire format -------------------------------------------------------
 
 
-def _scalar_to_json(v: QC):
-    if v.is_real:
-        return str(v.re)
-    return {"re": str(v.re), "im": str(v.im)}
+# The most digits a rational input may have above and below its bar.  A
+# poisson rate of d digits a part makes E Y^j about j*d digits long: at
+# jmax 200, d = 20 runs for minutes, and d = 30 outgrows the 4300 digits
+# that str(int) will write.
+MAX_RATIONAL_DIGITS = 20
+_RATIONAL_BOUND = 10**MAX_RATIONAL_DIGITS
 
 
 def parse_rational(value, what: str) -> Fraction:
-    """A rational from JSON or a flag: an int or a "p/q" string; ValueError names ``what``."""
+    """A rational from JSON or a flag: an int, or a "p/q" or plain decimal string.
+
+    Its numerator and denominator have at most MAX_RATIONAL_DIGITS digits
+    each.  A string is checked before Fraction reads it, since Fraction
+    builds the whole int of an exponent ("1e10000000") or a long string
+    first.  ValueError names ``what``.
+    """
+    error = ValueError(
+        f"{what} must be a rational p/q of at most {MAX_RATIONAL_DIGITS} digits a part, "
+        f"not {value!r:.60}"
+    )
+    # 3x leaves room for both parts, the bar, a sign, a point and spaces
+    if isinstance(value, str) and (len(value) > 3 * MAX_RATIONAL_DIGITS or "e" in value.lower()):
+        raise error
     try:
-        return Fraction(value)
+        q = Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise ValueError(f"{what} must be a rational p/q, not {value!r}") from None
+        raise error from None
+    if abs(q.numerator) >= _RATIONAL_BOUND or q.denominator >= _RATIONAL_BOUND:
+        raise error
+    return q
 
 
 def _scalar_from_json(v) -> QC:
@@ -501,16 +512,6 @@ def _scalar_from_json(v) -> QC:
             parse_rational(v.get("im", 0), "a moment's 'im'"),
         )
     return QC(parse_rational(v, "a moment"))
-
-
-def dist_to_json(spec: DistSpec) -> dict:
-    out = {"dist": spec.kind}
-    kind = _KINDS[spec.kind]
-    if kind.moment_list:
-        out["moments"] = [_scalar_to_json(v) for v in spec.custom_moments]
-    elif kind.key is not None:
-        out[kind.key] = str(spec.param)
-    return out
 
 
 def dist_from_json(data: dict) -> DistSpec:

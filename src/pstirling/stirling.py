@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
 
-from .powerseries import QC, EGFSeries, egf_mul, egf_one, egf_pow, numerators
+from .powerseries import QC, EGFSeries, egf_mul, egf_one, egf_pow
 from .randomvars import (
     DistSpec,
     MomentSeq,
@@ -110,7 +110,8 @@ def psn_egf(m: MomentSeq) -> StirlingTable:
     """Full table via coefficient extraction from (M(z)-1)^m / m!.
 
     Successive powers of M(z)-1 are accumulated with one binomial
-    convolution per column, O(J^2) exact operations each.
+    convolution per column, O(J^2) exact operations each.  Each entry is
+    built once, from the power's numerators over den * col!.
     """
     J = m.order
     shifted = EGFSeries((m.mu[0] - 1,) + m.mu[1:])
@@ -119,9 +120,10 @@ def psn_egf(m: MomentSeq) -> StirlingTable:
     for col in range(J + 1):
         if col > 0:
             power = egf_mul(power, shifted)
-        inv_fact = Fraction(1, factorial(col))
+        den = power.den * factorial(col)
         for j in range(col, J + 1):
-            rows[j][col] = power[j] * inv_fact
+            im = Fraction(power.im[j], den) if power.im else 0
+            rows[j][col] = QC(Fraction(power.re[j], den), im)
     return StirlingTable(tuple(tuple(r) for r in rows), "egf")
 
 
@@ -136,48 +138,44 @@ class SumMomentLadder:
 
     The ladder grows on demand by one egf_mul of M itself per step, never
     of M - 1 or of anything psn_egf builds, so the routes that read it stay
-    independent of the table they check.  Each power is kept both as a
-    series and as its integer numerators (see powerseries.numerators).
+    independent of the table they check.
     """
 
-    __slots__ = ("base", "series", "numerators")
+    __slots__ = ("base", "series")
 
     def __init__(self, base: EGFSeries):
         self.base = base
         self.series = [egf_one(base.order)]
-        self.numerators = [numerators(self.series[0])]
 
     def upto(self, k_max: int) -> "SumMomentLadder":
         """The ladder, grown through E S_{k_max}^j."""
         while len(self.series) <= k_max:
-            power = egf_mul(self.series[-1], self.base)
-            self.series.append(power)
-            self.numerators.append(numerators(power))
+            self.series.append(egf_mul(self.series[-1], self.base))
         return self
 
 
 @lru_cache(maxsize=128)
 def sum_moment_ladder(m: MomentSeq) -> SumMomentLadder:
-    """The one shared ladder of m; callers grow it with ``upto`` and only read its lists."""
+    """The one shared ladder of m; callers grow it with ``upto`` and only read its list."""
     return SumMomentLadder(m.to_egf())
 
 
 def _alternating_sum(m: MomentSeq, m_idx: int, f) -> QC:
     """(1/m!) sum_k C(m,k)(-1)^{m-k} f(E S_k^.), exactly, for an f linear over the integers.
 
-    f maps the integer numerators of one rung of the ladder to an int.
-    It runs on Python ints, on the real and then on the imaginary parts;
-    the terms meet over the lcm of the rungs' denominators, and the
-    result becomes a QC once.
+    f maps the numerator tuple of one rung of the ladder to an int.  It
+    runs on Python ints, on the real and then on the imaginary parts; the
+    terms meet over the lcm of the rungs' denominators, and the result
+    becomes a QC once.
     """
-    rungs = sum_moment_ladder(m).upto(m_idx).numerators[: m_idx + 1]
-    d = lcm(*(dk for dk, _, _ in rungs))
+    rungs = sum_moment_ladder(m).upto(m_idx).series[: m_idx + 1]
+    d = lcm(*(rung.den for rung in rungs))
     re = im = 0
-    for k, (dk, xr, xi) in enumerate(rungs):
-        c = alternating(m_idx - k, comb(m_idx, k)) * (d // dk)
-        re += c * f(xr)
-        if xi is not None:
-            im += c * f(xi)
+    for k, rung in enumerate(rungs):
+        c = alternating(m_idx - k, comb(m_idx, k)) * (d // rung.den)
+        re += c * f(rung.re)
+        if rung.im is not None:
+            im += c * f(rung.im)
     den = d * factorial(m_idx)
     return QC(Fraction(re, den), Fraction(im, den))
 
@@ -314,13 +312,3 @@ def bound_holds(spec: DistSpec, j: int, m_idx: int, order: int | None = None) ->
         rhs_lb = egf_pow(mom.to_egf(), m_idx)[j].as_fraction() / factorial(m_idx)
         return BoundCheck(lhs <= rhs_lb, lhs, rhs_lb, True)
     return bound_check_from_moments(mom, abs_m, j, m_idx)
-
-
-def table_to_csv(table: StirlingTable) -> str:
-    """Serialize the full triangle as `j,m,re,im` rows with exact rationals."""
-    lines = ["j,m,re,im"]
-    for j in range(table.order + 1):
-        for m in range(j + 1):
-            v = table.rows[j][m]
-            lines.append(f"{j},{m},{v.re},{v.im}")
-    return "\n".join(lines) + "\n"

@@ -12,6 +12,7 @@ from pstirling.cli import (
     _parse_grid,
     main,
 )
+from pstirling.randomvars import MAX_RATIONAL_DIGITS
 
 
 def run_cli(capsys, *argv):
@@ -27,6 +28,8 @@ class TestStirlingCommand:
         lines = out.strip().split("\n")
         assert lines[0] == "j,m,re,im"
         assert "4,2,3,0" in lines
+        # the full triangle, zeros included: 1 + sum_{j<=6} (j+1) rows
+        assert len(lines) == 1 + sum(j + 1 for j in range(7))
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -224,12 +227,27 @@ class TestConfigAndOutput:
              f"n must be at most {MAX_EDGEWORTH_N}"),
             (["edgeworth", "--dist", "uniformstd", "--grid=1:1:1"], {"n": "3000"},
              f"n must be at most {MAX_EDGEWORTH_N}"),
+            # rationals are bounded before Fraction reads them
+            (["levy", "--dist", "poisson", "--t", "1e10000000", "--jmax", "2"], None, "t must be"),
+            (["stirling", "--dist", "poisson", "--param", "1e1000", "--jmax", "60"], None,
+             "'lambda'"),
+            (["stirling", "--dist", "poisson", "--param", "1" * (MAX_RATIONAL_DIGITS + 1)], None,
+             f"at most {MAX_RATIONAL_DIGITS} digits"),
+            (["stirling", "--dist", "bernoulli", "--param", "1/" + "3" * (MAX_RATIONAL_DIGITS + 1)],
+             None, "'p'"),
+            (["stirling"], {"dist": {"dist": "poisson", "lambda": 10**MAX_RATIONAL_DIGITS}},
+             "'lambda'"),
+            (["stirling", "--dist", "poisson"], {"param": "7" * 10**6}, "'lambda'"),
+            (["levy"], {"process": {"tau2": "1", "tstar_moments": ["1", "2e99999"]}},
+             "tstar_moments"),
+            # a config text that json.dumps cannot build
+            (["stirling", "--dist", "rademacher"], "[" * 100000 + "]" * 100000, "nests too deeply"),
         ],
     )
     def test_bad_input_is_one_line_exit_2(self, tmp_path, capsys, argv, config, message):
         if config is not None:
             path = tmp_path / "run.json"
-            path.write_text(json.dumps(config))
+            path.write_text(config if isinstance(config, str) else json.dumps(config))
             argv = argv + ["--config", str(path)]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""

@@ -16,7 +16,6 @@ from pstirling.levy import (
     levy_process_moments,
     poisson_subordinator,
     process_from_json,
-    process_to_json,
     subordinator_moment_h,
     tstar_moments,
 )
@@ -199,9 +198,10 @@ class TestValidationAndJson:
 
     def test_round_trips(self):
         levy = LevySpec(F(1, 2), F(3, 2), MomentSeq([F(1), F(4), F(20)]))
-        assert process_from_json(process_to_json(levy)) == levy
-        sub = gamma_subordinator(4)
-        assert process_from_json(process_to_json(sub)) == sub
+        data = {"sigma2": "1/2", "kappa2": "3/2", "u_moments": ["1", "4", "20"]}
+        assert process_from_json(data) == levy
+        data = {"tau2": "1", "tstar_moments": ["1", "2", "6", "24", "120"]}
+        assert process_from_json(data) == gamma_subordinator(4)
 
     def test_gamma_builder_moments(self):
         sub = gamma_subordinator(5)

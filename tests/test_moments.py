@@ -11,7 +11,6 @@ from pstirling.moments import (
     sum_moment,
     sum_moment_egf,
     sum_moment_recursion,
-    sum_moment_report,
 )
 from pstirling.randomvars import (
     MomentSeq,
@@ -109,14 +108,6 @@ class TestRecursion:
         # all three were refused before a table or a ladder was built
         assert psn_egf_cached.cache_info().currsize == 0
         assert sum_moment_ladder.cache_info().currsize == 0
-
-    def test_report_routes_agree(self):
-        m = moments_of(poisson(1), 6)
-        values = {
-            sum_moment_report(m, 4, 3, route).value.as_fraction()
-            for route in ("stirling", "recursion", "egf-oracle")
-        }
-        assert len(values) == 1
 
 
 class TestEvenMomentSequence:

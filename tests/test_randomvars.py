@@ -6,6 +6,7 @@ import pytest
 
 from pstirling.powerseries import DomainError, QC
 from pstirling.randomvars import (
+    MAX_RATIONAL_DIGITS,
     DistSpec,
     MomentSeq,
     UnsupportedSpecError,
@@ -14,7 +15,6 @@ from pstirling.randomvars import (
     beta_moments,
     custom,
     dist_from_json,
-    dist_to_json,
     exponential,
     gamma_shape,
     hat_transform,
@@ -25,7 +25,6 @@ from pstirling.randomvars import (
     point_mass,
     poisson,
     rademacher,
-    sample_one,
     sample_sum,
     sample_sums,
     standardize_moments,
@@ -142,9 +141,9 @@ def _supported(call) -> bool:
 def test_kind_record(spec, key, lattice, symmetric, samplable, exact_abs):
     assert param_key(spec.kind) == key
     if key is not None:
-        assert dist_to_json(spec)[key] == str(spec.param)
+        assert dist_from_json({"dist": spec.kind, key: str(spec.param)}) == spec
     assert (spec.lattice, spec.symmetric) == (lattice, symmetric)
-    assert _supported(lambda: sample_one(spec, random.Random(0))) == samplable
+    assert _supported(lambda: sample_sum(spec, 1, random.Random(0))) == samplable
     assert _supported(lambda: abs_moments_of(spec, 4)) == exact_abs
 
 
@@ -297,13 +296,13 @@ class TestSamplers:
             def random(self):
                 return float(F(1, 3))
 
-        assert sample_one(bernoulli(F(1, 3)), FixedDraw()) == 1.0
-        assert sample_one(bernoulli(F(2, 3)), FixedDraw()) == 1.0
-        assert sample_one(bernoulli(F(1, 4)), FixedDraw()) == 0.0
+        assert sample_sum(bernoulli(F(1, 3)), 1, FixedDraw()) == 1.0
+        assert sample_sum(bernoulli(F(2, 3)), 1, FixedDraw()) == 1.0
+        assert sample_sum(bernoulli(F(1, 4)), 1, FixedDraw()) == 0.0
 
     def test_seed_determinism(self):
-        a = [sample_one(normal(1), random.Random(99)) for _ in range(3)]
-        b = [sample_one(normal(1), random.Random(99)) for _ in range(3)]
+        a = [sample_sum(normal(1), 1, random.Random(99)) for _ in range(3)]
+        b = [sample_sum(normal(1), 1, random.Random(99)) for _ in range(3)]
         assert a == b
 
     @pytest.mark.parametrize(
@@ -314,7 +313,7 @@ class TestSamplers:
         # Sums are compared with sum() of the pinned draws, because sum()
         # rounds differently from Python 3.12 on.
         rng = random.Random(2020)
-        assert [sample_one(spec, rng).hex() for _ in expected] == expected
+        assert [sample_sum(spec, 1, rng).hex() for _ in expected] == expected
         draws = [float.fromhex(h) for h in expected]
         rng = random.Random(2020)
         assert [sample_sum(spec, 3, rng) for _ in range(2)] == [sum(draws[:3]), sum(draws[3:])]
@@ -364,7 +363,7 @@ class TestSamplers:
         n_samples = 100_000
         rng = random.Random(31)
         mu = moments_of(spec, 4)
-        draws = [sample_one(spec, rng) for _ in range(n_samples)]
+        draws = [sample_sum(spec, 1, rng) for _ in range(n_samples)]
         for k in (1, 2):
             mean_k = sum(v**k for v in draws) / n_samples
             sd = math.sqrt(float(mu[2 * k].re - mu[k].re ** 2))
@@ -380,15 +379,32 @@ class TestSamplers:
 
 class TestJson:
     def test_round_trip(self):
-        for spec in CATALOG:
-            assert dist_from_json(dist_to_json(spec)) == spec
+        # the wire form of each catalog spec parses back to that spec
+        wire = [
+            {"dist": "pointmass", "c": "2"},
+            {"dist": "pointmass", "c": "-1/3"},
+            {"dist": "rademacher"},
+            {"dist": "bernoulli", "p": "1/2"},
+            {"dist": "uniformstd"},
+            {"dist": "poisson", "lambda": "1"},
+            {"dist": "poisson", "lambda": "3/2"},
+            {"dist": "exponential"},
+            {"dist": "gamma", "a": "5/2"},
+            {"dist": "normal", "sigma2": "1"},
+            {"dist": "normal", "sigma2": "1/4"},
+        ]
+        assert [dist_from_json(data) for data in wire] == CATALOG
 
     def test_custom_complex_round_trip(self):
+        moments = ["1", {"re": "0", "im": "1/2"}, {"re": "-2/3", "im": "1"}]
         spec = custom([QC(1), QC(0, F(1, 2)), QC(F(-2, 3), 1)])
-        data = dist_to_json(spec)
-        assert data["moments"][1] == {"re": "0", "im": "1/2"}
-        assert dist_from_json(data) == spec
+        assert dist_from_json({"dist": "custom", "moments": moments}) == spec
 
     def test_rationals_as_strings(self):
-        assert dist_to_json(bernoulli(F(1, 2)))["p"] == "1/2"
+        # "p/q" strings, plain decimals and JSON ints
+        assert dist_from_json({"dist": "bernoulli", "p": "1/2"}) == bernoulli(F(1, 2))
+        assert dist_from_json({"dist": "bernoulli", "p": "0.25"}) == bernoulli(F(1, 4))
         assert dist_from_json({"dist": "poisson", "lambda": "3/2"}) == poisson(F(3, 2))
+        assert dist_from_json({"dist": "poisson", "lambda": 2}) == poisson(2)
+        top = "9" * MAX_RATIONAL_DIGITS
+        assert dist_from_json({"dist": "poisson", "lambda": f"{top}/7"}) == poisson(F(int(top), 7))

@@ -28,7 +28,6 @@ from pstirling.stirling import (
     psn_egf,
     psn_gr_rep,
     psn_via_classical,
-    table_to_csv,
     weighted_sum_moment,
 )
 
@@ -274,14 +273,3 @@ class TestBound:
     def test_unsupported(self):
         with pytest.raises(UnsupportedSpecError):
             bound_holds(custom([1, 0, 1, 0, 3]), 2, 1)
-
-
-class TestCsv:
-    def test_serialization(self):
-        table = psn_egf(moments_of(rademacher(), 6))
-        text = table_to_csv(table)
-        lines = text.strip().split("\n")
-        assert lines[0] == "j,m,re,im"
-        assert "4,2,3,0" in lines
-        # full triangle: 1 + sum_{j<=6} (j+1) rows
-        assert len(lines) == 1 + sum(j + 1 for j in range(7))
