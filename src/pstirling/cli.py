@@ -11,32 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
-from fractions import Fraction
 
-from .edgeworth import edgeworth_cdf, edgeworth_model, normal_cdf
-from .levy import (
-    LevySpec,
-    compensated_unit_jump,
-    gamma_subordinator,
-    gaussian_part_only,
-    levy_moment_g,
-    poisson_subordinator,
-    process_from_json,
-    subordinator_moment_h,
-)
-from .oracle import run_validation, uniform_fn_exact
+# only what parsing and checking the config need; each _cmd_* imports the
+# modules it runs, so a command's process loads no other command's modules
 from .powerseries import QC
-from .randomvars import (
-    UNIFORM_STD,
-    DistSpec,
-    dist_from_json,
-    moments_of,
-    param_key,
-    parse_rational,
-)
-from .stirling import psn_egf
-from .moments import cumulants_oracle, sum_moment
+from .randomvars import UNIFORM_STD, DistSpec, dist_from_json, param_key, parse_rational
 
 # Input bounds, checked before any work starts; far above every documented use
 MAX_JMAX = 200
@@ -45,15 +24,18 @@ MAX_GRID_POINTS = 10**5
 # edgeworth's exact Irwin-Hall column (uniformstd) takes 1.3 s a grid point at n = 512
 # (2 cores, Python 3.11) and grows about 8x each time n doubles
 MAX_EDGEWORTH_N = 512
+# E S_n^j has up to j log10(n) more digits than E Y^j: 1200 at jmax = MAX_JMAX
+MAX_MOMENTS_N = 10**6
 
 # the values a flag or a config may give these fields
 _CHOICES = {"mode": ("exact", "float"), "format": ("csv", "json"), "suite": ("all", "exact", "mc")}
 
+# --dist of the levy command: the builder's name in the levy module
 _NAMED_PROCESSES = {
-    "poisson": poisson_subordinator,
-    "gamma": gamma_subordinator,
-    "unitjump": compensated_unit_jump,
-    "gaussian": gaussian_part_only,
+    "poisson": "poisson_subordinator",
+    "gamma": "gamma_subordinator",
+    "unitjump": "compensated_unit_jump",
+    "gaussian": "gaussian_part_only",
 }
 
 
@@ -142,6 +124,8 @@ def _check_fields(config: dict, subcommand: str) -> None:
     if subcommand == "edgeworth":
         # n < 1 is _cmd_edgeworth's to reject
         _check_range(config, "n", None, MAX_EDGEWORTH_N)
+    elif subcommand == "moments":
+        _check_range(config, "n", None, MAX_MOMENTS_N)
     for key, choices in _CHOICES.items():
         if key in config and config[key] not in choices:
             raise ValueError(f"{key} must be one of {', '.join(choices)}, not {config[key]!r}")
@@ -235,6 +219,9 @@ def _parse_grid(spec: str) -> list:
 
 
 def _cmd_stirling(config) -> int:
+    from .randomvars import moments_of
+    from .stirling import psn_egf
+
     spec = _dist_spec(config)
     jmax = config.get("jmax", 8)
     table = psn_egf(moments_of(spec, jmax))
@@ -249,6 +236,9 @@ def _cmd_stirling(config) -> int:
 
 
 def _cmd_moments(config) -> int:
+    from .moments import sum_moment
+    from .randomvars import moments_of
+
     spec = _dist_spec(config)
     jmax = config.get("jmax", 8)
     if "n" not in config:
@@ -261,6 +251,9 @@ def _cmd_moments(config) -> int:
 
 
 def _cmd_cumulants(config) -> int:
+    from .moments import cumulants_oracle
+    from .randomvars import moments_of
+
     spec = _dist_spec(config)
     jmax = config.get("jmax", 8)
     seq = cumulants_oracle(moments_of(spec, jmax))
@@ -270,19 +263,25 @@ def _cmd_cumulants(config) -> int:
 
 
 def _process_spec(config, jmax: int):
+    from . import levy
+
     proc = config.get("process")
     if isinstance(proc, dict):
-        return process_from_json(proc)
+        return levy.process_from_json(proc)
     dist = config.get("dist")
     builder = _NAMED_PROCESSES.get(dist or "")
     if builder is None:
         raise ValueError(
             "levy needs --dist poisson|gamma|unitjump|gaussian or a config process spec"
         )
-    return builder(jmax)
+    return getattr(levy, builder)(jmax)
 
 
 def _cmd_levy(config) -> int:
+    from fractions import Fraction
+
+    from .levy import LevySpec, levy_moment_g, subordinator_moment_h
+
     jmax = config.get("jmax", 8)
     proc = _process_spec(config, jmax)
     t = config.get("t", Fraction(1))
@@ -299,6 +298,11 @@ def _cmd_levy(config) -> int:
 
 
 def _cmd_edgeworth(config) -> int:
+    import warnings
+
+    from .edgeworth import edgeworth_cdf, edgeworth_model, normal_cdf
+    from .oracle import uniform_fn_exact
+
     spec = _dist_spec(config)
     if "n" not in config:
         raise ValueError("edgeworth needs --n")
@@ -334,10 +338,12 @@ def _cmd_edgeworth(config) -> int:
 
 
 def _cmd_validate(config) -> int:
+    from . import oracle
+
     suite = config.get("suite", "all")
     seed = config["seed"]
     n_samples = config.get("mc_samples", 10**6)
-    reports = run_validation(suite, seed, n_samples)
+    reports = oracle.run_validation(suite, seed, n_samples)
     payload = json.dumps([r.to_json() for r in reports], indent=2) + "\n"
     _write(payload, config)
     return 0 if all(r.passed for r in reports) else 1

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
 from .moments import falling
-from .powerseries import QC, DomainError
+from .powerseries import QC, DomainError, Record
 from .randomvars import DistSpec, MomentSeq, hat_transform, moments_of, vanishing_order
 from .stirling import StirlingTable, psn_egf
 
@@ -64,17 +63,13 @@ def delta_set(r: int, n: int, k: int) -> list:
     return [(m, 2 * m + k) for m in range(1, min(n, k // (r - 1)) + 1)]
 
 
-@dataclass(frozen=True)
-class EdgeworthModel:
+class EdgeworthModel(Record):
     """Expansion state: matching order r, hat table, truncation K, moment order J."""
 
-    r: int
-    hat_table: StirlingTable
-    K: int
-    J: int
-    lattice: bool = False
+    __slots__ = ("r", "hat_table", "K", "J", "lattice")
 
-    def __post_init__(self):
+    def __init__(self, r: int, hat_table: StirlingTable, K: int, J: int, lattice: bool = False):
+        self._init(r, hat_table, K, J, lattice)
         if self.r < 2:
             raise DomainError("expansion needs matching order r >= 2")
         if not self.hat_table.is_real:

@@ -12,25 +12,21 @@ weighted sums, which is what the complete-monotonicity check certifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .powerseries import Record
 from .randomvars import MomentSeq, normal_even_moment, parse_rational
 from .stirling import weighted_sum_moment
 
 
-@dataclass(frozen=True)
-class LevySpec:
+class LevySpec(Record):
     """Centered Levy process Y(t) parameterized by (sigma^2, kappa^2, U-moments)."""
 
-    sigma2: Fraction
-    kappa2: Fraction
-    u_moments: MomentSeq
+    __slots__ = ("sigma2", "kappa2", "u_moments")
 
-    def __post_init__(self):
-        object.__setattr__(self, "sigma2", Fraction(self.sigma2))
-        object.__setattr__(self, "kappa2", Fraction(self.kappa2))
+    def __init__(self, sigma2: Fraction, kappa2: Fraction, u_moments: MomentSeq):
+        self._init(Fraction(sigma2), Fraction(kappa2), u_moments)
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be nonnegative")
         if self.kappa2 <= 0:
@@ -39,15 +35,13 @@ class LevySpec:
             raise ValueError("U must be real-valued")
 
 
-@dataclass(frozen=True)
-class SubordinatorSpec:
+class SubordinatorSpec(Record):
     """Centered subordinator X(t) parameterized by (tau^2, T*-moments)."""
 
-    tau2: Fraction
-    tstar_moments: MomentSeq
+    __slots__ = ("tau2", "tstar_moments")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tau2", Fraction(self.tau2))
+    def __init__(self, tau2: Fraction, tstar_moments: MomentSeq):
+        self._init(Fraction(tau2), tstar_moments)
         if self.tau2 < 0:
             raise ValueError("tau2 must be nonnegative")
         if not self.tstar_moments.is_real:

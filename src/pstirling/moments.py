@@ -9,9 +9,9 @@ moments, and from the series logarithm, and all three must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 from .powerseries import QC, egf_log, egf_pow
 from .randomvars import MomentSeq, vanishing_order
@@ -26,8 +26,7 @@ def falling(n: int, m: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class CumulantSeq:
+class CumulantSeq(NamedTuple):
     """Cumulants kappa_1..kappa_J; kappa[i] is kappa_{i+1}."""
 
     kappa: tuple

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial
 from numbers import Rational
+from typing import NamedTuple
 
 from .edgeworth import edgeworth_model, edgeworth_term, hermite_eval, normal_pdf
 from .levy import (
@@ -92,8 +93,7 @@ def uniform_fn_exact(n: int, y) -> float:
     return float(irwin_hall_cdf(n, x))
 
 
-@dataclass(frozen=True)
-class MCEstimate:
+class MCEstimate(NamedTuple):
     value: float
     stderr: float
     n_samples: int
@@ -138,8 +138,7 @@ def mc_sum_moment(spec: DistSpec, n: int, j: int, n_samples: int, seed: int) -> 
     return MCEstimate(mean, math.sqrt(var / n_samples), n_samples, seed)
 
 
-@dataclass(frozen=True)
-class EmpiricalCdf:
+class EmpiricalCdf(NamedTuple):
     """Empirical CDF of S_n/sqrt(n mu_2) on a grid, with its DKW radius."""
 
     points: tuple  # ((y, F_hat(y)), ...)
@@ -160,9 +159,14 @@ def mc_empirical_cdf(
         raise ValueError("need at least one sample")
     mu2 = float(moments_of(spec, 2)[2].as_fraction())
     scale = 1.0 / math.sqrt(n * mu2)
-    values = [s * scale for sums in _stream_sums(spec, n, n_samples, seed) for s in sums]
-    values.sort()
-    points = tuple((float(y), bisect_right(values, float(y)) / n_samples) for y in grid)
+    cuts = sorted({float(y) for y in grid})
+    # counts[i]: the samples in (cuts[i-1], cuts[i]]; the last holds those above every cut
+    counts = [0] * (len(cuts) + 1)
+    for sums in _stream_sums(spec, n, n_samples, seed):
+        for s in sums:
+            counts[bisect_left(cuts, s * scale)] += 1
+    at_most = dict(zip(cuts, accumulate(counts)))
+    points = tuple((float(y), at_most[float(y)] / n_samples) for y in grid)
     bound = math.sqrt(math.log(2.0 / delta) / (2.0 * n_samples))
     return EmpiricalCdf(points, bound, n_samples, delta)
 
@@ -170,8 +174,7 @@ def mc_empirical_cdf(
 # --- validation suite --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """One checked quantity: reference vs computed, deviations, verdict."""
 
     name: str
@@ -183,15 +186,7 @@ class ValidationReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "computed": self.computed,
-            "abs_dev": self.abs_dev,
-            "rel_dev": self.rel_dev,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return self._asdict()
 
 
 def _report(name: str, expected, computed, tolerance: float = 0.0) -> ValidationReport:

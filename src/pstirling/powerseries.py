@@ -9,7 +9,6 @@ orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -133,8 +132,44 @@ class QC:
         return f"QC({self.re}, {self.im})"
 
 
-@dataclass(frozen=True, init=False)
-class EGFSeries:
+class Record:
+    """Base of the package's immutable value classes, whose fields are their ``__slots__``.
+
+    A subclass's ``__init__`` sets the fields once, with ``_init``;
+    assigning or deleting one afterwards raises AttributeError, as on QC.
+    Values of one class are equal, and hash alike, when their fields are
+    equal; a value of another class never compares equal.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class EGFSeries(Record):
     """Truncated EGF sum_{j<=J} a_j z^j / j! with a_j = (re[j] + i im[j]) / den.
 
     ``re`` and ``im`` are tuples of ints over one denominator, the layout
@@ -145,9 +180,7 @@ class EGFSeries:
     values when read.
     """
 
-    den: int
-    re: tuple
-    im: tuple | None
+    __slots__ = ("den", "re", "im")  # int, tuple of ints, tuple of ints or None
 
     def __init__(self, coeffs):
         values = [QC.of(v) for v in coeffs]

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from itertools import islice, repeat
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .powerseries import QC, DomainError, EGFSeries
+from .powerseries import QC, DomainError, EGFSeries, Record
 
 SQRT3 = math.sqrt(3.0)
 
@@ -38,14 +37,13 @@ class UnsupportedSpecError(ValueError):
     """Requested operation is not available for this distribution spec."""
 
 
-@dataclass(frozen=True)
-class MomentSeq:
+class MomentSeq(Record):
     """Truncated moment sequence mu_k = E Y^k, k = 0..J, with mu_0 = 1."""
 
-    mu: tuple
+    __slots__ = ("mu",)  # tuple of QC
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", tuple(QC.of(v) for v in self.mu))
+    def __init__(self, mu):
+        self._init(tuple(QC.of(v) for v in mu))
         if len(self.mu) == 0 or self.mu[0] != 1:
             raise DomainError("moment sequence must start with mu_0 = 1")
 
@@ -64,29 +62,27 @@ class MomentSeq:
         return EGFSeries(self.mu)
 
 
-@dataclass(frozen=True)
-class DistSpec:
+class DistSpec(Record):
     """Catalog distribution: a variant tag plus at most one rational parameter.
 
     The kind's record in ``_KINDS`` names the parameter.  Custom specs
     carry an explicit moment list instead.
     """
 
-    kind: str
-    param: Optional[Fraction] = None
-    custom_moments: Optional[tuple] = None
+    __slots__ = ("kind", "param", "custom_moments")
 
-    def __post_init__(self):
-        kind = _kind(self.kind)
-        if self.param is not None:
-            object.__setattr__(self, "param", Fraction(self.param))
-        if self.custom_moments is not None:
-            object.__setattr__(
-                self, "custom_moments", tuple(QC.of(v) for v in self.custom_moments)
-            )
-        if kind.key is not None and self.param is None:
-            raise ValueError(f"{self.kind} spec needs its parameter")
-        kind.check(self)
+    def __init__(
+        self, kind: str, param: Optional[Fraction] = None, custom_moments: Optional[tuple] = None
+    ):
+        record = _kind(kind)
+        if param is not None:
+            param = Fraction(param)
+        if custom_moments is not None:
+            custom_moments = tuple(QC.of(v) for v in custom_moments)
+        self._init(kind, param, custom_moments)
+        if record.key is not None and param is None:
+            raise ValueError(f"{kind} spec needs its parameter")
+        record.check(self)
 
     @property
     def lattice(self) -> bool:

@@ -19,10 +19,10 @@ All arithmetic is exact; no floating point enters this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
+from typing import NamedTuple
 
 from .powerseries import QC, EGFSeries, egf_mul, egf_one, egf_pow
 from .randomvars import (
@@ -78,8 +78,7 @@ def classical_s1_signed(l: int, i: int) -> int:
     return _falling_factorial_coeffs(l)[i]
 
 
-@dataclass(frozen=True)
-class StirlingTable:
+class StirlingTable(NamedTuple):
     """Triangular array S(j,m) for 0 <= m <= j <= J with a route tag.
 
     Zeros inside the triangle are stored, never omitted, so serialization
@@ -260,8 +259,7 @@ def psn_gr_rep(m: MomentSeq, r: int, j: int, m_idx: int) -> QC:
     return pref * egf_pow(g, m_idx)[p]
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """Outcome of the triangle-style bound |S_Y(j,m)| <= E(|Y_1|+..+|Y_m|)^j/m!.
 
     ``rhs`` is the exact right side when absolute moments are rational;

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +12,7 @@ from pstirling.cli import (
     MAX_GRID_POINTS,
     MAX_JMAX,
     MAX_MC_SAMPLES,
+    MAX_MOMENTS_N,
     _parse_grid,
     main,
 )
@@ -150,11 +154,11 @@ class TestValidateCommand:
         assert all(r["passed"] for r in reports)
 
     def test_failure_exits_1(self, capsys, monkeypatch):
+        from pstirling import oracle
         from pstirling.oracle import ValidationReport
-        import pstirling.cli as cli
 
         failing = ValidationReport("forced", "1", "2", 1.0, 1.0, 0.0, False)
-        monkeypatch.setattr(cli, "run_validation", lambda *a, **k: [failing])
+        monkeypatch.setattr(oracle, "run_validation", lambda *a, **k: [failing])
         code, out, _ = run_cli(capsys, "validate", "--suite", "exact")
         assert code == 1
         assert json.loads(out)[0]["passed"] is False
@@ -242,6 +246,9 @@ class TestConfigAndOutput:
              "tstar_moments"),
             # a config text that json.dumps cannot build
             (["stirling", "--dist", "rademacher"], "[" * 100000 + "]" * 100000, "nests too deeply"),
+            # checked before any work: E S_n^j has about j log10(n) digits
+            (["moments", "--dist", "uniformstd", "--n", "1" + "0" * 1000, "--jmax", "200"], None,
+             f"n must be at most {MAX_MOMENTS_N}"),
         ],
     )
     def test_bad_input_is_one_line_exit_2(self, tmp_path, capsys, argv, config, message):
@@ -284,3 +291,57 @@ class TestDeterminism:
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second and first
+
+
+def _fresh_process(code: str) -> str:
+    """stdout of ``code`` run by a new interpreter with no site imports and this pstirling."""
+    import pstirling
+
+    src = os.path.dirname(os.path.dirname(pstirling.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestImportBoundary:
+    """Each command's process loads only the modules that command runs."""
+
+    LOADED = (
+        "import sys\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('pstirling', 'dataclasses'))))"
+    )
+
+    @pytest.mark.parametrize("module", ["pstirling", "pstirling.cli"])
+    def test_no_dataclasses(self, module):
+        loaded = _fresh_process(f"import {module}\n{self.LOADED}")
+        assert "dataclasses" not in loaded and module in loaded
+
+    def test_cli_loads_no_command_module(self):
+        loaded = _fresh_process(f"import pstirling.cli\n{self.LOADED}")
+        for name in ("stirling", "moments", "levy", "edgeworth", "oracle"):
+            assert f"pstirling.{name}'" not in loaded
+
+    def test_stirling_command_loads_no_other_command_module(self):
+        code = (
+            "import io, contextlib\nfrom pstirling import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['stirling', '--dist', 'uniformstd', '--jmax', '2']) == 0\n"
+            + self.LOADED
+        )
+        loaded = _fresh_process(code)
+        assert "pstirling.stirling'" in loaded
+        for name in ("oracle", "levy", "edgeworth"):
+            assert f"pstirling.{name}'" not in loaded
+
+    def test_public_names_resolve(self):
+        code = (
+            "import pstirling, types\n"
+            "assert all(getattr(pstirling, name) is not None for name in pstirling.__all__)\n"
+            "assert set(pstirling.__all__) <= set(dir(pstirling))\n"
+            "assert isinstance(pstirling.oracle, types.ModuleType)\n"
+            "from pstirling import psn_egf, uniform_std\n"
+            "try:\n    pstirling.nope\nexcept AttributeError:\n    print('no attribute')\n"
+        )
+        assert _fresh_process(code) == "no attribute\n"

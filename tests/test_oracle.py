@@ -138,6 +138,14 @@ class TestMcEmpiricalCdf:
         worst = max(abs(f - uniform_fn_exact(4, y)) for y, f in emp.points)
         assert worst <= emp.dkw_bound
 
+    def test_unsorted_grid_with_repeats(self):
+        # each point reads the count at its own value, whatever the grid's order
+        grid = [0.5, -1.0, 0.5, 0.0, -0.0, 4.0, -1.0, 1.0]
+        emp = mc_empirical_cdf(uniform_std(), 4, grid, 5_000, seed=4)
+        ref = dict(mc_empirical_cdf(uniform_std(), 4, sorted(set(grid)), 5_000, seed=4).points)
+        assert emp.points == tuple((y, ref[y]) for y in grid)
+        assert ref[-1.0] < ref[0.0] < ref[0.5] < ref[1.0] < ref[4.0] == 1.0
+
     def test_dkw_radius_formula(self):
         emp = mc_empirical_cdf(rademacher(), 2, [0.0], 10_000, seed=2)
         assert emp.dkw_bound == pytest.approx(math.sqrt(math.log(2000) / 20_000))

@@ -8,6 +8,7 @@ from pstirling.powerseries import (
     DomainError,
     EGFSeries,
     QC,
+    Record,
     SeriesMismatchError,
     egf_add,
     egf_exp,
@@ -256,3 +257,73 @@ class TestKernelAgainstSchoolbook:
             assert_schoolbook(egf_exp(l), schoolbook_egf_exp(l))
             assert egf_exp(egf_log(a)) == a
             assert egf_log(egf_exp(l)) == l
+
+
+def _record_values():
+    """(class, a builder of fresh values, a field, a value of another class)."""
+    from pstirling.edgeworth import EdgeworthModel, edgeworth_model
+    from pstirling.levy import LevySpec, SubordinatorSpec
+    from pstirling.moments import CumulantSeq, cumulants_oracle
+    from pstirling.oracle import (
+        EmpiricalCdf,
+        MCEstimate,
+        ValidationReport,
+        mc_empirical_cdf,
+        mc_sum_moment,
+    )
+    from pstirling.randomvars import DistSpec, MomentSeq, moments_of, rademacher
+    from pstirling.stirling import BoundCheck, StirlingTable, bound_holds, psn_egf
+
+    mu = (1, 0, 1, 0, 1)
+    seq = MomentSeq(mu)
+    estimate = mc_sum_moment(rademacher(), 2, 2, 10, 1)
+    return [
+        (EGFSeries, lambda: EGFSeries([1, F(1, 2), QC(0, 1)]), "den", seq),
+        (MomentSeq, lambda: MomentSeq(list(mu)), "mu", cumulants_oracle(seq)),
+        (DistSpec, lambda: DistSpec("poisson", 2), "param", seq),
+        (LevySpec, lambda: LevySpec(1, F(2), MomentSeq([1, 1, 2])), "sigma2",
+         SubordinatorSpec(1, seq)),
+        (SubordinatorSpec, lambda: SubordinatorSpec(1, MomentSeq([1, 2, 6])), "tau2",
+         LevySpec(1, 1, seq)),
+        (EdgeworthModel, lambda: edgeworth_model(DistSpec("uniformstd"), 2), "K", psn_egf(seq)),
+        (StirlingTable, lambda: psn_egf(moments_of(rademacher(), 4)), "rows", seq),
+        (BoundCheck, lambda: bound_holds(rademacher(), 4, 2), "holds", seq),
+        (CumulantSeq, lambda: cumulants_oracle(MomentSeq(mu)), "kappa", seq),
+        (MCEstimate, lambda: mc_sum_moment(rademacher(), 2, 2, 10, 1), "value",
+         mc_empirical_cdf(rademacher(), 2, [0.0], 10, 1)),
+        (EmpiricalCdf, lambda: mc_empirical_cdf(rademacher(), 2, [0.0], 10, 1), "points",
+         estimate),
+        (ValidationReport, lambda: ValidationReport("x", "1", "1", 0.0, 0.0, 0.0, True), "passed",
+         estimate),
+    ]
+
+
+RECORDS = _record_values()
+
+
+class TestRecords:
+    """The value classes are frozen, equal by fields within a class, and hash alike."""
+
+    @pytest.mark.parametrize(
+        "cls, build, field, other", RECORDS, ids=[row[0].__name__ for row in RECORDS]
+    )
+    def test_value_semantics(self, cls, build, field, other):
+        a, b = build(), build()
+        assert type(a) is cls and a is not b
+        assert a == b and hash(a) == hash(b)
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+        assert a != other and other != a
+
+    # the NamedTuple records compare as tuples, as every NamedTuple does
+    SLOTS = [row for row in RECORDS if issubclass(row[0], Record)]
+
+    @pytest.mark.parametrize(
+        "cls, build, field, other", SLOTS, ids=[row[0].__name__ for row in SLOTS]
+    )
+    def test_slots_records_are_not_tuples(self, cls, build, field, other):
+        a = build()
+        assert a != a._fields() and a._fields() != a
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        assert repr(a).startswith(cls.__name__ + "(")

@@ -26,6 +26,7 @@ from pstirling.stirling import (
     classical_s2,
     psn_direct,
     psn_egf,
+    psn_egf_cached,
     psn_gr_rep,
     psn_via_classical,
     weighted_sum_moment,
@@ -92,6 +93,14 @@ class TestEgfRoute:
             for m in range(1, j + 1):
                 lah = F(factorial(j), factorial(m)) * comb(j - 1, m - 1)
                 assert table.entry(j, m) == lah
+
+    def test_cache_hits_on_an_equal_sequence(self):
+        first = moments_of(rademacher(), 6)
+        second = MomentSeq([QC(v.re) for v in first.mu])
+        assert second is not first and second == first
+        table = psn_egf_cached(first)
+        assert psn_egf_cached(second) is table
+        assert psn_egf_cached.cache_info().hits == 1
 
     def test_structural_zeros(self):
         table = psn_egf(moments_of(rademacher(), 6))
