@@ -359,12 +359,30 @@ _COMMANDS = {
 }
 
 
+def _run_unlimited(command, config) -> int:
+    """command(config) with Python's int/str digit limit lifted, and restored after.
+
+    Every input is bounded before this runs, so the output is too (about
+    0.5 MB at most, a point mass at n = 10^6 and jmax 200); the limit would
+    only turn an exact value past 4300 digits into an error naming no
+    input.  Python before 3.10.7 has no limit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return command(config)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return command(config)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         config = _load_config(args)
-        return _COMMANDS[args.subcommand](config)
+        return _run_unlimited(_COMMANDS[args.subcommand], config)
     except (ValueError, OSError) as exc:
         print(f"pstirling: error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 from numbers import Rational
+from operator import mul, or_
 
 
 class SeriesMismatchError(ValueError):
@@ -250,9 +251,17 @@ def egf_mul(a: EGFSeries, b: EGFSeries) -> EGFSeries:
     common order; with moment sequences as inputs it multiplies MGFs.
     """
     _check_compatible(a, b)
-    re, im = zip(
-        *(_product(_binomials(j), j, j + 1, a.re, a.im, b.re, b.im) for j in range(len(a.re)))
-    )
+    n = len(a.re)
+    va, vb = _valuation(a), _valuation(b)
+    # c_j is 0 for j < va + vb; otherwise only the k in [va, j - vb] can contribute.
+    # a from a_va on, and b reversed so that b_{j-k} for k = va, va+1, ... is a
+    # forward slice, whose length ends each sum
+    xr, xi = a.re[va:], a.im and a.im[va:]
+    yr, yi = b.re[::-1], b.im and b.im[::-1]
+    re, im = [0] * n, [0] * n
+    for j in range(va + vb, n):
+        y = slice(n - 1 - j + va, n - vb)
+        re[j], im[j] = _product(_binomials(j)[va:], xr, xi, yr[y], yi and yi[y])
     return _series(a.den * b.den, re, im)
 
 
@@ -280,10 +289,13 @@ def egf_log(a: EGFSeries) -> EGFSeries:
     if a[0] != 1:
         raise DomainError("egf_log needs constant coefficient 1")
     dens, ar, ai = _dilated(a)
+    # a_J, ..., a_0, so that a_j, ..., a_1 is the slice [J-j : J]
+    yr, yi, top = ar[::-1], ai and ai[::-1], a.order
     # lr[k], li[k]: the numerators of L_{k+1}
     lr, li = [], (None if ai is None else [])
-    for j in range(a.order):
-        re, im = _product(_binomials(j), j, j, lr, li, ar, ai)
+    for j in range(top):
+        y = slice(top - j, top)
+        re, im = _product(_binomials(j), lr, li, yr[y], yi and yi[y])
         lr.append(ar[j + 1] - re)
         if li is not None:
             li.append(ai[j + 1] - im)
@@ -295,11 +307,12 @@ def egf_exp(a: EGFSeries) -> EGFSeries:
     if a[0] != 0:
         raise DomainError("egf_exp needs constant coefficient 0")
     dens, ar, ai = _dilated(a)
-    # E_{j+1} = sum_k C(j,k) a_{k+1} E_{j-k}, the coefficient form of E' = a' E
-    xr, xi = ar[1:], ai and ai[1:]
+    # E_{j+1} = sum_k C(j,k) E_k a_{j+1-k}, the coefficient form of E' = a' E
+    # (C(j,k) = C(j,j-k)); a_J, ..., a_1 reversed, so a_{j+1}, ..., a_1 is a tail
+    yr, yi, top = ar[:0:-1], ai and ai[:0:-1], a.order
     er, ei = [1], (None if ai is None else [0])
-    for j in range(a.order):
-        re, im = _product(_binomials(j), j, j + 1, xr, xi, er, ei)
+    for j in range(top):
+        re, im = _product(_binomials(j), er, ei, yr[top - 1 - j :], yi and yi[top - 1 - j :])
         er.append(re)
         if ei is not None:
             ei.append(im)
@@ -352,19 +365,25 @@ def _undilated(dens, re, im) -> EGFSeries:
     return _series(dens[top], lifted(re), im and lifted(im))
 
 
-def _dot(row, x, y, j: int, stop: int) -> int:
-    """sum_{k < stop} row[k] x[k] y[j-k] over ints, skipping zero terms."""
-    return sum(row[k] * x[k] * y[j - k] for k in range(stop) if x[k] and y[j - k])
+def _valuation(a: EGFSeries) -> int:
+    """Index of a's first nonzero coefficient, real or imaginary; len(a.re) for zero."""
+    nonzero = map(or_, a.re, a.im) if a.im else a.re
+    return next((k for k, x in enumerate(nonzero) if x), len(a.re))
 
 
-def _product(row, j: int, stop: int, xr, xi, yr, yi):
-    """Numerators (re, im) of sum_{k < stop} row[k] x_k y_{j-k}; xi, yi None when zero."""
-    re = _dot(row, xr, yr, j, stop)
+def _dot(row, x, y) -> int:
+    """sum_k row[k] x[k] y[k] over ints, k below the shortest length, in one C-level pass."""
+    return sum(map(mul, map(mul, row, x), y))
+
+
+def _product(row, xr, xi, yr, yi):
+    """Numerators (re, im) of sum_k row[k] x_k y_k; xi, yi None when zero."""
+    re = _dot(row, xr, yr)
     im = 0
     if xi is not None:
-        im += _dot(row, xi, yr, j, stop)
+        im += _dot(row, xi, yr)
         if yi is not None:
-            re -= _dot(row, xi, yi, j, stop)
+            re -= _dot(row, xi, yi)
     if yi is not None:
-        im += _dot(row, xr, yi, j, stop)
+        im += _dot(row, xr, yi)
     return re, im

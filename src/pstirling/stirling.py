@@ -83,7 +83,7 @@ class StirlingTable(NamedTuple):
 
     Zeros inside the triangle are stored, never omitted, so serialization
     always emits the full triangle; lookups above the diagonal return the
-    structural zero.
+    structural zero, and a row j beyond J raises ValueError.
     """
 
     rows: tuple  # rows[j] = (S(j,0), ..., S(j,j))
@@ -96,6 +96,8 @@ class StirlingTable(NamedTuple):
     def entry(self, j: int, m: int) -> QC:
         if j < 0 or m < 0:
             raise ValueError("indices must be nonnegative")
+        if j > self.order:
+            raise ValueError(f"j = {j} exceeds the table order {self.order}")
         if m > j:
             return QC(0)
         return self.rows[j][m]
@@ -105,12 +107,16 @@ class StirlingTable(NamedTuple):
         return all(v.is_real for row in self.rows for v in row)
 
 
+_ZERO = Fraction(0)  # every zero part of a table entry, as a Fraction is immutable
+
+
 def psn_egf(m: MomentSeq) -> StirlingTable:
     """Full table via coefficient extraction from (M(z)-1)^m / m!.
 
     Successive powers of M(z)-1 are accumulated with one binomial
     convolution per column, O(J^2) exact operations each.  Each entry is
-    built once, from the power's numerators over den * col!.
+    built once, from the power's numerators over den * col!; its zero
+    parts, such as every imaginary part of a real table, share one Fraction.
     """
     J = m.order
     shifted = EGFSeries((m.mu[0] - 1,) + m.mu[1:])
@@ -120,9 +126,11 @@ def psn_egf(m: MomentSeq) -> StirlingTable:
         if col > 0:
             power = egf_mul(power, shifted)
         den = power.den * factorial(col)
+        re, im = power.re, power.im or (0,) * (J + 1)
         for j in range(col, J + 1):
-            im = Fraction(power.im[j], den) if power.im else 0
-            rows[j][col] = QC(Fraction(power.re[j], den), im)
+            rows[j][col] = QC(
+                Fraction(re[j], den) if re[j] else _ZERO, Fraction(im[j], den) if im[j] else _ZERO
+            )
     return StirlingTable(tuple(tuple(r) for r in rows), "egf")
 
 

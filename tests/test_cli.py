@@ -67,6 +67,30 @@ class TestMomentsCommand:
         assert code == 0
         assert f"{n},4,{3 * n * n - 2 * n}" in out.split("\n")
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="Python before 3.10.7 has no digit limit"
+    )
+    def test_output_past_the_int_str_digit_limit(self, capsys):
+        c, n = 99999999999999999999, 10**6
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli(
+                capsys, "moments", "--dist", "pointmass", "--param", str(c), "--n", str(n),
+                "--jmax", "30",
+            )
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, err) == (0, "")
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = [f"{n},{j},{(n * c) ** j}" for j in range(31)]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert out.strip().split("\n")[1:] == expected
+        assert len(expected[-1]) > 640
+
     def test_missing_n_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--dist", "rademacher", "--jmax", "4")
         assert code == 2

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 
@@ -17,6 +17,8 @@ from pstirling.powerseries import (
     egf_one,
     egf_pow,
 )
+from pstirling.randomvars import MomentSeq
+from pstirling.stirling import psn_egf
 
 from oracles import (
     RADEMACHER_SUPPORT,
@@ -247,6 +249,68 @@ class TestKernelAgainstSchoolbook:
                 assert_schoolbook(egf_pow(a, n), expected.coeffs)
                 expected = EGFSeries(schoolbook_egf_mul(expected, a))
 
+    @pytest.mark.parametrize("imaginary", (False, True))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mul_leading_zeros(self, kind, imaginary):
+        """Leading zeros on one side or both, and products that vanish below the order."""
+        rng = random.Random(f"leading zeros {kind} {imaginary}")
+        for order in (0, 1, 2, 7, 20, 33):
+            h = order // 2 + 1
+            for va, vb in ((0, h), (h, 0), (1, 1), (h - 1, h), (1, order - 1), (h, order), (order + 1, 0)):
+                a = with_head(random_series(rng, order, kind), va, imaginary)
+                b = with_head(random_series(rng, order, KINDS[order % len(KINDS)]), vb, imaginary)
+                for x, y in ((a, b), (b, a)):
+                    product = egf_mul(x, y)
+                    assert_schoolbook(product, schoolbook_egf_mul(x, y))
+                    if va + vb > order:
+                        assert product == EGFSeries([0] * (order + 1))
+
+    def test_mul_imaginary_lead_behind_real_zeros(self):
+        """The valuation counts a purely imaginary coefficient whose real part is 0."""
+        rng = random.Random("imaginary lead")
+        for order in (3, 12, 33):
+            for v in (1, order // 2):
+                a = with_head(random_series(rng, order, "real"), v, imaginary=True)
+                b = with_head(random_series(rng, order, "complex"), 1, imaginary=True)
+                assert a.re[v] == 0 and a.im[v] != 0
+                assert_schoolbook(egf_mul(a, b), schoolbook_egf_mul(a, b))
+                assert_schoolbook(egf_mul(a, a), schoolbook_egf_mul(a, a))
+                assert_schoolbook(egf_pow(a, 2), schoolbook_egf_mul(a, a))
+
+    def test_zero_series(self):
+        rng = random.Random("zero series")
+        for order in (0, 1, 12):
+            zero, one = EGFSeries([0] * (order + 1)), egf_one(order)
+            for other in (zero, one, random_series(rng, order, "complex")):
+                assert_schoolbook(egf_mul(zero, other), schoolbook_egf_mul(zero, other))
+                assert egf_mul(other, zero) == zero
+            assert egf_pow(zero, 0) == one and egf_pow(zero, 3) == zero
+            assert egf_exp(zero) == one and egf_log(one) == zero
+
+    def test_log_exp_zero_runs(self):
+        rng = random.Random("zero runs")
+        for order in (1, 5, 17, 40):
+            for count in (1, 2, 4):
+                a = sparse_series(rng, order, 1, count)
+                l = sparse_series(rng, order, 0, count)
+                assert_schoolbook(egf_log(a), schoolbook_egf_log(a))
+                assert_schoolbook(egf_exp(l), schoolbook_egf_exp(l))
+                assert egf_exp(egf_log(a)) == a
+                assert egf_log(egf_exp(l)) == l
+
+    def test_psn_egf_with_imaginary_mean(self):
+        """psn_egf at J = 33 with mu_1 purely imaginary equals the schoolbook powers of M - 1."""
+        rng = random.Random("imaginary mean")
+        parts = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(64)]
+        mu = [QC(1), QC(0, F(1, 2))] + [QC(parts[2 * i], parts[2 * i + 1]) for i in range(32)]
+        table = psn_egf(MomentSeq(mu))
+        shifted = EGFSeries([0] + mu[1:])
+        power = egf_one(33).coeffs
+        for col in range(34):
+            for j in range(34):
+                assert table.entry(j, col) == power[j] / factorial(col)
+            power = schoolbook_egf_mul(EGFSeries(power), shifted)
+
     def test_log_exp(self):
         rng = random.Random(2020)
         for order in range(41):
@@ -257,6 +321,24 @@ class TestKernelAgainstSchoolbook:
             assert_schoolbook(egf_exp(l), schoolbook_egf_exp(l))
             assert egf_exp(egf_log(a)) == a
             assert egf_log(egf_exp(l)) == l
+
+
+def with_head(series, v, imaginary=False):
+    """series with its coefficients below v zeroed; coefficient v made purely imaginary if asked."""
+    values = list(series.coeffs)
+    values[:v] = [QC(0)] * min(v, len(values))
+    if imaginary and v < len(values):
+        values[v] = QC(0, values[v].re or F(-3, 7))
+    return EGFSeries(values)
+
+
+def sparse_series(rng, order, head, count):
+    """head plus ``count`` small coefficients at random places, zeros between; some purely imaginary."""
+    values = [QC(head)] + [QC(0)] * order
+    for j in rng.sample(range(1, order + 1), min(count, order)):
+        re, im = (F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2))
+        values[j] = rng.choice((QC(re), QC(0, im or 1), QC(re, im)))
+    return EGFSeries(values)
 
 
 def _record_values():

@@ -7,6 +7,7 @@ from pstirling.powerseries import QC
 from pstirling.randomvars import (
     MomentSeq,
     UnsupportedSpecError,
+    abs_moments_of,
     bernoulli,
     custom,
     exponential,
@@ -106,6 +107,16 @@ class TestEgfRoute:
         table = psn_egf(moments_of(rademacher(), 6))
         assert table.entry(2, 5) == QC(0)
         assert table.entry(0, 0) == 1
+
+    def test_row_beyond_the_order(self):
+        table = psn_egf(moments_of(rademacher(), 4))
+        for j, m in ((5, 0), (6, 2), (9, 10)):
+            with pytest.raises(ValueError, match=f"j = {j} exceeds the table order 4"):
+                table.entry(j, m)
+        with pytest.raises(ValueError, match="j = 6 exceeds the table order 4"):
+            bound_check_from_moments(
+                moments_of(rademacher(), 4), abs_moments_of(rademacher(), 4), 6, 2
+            )
 
     def test_scaling_covariance(self):
         # S_{cY}(j,m) = c^j S_Y(j,m)
