@@ -18,7 +18,6 @@ _PUBLIC = {
     "EGFSeries": "powerseries",
     "QC": "powerseries",
     "SeriesMismatchError": "powerseries",
-    "egf_add": "powerseries",
     "egf_exp": "powerseries",
     "egf_log": "powerseries",
     "egf_mul": "powerseries",

@@ -291,7 +291,7 @@ def _cmd_levy(config) -> int:
     fn = levy_moment_g if isinstance(proc, LevySpec) else subordinator_moment_h
     rows = []
     for j in range(jmax + 1):
-        value = fn(proc, j, float(t) if mode == "float" else t)
+        value = fn(proc, j, t)
         rows.append((_scalar_str(t, mode), j, _scalar_str(value, mode)))
     _write(_emit(rows, ("t", "j", "value"), config), config)
     return 0

@@ -46,7 +46,7 @@ class SubordinatorSpec(Record):
             raise ValueError("tau2 must be nonnegative")
         if not self.tstar_moments.is_real:
             raise ValueError("T* must be real-valued")
-        if any(v.re < 0 for v in self.tstar_moments.mu):
+        if any(x < 0 for x in self.tstar_moments.re):
             raise ValueError("T* moments must be nonnegative")
 
 
@@ -100,13 +100,11 @@ def cm_coefficients(spec, j: int) -> list:
 def _truncate(m: MomentSeq, order: int) -> MomentSeq:
     if order > m.order:
         raise ValueError("moment sequence does not reach the requested order")
-    return MomentSeq(m.mu[: order + 1])
+    return MomentSeq(m.coeffs[: order + 1])
 
 
 def _eval_poly(coeffs: list, j: int, t):
     half = j // 2
-    if isinstance(t, float):
-        return sum(float(c) * t ** (m - half) for m, c in enumerate(coeffs))
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
@@ -146,10 +144,7 @@ def levy_cumulant(spec: LevySpec, j: int, t):
     if j < 2:
         raise ValueError("the cumulant formula applies for j >= 2")
     tm = tstar_moments(spec, j - 2)
-    value = (spec.sigma2 + spec.kappa2) * tm[j - 2].as_fraction()
-    if isinstance(t, float):
-        return float(value) * t
-    return value * Fraction(t)
+    return (spec.sigma2 + spec.kappa2) * tm[j - 2].as_fraction() * Fraction(t)
 
 
 # --- named processes and JSON wire format -----------------------------------

@@ -68,7 +68,7 @@ def sum_moment_egf(m: MomentSeq, n: int, j: int) -> QC:
     """Oracle route: coefficient j of the n-th MGF power."""
     if j > m.order:
         raise ValueError("j exceeds the available moment order")
-    return egf_pow(m.to_egf(), n)[j]
+    return egf_pow(m, n)[j]
 
 
 def sum_moment_recursion(m: MomentSeq, n: int, j: int, r=None) -> QC:
@@ -106,7 +106,7 @@ def even_moment_sequence(m: MomentSeq, j: int, n_max: int):
         raise ValueError("even-moment sequence needs a centered distribution")
     if 2 * j > m.order:
         raise ValueError("2j exceeds the available moment order")
-    sigma2 = m.mu[2].as_fraction()
+    sigma2 = m[2].as_fraction()
     values = [
         sum_moment(m, n, 2 * j).as_fraction() / falling(n, j)
         for n in range(j, n_max + 1)
@@ -141,5 +141,5 @@ def cumulants_from_sum_moments(m: MomentSeq) -> CumulantSeq:
 
 def cumulants_oracle(m: MomentSeq) -> CumulantSeq:
     """Reference route: coefficients of the series logarithm of the MGF."""
-    log_series = egf_log(m.to_egf())
+    log_series = egf_log(m)
     return CumulantSeq(tuple(log_series[j] for j in range(1, m.order + 1)))

@@ -15,7 +15,6 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial
-from numbers import Rational
 from typing import NamedTuple
 
 from .edgeworth import edgeworth_model, edgeworth_term, hermite_eval, normal_pdf
@@ -42,33 +41,21 @@ _CHUNK = 100_000
 
 
 def irwin_hall_cdf(n: int, x):
-    """CDF of U_1 + ... + U_n for standard uniforms, by inclusion-exclusion.
+    """CDF of U_1 + ... + U_n for standard uniforms, by inclusion-exclusion, as a Fraction.
 
-    Rational x gives an exact Fraction: the alternating sum
-    (1/n!) sum_{k<=floor(x)} (-1)^k C(n,k) (x-k)^n suffers no cancellation
-    in exact arithmetic.  Float x is evaluated in floating point, where
-    cancellation grows with n and degrades accuracy beyond n of about 30.
+    x is read exactly (a float as the dyadic rational it is), and the
+    alternating sum (1/n!) sum_{k<=floor(x)} (-1)^k C(n,k) (x-k)^n
+    suffers no cancellation in exact arithmetic.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if isinstance(x, Rational):
-        x = Fraction(x)
-        if x <= 0:
-            return Fraction(0)
-        if x >= n:
-            return Fraction(1)
-        total = Fraction(0)
-        for k in range(int(x) + 1):
-            term = comb(n, k) * (x - k) ** n
-            total += -term if k % 2 else term
-        return total / factorial(n)
-    x = float(x)
-    if x <= 0.0:
-        return 0.0
+    x = Fraction(x)
+    if x <= 0:
+        return Fraction(0)
     if x >= n:
-        return 1.0
-    total = 0.0
-    for k in range(int(math.floor(x)) + 1):
+        return Fraction(1)
+    total = Fraction(0)
+    for k in range(int(x) + 1):
         term = comb(n, k) * (x - k) ** n
         total += -term if k % 2 else term
     return total / factorial(n)

@@ -197,6 +197,10 @@ class EGFSeries(Record):
         return len(self.re) - 1
 
     @property
+    def is_real(self) -> bool:
+        return self.im is None
+
+    @property
     def coeffs(self) -> tuple:
         return tuple(self[j] for j in range(len(self.re)))
 
@@ -206,11 +210,6 @@ class EGFSeries(Record):
     def __mul__(self, other):
         if isinstance(other, EGFSeries):
             return egf_mul(self, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, EGFSeries):
-            return egf_add(self, other)
         return NotImplemented
 
 
@@ -225,23 +224,18 @@ def _canonical(s: EGFSeries, den: int, re, im) -> EGFSeries:
     return s
 
 
-def _series(den: int, re, im) -> EGFSeries:
+def series(den: int, re, im) -> EGFSeries:
     """The series with coefficients (re[j] + i im[j]) / den; im None when zero."""
     return _canonical(object.__new__(EGFSeries), den, re, im)
 
 
 def egf_one(order: int) -> EGFSeries:
-    return _series(1, (1,) + (0,) * order, None)
+    return series(1, (1,) + (0,) * order, None)
 
 
 def _check_compatible(a: EGFSeries, b: EGFSeries):
     if a.order != b.order:
         raise SeriesMismatchError(f"order mismatch: {a.order} vs {b.order}")
-
-
-def egf_add(a: EGFSeries, b: EGFSeries) -> EGFSeries:
-    _check_compatible(a, b)
-    return EGFSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
 
 def egf_mul(a: EGFSeries, b: EGFSeries) -> EGFSeries:
@@ -262,7 +256,7 @@ def egf_mul(a: EGFSeries, b: EGFSeries) -> EGFSeries:
     for j in range(va + vb, n):
         y = slice(n - 1 - j + va, n - vb)
         re[j], im[j] = _product(_binomials(j)[va:], xr, xi, yr[y], yi and yi[y])
-    return _series(a.den * b.den, re, im)
+    return series(a.den * b.den, re, im)
 
 
 def egf_pow(a: EGFSeries, n: int) -> EGFSeries:
@@ -362,7 +356,7 @@ def _undilated(dens, re, im) -> EGFSeries:
     def lifted(nums):
         return [x * dens[top - j] for j, x in enumerate(nums)]
 
-    return _series(dens[top], lifted(re), im and lifted(im))
+    return series(dens[top], lifted(re), im and lifted(im))
 
 
 def _valuation(a: EGFSeries) -> int:

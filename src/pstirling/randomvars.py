@@ -16,7 +16,7 @@ from math import comb, factorial
 from itertools import islice, repeat
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .powerseries import QC, DomainError, EGFSeries, Record
+from .powerseries import QC, DomainError, EGFSeries, Record, egf_mul, series
 
 SQRT3 = math.sqrt(3.0)
 
@@ -37,29 +37,19 @@ class UnsupportedSpecError(ValueError):
     """Requested operation is not available for this distribution spec."""
 
 
-class MomentSeq(Record):
-    """Truncated moment sequence mu_k = E Y^k, k = 0..J, with mu_0 = 1."""
+class MomentSeq(EGFSeries):
+    """Truncated moment sequence mu_k = E Y^k, k = 0..J, with mu_0 = 1.
 
-    __slots__ = ("mu",)  # tuple of QC
+    It is the EGF of M(z) = E e^{zY}, so every series operation takes it
+    as it is.  It declares no ``__slots__``: Record reads the fields from
+    ``__slots__``, and an empty tuple here would hide EGFSeries's.
+    """
 
     def __init__(self, mu):
-        self._init(tuple(QC.of(v) for v in mu))
-        if len(self.mu) == 0 or self.mu[0] != 1:
+        # an empty sequence fails the mu_0 check, as one starting with 0 does
+        super().__init__(mu or (0,))
+        if self.re[0] != self.den or self.im and self.im[0]:
             raise DomainError("moment sequence must start with mu_0 = 1")
-
-    @property
-    def order(self) -> int:
-        return len(self.mu) - 1
-
-    @property
-    def is_real(self) -> bool:
-        return all(m.is_real for m in self.mu)
-
-    def __getitem__(self, k: int) -> QC:
-        return self.mu[k]
-
-    def to_egf(self) -> EGFSeries:
-        return EGFSeries(self.mu)
 
 
 class DistSpec(Record):
@@ -183,36 +173,29 @@ def tilde_transform(m: MomentSeq) -> MomentSeq:
         raise DomainError("tilde transform is defined for real moment sequences")
     if m.order < 2:
         raise DomainError("tilde transform needs order >= 2")
-    mu2 = m.mu[2].as_fraction()
+    mu2 = m[2].as_fraction()
     if mu2 == 0:
         return MomentSeq((Fraction(1),) + (Fraction(0),) * (m.order - 2))
     if mu2 < 0:
         raise DomainError("second moment must be nonnegative")
-    return MomentSeq(tuple(m.mu[k + 2] / mu2 for k in range(m.order - 1)))
+    return MomentSeq(tuple(m[k + 2] / mu2 for k in range(m.order - 1)))
 
 
 def hat_transform(m: MomentSeq) -> MomentSeq:
     """Moments of Y + iZ for Z standard normal independent of Y.
 
-    mu_hat_s = sum_k C(s,k) mu_k i^{s-k} E Z^{s-k}; only even normal
-    moments survive, so real input yields a real output sequence.
+    M_{Y+iZ}(z) = M_Y(z) M_{iZ}(z), a product of series, with
+    E (iZ)^l = (-1)^{l/2} E Z^l for even l and 0 for odd l; those moments
+    are integers, so real input yields a real output sequence.
     """
-    out = []
-    for s in range(m.order + 1):
-        acc = QC(0)
-        for k in range(s + 1):
-            l = s - k
-            if l % 2 == 0:
-                sign = -1 if (l // 2) % 2 else 1
-                acc = acc + (sign * normal_even_moment(l) * comb(s, k)) * m.mu[k]
-        out.append(acc)
-    return MomentSeq(tuple(out))
+    iz = [(-1) ** (l // 2) * normal_even_moment(l).numerator for l in range(m.order + 1)]
+    return MomentSeq(egf_mul(m, series(1, iz, None)).coeffs)
 
 
 def vanishing_order(m: MomentSeq) -> int:
     """Largest r <= J with mu_1 = ... = mu_r = 0 (0 when mu_1 != 0)."""
     r = 0
-    while r < m.order and m.mu[r + 1] == 0:
+    while r < m.order and not (m.re[r + 1] or m.im and m.im[r + 1]):
         r += 1
     return r
 
@@ -225,12 +208,13 @@ def standardize_moments(m: MomentSeq) -> MomentSeq:
     """
     if not m.is_real:
         raise DomainError("standardization is defined for real moment sequences")
-    mean = m.mu[1].as_fraction()
+    mu = [v.as_fraction() for v in m.coeffs]
+    mean = mu[1]
     centered = []
     for k in range(m.order + 1):
         acc = Fraction(0)
         for i in range(k + 1):
-            acc += comb(k, i) * m.mu[i].as_fraction() * (-mean) ** (k - i)
+            acc += comb(k, i) * mu[i] * (-mean) ** (k - i)
         centered.append(acc)
     var = centered[2] if m.order >= 2 else Fraction(0)
     if var == 0:

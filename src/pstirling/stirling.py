@@ -24,13 +24,12 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 from typing import NamedTuple
 
-from .powerseries import QC, EGFSeries, egf_mul, egf_one, egf_pow
+from .powerseries import QC, EGFSeries, egf_mul, egf_one, egf_pow, series
 from .randomvars import (
     DistSpec,
     MomentSeq,
     UnsupportedSpecError,
     abs_moments_of,
-    beta_moments,
     moments_of,
     vanishing_order,
 )
@@ -119,7 +118,7 @@ def psn_egf(m: MomentSeq) -> StirlingTable:
     parts, such as every imaginary part of a real table, share one Fraction.
     """
     J = m.order
-    shifted = EGFSeries((m.mu[0] - 1,) + m.mu[1:])
+    shifted = series(m.den, (0,) + m.re[1:], m.im)  # M(z) - 1 on m's numerators; im[0] is 0
     rows = [[None] * (j + 1) for j in range(J + 1)]
     power = egf_one(J)
     for col in range(J + 1):
@@ -164,7 +163,7 @@ class SumMomentLadder:
 @lru_cache(maxsize=128)
 def sum_moment_ladder(m: MomentSeq) -> SumMomentLadder:
     """The one shared ladder of m; callers grow it with ``upto`` and only read its list."""
-    return SumMomentLadder(m.to_egf())
+    return SumMomentLadder(m)
 
 
 def _alternating_sum(m: MomentSeq, m_idx: int, f) -> QC:
@@ -226,16 +225,15 @@ def psn_via_classical(m: MomentSeq, j: int, m_idx: int) -> QC:
 def weighted_sum_moment(m: MomentSeq, r: int, m_idx: int, p: int) -> QC:
     """E W_m(r,Y)^p for W_m(r,Y) = beta_1(r) Y_1 + ... + beta_m(r) Y_m.
 
-    Each summand contributes the EGF with entries E beta(r)^k mu_k, so the
-    moment is the p-th entry of the m-th binomial-convolution power.
-    W_m(0,Y) is the plain partial sum S_m.
+    Each summand contributes the EGF with entries E beta(r)^k mu_k, where
+    E beta(r)^k = 1/C(k+r, r), so the moment is the p-th entry of the m-th
+    binomial-convolution power.  W_m(0,Y) is the plain partial sum S_m.
     """
     if m_idx == 0:
         return QC(1) if p == 0 else QC(0)
     if p > m.order:
         raise ValueError("p exceeds the available moment order")
-    bm = beta_moments(r, p)
-    h = EGFSeries(tuple(bm[k].re * m.mu[k] for k in range(p + 1)))
+    h = EGFSeries([m[k] / comb(k + r, r) for k in range(p + 1)])
     return egf_pow(h, m_idx)[p]
 
 
@@ -245,7 +243,8 @@ def psn_gr_rep(m: MomentSeq, r: int, j: int, m_idx: int) -> QC:
     S_Y(j,m) vanishes for j < m(r+1); otherwise it equals
     (m(r+1))!/(m!((r+1)!)^m) C(j, m(r+1)) E (Y_1...Y_m)^{r+1} W_m(r+1,Y)^p
     with p = j - m(r+1), and the expectation is the p-th entry of the m-th
-    power of the EGF with entries E beta(r+1)^k mu_{k+r+1}.
+    power of the EGF with entries E beta(r+1)^k mu_{k+r+1}, where
+    E beta(r+1)^k = 1/C(k+r+1, r+1).
     """
     if vanishing_order(m) < r:
         raise ValueError(f"moment sequence does not vanish through order {r}")
@@ -258,8 +257,7 @@ def psn_gr_rep(m: MomentSeq, r: int, j: int, m_idx: int) -> QC:
     p = j - m_idx * (r + 1)
     if p + r + 1 > m.order:
         raise ValueError("j exceeds the available moment order for this route")
-    bm = beta_moments(r + 1, p)
-    g = EGFSeries(tuple(bm[k].re * m.mu[k + r + 1] for k in range(p + 1)))
+    g = EGFSeries([m[k + r + 1] / comb(k + r + 1, r + 1) for k in range(p + 1)])
     pref = Fraction(
         factorial(m_idx * (r + 1)),
         factorial(m_idx) * factorial(r + 1) ** m_idx,
@@ -291,7 +289,7 @@ def bound_check_from_moments(
         raise ValueError("the bound applies to real-valued distributions")
     table = psn_egf_cached(m)
     lhs = abs(table.entry(j, m_idx).as_fraction())
-    rhs = egf_pow(abs_m.to_egf(), m_idx)[j].as_fraction() / factorial(m_idx)
+    rhs = egf_pow(abs_m, m_idx)[j].as_fraction() / factorial(m_idx)
     return BoundCheck(lhs <= rhs, lhs, rhs, False)
 
 
@@ -315,6 +313,6 @@ def bound_holds(spec: DistSpec, j: int, m_idx: int, order: int | None = None) ->
             raise
         table = psn_egf_cached(mom)
         lhs = abs(table.entry(j, m_idx).as_fraction())
-        rhs_lb = egf_pow(mom.to_egf(), m_idx)[j].as_fraction() / factorial(m_idx)
+        rhs_lb = egf_pow(mom, m_idx)[j].as_fraction() / factorial(m_idx)
         return BoundCheck(lhs <= rhs_lb, lhs, rhs_lb, True)
     return bound_check_from_moments(mom, abs_m, j, m_idx)

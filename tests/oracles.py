@@ -11,7 +11,7 @@ scalar ``QC``, which bypass the integer kernel that ``powerseries`` uses.
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from pstirling.powerseries import QC, EGFSeries
 
@@ -234,8 +234,25 @@ def schoolbook_sum_moment_powers(m, k_max):
     """E S_k^j for k = 0..k_max as coefficient tuples, by repeated schoolbook products of M."""
     pows = [(QC(1),) + (QC(0),) * m.order]
     for _ in range(k_max):
-        pows.append(schoolbook_egf_mul(EGFSeries(pows[-1]), m.to_egf()))
+        pows.append(schoolbook_egf_mul(EGFSeries(pows[-1]), m))
     return pows
+
+
+def schoolbook_hat_transform(m):
+    """E (Y+iZ)^s = sum_k C(s,k) mu_k i^{s-k} E Z^{s-k} for s = 0..J, term by term over QC.
+
+    Z is standard normal: i^l E Z^l = (-1)^{l/2} (l-1)!! for even l, 0 for odd l.
+    """
+    mu = m.coeffs
+    out = []
+    for s in range(len(mu)):
+        acc = QC(0)
+        for k in range(s + 1):
+            l = s - k
+            if l % 2 == 0:
+                acc = acc + (-1) ** (l // 2) * prod(range(l - 1, 0, -2)) * comb(s, k) * mu[k]
+        out.append(acc)
+    return tuple(out)
 
 
 def stirling2_triangle(j):

@@ -122,6 +122,17 @@ class TestLevyCommand:
         assert "1/2,3,1" in lines
         assert "1/2,4,5" in lines  # 3 + 1/t at t = 1/2
 
+    @pytest.mark.parametrize("dist", ["poisson", "gamma", "unitjump", "gaussian"])
+    def test_float_mode_rounds_the_exact_value(self, capsys, dist):
+        for t in ("3/7", "1/3", "5/3", "2/9"):
+            argv = ["levy", "--dist", dist, "--t", t, "--jmax", "12"]
+            _, exact, _ = run_cli(capsys, *argv)
+            _, floats, _ = run_cli(capsys, *argv, "--mode", "float")
+            assert len(floats.split()) == len(exact.split()) == 14
+            for e, f in zip(exact.split()[1:], floats.split()[1:]):
+                t_exact, j, value = e.split(",")
+                assert f == f"{float(F(t_exact))!r},{j},{float(F(value))!r}"
+
     def test_process_config(self, tmp_path, capsys):
         config = tmp_path / "process.json"
         config.write_text(

@@ -39,12 +39,12 @@ class TestTstar:
     def test_no_gaussian_part(self):
         spec = LevySpec(0, 1, MomentSeq([F(1), F(2), F(5), F(14)]))
         tm = tstar_moments(spec, 3)
-        assert [v.re for v in tm.mu] == [1, 2, 5, 14]
+        assert [v.re for v in tm.coeffs] == [1, 2, 5, 14]
 
     def test_equal_parts_halve(self):
         spec = LevySpec(1, 1, MomentSeq([F(1), F(2), F(5), F(14)]))
         tm = tstar_moments(spec, 3)
-        assert [v.re for v in tm.mu] == [1, 1, F(5, 2), 7]
+        assert [v.re for v in tm.coeffs] == [1, 1, F(5, 2), 7]
 
     def test_zeroth_stays_one(self):
         spec = LevySpec(3, 2, MomentSeq([F(1), F(2)]))
@@ -67,7 +67,7 @@ class TestLevyMoments:
         for t in TIMES:
             reference = centered_poisson_moments(t, 8)
             computed = levy_process_moments(spec, 8, t)
-            assert [v.re for v in computed.mu] == reference
+            assert [v.re for v in computed.coeffs] == reference
 
     def test_gaussian_only(self):
         spec = gaussian_part_only(10, F(1, 2), F(1, 3))
@@ -101,7 +101,7 @@ class TestSubordinatorMoments:
         for t in TIMES:
             reference = centered_poisson_moments(t, 8)
             computed = centered_subordinator_moments(spec, 8, t)
-            assert [v.re for v in computed.mu] == reference
+            assert [v.re for v in computed.coeffs] == reference
 
     def test_gamma_process(self):
         spec = gamma_subordinator(10)
@@ -109,7 +109,7 @@ class TestSubordinatorMoments:
             assert subordinator_moment_h(spec, 3, t) == 2
             reference = centered_gamma_moments(t, 8)
             computed = centered_subordinator_moments(spec, 8, t)
-            assert [v.re for v in computed.mu] == reference
+            assert [v.re for v in computed.coeffs] == reference
 
     def test_trivial_orders(self):
         spec = gamma_subordinator(6)
@@ -205,7 +205,7 @@ class TestValidationAndJson:
 
     def test_gamma_builder_moments(self):
         sub = gamma_subordinator(5)
-        assert [v.re for v in sub.tstar_moments.mu] == [factorial(k + 1) for k in range(6)]
+        assert [v.re for v in sub.tstar_moments.coeffs] == [factorial(k + 1) for k in range(6)]
 
     def test_bad_json(self):
         with pytest.raises(ValueError):

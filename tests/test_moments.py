@@ -146,7 +146,7 @@ class TestOddMomentOrder:
     def test_skewed_leading_coefficient(self):
         # centered Bernoulli(1/3) has mu_3 = 2/27 - ... != 0
         bern = moments_of(bernoulli(F(1, 3)), 12)
-        m = MomentSeq(tuple(shift_moments([v.re for v in bern.mu], F(-1, 3))))
+        m = MomentSeq(tuple(shift_moments([v.re for v in bern.coeffs], F(-1, 3))))
         table = psn_egf(m)
         for j in (1, 2, 3):
             lead = table.entry(2 * j + 1, j).as_fraction()

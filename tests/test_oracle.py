@@ -62,12 +62,13 @@ class TestIrwinHall:
                 assert irwin_hall_cdf(n, x) == pp.cdf(x)
 
     def test_float_path_tracks_exact(self):
+        # a float is read as the dyadic rational it is, so the value is exact
         for n in (2, 5, 8):
             for num in range(1, 2 * n):
                 x = F(num, 2)
-                assert irwin_hall_cdf(n, float(x)) == pytest.approx(
-                    float(irwin_hall_cdf(n, x)), abs=1e-10
-                )
+                assert irwin_hall_cdf(n, float(x)) == irwin_hall_cdf(n, x)
+                y = num / 10
+                assert irwin_hall_cdf(n, y) == irwin_hall_cdf(n, F(y))
 
 
 class TestUniformFn:

@@ -12,9 +12,9 @@ import pytest
 
 from pstirling import moments, stirling
 from pstirling.powerseries import QC
-from pstirling.randomvars import MomentSeq, vanishing_order
+from pstirling.randomvars import MomentSeq, hat_transform, vanishing_order
 
-from oracles import schoolbook_psn_direct, schoolbook_psn_via_classical
+from oracles import schoolbook_hat_transform, schoolbook_psn_direct, schoolbook_psn_via_classical
 
 J = 10
 CASES = [(r, is_complex) for r in (0, 1, 2) for is_complex in (False, True)]
@@ -76,6 +76,12 @@ def test_recursion_equals_table_route(seq):
             assert moments.sum_moment_recursion(seq, n, j) == moments.sum_moment(seq, n, j)
             checked += 1
     assert checked > 0
+
+
+def test_hat_transform_is_the_binomial_sum(seq):
+    hat = hat_transform(seq)
+    assert type(hat) is MomentSeq and hat.is_real == seq.is_real
+    assert hat.coeffs == schoolbook_hat_transform(seq)
 
 
 def test_vanishing_structure(seq):

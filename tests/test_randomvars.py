@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pstirling.powerseries import DomainError, QC
+from pstirling.powerseries import DomainError, EGFSeries, QC
 from pstirling.randomvars import (
     MAX_RATIONAL_DIGITS,
     DistSpec,
@@ -53,19 +53,19 @@ CATALOG = [
 
 class TestMomentsOf:
     def test_normal_unit(self):
-        assert [v.re for v in moments_of(normal(1), 6).mu] == [1, 0, 1, 0, 3, 0, 15]
+        assert [v.re for v in moments_of(normal(1), 6).coeffs] == [1, 0, 1, 0, 3, 0, 15]
 
     def test_exponential_factorials(self):
-        assert [v.re for v in moments_of(exponential(), 4).mu] == [1, 1, 2, 6, 24]
+        assert [v.re for v in moments_of(exponential(), 4).coeffs] == [1, 1, 2, 6, 24]
 
     def test_uniform_std(self):
         # int_{-sqrt3}^{sqrt3} x^k dx/(2 sqrt3) = 3^{k/2}/(k+1) for even k
-        assert [v.re for v in moments_of(uniform_std(), 6).mu] == [
+        assert [v.re for v in moments_of(uniform_std(), 6).coeffs] == [
             1, 0, 1, 0, F(9, 5), 0, F(27, 7),
         ]
 
     def test_point_mass_powers(self):
-        assert [v.re for v in moments_of(point_mass(F(-2, 3)), 3).mu] == [
+        assert [v.re for v in moments_of(point_mass(F(-2, 3)), 3).coeffs] == [
             1, F(-2, 3), F(4, 9), F(-8, 27),
         ]
 
@@ -76,12 +76,12 @@ class TestMomentsOf:
             for k in range(9):
                 direct = sum(classical_s2(k, m) * lam**m for m in range(k + 1))
                 assert mu[k] == direct
-        assert [v.re for v in moments_of(poisson(1), 6).mu] == touchard_moments(1, 6)
+        assert [v.re for v in moments_of(poisson(1), 6).coeffs] == touchard_moments(1, 6)
 
     def test_gamma_rising_factorial(self):
         mu = moments_of(gamma_shape(F(5, 2)), 3)
-        assert [v.re for v in mu.mu] == [1, F(5, 2), F(35, 4), F(315, 8)]
-        assert moments_of(gamma_shape(1), 6).mu == moments_of(exponential(), 6).mu
+        assert [v.re for v in mu.coeffs] == [1, F(5, 2), F(35, 4), F(315, 8)]
+        assert moments_of(gamma_shape(1), 6).coeffs == moments_of(exponential(), 6).coeffs
 
     def test_catalog_exact_and_normalized(self):
         for spec in CATALOG:
@@ -147,18 +147,42 @@ def test_kind_record(spec, key, lattice, symmetric, samplable, exact_abs):
     assert _supported(lambda: abs_moments_of(spec, 4)) == exact_abs
 
 
+class TestMomentSeq:
+    """A MomentSeq is the EGFSeries of M(z), and a value of its own class."""
+
+    @pytest.mark.parametrize(
+        "mu", [(QC(1, 1), 0, 1), (2, 1), (F(1, 2),), (0, 1), ()], ids=repr
+    )
+    def test_mu0_must_be_one(self, mu):
+        with pytest.raises(DomainError):
+            MomentSeq(mu)
+
+    def test_values_compare_and_hash_apart(self):
+        values = [(1, 0, 1), (1, 0, 2), (1, 1, 1), (1, QC(0, 1), 1), (1, 0, 1, 0), (1, F(1, 2))]
+        seqs = [MomentSeq(mu) for mu in values]
+        assert len(set(seqs)) == len({hash(s) for s in seqs}) == len(values)
+        assert seqs == [MomentSeq(list(mu)) for mu in values]
+
+    def test_never_equals_its_series(self):
+        for spec in CATALOG:
+            m = moments_of(spec, 6)
+            series = EGFSeries(m.coeffs)
+            assert isinstance(m, EGFSeries) and m._fields() == series._fields()
+            assert m != series and series != m
+
+
 class TestTilde:
     def test_rademacher_fixed_point(self):
         m = moments_of(rademacher(), 8)
-        assert tilde_transform(m).mu == moments_of(rademacher(), 6).mu
+        assert tilde_transform(m).coeffs == moments_of(rademacher(), 6).coeffs
 
     def test_uniform_shift(self):
         m = moments_of(uniform_std(), 6)
-        assert [v.re for v in tilde_transform(m).mu] == [1, 0, F(9, 5), 0, F(27, 7)]
+        assert [v.re for v in tilde_transform(m).coeffs] == [1, 0, F(9, 5), 0, F(27, 7)]
 
     def test_degenerate_zero(self):
         m = moments_of(point_mass(0), 5)
-        assert [v.re for v in tilde_transform(m).mu] == [1, 0, 0, 0]
+        assert [v.re for v in tilde_transform(m).coeffs] == [1, 0, 0, 0]
 
     def test_biasing_identity(self):
         for spec in CATALOG:
@@ -181,7 +205,7 @@ class TestHat:
 
     def test_rademacher_values(self):
         hat = hat_transform(moments_of(rademacher(), 8))
-        assert [v.re for v in hat.mu] == [1, 0, 0, 0, -2, 0, 16, 0, -132]
+        assert [v.re for v in hat.coeffs] == [1, 0, 0, 0, -2, 0, 16, 0, -132]
 
     def test_uniform_fourth(self):
         hat = hat_transform(moments_of(uniform_std(), 6))
@@ -197,6 +221,10 @@ class TestVanishingOrder:
         assert vanishing_order(moments_of(point_mass(1), 6)) == 0
         assert vanishing_order(moments_of(rademacher(), 6)) == 1
         assert vanishing_order(hat_transform(moments_of(uniform_std(), 8))) == 3
+
+    def test_imaginary_parts_count(self):
+        assert vanishing_order(MomentSeq((1, QC(0, 1), 1))) == 0
+        assert vanishing_order(MomentSeq((1, 0, QC(0, F(-1, 2)), 1))) == 1
 
     def test_all_zero_sequence(self):
         assert vanishing_order(moments_of(point_mass(0), 6)) == 6
@@ -223,10 +251,10 @@ class TestBetaMoments:
         assert beta_moments(2, 1)[1] == F(1, 3)
 
     def test_uniform_case(self):
-        assert [v.re for v in beta_moments(1, 3).mu] == [1, F(1, 2), F(1, 3), F(1, 4)]
+        assert [v.re for v in beta_moments(1, 3).coeffs] == [1, F(1, 2), F(1, 3), F(1, 4)]
 
     def test_r0_all_ones(self):
-        assert all(v == 1 for v in beta_moments(0, 5).mu)
+        assert all(v == 1 for v in beta_moments(0, 5).coeffs)
 
     def test_against_integral(self):
         for r in range(5):
@@ -237,10 +265,10 @@ class TestBetaMoments:
 
 class TestAbsMoments:
     def test_signed_point_mass(self):
-        assert [v.re for v in abs_moments_of(point_mass(-2), 3).mu] == [1, 2, 4, 8]
+        assert [v.re for v in abs_moments_of(point_mass(-2), 3).coeffs] == [1, 2, 4, 8]
 
     def test_nonnegative_reuse(self):
-        assert abs_moments_of(exponential(), 6).mu == moments_of(exponential(), 6).mu
+        assert abs_moments_of(exponential(), 6).coeffs == moments_of(exponential(), 6).coeffs
 
     def test_unavailable(self):
         with pytest.raises(UnsupportedSpecError):

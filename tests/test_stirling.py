@@ -97,7 +97,7 @@ class TestEgfRoute:
 
     def test_cache_hits_on_an_equal_sequence(self):
         first = moments_of(rademacher(), 6)
-        second = MomentSeq([QC(v.re) for v in first.mu])
+        second = MomentSeq([QC(v.re) for v in first.coeffs])
         assert second is not first and second == first
         table = psn_egf_cached(first)
         assert psn_egf_cached(second) is table
@@ -228,7 +228,7 @@ class TestSpecialValues:
     def _centered_specs(self):
         # the shifted Bernoulli has a nonzero third moment
         bern = moments_of(bernoulli(F(1, 3)), 12)
-        shifted = MomentSeq(tuple(shift_moments([v.re for v in bern.mu], F(-1, 3))))
+        shifted = MomentSeq(tuple(shift_moments([v.re for v in bern.coeffs], F(-1, 3))))
         return [
             moments_of(rademacher(), 12),
             moments_of(uniform_std(), 12),
