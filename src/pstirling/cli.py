@@ -229,7 +229,7 @@ def _cmd_stirling(config) -> int:
     rows = []
     for j in range(table.order + 1):
         for m in range(j + 1):
-            v = table.rows[j][m]
+            v = table.columns[m][j]
             rows.append((j, m, _scalar_str(v.re, mode), _scalar_str(v.im, mode)))
     _write(_emit(rows, ("j", "m", "re", "im"), config), config)
     return 0

@@ -74,10 +74,10 @@ class EdgeworthModel(Record):
             raise DomainError("expansion needs matching order r >= 2")
         if not self.hat_table.is_real:
             raise DomainError("hat table must be real")
-        for j in range(self.hat_table.order + 1):
-            for m in range(j + 1):
-                if j < m * (self.r + 1) and self.hat_table.entry(j, m) != 0:
-                    raise DomainError("hat table violates the vanishing structure")
+        # S(j,m) = 0 for j < m(r+1): column m's real numerators below that index
+        for m, column in enumerate(self.hat_table.columns):
+            if any(column.re[: m * (self.r + 1)]):
+                raise DomainError("hat table violates the vanishing structure")
         max_m = self.K // (self.r - 1)
         if 2 * max_m + self.K > self.J:
             raise DomainError(

@@ -13,7 +13,7 @@ weighted sums, which is what the complete-monotonicity check certifies.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .powerseries import Record
 from .randomvars import MomentSeq, normal_even_moment, parse_rational
@@ -100,7 +100,7 @@ def cm_coefficients(spec, j: int) -> list:
 def _truncate(m: MomentSeq, order: int) -> MomentSeq:
     if order > m.order:
         raise ValueError("moment sequence does not reach the requested order")
-    return MomentSeq(m.coeffs[: order + 1])
+    return MomentSeq.from_numerators(m.den, m.re[: order + 1], m.im and m.im[: order + 1])
 
 
 def _eval_poly(coeffs: list, j: int, t):
@@ -168,8 +168,6 @@ def poisson_subordinator(order: int) -> SubordinatorSpec:
 
 def gamma_subordinator(order: int) -> SubordinatorSpec:
     """Gamma process: T* has density theta e^{-theta}, so E T*^k = (k+1)!."""
-    from math import factorial
-
     mu = tuple(Fraction(factorial(k + 1)) for k in range(order + 1))
     return SubordinatorSpec(1, MomentSeq(mu))
 

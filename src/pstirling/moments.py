@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .powerseries import QC, egf_log, egf_pow
 from .randomvars import MomentSeq, vanishing_order
-from .stirling import alternating, psn_egf_cached, sum_moment_ladder
+from .stirling import alternating, ladder_through, psn_egf_cached
 
 
 def falling(n: int, m: int) -> int:
@@ -86,7 +86,7 @@ def sum_moment_recursion(m: MomentSeq, n: int, j: int, r=None) -> QC:
     if n < tau:
         raise ValueError(f"recursion needs n >= tau = {tau}")
     table = psn_egf_cached(m)
-    pows = sum_moment_ladder(m).upto(tau - 1).series
+    pows = ladder_through(m, tau - 1)
     acc = QC.of(table.entry(j, tau))
     for k in range(tau):
         coeff = Fraction(alternating(tau - 1 - k, comb(tau - 1, k)), (n - k) * factorial(tau - 1))
@@ -129,7 +129,7 @@ def cumulants_from_stirling(m: MomentSeq) -> CumulantSeq:
 
 def cumulants_from_sum_moments(m: MomentSeq) -> CumulantSeq:
     """kappa_j = sum_k C(j,k) (-1)^{k-1}/k * E S_k^j, the binomial route."""
-    pows = sum_moment_ladder(m).upto(m.order).series
+    pows = ladder_through(m, m.order)
     kappa = []
     for j in range(1, m.order + 1):
         acc = QC(0)

@@ -59,9 +59,6 @@ class QC:
             raise DomainError(f"{self!r} has a nonzero imaginary part")
         return self.re
 
-    def conjugate(self) -> "QC":
-        return QC(self.re, -self.im)
-
     def __add__(self, other):
         if isinstance(other, QC):
             return QC(self.re + other.re, self.im + other.im)
@@ -74,11 +71,6 @@ class QC:
     def __sub__(self, other):
         if isinstance(other, (QC, Rational)):
             return self + (-other if isinstance(other, QC) else QC(-other))
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, Rational):
-            return QC(other - self.re, -self.im)
         return NotImplemented
 
     def __neg__(self):
@@ -99,11 +91,6 @@ class QC:
     def __truediv__(self, other):
         if isinstance(other, Rational):
             return QC(self.re / other, self.im / other)
-        if isinstance(other, QC):
-            d = other.re * other.re + other.im * other.im
-            if d == 0:
-                raise ZeroDivisionError("division by zero scalar")
-            return (self * other.conjugate()) / d
         return NotImplemented
 
     def __eq__(self, other):
@@ -123,9 +110,6 @@ class QC:
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
-
-    def __float__(self):
-        return float(self.as_fraction())
 
     def __repr__(self):
         if self.im == 0:
@@ -170,6 +154,9 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+_ZERO = Fraction(0)  # every zero part a series reads out, as a Fraction is immutable
+
+
 class EGFSeries(Record):
     """Truncated EGF sum_{j<=J} a_j z^j / j! with a_j = (re[j] + i im[j]) / den.
 
@@ -205,7 +192,17 @@ class EGFSeries(Record):
         return tuple(self[j] for j in range(len(self.re)))
 
     def __getitem__(self, j: int) -> QC:
-        return QC(Fraction(self.re[j], self.den), Fraction(self.im[j], self.den) if self.im else 0)
+        re, im = self.re[j], self.im[j] if self.im else 0
+        return QC(Fraction(re, self.den) if re else _ZERO, Fraction(im, self.den) if im else _ZERO)
+
+    @classmethod
+    def from_numerators(cls, den: int, re, im):
+        """The series with coefficients (re[j] + i im[j]) / den, den > 0; im None when zero.
+
+        It checks nothing about the values, so a subclass's own
+        conditions must hold by construction at the call.
+        """
+        return _canonical(object.__new__(cls), den, re, im)
 
     def __mul__(self, other):
         if isinstance(other, EGFSeries):
@@ -224,13 +221,8 @@ def _canonical(s: EGFSeries, den: int, re, im) -> EGFSeries:
     return s
 
 
-def series(den: int, re, im) -> EGFSeries:
-    """The series with coefficients (re[j] + i im[j]) / den; im None when zero."""
-    return _canonical(object.__new__(EGFSeries), den, re, im)
-
-
 def egf_one(order: int) -> EGFSeries:
-    return series(1, (1,) + (0,) * order, None)
+    return EGFSeries.from_numerators(1, (1,) + (0,) * order, None)
 
 
 def _check_compatible(a: EGFSeries, b: EGFSeries):
@@ -256,7 +248,7 @@ def egf_mul(a: EGFSeries, b: EGFSeries) -> EGFSeries:
     for j in range(va + vb, n):
         y = slice(n - 1 - j + va, n - vb)
         re[j], im[j] = _product(_binomials(j)[va:], xr, xi, yr[y], yi and yi[y])
-    return series(a.den * b.den, re, im)
+    return EGFSeries.from_numerators(a.den * b.den, re, im)
 
 
 def egf_pow(a: EGFSeries, n: int) -> EGFSeries:
@@ -356,7 +348,7 @@ def _undilated(dens, re, im) -> EGFSeries:
     def lifted(nums):
         return [x * dens[top - j] for j, x in enumerate(nums)]
 
-    return series(dens[top], lifted(re), im and lifted(im))
+    return EGFSeries.from_numerators(dens[top], lifted(re), im and lifted(im))
 
 
 def _valuation(a: EGFSeries) -> int:

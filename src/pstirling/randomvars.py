@@ -16,7 +16,7 @@ from math import comb, factorial
 from itertools import islice, repeat
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .powerseries import QC, DomainError, EGFSeries, Record, egf_mul, series
+from .powerseries import QC, DomainError, EGFSeries, Record, egf_mul
 
 SQRT3 = math.sqrt(3.0)
 
@@ -43,6 +43,9 @@ class MomentSeq(EGFSeries):
     It is the EGF of M(z) = E e^{zY}, so every series operation takes it
     as it is.  It declares no ``__slots__``: Record reads the fields from
     ``__slots__``, and an empty tuple here would hide EGFSeries's.
+    ``MomentSeq.from_numerators`` skips the mu_0 check; its callers build
+    sequences that keep mu_0 = 1 by construction: the product of two
+    sequences (``hat_transform``) and a prefix of one (``levy``).
     """
 
     def __init__(self, mu):
@@ -189,7 +192,8 @@ def hat_transform(m: MomentSeq) -> MomentSeq:
     are integers, so real input yields a real output sequence.
     """
     iz = [(-1) ** (l // 2) * normal_even_moment(l).numerator for l in range(m.order + 1)]
-    return MomentSeq(egf_mul(m, series(1, iz, None)).coeffs)
+    product = egf_mul(m, EGFSeries.from_numerators(1, iz, None))
+    return MomentSeq.from_numerators(product.den, product.re, product.im)
 
 
 def vanishing_order(m: MomentSeq) -> int:

@@ -13,7 +13,8 @@ the classical S(j,m) for Y = 1.  Four independent routes are provided:
   the first r moments vanish.
 
 ``psn_direct`` and ``psn_via_classical`` read E S_k^j from one shared
-ladder per sequence (``sum_moment_ladder``), built from M(z) alone.
+ladder per sequence, the list of powers M(z)^k (``sum_moment_ladder``),
+built from M(z) alone.
 All arithmetic is exact; no floating point enters this module.
 """
 
@@ -24,7 +25,7 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 from typing import NamedTuple
 
-from .powerseries import QC, EGFSeries, egf_mul, egf_one, egf_pow, series
+from .powerseries import QC, EGFSeries, egf_mul, egf_one, egf_pow
 from .randomvars import (
     DistSpec,
     MomentSeq,
@@ -78,19 +79,19 @@ def classical_s1_signed(l: int, i: int) -> int:
 
 
 class StirlingTable(NamedTuple):
-    """Triangular array S(j,m) for 0 <= m <= j <= J with a route tag.
+    """S_Y(j,m) for 0 <= m <= j <= J, held as its column series.
 
-    Zeros inside the triangle are stored, never omitted, so serialization
-    always emits the full triangle; lookups above the diagonal return the
-    structural zero, and a row j beyond J raises ValueError.
+    Column m is the EGF sum_j S_Y(j,m) z^j/j! = (M(z)-1)^m/m!, an
+    EGFSeries in canonical form; its entries below j = m are zero.
+    Lookups above the diagonal return the structural zero, and a row j
+    beyond J raises ValueError.
     """
 
-    rows: tuple  # rows[j] = (S(j,0), ..., S(j,j))
-    provenance: str
+    columns: tuple  # columns[m] = (M(z)-1)^m / m!
 
     @property
     def order(self) -> int:
-        return len(self.rows) - 1
+        return len(self.columns) - 1
 
     def entry(self, j: int, m: int) -> QC:
         if j < 0 or m < 0:
@@ -99,38 +100,25 @@ class StirlingTable(NamedTuple):
             raise ValueError(f"j = {j} exceeds the table order {self.order}")
         if m > j:
             return QC(0)
-        return self.rows[j][m]
+        return self.columns[m][j]
 
     @property
     def is_real(self) -> bool:
-        return all(v.is_real for row in self.rows for v in row)
-
-
-_ZERO = Fraction(0)  # every zero part of a table entry, as a Fraction is immutable
+        return all(column.is_real for column in self.columns)
 
 
 def psn_egf(m: MomentSeq) -> StirlingTable:
     """Full table via coefficient extraction from (M(z)-1)^m / m!.
 
-    Successive powers of M(z)-1 are accumulated with one binomial
-    convolution per column, O(J^2) exact operations each.  Each entry is
-    built once, from the power's numerators over den * col!; its zero
-    parts, such as every imaginary part of a real table, share one Fraction.
+    Column m is column m-1 times M(z)-1, over m: one binomial convolution
+    per column, O(J^2) exact operations each.
     """
-    J = m.order
-    shifted = series(m.den, (0,) + m.re[1:], m.im)  # M(z) - 1 on m's numerators; im[0] is 0
-    rows = [[None] * (j + 1) for j in range(J + 1)]
-    power = egf_one(J)
-    for col in range(J + 1):
-        if col > 0:
-            power = egf_mul(power, shifted)
-        den = power.den * factorial(col)
-        re, im = power.re, power.im or (0,) * (J + 1)
-        for j in range(col, J + 1):
-            rows[j][col] = QC(
-                Fraction(re[j], den) if re[j] else _ZERO, Fraction(im[j], den) if im[j] else _ZERO
-            )
-    return StirlingTable(tuple(tuple(r) for r in rows), "egf")
+    shifted = EGFSeries.from_numerators(m.den, (0,) + m.re[1:], m.im)  # M(z) - 1; im[0] is 0
+    columns = [egf_one(m.order)]
+    for col in range(1, m.order + 1):
+        product = egf_mul(columns[-1], shifted)
+        columns.append(EGFSeries.from_numerators(product.den * col, product.re, product.im))
+    return StirlingTable(tuple(columns))
 
 
 @lru_cache(maxsize=128)
@@ -139,31 +127,26 @@ def psn_egf_cached(m: MomentSeq) -> StirlingTable:
     return psn_egf(m)
 
 
-class SumMomentLadder:
-    """E S_k^j for k = 0, 1, ...: the powers M(z)^k of one sequence's MGF.
-
-    The ladder grows on demand by one egf_mul of M itself per step, never
-    of M - 1 or of anything psn_egf builds, so the routes that read it stay
-    independent of the table they check.
-    """
-
-    __slots__ = ("base", "series")
-
-    def __init__(self, base: EGFSeries):
-        self.base = base
-        self.series = [egf_one(base.order)]
-
-    def upto(self, k_max: int) -> "SumMomentLadder":
-        """The ladder, grown through E S_{k_max}^j."""
-        while len(self.series) <= k_max:
-            self.series.append(egf_mul(self.series[-1], self.base))
-        return self
-
-
 @lru_cache(maxsize=128)
-def sum_moment_ladder(m: MomentSeq) -> SumMomentLadder:
-    """The one shared ladder of m; callers grow it with ``upto`` and only read its list."""
-    return SumMomentLadder(m)
+def sum_moment_ladder(m: MomentSeq) -> list:
+    """m's one shared ladder, the list of E S_k^. = M(z)^k for k = 0, 1, ...
+
+    ``ladder_through`` grows it; every other caller only reads it.
+    """
+    return [egf_one(m.order)]
+
+
+def ladder_through(m: MomentSeq, k_max: int) -> list:
+    """m's ladder, grown through M(z)^k_max.
+
+    Each step is one egf_mul by M itself, never by M - 1 or by anything
+    psn_egf builds, so the routes that read it stay independent of the
+    table they check.  The list may run past k_max; callers only read it.
+    """
+    powers = sum_moment_ladder(m)
+    while len(powers) <= k_max:
+        powers.append(egf_mul(powers[-1], m))
+    return powers
 
 
 def _alternating_sum(m: MomentSeq, m_idx: int, f) -> QC:
@@ -174,7 +157,7 @@ def _alternating_sum(m: MomentSeq, m_idx: int, f) -> QC:
     terms meet over the lcm of the rungs' denominators, and the result
     becomes a QC once.
     """
-    rungs = sum_moment_ladder(m).upto(m_idx).series[: m_idx + 1]
+    rungs = ladder_through(m, m_idx)[: m_idx + 1]
     d = lcm(*(rung.den for rung in rungs))
     re = im = 0
     for k, rung in enumerate(rungs):

@@ -50,6 +50,15 @@ class TestStirlingCommand:
         assert code == 0
         assert "4,1,1.8,0.0" in out  # S(4,1) = mu_4 = 9/5
 
+    def test_complex_table(self, tmp_path, capsys):
+        config = tmp_path / "complex.json"
+        moments = ["1", {"re": "1/2", "im": "1/3"}, "2"]
+        config.write_text(json.dumps({"dist": {"dist": "custom", "moments": moments}}))
+        code, out, _ = run_cli(capsys, "stirling", "--config", str(config), "--jmax", "2")
+        assert code == 0
+        # S(1,1) = mu_1, S(2,1) = mu_2 and S(2,2) = mu_1^2 = 5/36 + i/3
+        assert out == "j,m,re,im\n0,0,1,0\n1,0,0,0\n1,1,1/2,1/3\n2,0,0,0\n2,1,2,0\n2,2,5/36,1/3\n"
+
 
 class TestMomentsCommand:
     def test_rademacher_sweep(self, capsys):

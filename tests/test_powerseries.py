@@ -43,7 +43,6 @@ class TestQC:
         assert a * b == QC(5, 5)
         assert a + b == QC(4, 1)
         assert a - b == QC(-2, 3)
-        assert (a * b) / b == a
 
     def test_rational_interop(self):
         assert 2 * QC(1, 1) == QC(2, 2)
@@ -369,7 +368,7 @@ def _record_values():
         (SubordinatorSpec, lambda: SubordinatorSpec(1, MomentSeq([1, 2, 6])), "tau2",
          LevySpec(1, 1, seq)),
         (EdgeworthModel, lambda: edgeworth_model(DistSpec("uniformstd"), 2), "K", psn_egf(seq)),
-        (StirlingTable, lambda: psn_egf(moments_of(rademacher(), 4)), "rows", seq),
+        (StirlingTable, lambda: psn_egf(moments_of(rademacher(), 4)), "columns", seq),
         (BoundCheck, lambda: bound_holds(rademacher(), 4, 2), "holds", seq),
         (CumulantSeq, lambda: cumulants_oracle(MomentSeq(mu)), "kappa", seq),
         (MCEstimate, lambda: mc_sum_moment(rademacher(), 2, 2, 10, 1), "value",

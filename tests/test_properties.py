@@ -113,7 +113,7 @@ class TestLadder:
             stirling.sum_moment_ladder.cache_clear()
             for route, j, m_idx in calls:
                 assert route(m, j, m_idx) == expected[route, j, m_idx], (route.__name__, j, m_idx)
-            assert len(stirling.sum_moment_ladder(m).series) == 9
+            assert len(stirling.sum_moment_ladder(m)) == 9
 
     def test_grows_lazily_by_one_product_per_step(self, monkeypatch):
         m = fresh_sequence(78, 0, False)

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from pstirling.powerseries import DomainError, EGFSeries, QC
+from pstirling.levy import _truncate
+from pstirling.powerseries import DomainError, EGFSeries, QC, egf_mul
 from pstirling.randomvars import (
     MAX_RATIONAL_DIGITS,
     DistSpec,
@@ -162,6 +163,21 @@ class TestMomentSeq:
         seqs = [MomentSeq(mu) for mu in values]
         assert len(set(seqs)) == len({hash(s) for s in seqs}) == len(values)
         assert seqs == [MomentSeq(list(mu)) for mu in values]
+
+    def test_built_from_numerators_as_from_coefficients(self):
+        # hat_transform and levy._truncate build from numerators what the
+        # coefficient route MomentSeq(x.coeffs) builds
+        i_z = EGFSeries([(-1) ** (l // 2) * normal_even_moment(l) for l in range(9)])  # E (iZ)^l
+        complex_custom = custom([1, QC(F(1, 2), F(1, 3)), 2, QC(0, -1), F(5, 7), 0, 1, 0, 3])
+        for spec in (*CATALOG, complex_custom):
+            m = moments_of(spec, 8)
+            hat = hat_transform(m)
+            assert type(hat) is MomentSeq
+            assert hat == MomentSeq(egf_mul(m, i_z).coeffs), spec
+            for order in range(9):
+                prefix = _truncate(m, order)
+                assert type(prefix) is MomentSeq
+                assert prefix == MomentSeq(m.coeffs[: order + 1]), (spec, order)
 
     def test_never_equals_its_series(self):
         for spec in CATALOG:

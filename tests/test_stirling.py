@@ -3,7 +3,7 @@ from math import comb, factorial
 
 import pytest
 
-from pstirling.powerseries import QC
+from pstirling.powerseries import QC, EGFSeries, egf_pow
 from pstirling.randomvars import (
     MomentSeq,
     UnsupportedSpecError,
@@ -11,6 +11,7 @@ from pstirling.randomvars import (
     bernoulli,
     custom,
     exponential,
+    gamma_shape,
     hat_transform,
     moments_of,
     normal,
@@ -21,6 +22,7 @@ from pstirling.randomvars import (
     vanishing_order,
 )
 from pstirling.stirling import (
+    StirlingTable,
     bound_check_from_moments,
     bound_holds,
     classical_s1_signed,
@@ -94,6 +96,20 @@ class TestEgfRoute:
             for m in range(1, j + 1):
                 lah = F(factorial(j), factorial(m)) * comb(j - 1, m - 1)
                 assert table.entry(j, m) == lah
+
+    def test_columns_are_the_powers_over_factorials(self):
+        # one spec of each kind, the custom one complex
+        specs = [point_mass(F(-1, 3)), rademacher(), bernoulli(F(1, 3)), uniform_std(),
+                 poisson(F(3, 2)), exponential(), gamma_shape(F(5, 2)), normal(F(1, 4)),
+                 custom([1, QC(F(1, 2), F(1, 3)), 2, QC(0, -1), F(5, 7), 0, QC(3, 1)])]
+        for spec in specs:
+            m = moments_of(spec, 6)
+            table = psn_egf(m)
+            assert StirlingTable._fields == ("columns",) and len(table.columns) == 7
+            shifted = EGFSeries([0, *m.coeffs[1:]])
+            for k, column in enumerate(table.columns):
+                power = egf_pow(shifted, k).coeffs
+                assert column == EGFSeries([c / factorial(k) for c in power]), (spec, k)
 
     def test_cache_hits_on_an_equal_sequence(self):
         first = moments_of(rademacher(), 6)
