@@ -21,8 +21,9 @@ from .randomvars import UNIFORM_STD, DistSpec, dist_from_json, param_key, parse_
 MAX_JMAX = 200
 MAX_MC_SAMPLES = 10**8
 MAX_GRID_POINTS = 10**5
-# edgeworth's exact Irwin-Hall column (uniformstd) takes 1.3 s a grid point at n = 512
-# (2 cores, Python 3.11) and grows about 8x each time n doubles
+# edgeworth's exact Irwin-Hall column (uniformstd) takes about 0.23 s a grid point at
+# n = 512 (2 cores, Python 3.11, the host's slower state) and grows about 7x each time
+# n doubles
 MAX_EDGEWORTH_N = 512
 # E S_n^j has up to j log10(n) more digits than E Y^j: 1200 at jmax = MAX_JMAX
 MAX_MOMENTS_N = 10**6
@@ -362,10 +363,14 @@ _COMMANDS = {
 def _run_unlimited(command, config) -> int:
     """command(config) with Python's int/str digit limit lifted, and restored after.
 
-    Every input is bounded before this runs, so the output is too (about
-    0.5 MB at most, a point mass at n = 10^6 and jmax 200); the limit would
-    only turn an exact value past 4300 digits into an error naming no
-    input.  Python before 3.10.7 has no limit.
+    Every input is bounded before this runs, and only those bounds bound
+    the output: jmax, n and the digits of each rational, never their
+    product.  An exact value's digits grow with jmax times the digits of
+    the moments, and a table has about jmax^2/2 values, so
+    ``stirling --config`` on a custom sequence with 19-digit entries
+    prints about 24 MB at jmax 100.  The limit would only turn an exact
+    value past 4300 digits into an error naming no input.  Python before
+    3.10.7 has no limit.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
         return command(config)

@@ -17,7 +17,7 @@ from math import comb, factorial
 
 from .powerseries import Record
 from .randomvars import MomentSeq, normal_even_moment, parse_rational
-from .stirling import weighted_sum_moment
+from .stirling import weighted_ladder_through
 
 
 class LevySpec(Record):
@@ -53,28 +53,39 @@ class SubordinatorSpec(Record):
 def tstar_moments(spec: LevySpec, order: int) -> MomentSeq:
     """Moments of T = U 1{V < w} with mixing weight w = kappa^2/(sigma^2+kappa^2).
 
-    E T^k = w E U^k for k >= 1 and E T^0 = 1.
+    E T^k = w E U^k for k >= 1 and E T^0 = 1, formed on U's numerators
+    over w's denominator times U's.
     """
-    if order > spec.u_moments.order:
+    u = spec.u_moments
+    if order > u.order:
         raise ValueError("U moments do not reach the requested order")
     w = spec.kappa2 / (spec.sigma2 + spec.kappa2)
-    mu = [Fraction(1)] + [w * spec.u_moments[k].as_fraction() for k in range(1, order + 1)]
-    return MomentSeq(tuple(mu))
+    den = w.denominator * u.den
+    re = (den,) + tuple(w.numerator * x for x in u.re[1 : order + 1])
+    return MomentSeq.from_numerators(den, re, None)
 
 
-def _moment_coefficients(var2: Fraction, tm: MomentSeq, j: int) -> list:
+def _moment_coefficients(spec, j: int) -> list:
     # coefficient of t^{-(floor(j/2)-m)} for m = 0..floor(j/2); the m=0
-    # entry vanishes for j >= 1 since W_0 = 0
-    half = j // 2
-    out = []
-    for m in range(half + 1):
-        w_mom = weighted_sum_moment(tm, 2, m, j - 2 * m).as_fraction()
+    # entry vanishes for j >= 1 since W_0 = 0.  E W_m(2)^{j-2m} is
+    # coefficient j-2m of G^m for the full-order T* sequence, so every j
+    # reads one shared ladder
+    if isinstance(spec, LevySpec):
+        # at U's full order J; asking for order j - 2 > J raises
+        tm = tstar_moments(spec, max(j - 2, spec.u_moments.order))
+        var2 = spec.sigma2 + spec.kappa2
+    elif isinstance(spec, SubordinatorSpec):
+        tm, var2 = spec.tstar_moments, spec.tau2
+        if j - 2 > tm.order:
+            raise ValueError("moment sequence does not reach the requested order")
+    else:
+        raise TypeError("spec must be a LevySpec or SubordinatorSpec")
+    powers = weighted_ladder_through(tm, 0, 2, j // 2, max(j - 2, 0))
+    out = [Fraction(1 if j == 0 else 0)]
+    for m in range(1, j // 2 + 1):
+        w_mom = powers[m][j - 2 * m].as_fraction()
         out.append(comb(j, 2 * m) * var2**m * normal_even_moment(2 * m) * w_mom)
     return out
-
-
-def _needed_tail_order(j: int) -> int:
-    return max(0, j - 2)
 
 
 def cm_coefficients(spec, j: int) -> list:
@@ -84,23 +95,9 @@ def cm_coefficients(spec, j: int) -> list:
     moment function.  Levy specs are restricted to even j: odd powers of
     a signed T can carry odd weighted-sum moments of unknown sign.
     """
-    if isinstance(spec, LevySpec):
-        if j % 2 == 1:
-            raise ValueError("complete-monotonicity check applies to even j only")
-        tm = tstar_moments(spec, _needed_tail_order(j))
-        var2 = spec.sigma2 + spec.kappa2
-    elif isinstance(spec, SubordinatorSpec):
-        tm = _truncate(spec.tstar_moments, _needed_tail_order(j))
-        var2 = spec.tau2
-    else:
-        raise TypeError("spec must be a LevySpec or SubordinatorSpec")
-    return _moment_coefficients(var2, tm, j)[1:]
-
-
-def _truncate(m: MomentSeq, order: int) -> MomentSeq:
-    if order > m.order:
-        raise ValueError("moment sequence does not reach the requested order")
-    return MomentSeq.from_numerators(m.den, m.re[: order + 1], m.im and m.im[: order + 1])
+    if isinstance(spec, LevySpec) and j % 2 == 1:
+        raise ValueError("complete-monotonicity check applies to even j only")
+    return _moment_coefficients(spec, j)[1:]
 
 
 def _eval_poly(coeffs: list, j: int, t):
@@ -113,16 +110,12 @@ def _eval_poly(coeffs: list, j: int, t):
 
 def levy_moment_g(spec: LevySpec, j: int, t):
     """g_j(t) = E Y(t)^j / t^{floor(j/2)}, exact for rational t."""
-    tm = tstar_moments(spec, _needed_tail_order(j))
-    coeffs = _moment_coefficients(spec.sigma2 + spec.kappa2, tm, j)
-    return _eval_poly(coeffs, j, t)
+    return _eval_poly(_moment_coefficients(spec, j), j, t)
 
 
 def subordinator_moment_h(spec: SubordinatorSpec, j: int, t):
     """h_j(t) = E (X(t)-t)^j / t^{floor(j/2)}, exact for rational t."""
-    tm = _truncate(spec.tstar_moments, _needed_tail_order(j))
-    coeffs = _moment_coefficients(spec.tau2, tm, j)
-    return _eval_poly(coeffs, j, t)
+    return _eval_poly(_moment_coefficients(spec, j), j, t)
 
 
 def levy_process_moments(spec: LevySpec, order: int, t: Fraction) -> MomentSeq:

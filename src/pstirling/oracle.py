@@ -45,7 +45,9 @@ def irwin_hall_cdf(n: int, x):
 
     x is read exactly (a float as the dyadic rational it is), and the
     alternating sum (1/n!) sum_{k<=floor(x)} (-1)^k C(n,k) (x-k)^n
-    suffers no cancellation in exact arithmetic.
+    suffers no cancellation in exact arithmetic.  With x = p/q it is
+    summed over the integers, sum_k (-1)^k C(n,k) (p-kq)^n, and divided by
+    q^n n! once.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -54,11 +56,12 @@ def irwin_hall_cdf(n: int, x):
         return Fraction(0)
     if x >= n:
         return Fraction(1)
-    total = Fraction(0)
+    p, q = x.numerator, x.denominator
+    total = 0
     for k in range(int(x) + 1):
-        term = comb(n, k) * (x - k) ** n
+        term = comb(n, k) * (p - k * q) ** n
         total += -term if k % 2 else term
-    return total / factorial(n)
+    return Fraction(total, q**n * factorial(n))
 
 
 def _sqrt_fraction(m: int, digits: int = _SQRT3N_DIGITS) -> Fraction:

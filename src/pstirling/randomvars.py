@@ -45,7 +45,8 @@ class MomentSeq(EGFSeries):
     ``__slots__``, and an empty tuple here would hide EGFSeries's.
     ``MomentSeq.from_numerators`` skips the mu_0 check; its callers build
     sequences that keep mu_0 = 1 by construction: the product of two
-    sequences (``hat_transform``) and a prefix of one (``levy``).
+    sequences (``hat_transform``) and the T* moments of a Levy process
+    (``levy.tstar_moments``).
     """
 
     def __init__(self, mu):

@@ -14,7 +14,10 @@ the classical S(j,m) for Y = 1.  Four independent routes are provided:
 
 ``psn_direct`` and ``psn_via_classical`` read E S_k^j from one shared
 ladder per sequence, the list of powers M(z)^k (``sum_moment_ladder``),
-built from M(z) alone.
+built from M(z) alone.  ``psn_gr_rep`` and the Levy moment functions
+read E W_m(r)^p from a second kind of cached ladder, the powers G^m of
+one beta-weighted series G of the moments (``weighted_ladder``), also
+built from the moments alone.
 All arithmetic is exact; no floating point enters this module.
 """
 
@@ -205,19 +208,69 @@ def psn_via_classical(m: MomentSeq, j: int, m_idx: int) -> QC:
     return _alternating_sum(m, m_idx, classical)
 
 
+def weighted_series(m: MomentSeq, shift: int, r: int, order: int) -> EGFSeries:
+    """The series G with G_k = mu_{k+shift} / C(k+r, r) for k = 0..order, order <= J - shift.
+
+    1/C(k+r, r) = E beta(r)^k, so G_k = E beta(r)^k mu_{k+shift}.  G is
+    built from m's numerators over den * lcm(C(k+r, r)), with no QC in
+    between.
+    """
+    binomials = [comb(k + r, r) for k in range(order + 1)]
+    d = lcm(*binomials)
+
+    def scaled(nums):
+        return [x * (d // c) for x, c in zip(nums[shift:], binomials)]
+
+    return EGFSeries.from_numerators(m.den * d, scaled(m.re), m.im and scaled(m.im))
+
+
+@lru_cache(maxsize=128)
+def weighted_ladder(m: MomentSeq, shift: int, r: int) -> list:
+    """The shared ladder G^0, G^1, ... of G = ``weighted_series(m, shift, r, n)``, all at one order n.
+
+    Coefficient p of G^k reads only G_0..G_p, so one ladder of order
+    n >= p answers every (k, p).  It starts empty;
+    ``weighted_ladder_through`` builds and grows it, and every other caller
+    only reads it.
+    """
+    return []
+
+
+def weighted_ladder_through(m: MomentSeq, shift: int, r: int, k_max: int, p: int) -> list:
+    """m's weighted ladder, at an order n >= p, grown through G^k_max by one egf_mul by G per rung.
+
+    A read past n rebuilds the ladder at order min(J - shift, max(p, 2n)).
+    Doubling keeps all rebuilds within a constant factor of the last one,
+    and a read at small p never pays for the full order J, whose one
+    common denominator can be far larger than that of the first p
+    coefficients.  The ladder is built from the moments alone, never from
+    psn_egf or from the powers of M, so the routes that read it stay
+    independent of the ones they are checked against.  The list may run
+    past k_max; callers only read it.
+    """
+    powers = weighted_ladder(m, shift, r)
+    if not powers or powers[0].order < p:
+        n = min(m.order - shift, max(p, 2 * powers[0].order if powers else 0))
+        powers[:] = [egf_one(n), weighted_series(m, shift, r, n)]
+    while len(powers) <= k_max:
+        powers.append(egf_mul(powers[-1], powers[1]))
+    return powers
+
+
 def weighted_sum_moment(m: MomentSeq, r: int, m_idx: int, p: int) -> QC:
     """E W_m(r,Y)^p for W_m(r,Y) = beta_1(r) Y_1 + ... + beta_m(r) Y_m.
 
     Each summand contributes the EGF with entries E beta(r)^k mu_k, where
     E beta(r)^k = 1/C(k+r, r), so the moment is the p-th entry of the m-th
     binomial-convolution power.  W_m(0,Y) is the plain partial sum S_m.
+    This route runs its own egf_pow on the order-p prefix; it is the
+    reference the cached ``weighted_ladder`` is checked against.
     """
     if m_idx == 0:
         return QC(1) if p == 0 else QC(0)
     if p > m.order:
         raise ValueError("p exceeds the available moment order")
-    h = EGFSeries([m[k] / comb(k + r, r) for k in range(p + 1)])
-    return egf_pow(h, m_idx)[p]
+    return egf_pow(weighted_series(m, 0, r, p), m_idx)[p]
 
 
 def psn_gr_rep(m: MomentSeq, r: int, j: int, m_idx: int) -> QC:
@@ -227,7 +280,8 @@ def psn_gr_rep(m: MomentSeq, r: int, j: int, m_idx: int) -> QC:
     (m(r+1))!/(m!((r+1)!)^m) C(j, m(r+1)) E (Y_1...Y_m)^{r+1} W_m(r+1,Y)^p
     with p = j - m(r+1), and the expectation is the p-th entry of the m-th
     power of the EGF with entries E beta(r+1)^k mu_{k+r+1}, where
-    E beta(r+1)^k = 1/C(k+r+1, r+1).
+    E beta(r+1)^k = 1/C(k+r+1, r+1); that power is read off the
+    sequence's weighted ladder.
     """
     if vanishing_order(m) < r:
         raise ValueError(f"moment sequence does not vanish through order {r}")
@@ -240,12 +294,11 @@ def psn_gr_rep(m: MomentSeq, r: int, j: int, m_idx: int) -> QC:
     p = j - m_idx * (r + 1)
     if p + r + 1 > m.order:
         raise ValueError("j exceeds the available moment order for this route")
-    g = EGFSeries([m[k + r + 1] / comb(k + r + 1, r + 1) for k in range(p + 1)])
     pref = Fraction(
         factorial(m_idx * (r + 1)),
         factorial(m_idx) * factorial(r + 1) ** m_idx,
     ) * comb(j, m_idx * (r + 1))
-    return pref * egf_pow(g, m_idx)[p]
+    return pref * weighted_ladder_through(m, r + 1, r + 1, m_idx, p)[m_idx][p]
 
 
 class BoundCheck(NamedTuple):

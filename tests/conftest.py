@@ -14,3 +14,4 @@ def cold_caches():
     """
     stirling.psn_egf_cached.cache_clear()
     stirling.sum_moment_ladder.cache_clear()
+    stirling.weighted_ladder.cache_clear()

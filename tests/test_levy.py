@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from math import factorial
 
@@ -20,9 +21,10 @@ from pstirling.levy import (
     tstar_moments,
 )
 from pstirling.moments import cumulants_oracle
+from pstirling.powerseries import EGFSeries
 from pstirling.randomvars import MomentSeq, moments_of, normal_even_moment, poisson
 
-from oracles import gamma_raw_moments, shift_moments, touchard_moments
+from oracles import gamma_raw_moments, schoolbook_egf_exp, shift_moments, touchard_moments
 
 TIMES = [F(1, 2), F(1), F(5)]
 
@@ -142,6 +144,64 @@ class TestCompleteMonotonicity:
     def test_levy_odd_rejected(self):
         with pytest.raises(ValueError):
             cm_coefficients(compensated_unit_jump(8), 3)
+
+
+def moments_by_cumulants(var2, tail, t, order):
+    """E Z(t)^j, j <= order, for the centered process with kappa_1 = 0 and
+    kappa_i = t var2 E T^{i-2} (i >= 2): the coefficients of exp of the cumulant series."""
+    kappa = [0, 0] + [t * var2 * tail[i - 2] for i in range(2, order + 1)]
+    return [c.as_fraction() for c in schoolbook_egf_exp(EGFSeries(kappa))]
+
+
+def random_tail(seed, order, signed):
+    """E T^0 = 1, then random rationals, nonnegative unless signed."""
+    rng = random.Random(seed)
+    return [F(1)] + [F(rng.randint(-9 if signed else 0, 9), rng.randint(1, 9)) for _ in range(order)]
+
+
+class TestAgainstCumulants:
+    # every j <= ORDER, so the ladder is read and rebuilt across many orders
+    ORDER = 40
+
+    def check(self, fn, spec, var2, tail, t):
+        reference = moments_by_cumulants(var2, tail, t, self.ORDER)
+        for j in range(self.ORDER + 1):
+            assert fn(spec, j, t) * t ** (j // 2) == reference[j], j
+
+    @pytest.mark.parametrize("build", [gamma_subordinator, poisson_subordinator])
+    def test_named_subordinators(self, build):
+        spec = build(self.ORDER - 2)
+        tail = [spec.tstar_moments[k].as_fraction() for k in range(self.ORDER - 1)]
+        self.check(subordinator_moment_h, spec, spec.tau2, tail, F(2, 7))
+
+    def test_custom_subordinator(self):
+        tail = random_tail(41, self.ORDER - 2, signed=False)
+        spec = SubordinatorSpec(F(5, 3), MomentSeq(tail))
+        self.check(subordinator_moment_h, spec, F(5, 3), tail, F(9, 4))
+
+    def test_levy_process(self):
+        u = random_tail(42, self.ORDER - 2, signed=True)
+        spec = LevySpec(F(1, 2), F(3, 4), MomentSeq(u))
+        w = F(3, 4) / (F(1, 2) + F(3, 4))
+        tail = [F(1)] + [w * x for x in u[1:]]
+        self.check(levy_moment_g, spec, F(1, 2) + F(3, 4), tail, F(3, 5))
+
+    def test_orders_past_the_sequence_raise(self):
+        # j - 2 may reach the sequence order 5, not pass it
+        sub, proc = gamma_subordinator(5), compensated_unit_jump(5)
+        tail = [F(factorial(k + 1)) for k in range(6)]
+        assert len(cm_coefficients(sub, 7)) == 3
+        assert subordinator_moment_h(sub, 7, F(1)) == moments_by_cumulants(1, tail, F(1), 7)[7]
+        assert levy_moment_g(proc, 7, F(1)) == moments_by_cumulants(1, [F(1)] * 6, F(1), 7)[7]
+        for fn, spec, message in [
+            (cm_coefficients, sub, "moment sequence does not reach the requested order"),
+            (lambda s, j: subordinator_moment_h(s, j, F(1)), sub,
+             "moment sequence does not reach the requested order"),
+            (cm_coefficients, proc, "U moments do not reach the requested order"),
+            (lambda s, j: levy_moment_g(s, j, F(1)), proc, "U moments do not reach the requested order"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                fn(spec, 8)
 
 
 class TestLevyCumulant:

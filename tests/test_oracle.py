@@ -57,9 +57,11 @@ class TestIrwinHall:
     def test_against_convolution_oracle(self):
         for n in (1, 2, 3, 4, 5):
             pp = PiecewisePoly(n)
-            for num in range(0, 6 * n + 1):
-                x = F(num, 6)
-                assert irwin_hall_cdf(n, x) == pp.cdf(x)
+            # sixths, then points with large unrelated numerator and denominator
+            xs = [F(num, 6) for num in range(0, 6 * n + 1)]
+            xs += [F(k * 10**19 + 7, 2 * 10**19 + 3) for k in range(1, 2 * n)]
+            for x in xs:
+                assert irwin_hall_cdf(n, x) == pp.cdf(x), x
 
     def test_float_path_tracks_exact(self):
         # a float is read as the dyadic rational it is, so the value is exact

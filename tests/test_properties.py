@@ -7,14 +7,20 @@ acceptance suite checks on catalog sequences, by exact equality.
 
 import random
 from fractions import Fraction as F
+from math import comb, factorial
 
 import pytest
 
-from pstirling import moments, stirling
-from pstirling.powerseries import QC
+from pstirling import levy, moments, stirling
+from pstirling.powerseries import QC, EGFSeries
 from pstirling.randomvars import MomentSeq, hat_transform, vanishing_order
 
-from oracles import schoolbook_hat_transform, schoolbook_psn_direct, schoolbook_psn_via_classical
+from oracles import (
+    schoolbook_egf_mul,
+    schoolbook_hat_transform,
+    schoolbook_psn_direct,
+    schoolbook_psn_via_classical,
+)
 
 J = 10
 CASES = [(r, is_complex) for r in (0, 1, 2) for is_complex in (False, True)]
@@ -163,3 +169,104 @@ def test_routes_never_read_the_table(monkeypatch):
             assert stirling.psn_direct(m, j, mm) == table.entry(j, mm)
             assert stirling.psn_via_classical(m, j, mm) == table.entry(j, mm)
     assert moments.cumulants_from_sum_moments(m).kappa == kappa
+
+
+def schoolbook_weighted_powers(m, shift, r, k_max):
+    """G^0..G^k_max as coefficient tuples, G_k = mu_{k+shift}/C(k+r, r), by schoolbook products."""
+    g = EGFSeries([m[k + shift] / comb(k + r, r) for k in range(m.order - shift + 1)])
+    pows = [(QC(1),) + (QC(0),) * g.order]
+    for _ in range(k_max):
+        pows.append(schoolbook_egf_mul(EGFSeries(pows[-1]), g))
+    return pows
+
+
+class TestWeightedLadder:
+    # (shift, r) of the Levy moment functions and of psn_gr_rep at vanishing order 1
+    KEYS = [(0, 2), (2, 2)]
+
+    def test_entries_equal_the_per_call_routes(self, seq):
+        for r in (0, 1, 2):
+            for m_idx in range(J + 1):
+                for p in range(J + 1):
+                    rung = stirling.weighted_ladder_through(seq, 0, r, m_idx, p)[m_idx]
+                    assert rung[p] == stirling.weighted_sum_moment(seq, r, m_idx, p), (r, m_idx, p)
+        # psn_gr_rep's shift: the prefactor times coefficient p of G^m is S_Y(j, m)
+        table = stirling.psn_egf(seq)
+        s = vanishing_order(seq) + 1
+        for j in range(J + 1):
+            for mm in range(1, j // s + 1):
+                p = j - mm * s
+                if p + s > J:
+                    continue
+                pref = F(factorial(mm * s), factorial(mm) * factorial(s) ** mm) * comb(j, mm * s)
+                rung = stirling.weighted_ladder_through(seq, s, s, mm, p)[mm]
+                assert pref * rung[p] == table.entry(j, mm), (j, mm)
+
+    def test_growth_order_does_not_matter(self):
+        m = fresh_sequence(80, 1, True)
+        for shift, r in self.KEYS:
+            top = J - shift
+            expected = schoolbook_weighted_powers(m, shift, r, J)
+            reads = [(k, p) for k in range(J + 1) for p in range(top + 1)]
+            for order in (reads, reads[::-1], random.Random(shift).sample(reads, len(reads))):
+                stirling.weighted_ladder.cache_clear()
+                for k, p in order:
+                    rung = stirling.weighted_ladder_through(m, shift, r, k, p)[k]
+                    assert rung[p] == expected[k][p], (shift, k, p)
+                ladder = stirling.weighted_ladder(m, shift, r)
+                assert ladder[0].order == top and len(ladder) == J + 1
+
+    def test_grows_by_one_product_per_rung(self, monkeypatch):
+        m = fresh_sequence(81, 0, False)
+        calls = []
+        real = stirling.egf_mul
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(stirling, "egf_mul", counting)
+        top = J - 1
+        stirling.weighted_ladder_through(m, 1, 1, 1, top)
+        assert calls == []  # G^0 and G^1 take no product
+        stirling.weighted_ladder_through(m, 1, 1, 5, top)
+        assert len(calls) == 4
+        stirling.weighted_ladder_through(m, 1, 1, 3, 2)  # a read within the ladder grows nothing
+        assert len(calls) == 4
+        stirling.weighted_ladder_through(m, 1, 1, 7, 0)
+        assert len(calls) == 6
+        ladder = stirling.weighted_ladder(m, 1, 1)
+        assert len(ladder) == 8 and ladder[0].order == top
+
+    def test_a_read_past_the_order_rebuilds_at_twice_the_order(self):
+        m = fresh_sequence(82, 2, True)
+        ladder = stirling.weighted_ladder(m, 0, 2)
+        for k, p, order, rungs in [(3, 2, 2, 4), (1, 3, 4, 2), (2, 1, 4, 3), (1, 5, 8, 2), (1, 9, J, 2)]:
+            stirling.weighted_ladder_through(m, 0, 2, k, p)
+            assert (ladder[0].order, len(ladder)) == (order, rungs), (k, p)
+
+
+def test_weighted_routes_never_read_the_table(monkeypatch):
+    """The weighted ladder is built from the moments alone: with psn_egf and egf_pow unusable
+    psn_gr_rep and the subordinator moments still work."""
+    m = fresh_sequence(83, 1, True)
+    table = stirling.psn_egf(m)
+    rng = random.Random(84)
+    sub = levy.SubordinatorSpec(F(3, 2), MomentSeq([1] + [F(rng.randint(1, 9), rng.randint(1, 9))
+                                                          for _ in range(J)]))
+    t = F(2, 3)
+    h = [levy.subordinator_moment_h(sub, j, t) for j in range(J + 1)]
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("a weighted-sum route read the table or ran egf_pow")
+
+    for module, name in [(stirling, "psn_egf"), (stirling, "psn_egf_cached"),
+                         (moments, "psn_egf_cached"), (stirling, "egf_pow")]:
+        monkeypatch.setattr(module, name, unavailable)
+    stirling.weighted_ladder.cache_clear()
+    for j in range(J + 1):
+        for mm in range(j + 1):
+            p = j - mm * 2
+            if mm == 0 or p < 0 or p + 2 <= J:
+                assert stirling.psn_gr_rep(m, 1, j, mm) == table.entry(j, mm), (j, mm)
+        assert levy.subordinator_moment_h(sub, j, t) == h[j]

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pstirling.levy import _truncate
+from pstirling.levy import LevySpec, tstar_moments
 from pstirling.powerseries import DomainError, EGFSeries, QC, egf_mul
 from pstirling.randomvars import (
     MAX_RATIONAL_DIGITS,
@@ -165,7 +165,7 @@ class TestMomentSeq:
         assert seqs == [MomentSeq(list(mu)) for mu in values]
 
     def test_built_from_numerators_as_from_coefficients(self):
-        # hat_transform and levy._truncate build from numerators what the
+        # hat_transform and levy.tstar_moments build from numerators what the
         # coefficient route MomentSeq(x.coeffs) builds
         i_z = EGFSeries([(-1) ** (l // 2) * normal_even_moment(l) for l in range(9)])  # E (iZ)^l
         complex_custom = custom([1, QC(F(1, 2), F(1, 3)), 2, QC(0, -1), F(5, 7), 0, 1, 0, 3])
@@ -174,10 +174,14 @@ class TestMomentSeq:
             hat = hat_transform(m)
             assert type(hat) is MomentSeq
             assert hat == MomentSeq(egf_mul(m, i_z).coeffs), spec
+            if not m.is_real:
+                continue
+            levy = LevySpec(F(2, 3), F(5, 7), m)
+            w = F(5, 7) / (F(2, 3) + F(5, 7))
             for order in range(9):
-                prefix = _truncate(m, order)
-                assert type(prefix) is MomentSeq
-                assert prefix == MomentSeq(m.coeffs[: order + 1]), (spec, order)
+                tm = tstar_moments(levy, order)
+                assert type(tm) is MomentSeq
+                assert tm == MomentSeq([1] + [w * m[k] for k in range(1, order + 1)]), (spec, order)
 
     def test_never_equals_its_series(self):
         for spec in CATALOG:
