@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 import warnings
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 from typing import NamedTuple
 
-from .moments import falling
 from .powerseries import QC, DomainError, Record
 from .randomvars import DistSpec, MomentSeq, hat_transform, moments_of, vanishing_order
 from .stirling import StirlingTable, psn_egf
@@ -126,7 +125,7 @@ def edgeworth_term(model: EdgeworthModel, k: int, n: int, y: float) -> float:
         entry = model.hat_table.entry(j, m).as_fraction()
         if entry == 0:
             continue
-        coeff = entry / factorial(j) * Fraction(falling(n, m), n**m)
+        coeff = entry / factorial(j) * Fraction(perm(n, m), n**m)
         total += float(coeff) * hermite_eval(j - 1, y)
     return -normal_pdf(y) * float(n) ** (-k / 2.0) * total
 

@@ -70,6 +70,8 @@ def _moment_coefficients(spec, j: int) -> list:
     # entry vanishes for j >= 1 since W_0 = 0.  E W_m(2)^{j-2m} is
     # coefficient j-2m of G^m for the full-order T* sequence, so every j
     # reads one shared ladder
+    if j < 0:
+        raise ValueError("indices must be nonnegative")
     if isinstance(spec, LevySpec):
         # at U's full order J; asking for order j - 2 > J raises
         tm = tstar_moments(spec, max(j - 2, spec.u_moments.order))

@@ -4,26 +4,22 @@ E S_n^j collapses to a finite sum over the Stirling table with at most
 floor(j/(r+1)) + 1 terms when the first r moments of Y vanish; a finite
 recursion expresses E S_n^j for large n through the values at n < tau.
 Cumulants come from the table, from an alternating binomial over sum
-moments, and from the series logarithm, and all three must agree.
+moments, and from the series logarithm, and all three must agree.  The
+table and ladder routes read each value out as one integer combination
+of columns or rungs (``egf_combination``); only the result is a QC.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from itertools import accumulate
+from math import comb, factorial, lcm, perm
+from operator import mul
 from typing import NamedTuple
 
-from .powerseries import QC, egf_log, egf_pow
+from .powerseries import QC, egf_combination, egf_log, egf_pow
 from .randomvars import MomentSeq, vanishing_order
 from .stirling import alternating, ladder_through, psn_egf_cached
-
-
-def falling(n: int, m: int) -> int:
-    """Descending factorial (n)_m = n(n-1)...(n-m+1)."""
-    out = 1
-    for i in range(m):
-        out *= n - i
-    return out
 
 
 class CumulantSeq(NamedTuple):
@@ -36,36 +32,40 @@ class CumulantSeq(NamedTuple):
         return len(self.kappa)
 
 
-def _resolve_r(m: MomentSeq, r) -> int:
+def _tau(m: MomentSeq, j: int, r) -> int:
+    """tau = floor(j/(r+1)) once j and r are checked; r None is the vanishing order."""
+    if j < 0:
+        raise ValueError("indices must be nonnegative")
+    if j > m.order:
+        raise ValueError("j exceeds the available moment order")
     v = vanishing_order(m)
     if r is None:
-        return v
-    if r > v:
+        r = v
+    elif r < 0:
+        raise ValueError("r must be nonnegative")
+    elif r > v:
         raise ValueError(f"requested r={r} exceeds the vanishing order {v}")
-    return r
+    return j // (r + 1)
 
 
 def sum_moment(m: MomentSeq, n: int, j: int, r=None) -> QC:
     """E S_n^j = sum_{m <= n ^ tau} S_Y(j,m) (n)_m with tau = floor(j/(r+1)).
 
     r defaults to the vanishing order of the sequence (tightest tau); any
-    smaller r is also valid and accepted for testing.
+    smaller r >= 0 is also valid and accepted for testing.
     """
-    if j > m.order:
-        raise ValueError("j exceeds the available moment order")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    r = _resolve_r(m, r)
-    tau = j // (r + 1)
-    table = psn_egf_cached(m)
-    acc = QC(0)
-    for mm in range(min(n, tau) + 1):
-        acc = acc + falling(n, mm) * table.entry(j, mm)
-    return acc
+    top = min(n, _tau(m, j, r))
+    # (n)_0, (n)_1, ..., (n)_top
+    weights = accumulate(range(n, n - top, -1), mul, initial=1)
+    return egf_combination(psn_egf_cached(m).columns[: top + 1], weights, lambda x: x[j])
 
 
 def sum_moment_egf(m: MomentSeq, n: int, j: int) -> QC:
     """Oracle route: coefficient j of the n-th MGF power."""
+    if j < 0:
+        raise ValueError("indices must be nonnegative")
     if j > m.order:
         raise ValueError("j exceeds the available moment order")
     return egf_pow(m, n)[j]
@@ -75,23 +75,19 @@ def sum_moment_recursion(m: MomentSeq, n: int, j: int, r=None) -> QC:
     """E S_n^j for n >= tau from the moments at k < tau and S_Y(j,tau).
 
     Evaluates (n)_tau * [ S_Y(j,tau)
-        + (1/(tau-1)!) sum_{k<tau} C(tau-1,k) (-1)^{tau-k-1}/(n-k) E S_k^j ].
+        + (1/(tau-1)!) sum_{k<tau} C(tau-1,k) (-1)^{tau-k-1}/(n-k) E S_k^j ]
+    over the common denominator d = (tau-1)! lcm(n-k : k < tau).
     """
-    if j > m.order:
-        raise ValueError("j exceeds the available moment order")
-    r = _resolve_r(m, r)
-    tau = j // (r + 1)
+    tau = _tau(m, j, r)
     if tau < 1:
         raise ValueError("recursion needs tau >= 1, i.e. j >= r + 1")
     if n < tau:
         raise ValueError(f"recursion needs n >= tau = {tau}")
-    table = psn_egf_cached(m)
-    pows = ladder_through(m, tau - 1)
-    acc = QC.of(table.entry(j, tau))
-    for k in range(tau):
-        coeff = Fraction(alternating(tau - 1 - k, comb(tau - 1, k)), (n - k) * factorial(tau - 1))
-        acc = acc + coeff * pows[k][j]
-    return falling(n, tau) * acc
+    nf, l = perm(n, tau), lcm(*range(n - tau + 1, n + 1))
+    d = factorial(tau - 1) * l
+    weights = [d] + [alternating(tau - 1 - k, comb(tau - 1, k)) * (l // (n - k)) for k in range(tau)]
+    series = [psn_egf_cached(m).columns[tau]] + ladder_through(m, tau - 1)[:tau]
+    return egf_combination(series, weights, lambda x: nf * x[j], d)
 
 
 def even_moment_sequence(m: MomentSeq, j: int, n_max: int):
@@ -108,7 +104,7 @@ def even_moment_sequence(m: MomentSeq, j: int, n_max: int):
         raise ValueError("2j exceeds the available moment order")
     sigma2 = m[2].as_fraction()
     values = [
-        sum_moment(m, n, 2 * j).as_fraction() / falling(n, j)
+        sum_moment(m, n, 2 * j).as_fraction() / perm(n, j)
         for n in range(j, n_max + 1)
     ]
     limit = sigma2**j * Fraction(factorial(2 * j), factorial(j) * 2**j)
@@ -117,14 +113,12 @@ def even_moment_sequence(m: MomentSeq, j: int, n_max: int):
 
 def cumulants_from_stirling(m: MomentSeq) -> CumulantSeq:
     """kappa_j = sum_m (-1)^{m-1} (m-1)! S_Y(j,m) over the table."""
-    table = psn_egf_cached(m)
-    kappa = []
-    for j in range(1, m.order + 1):
-        acc = QC(0)
-        for mm in range(1, j + 1):
-            acc = acc + alternating(mm - 1, factorial(mm - 1)) * table.entry(j, mm)
-        kappa.append(acc)
-    return CumulantSeq(tuple(kappa))
+    columns = psn_egf_cached(m).columns
+    weights = [alternating(mm - 1, factorial(mm - 1)) for mm in range(1, m.order + 1)]
+    return CumulantSeq(tuple(
+        egf_combination(columns[1 : j + 1], weights[:j], lambda x: x[j])
+        for j in range(1, m.order + 1)
+    ))
 
 
 def cumulants_from_sum_moments(m: MomentSeq) -> CumulantSeq:
@@ -132,10 +126,9 @@ def cumulants_from_sum_moments(m: MomentSeq) -> CumulantSeq:
     pows = ladder_through(m, m.order)
     kappa = []
     for j in range(1, m.order + 1):
-        acc = QC(0)
-        for k in range(1, j + 1):
-            acc = acc + Fraction(alternating(k - 1, comb(j, k)), k) * pows[k][j]
-        kappa.append(acc)
+        d = lcm(*range(1, j + 1))
+        weights = [alternating(k - 1, comb(j, k)) * (d // k) for k in range(1, j + 1)]
+        kappa.append(egf_combination(pows[1 : j + 1], weights, lambda x: x[j], d))
     return CumulantSeq(tuple(kappa))
 
 

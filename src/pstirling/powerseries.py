@@ -2,9 +2,10 @@
 
 A series of order J represents sum_{j<=J} a_j z^j / j!.  Coefficients are
 complex numbers with rational real/imaginary parts, stored as integer
-numerators over one denominator and read as :class:`QC` values, so every
-operation is exact.  All binary operations require equal truncation
-orders.
+numerators over one denominator, so every operation is exact.  A value
+leaves a series as a :class:`QC`, either one coefficient (``s[j]``) or an
+integer combination of series (``egf_combination``).  All binary
+operations require equal truncation orders.
 """
 
 from __future__ import annotations
@@ -65,8 +66,6 @@ class QC:
         if isinstance(other, Rational):
             return QC(self.re + other, self.im)
         return NotImplemented
-
-    __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, (QC, Rational)):
@@ -303,6 +302,23 @@ def egf_exp(a: EGFSeries) -> EGFSeries:
         if ei is not None:
             ei.append(im)
     return _undilated(dens, er, ei)
+
+
+def egf_combination(series, weights, f, den: int = 1) -> QC:
+    """sum_i weights[i] f(series[i]) / den as one QC, for int weights and den > 0.
+
+    f maps a numerator tuple to an int and must be linear over the integers,
+    as ``lambda x: x[j]`` is.  The terms meet over the lcm of the series'
+    denominators as Python ints, real and imaginary parts apart.
+    """
+    d = lcm(*(s.den for s in series))
+    re = im = 0
+    for s, w in zip(series, weights, strict=True):
+        c = w * (d // s.den)
+        re += c * f(s.re)
+        if s.im is not None:
+            im += c * f(s.im)
+    return QC(Fraction(re, d * den), Fraction(im, d * den))
 
 
 # --- the integer kernel -----------------------------------------------------

@@ -43,10 +43,9 @@ class MomentSeq(EGFSeries):
     It is the EGF of M(z) = E e^{zY}, so every series operation takes it
     as it is.  It declares no ``__slots__``: Record reads the fields from
     ``__slots__``, and an empty tuple here would hide EGFSeries's.
-    ``MomentSeq.from_numerators`` skips the mu_0 check; its callers build
-    sequences that keep mu_0 = 1 by construction: the product of two
-    sequences (``hat_transform``) and the T* moments of a Levy process
-    (``levy.tstar_moments``).
+    ``MomentSeq.from_numerators`` skips the mu_0 check; its callers keep
+    mu_0 = 1 by construction: ``hat_transform`` (a product of sequences),
+    ``tilde_transform`` (mu_{k+2}/mu_2) and ``levy.tstar_moments``.
     """
 
     def __init__(self, mu):
@@ -177,12 +176,12 @@ def tilde_transform(m: MomentSeq) -> MomentSeq:
         raise DomainError("tilde transform is defined for real moment sequences")
     if m.order < 2:
         raise DomainError("tilde transform needs order >= 2")
-    mu2 = m[2].as_fraction()
+    mu2 = m.re[2]  # mu_2's numerator, so nu_k = re[k+2]/re[2]
     if mu2 == 0:
         return MomentSeq((Fraction(1),) + (Fraction(0),) * (m.order - 2))
     if mu2 < 0:
         raise DomainError("second moment must be nonnegative")
-    return MomentSeq(tuple(m[k + 2] / mu2 for k in range(m.order - 1)))
+    return MomentSeq.from_numerators(mu2, m.re[2:], None)
 
 
 def hat_transform(m: MomentSeq) -> MomentSeq:

@@ -17,7 +17,8 @@ ladder per sequence, the list of powers M(z)^k (``sum_moment_ladder``),
 built from M(z) alone.  ``psn_gr_rep`` and the Levy moment functions
 read E W_m(r)^p from a second kind of cached ladder, the powers G^m of
 one beta-weighted series G of the moments (``weighted_ladder``), also
-built from the moments alone.
+built from the moments alone.  Each of these routes reads its value off
+its ladder as one integer combination of rungs (``egf_combination``).
 All arithmetic is exact; no floating point enters this module.
 """
 
@@ -28,7 +29,7 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 from typing import NamedTuple
 
-from .powerseries import QC, EGFSeries, egf_mul, egf_one, egf_pow
+from .powerseries import QC, EGFSeries, egf_combination, egf_mul, egf_one, egf_pow
 from .randomvars import (
     DistSpec,
     MomentSeq,
@@ -152,36 +153,20 @@ def ladder_through(m: MomentSeq, k_max: int) -> list:
     return powers
 
 
-def _alternating_sum(m: MomentSeq, m_idx: int, f) -> QC:
-    """(1/m!) sum_k C(m,k)(-1)^{m-k} f(E S_k^.), exactly, for an f linear over the integers.
-
-    f maps the numerator tuple of one rung of the ladder to an int.  It
-    runs on Python ints, on the real and then on the imaginary parts; the
-    terms meet over the lcm of the rungs' denominators, and the result
-    becomes a QC once.
-    """
-    rungs = ladder_through(m, m_idx)[: m_idx + 1]
-    d = lcm(*(rung.den for rung in rungs))
-    re = im = 0
-    for k, rung in enumerate(rungs):
-        c = alternating(m_idx - k, comb(m_idx, k)) * (d // rung.den)
-        re += c * f(rung.re)
-        if rung.im is not None:
-            im += c * f(rung.im)
-    den = d * factorial(m_idx)
-    return QC(Fraction(re, den), Fraction(im, den))
-
-
 def psn_direct(m: MomentSeq, j: int, m_idx: int) -> QC:
     """Defining route: (1/m!) sum_k C(m,k)(-1)^{m-k} E S_k^j.
 
     Returns the structural zero for m_idx > j.
     """
+    if j < 0 or m_idx < 0:
+        raise ValueError("indices must be nonnegative")
     if j > m.order:
         raise ValueError("j exceeds the available moment order")
     if m_idx > j:
         return QC(0)
-    return _alternating_sum(m, m_idx, lambda x: x[j])
+    rungs = ladder_through(m, m_idx)[: m_idx + 1]
+    weights = (alternating(m_idx - k, comb(m_idx, k)) for k in range(m_idx + 1))
+    return egf_combination(rungs, weights, lambda x: x[j], factorial(m_idx))
 
 
 def psn_via_classical(m: MomentSeq, j: int, m_idx: int) -> QC:
@@ -190,6 +175,8 @@ def psn_via_classical(m: MomentSeq, j: int, m_idx: int) -> QC:
     Converts power moments E S_k^i to factorial moments E (S_k)_l with
     signed first-kind numbers, then recombines with second-kind numbers.
     """
+    if j < 0 or m_idx < 0:
+        raise ValueError("indices must be nonnegative")
     if j > m.order:
         raise ValueError("j exceeds the available moment order")
     if m_idx > j:
@@ -205,7 +192,9 @@ def psn_via_classical(m: MomentSeq, j: int, m_idx: int) -> QC:
                 acc += s2 * sum(s1[i] * x[i] for i in range(l + 1))
         return acc
 
-    return _alternating_sum(m, m_idx, classical)
+    rungs = ladder_through(m, m_idx)[: m_idx + 1]
+    weights = (alternating(m_idx - k, comb(m_idx, k)) for k in range(m_idx + 1))
+    return egf_combination(rungs, weights, classical, factorial(m_idx))
 
 
 def weighted_series(m: MomentSeq, shift: int, r: int, order: int) -> EGFSeries:
@@ -283,22 +272,23 @@ def psn_gr_rep(m: MomentSeq, r: int, j: int, m_idx: int) -> QC:
     E beta(r+1)^k = 1/C(k+r+1, r+1); that power is read off the
     sequence's weighted ladder.
     """
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    if j < 0 or m_idx < 0:
+        raise ValueError("indices must be nonnegative")
     if vanishing_order(m) < r:
         raise ValueError(f"moment sequence does not vanish through order {r}")
-    if m_idx > j:
-        return QC(0)
     if m_idx == 0:
         return QC(1) if j == 0 else QC(0)
-    if j < m_idx * (r + 1):
+    k = m_idx * (r + 1)
+    if j < k:
         return QC(0)
-    p = j - m_idx * (r + 1)
+    p = j - k
     if p + r + 1 > m.order:
         raise ValueError("j exceeds the available moment order for this route")
-    pref = Fraction(
-        factorial(m_idx * (r + 1)),
-        factorial(m_idx) * factorial(r + 1) ** m_idx,
-    ) * comb(j, m_idx * (r + 1))
-    return pref * weighted_ladder_through(m, r + 1, r + 1, m_idx, p)[m_idx][p]
+    power = weighted_ladder_through(m, r + 1, r + 1, m_idx, p)[m_idx]
+    den = factorial(m_idx) * factorial(r + 1) ** m_idx
+    return egf_combination([power], [factorial(k) * comb(j, k)], lambda x: x[p], den)
 
 
 class BoundCheck(NamedTuple):

@@ -7,7 +7,7 @@ lines; every tolerance and runtime budget is pinned here.
 import functools
 import time
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import pytest
 
@@ -18,7 +18,6 @@ from pstirling.levy import (
     gaussian_part_only,
     poisson_subordinator,
 )
-from pstirling.moments import falling
 from pstirling.randomvars import hat_transform, standardize_moments
 
 SPECS_BY_NAME = {
@@ -125,7 +124,7 @@ def test_criterion_05_recursion():
                 assert ps.sum_moment_recursion(m, n, j) == ps.sum_moment(m, n, j), (name, n, j)
     rad = SPECS_BY_NAME["rademacher"]
     for n in range(2, 21):
-        assert ps.sum_moment_recursion(rad, n, 4) == (3 + F(1, n - 1)) * falling(n, 2)
+        assert ps.sum_moment_recursion(rad, n, 4) == (3 + F(1, n - 1)) * perm(n, 2)
 
 
 @criterion(6, "monotone even-moment convergence with exact limits, n<=50")

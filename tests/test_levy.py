@@ -119,6 +119,18 @@ class TestSubordinatorMoments:
         assert subordinator_moment_h(spec, 1, F(3)) == 0
 
 
+@pytest.mark.parametrize(
+    "moment",
+    [lambda j: levy_moment_g(compensated_unit_jump(8), j, F(1, 2)),
+     lambda j: subordinator_moment_h(gamma_subordinator(8), j, F(1, 2)),
+     lambda j: cm_coefficients(gamma_subordinator(8), j)],
+    ids=["g", "h", "cm"],
+)
+def test_negative_j_is_refused(moment):
+    with pytest.raises(ValueError, match="indices must be nonnegative"):
+        moment(-1)
+
+
 class TestCompleteMonotonicity:
     def test_poisson_fourth(self):
         assert cm_coefficients(poisson_subordinator(8), 4) == [1, 3]

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import perm
 
 import pytest
 
@@ -7,7 +8,6 @@ from pstirling.moments import (
     cumulants_from_sum_moments,
     cumulants_oracle,
     even_moment_sequence,
-    falling,
     sum_moment,
     sum_moment_egf,
     sum_moment_recursion,
@@ -72,13 +72,30 @@ class TestSumMoment:
         with pytest.raises(ValueError):
             sum_moment(m, 3, 4, r=2)
 
+    def test_negative_r_is_refused(self):
+        # r = -2 used to give QC(0) for E S_3^4 = 21, and r = -1 a ZeroDivisionError
+        m = moments_of(rademacher(), 8)
+        for r in (-1, -2):
+            with pytest.raises(ValueError, match="r must be nonnegative"):
+                sum_moment(m, 3, 4, r=r)
+
+    def test_negative_j_is_refused(self):
+        m = moments_of(rademacher(), 8)
+        with pytest.raises(ValueError, match="indices must be nonnegative"):
+            sum_moment(m, 3, -1)
+
+    def test_egf_route_refuses_negative_j(self):
+        m = moments_of(rademacher(), 8)
+        with pytest.raises(ValueError, match="indices must be nonnegative"):
+            sum_moment_egf(m, 3, -1)
+
 
 class TestRecursion:
     def test_rademacher_closed_form(self):
         m = moments_of(rademacher(), 8)
         # E S_n^4/(n)_2 = 3 + 1/(n-1)
-        assert sum_moment_recursion(m, 3, 4) == (3 + F(1, 2)) * falling(3, 2) == 21
-        assert sum_moment_recursion(m, 10, 4) == (3 + F(1, 9)) * falling(10, 2) == 280
+        assert sum_moment_recursion(m, 3, 4) == (3 + F(1, 2)) * perm(3, 2) == 21
+        assert sum_moment_recursion(m, 10, 4) == (3 + F(1, 9)) * perm(10, 2) == 280
 
     def test_boundary_reduces_to_definition(self):
         m = moments_of(rademacher(), 8)
@@ -108,6 +125,10 @@ class TestRecursion:
         # all three were refused before a table or a ladder was built
         assert psn_egf_cached.cache_info().currsize == 0
         assert sum_moment_ladder.cache_info().currsize == 0
+
+    def test_negative_r_is_refused(self):
+        with pytest.raises(ValueError, match="r must be nonnegative"):
+            sum_moment_recursion(moments_of(rademacher(), 8), 3, 4, r=-1)
 
 
 class TestEvenMomentSequence:
@@ -153,7 +174,7 @@ class TestOddMomentOrder:
             assert lead != 0
             diffs = []
             for n in (100, 10_000):
-                ratio = sum_moment(m, n, 2 * j + 1).as_fraction() / falling(n, j)
+                ratio = sum_moment(m, n, 2 * j + 1).as_fraction() / perm(n, j)
                 diffs.append(abs(ratio - lead))
             assert diffs[1] <= diffs[0] / 50  # 1/n decay (exactly 0 for j = 1)
 

@@ -12,10 +12,11 @@ from math import comb, factorial
 import pytest
 
 from pstirling import levy, moments, stirling
-from pstirling.powerseries import QC, EGFSeries
+from pstirling.powerseries import QC, EGFSeries, egf_pow
 from pstirling.randomvars import MomentSeq, hat_transform, vanishing_order
 
 from oracles import (
+    schoolbook_egf_log,
     schoolbook_egf_mul,
     schoolbook_hat_transform,
     schoolbook_psn_direct,
@@ -270,3 +271,65 @@ def test_weighted_routes_never_read_the_table(monkeypatch):
             if mm == 0 or p < 0 or p + 2 <= J:
                 assert stirling.psn_gr_rep(m, 1, j, mm) == table.entry(j, mm), (j, mm)
         assert levy.subordinator_moment_h(sub, j, t) == h[j]
+
+
+def test_table_and_ladder_consumers_do_no_qc_arithmetic(monkeypatch):
+    """Every table and ladder consumer sums integer numerators and builds one QC at the end:
+    with QC's arithmetic unusable each still returns the value it returned before."""
+    m = fresh_sequence(85, 1, True)
+    cases = {
+        "sum_moment": lambda: [moments.sum_moment(m, n, j) for n in (0, 3, 20) for j in range(J + 1)],
+        "sum_moment_recursion": lambda: [moments.sum_moment_recursion(m, n, j)
+                                         for j in range(2, J + 1) for n in (j // 2, 20)],
+        "cumulants_from_stirling": lambda: moments.cumulants_from_stirling(m),
+        "cumulants_from_sum_moments": lambda: moments.cumulants_from_sum_moments(m),
+        "psn_direct": lambda: [stirling.psn_direct(m, j, mm)
+                               for j in range(J + 1) for mm in range(j + 1)],
+        "psn_via_classical": lambda: [stirling.psn_via_classical(m, j, mm)
+                                      for j in range(J + 1) for mm in range(j + 1)],
+        "psn_gr_rep": lambda: [stirling.psn_gr_rep(m, 1, j, mm)
+                               for j in range(J + 1) for mm in range(j + 1) if j - 2 * mm <= J - 2],
+    }
+    expected = {name: route() for name, route in cases.items()}
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("a consumer did arithmetic on QC values")
+
+    for name in ("__add__", "__mul__", "__rmul__", "__sub__", "__truediv__"):
+        monkeypatch.setattr(QC, name, unavailable)
+    for cache in (stirling.psn_egf_cached, stirling.sum_moment_ladder, stirling.weighted_ladder):
+        cache.cache_clear()
+    for name, route in cases.items():
+        assert route() == expected[name], name
+
+
+def unrelated_sequence(seed, r, is_complex, order):
+    """mu_1..mu_r = 0, then random rationals with unrelated 9-digit numerators and denominators."""
+    rng = random.Random(seed)
+
+    def rational():
+        return F(rng.randint(10**8, 10**9) * rng.choice((-1, 1)), rng.randint(10**8, 10**9))
+
+    mu = [QC(1)] + [QC(0)] * r
+    mu += [QC(rational(), rational() if is_complex else 0) for _ in range(order - r)]
+    return MomentSeq(tuple(mu))
+
+
+@pytest.mark.parametrize("r, is_complex", [(1, False), (2, True)], ids=["r1-real", "r2-complex"])
+def test_consumers_on_unrelated_denominators(r, is_complex):
+    order = 30
+    m = unrelated_sequence(86 + r, r, is_complex, order)
+    assert vanishing_order(m) == r
+    kappa = moments.cumulants_from_stirling(m).kappa
+    assert kappa == moments.cumulants_from_sum_moments(m).kappa
+    assert kappa == schoolbook_egf_log(m)[1:]
+    for n in (0, 1, 2, 7, 1000):
+        power = egf_pow(m, n)  # sum_moment_egf(m, n, j) is power[j]; built once per n
+        assert moments.sum_moment_egf(m, n, order) == power[order]
+        for j in range(order + 1):
+            for rr in range(r + 1):
+                assert moments.sum_moment(m, n, j, r=rr) == power[j], (n, j, rr)
+    for j in range(r + 1, order + 1):
+        tau = j // (r + 1)
+        for n in sorted({tau, 2 * tau + 1, 20}):
+            assert moments.sum_moment_recursion(m, n, j) == moments.sum_moment(m, n, j), (n, j)

@@ -198,6 +198,23 @@ class TestGrRepresentation:
         with pytest.raises(ValueError):
             psn_gr_rep(moments_of(poisson(1), 6), 1, 4, 1)
 
+    def test_negative_r_is_refused(self):
+        # r = -1 used to give QC(4) for S(4,2) = 3
+        with pytest.raises(ValueError, match="r must be nonnegative"):
+            psn_gr_rep(moments_of(rademacher(), 8), -1, 4, 2)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [psn_direct, psn_via_classical, lambda m, j, mm: psn_gr_rep(m, 1, j, mm)],
+    ids=["direct", "via-classical", "gr-rep"],
+)
+def test_negative_indices_are_refused(route):
+    m = moments_of(rademacher(), 8)
+    for j, mm in ((-1, 0), (3, -1), (-1, -1)):
+        with pytest.raises(ValueError, match="indices must be nonnegative"):
+            route(m, j, mm)
+
 
 class TestWeightedSumMoment:
     def test_r0_is_plain_sum(self):
