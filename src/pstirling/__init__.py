@@ -15,6 +15,7 @@ from importlib import import_module
 # each public name and the submodule that defines it
 _PUBLIC = {
     "DomainError": "powerseries",
+    "EGFFactor": "powerseries",
     "EGFSeries": "powerseries",
     "QC": "powerseries",
     "SeriesMismatchError": "powerseries",

@@ -176,15 +176,16 @@ def _dist_spec(config) -> DistSpec:
 
 
 def _scalar_str(value, mode: str) -> str:
-    if isinstance(value, QC):
-        if mode == "float":
+    if mode == "float":
+        try:
             c = complex(value)
-            return repr(c.real) if c.imag == 0 else repr(c)
+        except OverflowError:
+            raise ValueError("a value overflows a float in --mode float; use --mode exact") from None
+        return repr(c.real) if c.imag == 0 else repr(c)
+    if isinstance(value, QC):
         if value.is_real:
             return str(value.re)
         return f"{value.re}{'+' if value.im >= 0 else ''}{value.im}i"
-    if mode == "float":
-        return repr(float(value))
     return str(value)
 
 

@@ -157,6 +157,8 @@ def hat_even_moment(m: MomentSeq, s: int) -> HatEvenMoment:
     value equals E Y^{2s} - E Z^{2s}; otherwise the computed value is
     returned with the flag lowered.
     """
+    if s < 0:
+        raise ValueError("indices must be nonnegative")
     if 2 * s > m.order:
         raise ValueError("2s exceeds the available moment order")
     hat = hat_transform(m)

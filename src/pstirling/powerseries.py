@@ -4,14 +4,17 @@ A series of order J represents sum_{j<=J} a_j z^j / j!.  Coefficients are
 complex numbers with rational real/imaginary parts, stored as integer
 numerators over one denominator, so every operation is exact.  A value
 leaves a series as a :class:`QC`, either one coefficient (``s[j]``) or an
-integer combination of series (``egf_combination``).  All binary
-operations require equal truncation orders.
+integer combination of series (``egf_combination``).  A series that
+several products share, such as the base of a ladder of powers, is held
+as an :class:`EGFFactor`, whose binomial-weighted rows are built once.
+All binary operations require equal truncation orders.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, count
 from math import comb, gcd, lcm
 from numbers import Rational
 from operator import mul, or_
@@ -229,25 +232,55 @@ def _check_compatible(a: EGFSeries, b: EGFSeries):
         raise SeriesMismatchError(f"order mismatch: {a.order} vs {b.order}")
 
 
-def egf_mul(a: EGFSeries, b: EGFSeries) -> EGFSeries:
-    """Binomial convolution: c_j = sum_k C(j,k) a_k b_{j-k}.
+def egf_mul(a: EGFSeries, b, den: int = 1) -> EGFSeries:
+    """Binomial convolution over den > 0: c_j = sum_k C(j,k) a_k b_{j-k} / den.
 
     This is the product of the underlying functions, truncated at the
     common order; with moment sequences as inputs it multiplies MGFs.
+    b is a series, whose rows C(j,k) b_{j-k} are weighted for this one
+    call, or an EGFFactor holding them already.  den scales the result
+    within its one reduction.
     """
     _check_compatible(a, b)
+    if isinstance(b, EGFFactor):
+        va = _valuation(a)
+        vb, bden = b.valuation, b.series.den
+        rows = ((wr[va:], wi and wi[va:]) for wr, wi in b.rows[va:])
+    else:
+        va, vb, bden = _valuation(a), _valuation(b), b.den
+        rows = _rows(b.re, b.im, vb, va, a.im is not None)
+    # c_j is 0 for j < va + vb; otherwise only the k in [va, j - vb] can contribute
     n = len(a.re)
-    va, vb = _valuation(a), _valuation(b)
-    # c_j is 0 for j < va + vb; otherwise only the k in [va, j - vb] can contribute.
-    # a from a_va on, and b reversed so that b_{j-k} for k = va, va+1, ... is a
-    # forward slice, whose length ends each sum
     xr, xi = a.re[va:], a.im and a.im[va:]
-    yr, yi = b.re[::-1], b.im and b.im[::-1]
     re, im = [0] * n, [0] * n
-    for j in range(va + vb, n):
-        y = slice(n - 1 - j + va, n - vb)
-        re[j], im[j] = _product(_binomials(j)[va:], xr, xi, yr[y], yi and yi[y])
-    return EGFSeries.from_numerators(a.den * b.den, re, im)
+    for j, (wr, wi) in enumerate(rows, va + vb):
+        re[j], im[j] = _product(xr, xi, wr, wi)
+    return EGFSeries.from_numerators(a.den * bden * den, re, im)
+
+
+class EGFFactor:
+    """A series b held with its binomial-weighted rows, for products that share b.
+
+    Row j holds W_j[k] = C(j,k) b_{j-k} for k = 0..j - v, v the valuation
+    of b, as numerators over b.den, real and imaginary parts apart.
+    ``egf_mul(a, factor)`` then costs one multiplication per coefficient
+    pair, c_j = sum_k a_k W_j[k], where ``egf_mul(a, b)`` pays a second
+    one to weight each b_{j-k}.  Building the rows costs one
+    multiplication per pair too, so a factor pays off from its second
+    product on.
+    """
+
+    __slots__ = ("series", "valuation", "rows")
+
+    def __init__(self, b: EGFSeries):
+        self.series = b
+        self.valuation = _valuation(b)
+        # rows[i] is row j = valuation + i
+        self.rows = tuple(_rows(b.re, b.im, self.valuation, 0, True))
+
+    @property
+    def order(self) -> int:
+        return self.series.order
 
 
 def egf_pow(a: EGFSeries, n: int) -> EGFSeries:
@@ -274,13 +307,10 @@ def egf_log(a: EGFSeries) -> EGFSeries:
     if a[0] != 1:
         raise DomainError("egf_log needs constant coefficient 1")
     dens, ar, ai = _dilated(a)
-    # a_J, ..., a_0, so that a_j, ..., a_1 is the slice [J-j : J]
-    yr, yi, top = ar[::-1], ai and ai[::-1], a.order
-    # lr[k], li[k]: the numerators of L_{k+1}
+    # lr[k], li[k]: the numerators of L_{k+1}; row j's k = j term, a_0, meets no L
     lr, li = [], (None if ai is None else [])
-    for j in range(top):
-        y = slice(top - j, top)
-        re, im = _product(_binomials(j), lr, li, yr[y], yi and yi[y])
+    for j, (wr, wi) in zip(range(a.order), _rows(ar, ai, 0, 0, ai is not None)):
+        re, im = _product(lr, li, wr, wi)
         lr.append(ar[j + 1] - re)
         if li is not None:
             li.append(ai[j + 1] - im)
@@ -292,12 +322,11 @@ def egf_exp(a: EGFSeries) -> EGFSeries:
     if a[0] != 0:
         raise DomainError("egf_exp needs constant coefficient 0")
     dens, ar, ai = _dilated(a)
-    # E_{j+1} = sum_k C(j,k) E_k a_{j+1-k}, the coefficient form of E' = a' E
-    # (C(j,k) = C(j,j-k)); a_J, ..., a_1 reversed, so a_{j+1}, ..., a_1 is a tail
-    yr, yi, top = ar[:0:-1], ai and ai[:0:-1], a.order
+    # E_{j+1} = sum_k C(j,k) E_k a_{j+1-k}, the coefficient form of E' = a' E:
+    # row j of the series a_1, a_2, ...
     er, ei = [1], (None if ai is None else [0])
-    for j in range(top):
-        re, im = _product(_binomials(j), er, ei, yr[top - 1 - j :], yi and yi[top - 1 - j :])
+    for wr, wi in _rows(ar[1:], ai and ai[1:], 0, 0, ai is not None):
+        re, im = _product(er, ei, wr, wi)
         er.append(re)
         if ei is not None:
             ei.append(im)
@@ -323,10 +352,12 @@ def egf_combination(series, weights, f, den: int = 1) -> QC:
 
 # --- the integer kernel -----------------------------------------------------
 #
-# Series arithmetic runs on the Python ints of EGFSeries.  A complex
-# operand has a second numerator vector, so a product of real series runs
-# one convolution.  Each result is reduced once, by one gcd over its
-# denominator and all its numerators.
+# Series arithmetic runs on the Python ints of EGFSeries.  Products, log
+# and exp all sum x_k w_k over the binomial-weighted rows w of one fixed
+# operand (``_rows``), in ``_product``.  A complex operand has a second
+# numerator vector, so a product of real series runs one convolution.
+# Each result is reduced once, by one gcd over its denominator and all
+# its numerators.
 
 
 @lru_cache(maxsize=None)
@@ -370,22 +401,32 @@ def _undilated(dens, re, im) -> EGFSeries:
 def _valuation(a: EGFSeries) -> int:
     """Index of a's first nonzero coefficient, real or imaginary; len(a.re) for zero."""
     nonzero = map(or_, a.re, a.im) if a.im else a.re
-    return next((k for k, x in enumerate(nonzero) if x), len(a.re))
+    return next(compress(count(), nonzero), len(a.re))
 
 
-def _dot(row, x, y) -> int:
-    """sum_k row[k] x[k] y[k] over ints, k below the shortest length, in one C-level pass."""
-    return sum(map(mul, map(mul, row, x), y))
+def _rows(re, im, vb, lo, reused):
+    """Rows j = lo + vb, ..., len(re) - 1 of the weighted C(j,k) y_{j-k}, k = lo..j - vb.
+
+    y_i = re[i] + i im[i] is 0 for i < vb.  Each row is a pair of real
+    and imaginary parts, the second None when im is.  A row that is
+    ``reused`` (read twice, by a complex operand) is built as a tuple;
+    otherwise it is an iterator that its one reader consumes.
+    """
+    n = len(re)
+    # y reversed, so that y_{j-k} for k = lo, lo+1, ... is a forward slice
+    yr, yi = re[::-1], im and im[::-1]
+    for j in range(lo + vb, n):
+        row, s = _binomials(j)[lo:], n - 1 - j + lo
+        wr, wi = map(mul, row, yr[s : n - vb]), yi and map(mul, row, yi[s : n - vb])
+        yield (tuple(wr), wi and tuple(wi)) if reused else (wr, wi)
 
 
-def _product(row, xr, xi, yr, yi):
-    """Numerators (re, im) of sum_k row[k] x_k y_k; xi, yi None when zero."""
-    re = _dot(row, xr, yr)
-    im = 0
-    if xi is not None:
-        im += _dot(row, xi, yr)
-        if yi is not None:
-            re -= _dot(row, xi, yi)
-    if yi is not None:
-        im += _dot(row, xr, yi)
-    return re, im
+def _product(xr, xi, wr, wi):
+    """Numerators (re, im) of sum_k x_k w_k, k below the shorter length; xi, wi None when zero."""
+    re = sum(map(mul, xr, wr))
+    if xi is None:
+        return re, (0 if wi is None else sum(map(mul, xr, wi)))
+    im = sum(map(mul, xi, wr))
+    if wi is None:
+        return re, im
+    return re - sum(map(mul, xi, wi)), im + sum(map(mul, xr, wi))

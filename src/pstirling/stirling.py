@@ -13,11 +13,12 @@ the classical S(j,m) for Y = 1.  Four independent routes are provided:
   the first r moments vanish.
 
 ``psn_direct`` and ``psn_via_classical`` read E S_k^j from one shared
-ladder per sequence, the list of powers M(z)^k (``sum_moment_ladder``),
-built from M(z) alone.  ``psn_gr_rep`` and the Levy moment functions
-read E W_m(r)^p from a second kind of cached ladder, the powers G^m of
-one beta-weighted series G of the moments (``weighted_ladder``), also
-built from the moments alone.  Each of these routes reads its value off
+ladder per sequence, the powers M(z)^k (``sum_moment_ladder``), built
+from M(z) alone by products by its stored rows (an EGFFactor).
+``psn_gr_rep`` and the Levy moment functions read E W_m(r)^p from a
+second kind of cached ladder, the powers G^m of one beta-weighted series
+G of the moments (``weighted_ladder``), also built from the moments
+alone.  Each of these routes reads its value off
 its ladder as one integer combination of rungs (``egf_combination``).
 All arithmetic is exact; no floating point enters this module.
 """
@@ -29,7 +30,7 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 from typing import NamedTuple
 
-from .powerseries import QC, EGFSeries, egf_combination, egf_mul, egf_one, egf_pow
+from .powerseries import QC, EGFFactor, EGFSeries, egf_combination, egf_mul, egf_one, egf_pow
 from .randomvars import (
     DistSpec,
     MomentSeq,
@@ -115,13 +116,14 @@ def psn_egf(m: MomentSeq) -> StirlingTable:
     """Full table via coefficient extraction from (M(z)-1)^m / m!.
 
     Column m is column m-1 times M(z)-1, over m: one binomial convolution
-    per column, O(J^2) exact operations each.
+    per column, O(J^2) exact operations each, by the rows of M(z)-1 that
+    the table builds once (an EGFFactor).
     """
-    shifted = EGFSeries.from_numerators(m.den, (0,) + m.re[1:], m.im)  # M(z) - 1; im[0] is 0
+    # M(z) - 1; im[0] is 0
+    shifted = EGFFactor(EGFSeries.from_numerators(m.den, (0,) + m.re[1:], m.im))
     columns = [egf_one(m.order)]
     for col in range(1, m.order + 1):
-        product = egf_mul(columns[-1], shifted)
-        columns.append(EGFSeries.from_numerators(product.den * col, product.re, product.im))
+        columns.append(egf_mul(columns[-1], shifted, col))
     return StirlingTable(tuple(columns))
 
 
@@ -131,26 +133,44 @@ def psn_egf_cached(m: MomentSeq) -> StirlingTable:
     return psn_egf(m)
 
 
+class Ladder:
+    """The powers b^0, b^1, ... of one series b, with the EGFFactor of b that grows them.
+
+    ``rungs`` lists the powers built so far; ``through`` appends one
+    egf_mul by ``factor`` per rung.  Its owner builds both from b alone.
+    """
+
+    __slots__ = ("factor", "rungs")
+
+    def __init__(self, factor, rungs):
+        self.factor, self.rungs = factor, rungs
+
+    def through(self, k_max: int) -> list:
+        """The rungs, grown through b^k_max.  The list may run past k_max; callers only read it."""
+        rungs = self.rungs
+        while len(rungs) <= k_max:
+            rungs.append(egf_mul(rungs[-1], self.factor))
+        return rungs
+
+
 @lru_cache(maxsize=128)
-def sum_moment_ladder(m: MomentSeq) -> list:
-    """m's one shared ladder, the list of E S_k^. = M(z)^k for k = 0, 1, ...
+def sum_moment_ladder(m: MomentSeq) -> Ladder:
+    """m's one shared ladder of E S_k^. = M(z)^k for k = 0, 1, ..., with the rows of M.
 
     ``ladder_through`` grows it; every other caller only reads it.
     """
-    return [egf_one(m.order)]
+    return Ladder(EGFFactor(m), [egf_one(m.order)])
 
 
 def ladder_through(m: MomentSeq, k_max: int) -> list:
-    """m's ladder, grown through M(z)^k_max.
+    """m's ladder rungs, grown through M(z)^k_max.
 
-    Each step is one egf_mul by M itself, never by M - 1 or by anything
-    psn_egf builds, so the routes that read it stay independent of the
-    table they check.  The list may run past k_max; callers only read it.
+    Each step is one egf_mul by the rows of M itself, never of M - 1 or of
+    anything psn_egf builds, so the routes that read it stay independent
+    of the table they check.  The list may run past k_max; callers only
+    read it.
     """
-    powers = sum_moment_ladder(m)
-    while len(powers) <= k_max:
-        powers.append(egf_mul(powers[-1], m))
-    return powers
+    return sum_moment_ladder(m).through(k_max)
 
 
 def psn_direct(m: MomentSeq, j: int, m_idx: int) -> QC:
@@ -214,36 +234,35 @@ def weighted_series(m: MomentSeq, shift: int, r: int, order: int) -> EGFSeries:
 
 
 @lru_cache(maxsize=128)
-def weighted_ladder(m: MomentSeq, shift: int, r: int) -> list:
+def weighted_ladder(m: MomentSeq, shift: int, r: int) -> Ladder:
     """The shared ladder G^0, G^1, ... of G = ``weighted_series(m, shift, r, n)``, all at one order n.
 
     Coefficient p of G^k reads only G_0..G_p, so one ladder of order
-    n >= p answers every (k, p).  It starts empty;
+    n >= p answers every (k, p).  It starts with no rungs;
     ``weighted_ladder_through`` builds and grows it, and every other caller
     only reads it.
     """
-    return []
+    return Ladder(None, [])
 
 
 def weighted_ladder_through(m: MomentSeq, shift: int, r: int, k_max: int, p: int) -> list:
-    """m's weighted ladder, at an order n >= p, grown through G^k_max by one egf_mul by G per rung.
+    """m's weighted ladder rungs, at an order n >= p, grown through G^k_max by one egf_mul per rung.
 
-    A read past n rebuilds the ladder at order min(J - shift, max(p, 2n)).
-    Doubling keeps all rebuilds within a constant factor of the last one,
-    and a read at small p never pays for the full order J, whose one
-    common denominator can be far larger than that of the first p
-    coefficients.  The ladder is built from the moments alone, never from
-    psn_egf or from the powers of M, so the routes that read it stay
-    independent of the ones they are checked against.  The list may run
-    past k_max; callers only read it.
+    A read past n rebuilds the ladder, G and its rows at order
+    min(J - shift, max(p, 2n)).  Doubling keeps all rebuilds within a
+    constant factor of the last one, and a read at small p never pays for
+    the full order J, whose one common denominator can be far larger than
+    that of the first p coefficients.  The ladder is built from the
+    moments alone, never from psn_egf or from the powers of M, so the
+    routes that read it stay independent of the ones they are checked
+    against.  The list may run past k_max; callers only read it.
     """
-    powers = weighted_ladder(m, shift, r)
-    if not powers or powers[0].order < p:
-        n = min(m.order - shift, max(p, 2 * powers[0].order if powers else 0))
-        powers[:] = [egf_one(n), weighted_series(m, shift, r, n)]
-    while len(powers) <= k_max:
-        powers.append(egf_mul(powers[-1], powers[1]))
-    return powers
+    ladder = weighted_ladder(m, shift, r)
+    if not ladder.rungs or ladder.rungs[0].order < p:
+        n = min(m.order - shift, max(p, 2 * ladder.rungs[0].order if ladder.rungs else 0))
+        g = weighted_series(m, shift, r, n)
+        ladder.factor, ladder.rungs = EGFFactor(g), [egf_one(n), g]
+    return ladder.through(k_max)
 
 
 def weighted_sum_moment(m: MomentSeq, r: int, m_idx: int, p: int) -> QC:
@@ -255,6 +274,10 @@ def weighted_sum_moment(m: MomentSeq, r: int, m_idx: int, p: int) -> QC:
     This route runs its own egf_pow on the order-p prefix; it is the
     reference the cached ``weighted_ladder`` is checked against.
     """
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    if m_idx < 0 or p < 0:
+        raise ValueError("indices must be nonnegative")
     if m_idx == 0:
         return QC(1) if p == 0 else QC(0)
     if p > m.order:

@@ -100,6 +100,15 @@ class TestMomentsCommand:
         assert out.strip().split("\n")[1:] == expected
         assert len(expected[-1]) > 640
 
+    def test_float_overflow_is_one_line_exit_2(self, capsys):
+        # E S_1000^132 of Rademacher steps is the first value of this sweep past the float range
+        argv = ("moments", "--dist", "rademacher", "--n", "1000", "--mode", "float", "--jmax")
+        assert run_cli(capsys, *argv, "131")[0] == 0
+        code, out, err = run_cli(capsys, *argv, "132")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("pstirling: error: ")
+        assert "overflows a float" in err and "--mode exact" in err
+
     def test_missing_n_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--dist", "rademacher", "--jmax", "4")
         assert code == 2

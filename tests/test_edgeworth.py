@@ -250,3 +250,8 @@ class TestHatEvenMoment:
             res = hat_even_moment(m, 2)
             assert res.matched
             assert res.value == m[4].re - normal_even_moment(4)
+
+    def test_negative_s_is_refused(self):
+        # s = -1 used to read hat[-2] and return 0 with matched=True
+        with pytest.raises(ValueError, match="indices must be nonnegative"):
+            hat_even_moment(moments_of(uniform_std(), 8), -1)

@@ -6,6 +6,7 @@ import pytest
 
 from pstirling.powerseries import (
     DomainError,
+    EGFFactor,
     EGFSeries,
     QC,
     Record,
@@ -16,7 +17,7 @@ from pstirling.powerseries import (
     egf_one,
     egf_pow,
 )
-from pstirling.randomvars import MomentSeq
+from pstirling.randomvars import MomentSeq, hat_transform, moments_of, normal, uniform_std
 from pstirling.stirling import psn_egf
 
 from oracles import (
@@ -298,18 +299,43 @@ class TestKernelAgainstSchoolbook:
                 assert egf_exp(egf_log(a)) == a
                 assert egf_log(egf_exp(l)) == l
 
+    @pytest.mark.parametrize("kind_b", KINDS)
+    @pytest.mark.parametrize("kind_a", KINDS)
+    def test_mul_by_a_factor(self, kind_a, kind_b):
+        """One factor's stored rows serve products with operands of every valuation, and a divisor."""
+        rng = random.Random(f"factor {kind_a} {kind_b}")
+        for order in (0, 1, 7, 33):
+            h = order // 2 + 1
+            for vb in (0, 1, h, order + 1):
+                b = with_head(random_series(rng, order, kind_b), vb, imaginary=vb % 2 == 1)
+                factor = EGFFactor(b)
+                assert factor.series is b and factor.order == order
+                for va in (0, 1, h, order + 1):
+                    a = with_head(random_series(rng, order, kind_a), va)
+                    expected = schoolbook_egf_mul(a, b)
+                    assert_schoolbook(egf_mul(a, factor), expected)
+                    den = rng.choice((2, 6, 33, 10**9 + 7))
+                    assert_schoolbook(egf_mul(a, factor, den), tuple(v / den for v in expected))
+                    assert egf_mul(a, b, den) == egf_mul(a, factor, den)
+
     def test_psn_egf_with_imaginary_mean(self):
         """psn_egf at J = 33 with mu_1 purely imaginary equals the schoolbook powers of M - 1."""
         rng = random.Random("imaginary mean")
         parts = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(64)]
         mu = [QC(1), QC(0, F(1, 2))] + [QC(parts[2 * i], parts[2 * i + 1]) for i in range(32)]
-        table = psn_egf(MomentSeq(mu))
-        shifted = EGFSeries([0] + mu[1:])
-        power = egf_one(33).coeffs
-        for col in range(34):
-            for j in range(34):
-                assert table.entry(j, col) == power[j] / factorial(col)
-            power = schoolbook_egf_mul(EGFSeries(power), shifted)
+        assert_columns_are_schoolbook_powers(MomentSeq(mu))
+
+    @pytest.mark.parametrize("name", ["unrelated-real", "uniformstd", "normal1", "hat-uniformstd"])
+    def test_psn_egf_at_order_33(self, name):
+        if name == "unrelated-real":
+            # unrelated 4-digit denominators: column m's denominator grows like their lcm^m
+            rng = random.Random(name)
+            m = MomentSeq([1] + [F(rng.randint(-9999, 9999), rng.randint(1000, 9999)) for _ in range(33)])
+        else:
+            m = moments_of(normal(1) if name == "normal1" else uniform_std(), 33)
+            if name == "hat-uniformstd":
+                m = hat_transform(m)
+        assert_columns_are_schoolbook_powers(m)
 
     def test_log_exp(self):
         rng = random.Random(2020)
@@ -321,6 +347,17 @@ class TestKernelAgainstSchoolbook:
             assert_schoolbook(egf_exp(l), schoolbook_egf_exp(l))
             assert egf_exp(egf_log(a)) == a
             assert egf_log(egf_exp(l)) == l
+
+
+def assert_columns_are_schoolbook_powers(m):
+    """Column col of psn_egf(m) is the col-th schoolbook power of M - 1, over col!."""
+    table = psn_egf(m)
+    shifted = EGFSeries((QC(0),) + m.coeffs[1:])
+    power = egf_one(m.order).coeffs
+    for col in range(m.order + 1):
+        for j in range(m.order + 1):
+            assert table.entry(j, col) == power[j] / factorial(col), (col, j)
+        power = schoolbook_egf_mul(EGFSeries(power), shifted)
 
 
 def with_head(series, v, imaginary=False):

@@ -12,7 +12,7 @@ from math import comb, factorial
 import pytest
 
 from pstirling import levy, moments, stirling
-from pstirling.powerseries import QC, EGFSeries, egf_pow
+from pstirling.powerseries import QC, EGFFactor, EGFSeries, egf_pow
 from pstirling.randomvars import MomentSeq, hat_transform, vanishing_order
 
 from oracles import (
@@ -21,6 +21,7 @@ from oracles import (
     schoolbook_hat_transform,
     schoolbook_psn_direct,
     schoolbook_psn_via_classical,
+    schoolbook_sum_moment_powers,
 )
 
 J = 10
@@ -120,28 +121,61 @@ class TestLadder:
             stirling.sum_moment_ladder.cache_clear()
             for route, j, m_idx in calls:
                 assert route(m, j, m_idx) == expected[route, j, m_idx], (route.__name__, j, m_idx)
-            assert len(stirling.sum_moment_ladder(m)) == 9
+            assert len(stirling.sum_moment_ladder(m).rungs) == 9
+
+    @pytest.mark.parametrize("is_complex", (False, True), ids=("real", "complex"))
+    def test_rungs_after_growth_in_random_order(self, is_complex):
+        m = fresh_sequence(88, 2, is_complex)
+        expected = schoolbook_sum_moment_powers(m, J)
+        for seed in range(3):
+            stirling.sum_moment_ladder.cache_clear()
+            for k in random.Random(seed).sample(range(J + 1), J + 1):
+                rungs = stirling.ladder_through(m, k)
+                assert [rung.coeffs for rung in rungs] == expected[: len(rungs)], (seed, k)
+            assert len(rungs) == J + 1
 
     def test_grows_lazily_by_one_product_per_step(self, monkeypatch):
         m = fresh_sequence(78, 0, False)
         stirling.psn_egf_cached(m)  # the recursion reads one table entry
-        calls = []
-        real = stirling.egf_mul
-
-        def counting(a, b):
-            calls.append(1)
-            return real(a, b)
-
-        monkeypatch.setattr(stirling, "egf_mul", counting)
+        calls, builds = count_products(monkeypatch)
         stirling.psn_direct(m, 6, 4)
-        assert len(calls) == 4
+        assert len(calls) == 4 and builds == [m]
         stirling.psn_via_classical(m, 6, 3)
         moments.sum_moment_recursion(m, 9, 5)
         assert len(calls) == 4
         stirling.psn_direct(m, 8, 6)
         assert len(calls) == 6
         moments.cumulants_from_sum_moments(m)
-        assert len(calls) == J
+        assert len(calls) == J and builds == [m]
+
+
+def count_products(monkeypatch):
+    """Record stirling's products, each by stored rows, and the series whose rows it builds."""
+    calls, builds = [], []
+    real_mul, real_factor = stirling.egf_mul, stirling.EGFFactor
+
+    def counting_mul(a, b, *den):
+        assert isinstance(b, EGFFactor), "a product by a series that no stored rows hold"
+        calls.append(b)
+        return real_mul(a, b, *den)
+
+    def counting_factor(b):
+        builds.append(b)
+        return real_factor(b)
+
+    monkeypatch.setattr(stirling, "egf_mul", counting_mul)
+    monkeypatch.setattr(stirling, "EGFFactor", counting_factor)
+    return calls, builds
+
+
+@pytest.mark.parametrize("is_complex", (False, True), ids=("real", "complex"))
+def test_table_builds_the_rows_of_m_minus_1_once(monkeypatch, is_complex):
+    m = fresh_sequence(87, 1, is_complex)
+    expected = stirling.psn_egf(m)
+    calls, builds = count_products(monkeypatch)
+    assert stirling.psn_egf(m) == expected
+    assert len(builds) == 1 and builds[0].coeffs == (QC(0),) + m.coeffs[1:]
+    assert len(calls) == J and all(b.series is builds[0] for b in calls)
 
 
 def test_routes_never_read_the_table(monkeypatch):
@@ -156,8 +190,10 @@ def test_routes_never_read_the_table(monkeypatch):
     real = stirling.egf_mul
 
     def powers_of_m_only(a, b):
-        # the ladder multiplies powers of M, whose constant term is 1; M - 1 has 0
-        assert a[0] == 1 and b[0] == 1
+        # the ladder multiplies powers of M by the rows of M itself, whose constant term is 1;
+        # M - 1 has 0
+        assert isinstance(b, EGFFactor) and b.series is m
+        assert a[0] == 1 and b.series[0] == 1
         return real(a, b)
 
     monkeypatch.setattr(stirling, "psn_egf", unavailable)
@@ -204,7 +240,10 @@ class TestWeightedLadder:
                 assert pref * rung[p] == table.entry(j, mm), (j, mm)
 
     def test_growth_order_does_not_matter(self):
-        m = fresh_sequence(80, 1, True)
+        for m in (fresh_sequence(80, 1, True), fresh_sequence(80, 1, False)):
+            self.check_growth_order(m)
+
+    def check_growth_order(self, m):
         for shift, r in self.KEYS:
             top = J - shift
             expected = schoolbook_weighted_powers(m, shift, r, J)
@@ -214,37 +253,32 @@ class TestWeightedLadder:
                 for k, p in order:
                     rung = stirling.weighted_ladder_through(m, shift, r, k, p)[k]
                     assert rung[p] == expected[k][p], (shift, k, p)
-                ladder = stirling.weighted_ladder(m, shift, r)
-                assert ladder[0].order == top and len(ladder) == J + 1
+                rungs = stirling.weighted_ladder(m, shift, r).rungs
+                assert rungs[0].order == top and len(rungs) == J + 1
 
     def test_grows_by_one_product_per_rung(self, monkeypatch):
         m = fresh_sequence(81, 0, False)
-        calls = []
-        real = stirling.egf_mul
-
-        def counting(a, b):
-            calls.append(1)
-            return real(a, b)
-
-        monkeypatch.setattr(stirling, "egf_mul", counting)
+        calls, builds = count_products(monkeypatch)
         top = J - 1
         stirling.weighted_ladder_through(m, 1, 1, 1, top)
         assert calls == []  # G^0 and G^1 take no product
+        g = stirling.weighted_series(m, 1, 1, top)
+        assert builds == [g]  # the rows of G, from the moments alone
         stirling.weighted_ladder_through(m, 1, 1, 5, top)
         assert len(calls) == 4
         stirling.weighted_ladder_through(m, 1, 1, 3, 2)  # a read within the ladder grows nothing
         assert len(calls) == 4
         stirling.weighted_ladder_through(m, 1, 1, 7, 0)
-        assert len(calls) == 6
-        ladder = stirling.weighted_ladder(m, 1, 1)
-        assert len(ladder) == 8 and ladder[0].order == top
+        assert len(calls) == 6 and all(b.series == g for b in calls) and len(builds) == 1
+        rungs = stirling.weighted_ladder(m, 1, 1).rungs
+        assert len(rungs) == 8 and rungs[0].order == top
 
     def test_a_read_past_the_order_rebuilds_at_twice_the_order(self):
         m = fresh_sequence(82, 2, True)
         ladder = stirling.weighted_ladder(m, 0, 2)
         for k, p, order, rungs in [(3, 2, 2, 4), (1, 3, 4, 2), (2, 1, 4, 3), (1, 5, 8, 2), (1, 9, J, 2)]:
             stirling.weighted_ladder_through(m, 0, 2, k, p)
-            assert (ladder[0].order, len(ladder)) == (order, rungs), (k, p)
+            assert (ladder.rungs[0].order, len(ladder.rungs)) == (order, rungs), (k, p)
 
 
 def test_weighted_routes_never_read_the_table(monkeypatch):

@@ -216,6 +216,16 @@ def test_negative_indices_are_refused(route):
             route(m, j, mm)
 
 
+def test_weighted_sum_moment_refuses_negative_arguments():
+    m = moments_of(rademacher(), 8)
+    # p = -1 used to raise SeriesMismatchError from inside egf_pow
+    for m_idx, p in ((2, -1), (-1, 2), (0, -1), (-1, -1)):
+        with pytest.raises(ValueError, match="indices must be nonnegative"):
+            weighted_sum_moment(m, 1, m_idx, p)
+    with pytest.raises(ValueError, match="r must be nonnegative"):
+        weighted_sum_moment(m, -1, 2, 2)
+
+
 class TestWeightedSumMoment:
     def test_r0_is_plain_sum(self):
         m = moments_of(rademacher(), 8)
