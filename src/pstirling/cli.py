@@ -96,12 +96,8 @@ def _load_config(args) -> dict:
         if not isinstance(config, dict):
             raise ValueError("config must be a JSON object")
     merged = dict(config)
-    for key in (
-        "dist", "param", "jmax", "mode", "seed", "out", "format",
-        "n", "t", "K", "grid", "suite", "mc_samples",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
+    for key, value in vars(args).items():
+        if value is not None and key not in ("subcommand", "config"):
             merged[key] = value
     merged.setdefault("mode", "exact")
     merged.setdefault("format", "csv")
@@ -267,9 +263,11 @@ def _cmd_cumulants(config) -> int:
 def _process_spec(config, jmax: int):
     from . import levy
 
+    if config.get("param") is not None:
+        raise ValueError("--param is not meaningful for levy processes")
     proc = config.get("process")
     if isinstance(proc, dict):
-        return levy.process_from_json(proc)
+        return levy.process_from_json(proc, jmax)
     dist = config.get("dist")
     builder = _NAMED_PROCESSES.get(dist or "")
     if builder is None:

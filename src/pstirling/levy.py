@@ -17,7 +17,7 @@ from math import comb, factorial
 
 from .powerseries import Record
 from .randomvars import MomentSeq, normal_even_moment, parse_rational
-from .stirling import weighted_ladder_through
+from .stirling import ladder
 
 
 class LevySpec(Record):
@@ -68,8 +68,9 @@ def tstar_moments(spec: LevySpec, order: int) -> MomentSeq:
 def _moment_coefficients(spec, j: int) -> list:
     # coefficient of t^{-(floor(j/2)-m)} for m = 0..floor(j/2); the m=0
     # entry vanishes for j >= 1 since W_0 = 0.  E W_m(2)^{j-2m} is
-    # coefficient j-2m of G^m for the full-order T* sequence, so every j
-    # reads one shared ladder
+    # coefficient j-2m of G^m on ladder (0, 2) of the T* sequence; the
+    # ladder is built once at that sequence's full order, so every j reads
+    # the same rungs
     if j < 0:
         raise ValueError("indices must be nonnegative")
     if isinstance(spec, LevySpec):
@@ -82,7 +83,7 @@ def _moment_coefficients(spec, j: int) -> list:
             raise ValueError("moment sequence does not reach the requested order")
     else:
         raise TypeError("spec must be a LevySpec or SubordinatorSpec")
-    powers = weighted_ladder_through(tm, 0, 2, j // 2, max(j - 2, 0))
+    powers = ladder(tm, 0, 2).through(j // 2)
     out = [Fraction(1 if j == 0 else 0)]
     for m in range(1, j // 2 + 1):
         w_mom = powers[m][j - 2 * m].as_fraction()
@@ -138,8 +139,11 @@ def levy_cumulant(spec: LevySpec, j: int, t):
     """kappa_j(Y(t)) = t (sigma^2+kappa^2) E T^{j-2} for j >= 2."""
     if j < 2:
         raise ValueError("the cumulant formula applies for j >= 2")
+    t = Fraction(t)
+    if t <= 0:
+        raise ValueError("t must be positive")
     tm = tstar_moments(spec, j - 2)
-    return (spec.sigma2 + spec.kappa2) * tm[j - 2].as_fraction() * Fraction(t)
+    return (spec.sigma2 + spec.kappa2) * tm[j - 2].as_fraction() * t
 
 
 # --- named processes and JSON wire format -----------------------------------
@@ -167,8 +171,12 @@ def gamma_subordinator(order: int) -> SubordinatorSpec:
     return SubordinatorSpec(1, MomentSeq(mu))
 
 
-def process_from_json(data: dict):
-    """Parse a process spec; the key set picks the process family."""
+def process_from_json(data: dict, order: int):
+    """Parse a process spec and keep its moments 0..order, like the named builders.
+
+    The key set picks the process family.  Every entry is parsed and
+    checked, those past the order too, before the sequence is cut.
+    """
 
     def rational(key):
         if key not in data:
@@ -178,10 +186,15 @@ def process_from_json(data: dict):
     def moments(key):
         if not isinstance(data[key], list):
             raise ValueError(f"process spec needs {key!r} as a list, not {data[key]!r}")
-        return MomentSeq(tuple(parse_rational(v, f"a {key} entry") for v in data[key]))
+        return tuple(parse_rational(v, f"a {key} entry") for v in data[key])
 
     if "u_moments" in data:
-        return LevySpec(rational("sigma2"), rational("kappa2"), moments("u_moments"))
-    if "tstar_moments" in data:
-        return SubordinatorSpec(rational("tau2"), moments("tstar_moments"))
-    raise ValueError("process spec needs u_moments or tstar_moments")
+        family, params = LevySpec, (rational("sigma2"), rational("kappa2"))
+        mu = moments("u_moments")
+    elif "tstar_moments" in data:
+        family, params = SubordinatorSpec, (rational("tau2"),)
+        mu = moments("tstar_moments")
+    else:
+        raise ValueError("process spec needs u_moments or tstar_moments")
+    family(*params, MomentSeq(mu))  # checks the entries past the order too
+    return family(*params, MomentSeq(mu[: order + 1]))

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .powerseries import QC, egf_combination, egf_log, egf_pow
 from .randomvars import MomentSeq, vanishing_order
-from .stirling import alternating, ladder_through, psn_egf_cached
+from .stirling import alternating, ladder, psn_egf_cached
 
 
 class CumulantSeq(NamedTuple):
@@ -86,7 +86,7 @@ def sum_moment_recursion(m: MomentSeq, n: int, j: int, r=None) -> QC:
     nf, l = perm(n, tau), lcm(*range(n - tau + 1, n + 1))
     d = factorial(tau - 1) * l
     weights = [d] + [alternating(tau - 1 - k, comb(tau - 1, k)) * (l // (n - k)) for k in range(tau)]
-    series = [psn_egf_cached(m).columns[tau]] + ladder_through(m, tau - 1)[:tau]
+    series = [psn_egf_cached(m).columns[tau]] + ladder(m, 0, 0).through(tau - 1)[:tau]
     return egf_combination(series, weights, lambda x: nf * x[j], d)
 
 
@@ -123,7 +123,7 @@ def cumulants_from_stirling(m: MomentSeq) -> CumulantSeq:
 
 def cumulants_from_sum_moments(m: MomentSeq) -> CumulantSeq:
     """kappa_j = sum_k C(j,k) (-1)^{k-1}/k * E S_k^j, the binomial route."""
-    pows = ladder_through(m, m.order)
+    pows = ladder(m, 0, 0).through(m.order)
     kappa = []
     for j in range(1, m.order + 1):
         d = lcm(*range(1, j + 1))

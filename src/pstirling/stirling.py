@@ -12,14 +12,15 @@ the classical S(j,m) for Y = 1.  Four independent routes are provided:
 * ``psn_gr_rep`` -- the beta-weighted-sum representation available when
   the first r moments vanish.
 
-``psn_direct`` and ``psn_via_classical`` read E S_k^j from one shared
-ladder per sequence, the powers M(z)^k (``sum_moment_ladder``), built
-from M(z) alone by products by its stored rows (an EGFFactor).
-``psn_gr_rep`` and the Levy moment functions read E W_m(r)^p from a
-second kind of cached ladder, the powers G^m of one beta-weighted series
-G of the moments (``weighted_ladder``), also built from the moments
-alone.  Each of these routes reads its value off
-its ladder as one integer combination of rungs (``egf_combination``).
+Every power the cross-check routes read comes from one cache of ladders
+(``ladder``): the powers G^0, G^1, ... of one beta-weighted series G of
+the moments, G_k = E beta(r)^k mu_{k+s}, grown by products by the stored
+rows of G (an EGFFactor).  M(z) is G at (s, r) = (0, 0), so
+``psn_direct`` and ``psn_via_classical`` read E S_k^j off ladder (0, 0);
+``psn_gr_rep`` and the Levy moment functions read E W_m(r)^p off the
+ladder of their shifted, weighted G.  Each ladder is built from the
+moments alone, and each of these routes reads its value off it as one
+integer combination of rungs (``egf_combination``).
 All arithmetic is exact; no floating point enters this module.
 """
 
@@ -133,20 +134,36 @@ def psn_egf_cached(m: MomentSeq) -> StirlingTable:
     return psn_egf(m)
 
 
-class Ladder:
-    """The powers b^0, b^1, ... of one series b, with the EGFFactor of b that grows them.
+def weighted_series(m: MomentSeq, shift: int, r: int, order: int) -> EGFSeries:
+    """The series G with G_k = mu_{k+shift} / C(k+r, r) for k = 0..order, order <= J - shift.
 
-    ``rungs`` lists the powers built so far; ``through`` appends one
-    egf_mul by ``factor`` per rung.  Its owner builds both from b alone.
+    1/C(k+r, r) = E beta(r)^k, so G_k = E beta(r)^k mu_{k+shift}; at
+    (shift, r) = (0, 0) G is M(z) itself.  G is built from m's numerators
+    over den * lcm(C(k+r, r)), with no QC in between.
+    """
+    binomials = [comb(k + r, r) for k in range(order + 1)]
+    d = lcm(*binomials)
+
+    def scaled(nums):
+        return [x * (d // c) for x, c in zip(nums[shift:], binomials)]
+
+    return EGFSeries.from_numerators(m.den * d, scaled(m.re), m.im and scaled(m.im))
+
+
+class Ladder:
+    """The powers G^0, G^1, ... of one series G, with the EGFFactor of G that grows them.
+
+    ``rungs`` lists the powers built so far, G itself as rung 1;
+    ``through`` appends one egf_mul by ``factor`` per rung.
     """
 
     __slots__ = ("factor", "rungs")
 
-    def __init__(self, factor, rungs):
-        self.factor, self.rungs = factor, rungs
+    def __init__(self, g: EGFSeries):
+        self.factor, self.rungs = EGFFactor(g), [egf_one(g.order), g]
 
     def through(self, k_max: int) -> list:
-        """The rungs, grown through b^k_max.  The list may run past k_max; callers only read it."""
+        """The rungs, grown through G^k_max.  The list may run past k_max; callers only read it."""
         rungs = self.rungs
         while len(rungs) <= k_max:
             rungs.append(egf_mul(rungs[-1], self.factor))
@@ -154,23 +171,32 @@ class Ladder:
 
 
 @lru_cache(maxsize=128)
-def sum_moment_ladder(m: MomentSeq) -> Ladder:
-    """m's one shared ladder of E S_k^. = M(z)^k for k = 0, 1, ..., with the rows of M.
+def ladder(m: MomentSeq, shift: int, r: int) -> Ladder:
+    """m's one shared ladder of G = ``weighted_series(m, shift, r, J - shift)``.
 
-    ``ladder_through`` grows it; every other caller only reads it.
+    Ladder (0, 0) holds M(z)^k, the EGFs of E S_k^j; ladder (s, r) holds
+    G^m, whose coefficient p is E W_m(r)^p over the shifted moments.  A
+    sequence is powered at its full order J - shift, so a caller that
+    holds more moments than it reads cuts them first, as the CLI does.
+    The ladder is built from the moments alone, never from psn_egf or its
+    columns, so the routes that read it stay independent of the table
+    they check.  Only ``Ladder.through`` grows it; every caller reads it.
     """
-    return Ladder(EGFFactor(m), [egf_one(m.order)])
+    return Ladder(weighted_series(m, shift, r, m.order - shift))
 
 
-def ladder_through(m: MomentSeq, k_max: int) -> list:
-    """m's ladder rungs, grown through M(z)^k_max.
-
-    Each step is one egf_mul by the rows of M itself, never of M - 1 or of
-    anything psn_egf builds, so the routes that read it stay independent
-    of the table they check.  The list may run past k_max; callers only
-    read it.
-    """
-    return sum_moment_ladder(m).through(k_max)
+def _alternating_read(m: MomentSeq, j: int, m_idx: int, f) -> QC:
+    # (1/m!) sum_k C(m,k)(-1)^{m-k} f(M(z)^k): the shared read of the
+    # defining and classical-number routes
+    if j < 0 or m_idx < 0:
+        raise ValueError("indices must be nonnegative")
+    if j > m.order:
+        raise ValueError("j exceeds the available moment order")
+    if m_idx > j:
+        return QC(0)
+    rungs = ladder(m, 0, 0).through(m_idx)[: m_idx + 1]
+    weights = (alternating(m_idx - k, comb(m_idx, k)) for k in range(m_idx + 1))
+    return egf_combination(rungs, weights, f, factorial(m_idx))
 
 
 def psn_direct(m: MomentSeq, j: int, m_idx: int) -> QC:
@@ -178,15 +204,7 @@ def psn_direct(m: MomentSeq, j: int, m_idx: int) -> QC:
 
     Returns the structural zero for m_idx > j.
     """
-    if j < 0 or m_idx < 0:
-        raise ValueError("indices must be nonnegative")
-    if j > m.order:
-        raise ValueError("j exceeds the available moment order")
-    if m_idx > j:
-        return QC(0)
-    rungs = ladder_through(m, m_idx)[: m_idx + 1]
-    weights = (alternating(m_idx - k, comb(m_idx, k)) for k in range(m_idx + 1))
-    return egf_combination(rungs, weights, lambda x: x[j], factorial(m_idx))
+    return _alternating_read(m, j, m_idx, lambda x: x[j])
 
 
 def psn_via_classical(m: MomentSeq, j: int, m_idx: int) -> QC:
@@ -195,12 +213,6 @@ def psn_via_classical(m: MomentSeq, j: int, m_idx: int) -> QC:
     Converts power moments E S_k^i to factorial moments E (S_k)_l with
     signed first-kind numbers, then recombines with second-kind numbers.
     """
-    if j < 0 or m_idx < 0:
-        raise ValueError("indices must be nonnegative")
-    if j > m.order:
-        raise ValueError("j exceeds the available moment order")
-    if m_idx > j:
-        return QC(0)
 
     def classical(x):
         # sum_l S(j,l) E (S_k)_l, with E (S_k)_l = sum_i s(l,i) E S_k^i
@@ -212,57 +224,7 @@ def psn_via_classical(m: MomentSeq, j: int, m_idx: int) -> QC:
                 acc += s2 * sum(s1[i] * x[i] for i in range(l + 1))
         return acc
 
-    rungs = ladder_through(m, m_idx)[: m_idx + 1]
-    weights = (alternating(m_idx - k, comb(m_idx, k)) for k in range(m_idx + 1))
-    return egf_combination(rungs, weights, classical, factorial(m_idx))
-
-
-def weighted_series(m: MomentSeq, shift: int, r: int, order: int) -> EGFSeries:
-    """The series G with G_k = mu_{k+shift} / C(k+r, r) for k = 0..order, order <= J - shift.
-
-    1/C(k+r, r) = E beta(r)^k, so G_k = E beta(r)^k mu_{k+shift}.  G is
-    built from m's numerators over den * lcm(C(k+r, r)), with no QC in
-    between.
-    """
-    binomials = [comb(k + r, r) for k in range(order + 1)]
-    d = lcm(*binomials)
-
-    def scaled(nums):
-        return [x * (d // c) for x, c in zip(nums[shift:], binomials)]
-
-    return EGFSeries.from_numerators(m.den * d, scaled(m.re), m.im and scaled(m.im))
-
-
-@lru_cache(maxsize=128)
-def weighted_ladder(m: MomentSeq, shift: int, r: int) -> Ladder:
-    """The shared ladder G^0, G^1, ... of G = ``weighted_series(m, shift, r, n)``, all at one order n.
-
-    Coefficient p of G^k reads only G_0..G_p, so one ladder of order
-    n >= p answers every (k, p).  It starts with no rungs;
-    ``weighted_ladder_through`` builds and grows it, and every other caller
-    only reads it.
-    """
-    return Ladder(None, [])
-
-
-def weighted_ladder_through(m: MomentSeq, shift: int, r: int, k_max: int, p: int) -> list:
-    """m's weighted ladder rungs, at an order n >= p, grown through G^k_max by one egf_mul per rung.
-
-    A read past n rebuilds the ladder, G and its rows at order
-    min(J - shift, max(p, 2n)).  Doubling keeps all rebuilds within a
-    constant factor of the last one, and a read at small p never pays for
-    the full order J, whose one common denominator can be far larger than
-    that of the first p coefficients.  The ladder is built from the
-    moments alone, never from psn_egf or from the powers of M, so the
-    routes that read it stay independent of the ones they are checked
-    against.  The list may run past k_max; callers only read it.
-    """
-    ladder = weighted_ladder(m, shift, r)
-    if not ladder.rungs or ladder.rungs[0].order < p:
-        n = min(m.order - shift, max(p, 2 * ladder.rungs[0].order if ladder.rungs else 0))
-        g = weighted_series(m, shift, r, n)
-        ladder.factor, ladder.rungs = EGFFactor(g), [egf_one(n), g]
-    return ladder.through(k_max)
+    return _alternating_read(m, j, m_idx, classical)
 
 
 def weighted_sum_moment(m: MomentSeq, r: int, m_idx: int, p: int) -> QC:
@@ -272,7 +234,7 @@ def weighted_sum_moment(m: MomentSeq, r: int, m_idx: int, p: int) -> QC:
     E beta(r)^k = 1/C(k+r, r), so the moment is the p-th entry of the m-th
     binomial-convolution power.  W_m(0,Y) is the plain partial sum S_m.
     This route runs its own egf_pow on the order-p prefix; it is the
-    reference the cached ``weighted_ladder`` is checked against.
+    reference the cached ``ladder`` is checked against.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -293,7 +255,7 @@ def psn_gr_rep(m: MomentSeq, r: int, j: int, m_idx: int) -> QC:
     with p = j - m(r+1), and the expectation is the p-th entry of the m-th
     power of the EGF with entries E beta(r+1)^k mu_{k+r+1}, where
     E beta(r+1)^k = 1/C(k+r+1, r+1); that power is read off the
-    sequence's weighted ladder.
+    sequence's ladder (r+1, r+1).
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -309,7 +271,7 @@ def psn_gr_rep(m: MomentSeq, r: int, j: int, m_idx: int) -> QC:
     p = j - k
     if p + r + 1 > m.order:
         raise ValueError("j exceeds the available moment order for this route")
-    power = weighted_ladder_through(m, r + 1, r + 1, m_idx, p)[m_idx]
+    power = ladder(m, r + 1, r + 1).through(m_idx)[m_idx]
     den = factorial(m_idx) * factorial(r + 1) ** m_idx
     return egf_combination([power], [factorial(k) * comb(j, k)], lambda x: x[p], den)
 

@@ -13,5 +13,4 @@ def cold_caches():
     whatever the test order or selection.
     """
     stirling.psn_egf_cached.cache_clear()
-    stirling.sum_moment_ladder.cache_clear()
-    stirling.weighted_ladder.cache_clear()
+    stirling.ladder.cache_clear()

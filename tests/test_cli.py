@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 
 from fractions import Fraction as F
 
+from pstirling import stirling
 from pstirling.cli import (
     MAX_EDGEWORTH_N,
     MAX_GRID_POINTS,
@@ -164,6 +166,38 @@ class TestLevyCommand:
         code, _, err = run_cli(capsys, "levy", "--dist", "weibull", "--t", "1")
         assert code == 2
         assert "error" in err
+
+    def test_param_is_refused(self, capsys):
+        # it was ignored: --dist poisson --param 3 printed the rate-1 process
+        code, out, err = run_cli(capsys, "levy", "--dist", "poisson", "--param", "3")
+        assert (code, out) == (2, "")
+        assert err == "pstirling: error: --param is not meaningful for levy processes\n"
+
+    def test_config_moments_past_jmax_are_cut(self, tmp_path, capsys, monkeypatch):
+        rng = random.Random(40)
+        tstar = ["1"] + [f"{rng.randrange(10**18, 10**19)}/{rng.randrange(10**18, 10**19)}"
+                         for _ in range(39)]
+        orders = []
+        real = stirling.weighted_series
+
+        def recording(m, shift, r, order):
+            orders.append(order)
+            return real(m, shift, r, order)
+
+        monkeypatch.setattr(stirling, "weighted_series", recording)
+        config = tmp_path / "process.json"
+
+        def run(moments):
+            config.write_text(json.dumps({"process": {"tau2": "1", "tstar_moments": moments}}))
+            return run_cli(capsys, "levy", "--config", str(config), "--jmax", "8", "--t", "2/3")
+
+        full, cut = run(tstar), run(tstar[:9])
+        assert full == cut and full[0] == 0 and len(full[1].split()) == 10
+        assert orders == [8]  # one ladder at order jmax, shared by both runs
+        tstar[20] = "-1"
+        code, out, err = run(tstar)
+        assert (code, out) == (2, "")
+        assert err == "pstirling: error: T* moments must be nonnegative\n"
 
 
 class TestEdgeworthCommand:

@@ -172,7 +172,7 @@ def random_tail(seed, order, signed):
 
 
 class TestAgainstCumulants:
-    # every j <= ORDER, so the ladder is read and rebuilt across many orders
+    # every j <= ORDER, so one ladder is read at every order up to ORDER - 2
     ORDER = 40
 
     def check(self, fn, spec, var2, tail, t):
@@ -245,6 +245,12 @@ class TestLevyCumulant:
         with pytest.raises(ValueError):
             levy_cumulant(compensated_unit_jump(4), 1, F(1))
 
+    @pytest.mark.parametrize("t", [-1, 0, F(-1, 3)])
+    def test_nonpositive_t_rejected(self, t):
+        # as levy_moment_g and subordinator_moment_h do; it returned -1 at t = -1
+        with pytest.raises(ValueError, match="^t must be positive$"):
+            levy_cumulant(compensated_unit_jump(8), 5, t)
+
 
 class TestConsistency:
     def test_levy_equals_subordinator_when_nonnegative(self):
@@ -271,9 +277,23 @@ class TestValidationAndJson:
     def test_round_trips(self):
         levy = LevySpec(F(1, 2), F(3, 2), MomentSeq([F(1), F(4), F(20)]))
         data = {"sigma2": "1/2", "kappa2": "3/2", "u_moments": ["1", "4", "20"]}
-        assert process_from_json(data) == levy
+        assert process_from_json(data, 2) == levy
         data = {"tau2": "1", "tstar_moments": ["1", "2", "6", "24", "120"]}
-        assert process_from_json(data) == gamma_subordinator(4)
+        assert process_from_json(data, 4) == gamma_subordinator(4)
+
+    def test_moments_past_the_order_are_checked_then_cut(self):
+        data = {"tau2": "1", "tstar_moments": ["1", "2", "6", "24", "120"]}
+        assert process_from_json(data, 2) == gamma_subordinator(2)
+        assert process_from_json(data, 9) == gamma_subordinator(4)  # nothing to cut
+        data = {"sigma2": "0", "kappa2": "1", "u_moments": ["1", "1/2", "3"]}
+        assert process_from_json(data, 1) == LevySpec(0, 1, MomentSeq([F(1), F(1, 2)]))
+        for data, message in [
+            ({"tau2": "1", "tstar_moments": ["1", "2", "-6"]}, "T\\* moments must be nonnegative"),
+            ({"tau2": "1", "tstar_moments": ["1", "2", "x"]}, "tstar_moments entry"),
+            ({"sigma2": "0", "kappa2": "1", "u_moments": ["1", "0", "1+"]}, "u_moments entry"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                process_from_json(data, 1)
 
     def test_gamma_builder_moments(self):
         sub = gamma_subordinator(5)
@@ -281,4 +301,4 @@ class TestValidationAndJson:
 
     def test_bad_json(self):
         with pytest.raises(ValueError):
-            process_from_json({"sigma2": "1"})
+            process_from_json({"sigma2": "1"}, 4)

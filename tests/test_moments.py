@@ -23,7 +23,7 @@ from pstirling.randomvars import (
     rademacher,
     uniform_std,
 )
-from pstirling.stirling import psn_egf, psn_egf_cached, sum_moment_ladder
+from pstirling.stirling import ladder, psn_egf, psn_egf_cached
 
 from oracles import RADEMACHER_SUPPORT, enum_sum_moment, shift_moments, touchard_moments
 
@@ -124,7 +124,7 @@ class TestRecursion:
             sum_moment_recursion(moments_of(rademacher(), 4), 9, 6)
         # all three were refused before a table or a ladder was built
         assert psn_egf_cached.cache_info().currsize == 0
-        assert sum_moment_ladder.cache_info().currsize == 0
+        assert ladder.cache_info().currsize == 0
 
     def test_negative_r_is_refused(self):
         with pytest.raises(ValueError, match="r must be nonnegative"):

@@ -12,7 +12,7 @@ from math import comb, factorial
 import pytest
 
 from pstirling import levy, moments, stirling
-from pstirling.powerseries import QC, EGFFactor, EGFSeries, egf_pow
+from pstirling.powerseries import QC, EGFFactor, EGFSeries, egf_one, egf_pow
 from pstirling.randomvars import MomentSeq, hat_transform, vanishing_order
 
 from oracles import (
@@ -21,7 +21,6 @@ from oracles import (
     schoolbook_hat_transform,
     schoolbook_psn_direct,
     schoolbook_psn_via_classical,
-    schoolbook_sum_moment_powers,
 )
 
 J = 10
@@ -102,6 +101,12 @@ def test_vanishing_structure(seq):
 
 
 class TestLadder:
+    """The one ladder cache, at every key its callers read: (0, 0) is M(z)^k for psn_direct,
+    psn_via_classical, the recursion and the binomial cumulant route; (1, 1) and (2, 2) are
+    psn_gr_rep's at vanishing orders 0 and 1; (0, 2) is the Levy moment functions'."""
+
+    KEYS = [(0, 0), (1, 1), (2, 2), (0, 2)]
+    KEY_IDS = [f"{s}-{r}" for s, r in KEYS]
     # (route, j, m_idx), with m_idx rising; walked forwards and backwards
     CALLS = [
         (stirling.psn_via_classical, 4, 1),
@@ -118,35 +123,54 @@ class TestLadder:
                       else schoolbook_psn_via_classical)
             expected[route, j, m_idx] = oracle(m, j, m_idx)
         for calls in (self.CALLS[::-1], self.CALLS):
-            stirling.sum_moment_ladder.cache_clear()
+            stirling.ladder.cache_clear()
             for route, j, m_idx in calls:
                 assert route(m, j, m_idx) == expected[route, j, m_idx], (route.__name__, j, m_idx)
-            assert len(stirling.sum_moment_ladder(m).rungs) == 9
+            assert len(stirling.ladder(m, 0, 0).rungs) == 9
 
-    @pytest.mark.parametrize("is_complex", (False, True), ids=("real", "complex"))
-    def test_rungs_after_growth_in_random_order(self, is_complex):
-        m = fresh_sequence(88, 2, is_complex)
-        expected = schoolbook_sum_moment_powers(m, J)
-        for seed in range(3):
-            stirling.sum_moment_ladder.cache_clear()
-            for k in random.Random(seed).sample(range(J + 1), J + 1):
-                rungs = stirling.ladder_through(m, k)
-                assert [rung.coeffs for rung in rungs] == expected[: len(rungs)], (seed, k)
-            assert len(rungs) == J + 1
+    @pytest.mark.parametrize("key", KEYS, ids=KEY_IDS)
+    def test_rungs_after_reads_in_random_order(self, key):
+        shift, r = key
+        for m in (fresh_sequence(88, 2, False), fresh_sequence(88, 2, True)):
+            expected = schoolbook_weighted_powers(m, shift, r, J)
+            for seed in range(3):
+                stirling.ladder.cache_clear()
+                for k in random.Random(seed).sample(range(J + 1), J + 1):
+                    rungs = stirling.ladder(m, shift, r).through(k)
+                    assert [rung.coeffs for rung in rungs] == expected[: len(rungs)], (seed, k)
+                assert len(rungs) == J + 1
+
+    @pytest.mark.parametrize("key", KEYS, ids=KEY_IDS)
+    def test_one_row_build_and_one_product_per_rung(self, monkeypatch, key):
+        shift, r = key
+        m = fresh_sequence(81, 0, False)
+        calls, builds = count_products(monkeypatch)
+        ladder = stirling.ladder(m, shift, r)
+        g = ladder.rungs[1]
+        assert g == stirling.weighted_series(m, shift, r, J - shift)
+        # the rows of G, from the moments alone; G^0 and G^1 take no product
+        assert builds == [g] and calls == [] and ladder.rungs == [egf_one(J - shift), g]
+        ladder.through(5)
+        assert len(calls) == 4
+        ladder.through(3)  # a read within the ladder grows nothing
+        assert len(calls) == 4
+        assert stirling.ladder(m, shift, r).through(7) is ladder.rungs
+        assert len(calls) == 6 and all(b.series is g for b in calls) and len(builds) == 1
+        assert len(ladder.rungs) == 8 and all(rung.order == J - shift for rung in ladder.rungs)
 
     def test_grows_lazily_by_one_product_per_step(self, monkeypatch):
         m = fresh_sequence(78, 0, False)
         stirling.psn_egf_cached(m)  # the recursion reads one table entry
         calls, builds = count_products(monkeypatch)
         stirling.psn_direct(m, 6, 4)
-        assert len(calls) == 4 and builds == [m]
+        assert len(calls) == 3 and [b.coeffs for b in builds] == [m.coeffs]
         stirling.psn_via_classical(m, 6, 3)
         moments.sum_moment_recursion(m, 9, 5)
-        assert len(calls) == 4
+        assert len(calls) == 3
         stirling.psn_direct(m, 8, 6)
-        assert len(calls) == 6
+        assert len(calls) == 5
         moments.cumulants_from_sum_moments(m)
-        assert len(calls) == J and builds == [m]
+        assert len(calls) == J - 1 and len(builds) == 1
 
 
 def count_products(monkeypatch):
@@ -192,15 +216,15 @@ def test_routes_never_read_the_table(monkeypatch):
     def powers_of_m_only(a, b):
         # the ladder multiplies powers of M by the rows of M itself, whose constant term is 1;
         # M - 1 has 0
-        assert isinstance(b, EGFFactor) and b.series is m
+        assert isinstance(b, EGFFactor) and b.series.coeffs == m.coeffs
         assert a[0] == 1 and b.series[0] == 1
         return real(a, b)
 
-    monkeypatch.setattr(stirling, "psn_egf", unavailable)
-    monkeypatch.setattr(stirling, "psn_egf_cached", unavailable)
-    monkeypatch.setattr(moments, "psn_egf_cached", unavailable)
+    for module, name in [(stirling, "psn_egf"), (stirling, "psn_egf_cached"),
+                         (moments, "psn_egf_cached"), (stirling, "egf_pow")]:
+        monkeypatch.setattr(module, name, unavailable)
     monkeypatch.setattr(stirling, "egf_mul", powers_of_m_only)
-    stirling.sum_moment_ladder.cache_clear()
+    stirling.ladder.cache_clear()
     for j in range(J + 1):
         for mm in range(j + 1):
             assert stirling.psn_direct(m, j, mm) == table.entry(j, mm)
@@ -218,14 +242,14 @@ def schoolbook_weighted_powers(m, shift, r, k_max):
 
 
 class TestWeightedLadder:
-    # (shift, r) of the Levy moment functions and of psn_gr_rep at vanishing order 1
-    KEYS = [(0, 2), (2, 2)]
+    """Weighted ladders against the per-call routes they replace: weighted_sum_moment's own
+    egf_pow, and the table through psn_gr_rep's prefactor."""
 
     def test_entries_equal_the_per_call_routes(self, seq):
         for r in (0, 1, 2):
             for m_idx in range(J + 1):
                 for p in range(J + 1):
-                    rung = stirling.weighted_ladder_through(seq, 0, r, m_idx, p)[m_idx]
+                    rung = stirling.ladder(seq, 0, r).through(m_idx)[m_idx]
                     assert rung[p] == stirling.weighted_sum_moment(seq, r, m_idx, p), (r, m_idx, p)
         # psn_gr_rep's shift: the prefactor times coefficient p of G^m is S_Y(j, m)
         table = stirling.psn_egf(seq)
@@ -236,49 +260,8 @@ class TestWeightedLadder:
                 if p + s > J:
                     continue
                 pref = F(factorial(mm * s), factorial(mm) * factorial(s) ** mm) * comb(j, mm * s)
-                rung = stirling.weighted_ladder_through(seq, s, s, mm, p)[mm]
+                rung = stirling.ladder(seq, s, s).through(mm)[mm]
                 assert pref * rung[p] == table.entry(j, mm), (j, mm)
-
-    def test_growth_order_does_not_matter(self):
-        for m in (fresh_sequence(80, 1, True), fresh_sequence(80, 1, False)):
-            self.check_growth_order(m)
-
-    def check_growth_order(self, m):
-        for shift, r in self.KEYS:
-            top = J - shift
-            expected = schoolbook_weighted_powers(m, shift, r, J)
-            reads = [(k, p) for k in range(J + 1) for p in range(top + 1)]
-            for order in (reads, reads[::-1], random.Random(shift).sample(reads, len(reads))):
-                stirling.weighted_ladder.cache_clear()
-                for k, p in order:
-                    rung = stirling.weighted_ladder_through(m, shift, r, k, p)[k]
-                    assert rung[p] == expected[k][p], (shift, k, p)
-                rungs = stirling.weighted_ladder(m, shift, r).rungs
-                assert rungs[0].order == top and len(rungs) == J + 1
-
-    def test_grows_by_one_product_per_rung(self, monkeypatch):
-        m = fresh_sequence(81, 0, False)
-        calls, builds = count_products(monkeypatch)
-        top = J - 1
-        stirling.weighted_ladder_through(m, 1, 1, 1, top)
-        assert calls == []  # G^0 and G^1 take no product
-        g = stirling.weighted_series(m, 1, 1, top)
-        assert builds == [g]  # the rows of G, from the moments alone
-        stirling.weighted_ladder_through(m, 1, 1, 5, top)
-        assert len(calls) == 4
-        stirling.weighted_ladder_through(m, 1, 1, 3, 2)  # a read within the ladder grows nothing
-        assert len(calls) == 4
-        stirling.weighted_ladder_through(m, 1, 1, 7, 0)
-        assert len(calls) == 6 and all(b.series == g for b in calls) and len(builds) == 1
-        rungs = stirling.weighted_ladder(m, 1, 1).rungs
-        assert len(rungs) == 8 and rungs[0].order == top
-
-    def test_a_read_past_the_order_rebuilds_at_twice_the_order(self):
-        m = fresh_sequence(82, 2, True)
-        ladder = stirling.weighted_ladder(m, 0, 2)
-        for k, p, order, rungs in [(3, 2, 2, 4), (1, 3, 4, 2), (2, 1, 4, 3), (1, 5, 8, 2), (1, 9, J, 2)]:
-            stirling.weighted_ladder_through(m, 0, 2, k, p)
-            assert (ladder.rungs[0].order, len(ladder.rungs)) == (order, rungs), (k, p)
 
 
 def test_weighted_routes_never_read_the_table(monkeypatch):
@@ -298,7 +281,7 @@ def test_weighted_routes_never_read_the_table(monkeypatch):
     for module, name in [(stirling, "psn_egf"), (stirling, "psn_egf_cached"),
                          (moments, "psn_egf_cached"), (stirling, "egf_pow")]:
         monkeypatch.setattr(module, name, unavailable)
-    stirling.weighted_ladder.cache_clear()
+    stirling.ladder.cache_clear()
     for j in range(J + 1):
         for mm in range(j + 1):
             p = j - mm * 2
@@ -331,7 +314,7 @@ def test_table_and_ladder_consumers_do_no_qc_arithmetic(monkeypatch):
 
     for name in ("__add__", "__mul__", "__rmul__", "__sub__", "__truediv__"):
         monkeypatch.setattr(QC, name, unavailable)
-    for cache in (stirling.psn_egf_cached, stirling.sum_moment_ladder, stirling.weighted_ladder):
+    for cache in (stirling.psn_egf_cached, stirling.ladder):
         cache.cache_clear()
     for name, route in cases.items():
         assert route() == expected[name], name
