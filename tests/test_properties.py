@@ -21,6 +21,7 @@ from oracles import (
     schoolbook_hat_transform,
     schoolbook_psn_direct,
     schoolbook_psn_via_classical,
+    schoolbook_sum_moment_powers,
 )
 
 J = 10
@@ -128,7 +129,19 @@ class TestLadder:
                 assert route(m, j, m_idx) == expected[route, j, m_idx], (route.__name__, j, m_idx)
             assert len(stirling.ladder(m, 0, 0).rungs) == 9
 
-    @pytest.mark.parametrize("key", KEYS, ids=KEY_IDS)
+    @pytest.mark.parametrize("is_complex", (False, True), ids=("real", "complex"))
+    def test_rungs_after_growth_in_random_order(self, is_complex):
+        m = fresh_sequence(88, 2, is_complex)
+        expected = schoolbook_sum_moment_powers(m, J)
+        for seed in range(3):
+            stirling.ladder.cache_clear()
+            for k in random.Random(seed).sample(range(J + 1), J + 1):
+                rungs = stirling.ladder(m, 0, 0).through(k)
+                assert [rung.coeffs for rung in rungs] == expected[: len(rungs)], (seed, k)
+            assert len(rungs) == J + 1
+
+    # (0, 0) is M(z)^k, checked against its own oracle above
+    @pytest.mark.parametrize("key", KEYS[1:], ids=KEY_IDS[1:])
     def test_rungs_after_reads_in_random_order(self, key):
         shift, r = key
         for m in (fresh_sequence(88, 2, False), fresh_sequence(88, 2, True)):
