@@ -96,6 +96,9 @@ def _load_config(args) -> dict:
         if not isinstance(config, dict):
             raise ValueError("config must be a JSON object")
     merged = dict(config)
+    if args.dist is not None:
+        # --dist and a config's process both name the levy process: the flag wins
+        merged.pop("process", None)
     for key, value in vars(args).items():
         if value is not None and key not in ("subcommand", "config"):
             merged[key] = value
@@ -269,7 +272,7 @@ def _process_spec(config, jmax: int):
     if isinstance(proc, dict):
         return levy.process_from_json(proc, jmax)
     dist = config.get("dist")
-    builder = _NAMED_PROCESSES.get(dist or "")
+    builder = _NAMED_PROCESSES.get(dist) if isinstance(dist, str) else None
     if builder is None:
         raise ValueError(
             "levy needs --dist poisson|gamma|unitjump|gaussian or a config process spec"

@@ -118,6 +118,8 @@ def edgeworth_term(model: EdgeworthModel, k: int, n: int, y: float) -> float:
     -g(y) n^{-k/2} sum_{(m,j)} S(j,m)/j! * (n)_m/n^m * H_{j-1}(y), with the
     rational factor computed exactly before the single float conversion.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     if not model.r - 1 <= k <= model.K:
         raise ValueError(f"k must lie in [{model.r - 1}, {model.K}]")
     total = 0.0
@@ -132,6 +134,8 @@ def edgeworth_term(model: EdgeworthModel, k: int, n: int, y: float) -> float:
 
 def edgeworth_cdf(model: EdgeworthModel, n: int, y: float) -> float:
     """G(y) plus all correction terms k = r-1 .. K."""
+    if n < 1:
+        raise ValueError("n must be positive")
     if model.lattice:
         warnings.warn(
             "expansion evaluated for a lattice distribution; the integrable-"

@@ -57,6 +57,8 @@ def tstar_moments(spec: LevySpec, order: int) -> MomentSeq:
     over w's denominator times U's.
     """
     u = spec.u_moments
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     if order > u.order:
         raise ValueError("U moments do not reach the requested order")
     w = spec.kappa2 / (spec.sigma2 + spec.kappa2)

@@ -302,35 +302,34 @@ def egf_log(a: EGFSeries) -> EGFSeries:
     """Series L with L_0 = 0 and egf_exp(L) = a, requiring a_0 = 1.
 
     Solves a_{j+1} = sum_k C(j,k) L_{k+1} a_{j-k} for L_{j+1}, which is
-    the coefficient form of a' = L' a.
+    the coefficient form of a' = L' a, over one denominator that grows to
+    the lcm of the L_k's own (``_append``).
     """
     if a[0] != 1:
         raise DomainError("egf_log needs constant coefficient 1")
-    dens, ar, ai = _dilated(a)
-    # lr[k], li[k]: the numerators of L_{k+1}; row j's k = j term, a_0, meets no L
-    lr, li = [], (None if ai is None else [])
+    ar, ai = a.re, a.im
+    # lr[k], li[k]: the numerators of L_{k+1} over den; row j's k = j term, a_0, meets no L
+    lr, li, den = [], (None if ai is None else []), 1
     for j, (wr, wi) in zip(range(a.order), _rows(ar, ai, 0, 0, ai is not None)):
+        # L_{j+1} = a_{j+1} - (re + i im) / (den a.den)
         re, im = _product(lr, li, wr, wi)
-        lr.append(ar[j + 1] - re)
-        if li is not None:
-            li.append(ai[j + 1] - im)
-    return _undilated(dens, [0] + lr, li and [0] + li)
+        im = 0 if li is None else ai[j + 1] * den - im
+        den = _append(lr, li, den, ar[j + 1] * den - re, im, den * a.den)
+    return EGFSeries.from_numerators(den, [0] + lr, li and [0] + li)
 
 
 def egf_exp(a: EGFSeries) -> EGFSeries:
-    """Inverse of egf_log: series E with E_0 = 1, egf_log(E) = a; needs a_0 = 0."""
+    """Inverse of egf_log, over one growing denominator: E_0 = 1, egf_log(E) = a; needs a_0 = 0."""
     if a[0] != 0:
         raise DomainError("egf_exp needs constant coefficient 0")
-    dens, ar, ai = _dilated(a)
+    ai = a.im
     # E_{j+1} = sum_k C(j,k) E_k a_{j+1-k}, the coefficient form of E' = a' E:
     # row j of the series a_1, a_2, ...
-    er, ei = [1], (None if ai is None else [0])
-    for wr, wi in _rows(ar[1:], ai and ai[1:], 0, 0, ai is not None):
+    er, ei, den = [1], (None if ai is None else [0]), 1
+    for wr, wi in _rows(a.re[1:], ai and ai[1:], 0, 0, ai is not None):
         re, im = _product(er, ei, wr, wi)
-        er.append(re)
-        if ei is not None:
-            ei.append(im)
-    return _undilated(dens, er, ei)
+        den = _append(er, ei, den, re, im, den * a.den)
+    return EGFSeries.from_numerators(den, er, ei)
 
 
 def egf_combination(series, weights, f, den: int = 1) -> QC:
@@ -356,46 +355,15 @@ def egf_combination(series, weights, f, den: int = 1) -> QC:
 # and exp all sum x_k w_k over the binomial-weighted rows w of one fixed
 # operand (``_rows``), in ``_product``.  A complex operand has a second
 # numerator vector, so a product of real series runs one convolution.
-# Each result is reduced once, by one gcd over its denominator and all
-# its numerators.
+# A product is reduced once, by one gcd over its denominator and all its
+# numerators.  Log and exp reduce each coefficient as they build it, over a
+# denominator that grows to the lcm of those built so far (``_append``).
 
 
 @lru_cache(maxsize=None)
 def _binomials(j: int) -> tuple:
     """Row j of Pascal's triangle, built on first use."""
     return tuple(comb(j, k) for k in range(j + 1))
-
-
-def _dilated(a: EGFSeries):
-    """(dens, re, im) with a_j = (re[j] + i im[j]) / dens[j], dens[j] = c**j, for a_0 of 0 or 1.
-
-    These are the integer coefficients of a(c z), so a recursion over them
-    (log, exp) never divides.  c grows one coefficient at a time, by just
-    the factor that a_j's reduced denominator still lacks in c**j: series
-    whose denominators grow like d**j, as outputs of log, exp and powers
-    do, keep c near d rather than near their lcm.  ``im`` is None when a
-    is real.
-    """
-    c = 1
-    for j in range(1, len(a.re)):
-        g = a.den // gcd(a.den, a.re[j], a.im[j] if a.im else 0)
-        c *= g // gcd(g, pow(c, j, g))
-    dens = [c**j for j in range(len(a.re))]
-
-    def scaled(nums):
-        return [x * d // a.den for x, d in zip(nums, dens)]
-
-    return dens, scaled(a.re), a.im and scaled(a.im)
-
-
-def _undilated(dens, re, im) -> EGFSeries:
-    """The series with coefficients (re[j] + i im[j]) / dens[j], brought over dens[-1]."""
-    top = len(dens) - 1
-
-    def lifted(nums):
-        return [x * dens[top - j] for j, x in enumerate(nums)]
-
-    return EGFSeries.from_numerators(dens[top], lifted(re), im and lifted(im))
 
 
 def _valuation(a: EGFSeries) -> int:
@@ -419,6 +387,26 @@ def _rows(re, im, vb, lo, reused):
         row, s = _binomials(j)[lo:], n - 1 - j + lo
         wr, wi = map(mul, row, yr[s : n - vb]), yi and map(mul, row, yi[s : n - vb])
         yield (tuple(wr), wi and tuple(wi)) if reused else (wr, wi)
+
+
+def _append(xr, xi, den: int, re: int, im: int, d: int) -> int:
+    """Append (re + i im) / d to the numerators xr, xi (None if real) over den; return the new den.
+
+    den grows to the lcm of itself and d reduced, rescaling xr and xi only if it grows.
+    """
+    g = gcd(d, re, im)
+    d //= g
+    grow = d // gcd(den, d)
+    if grow != 1:
+        xr[:] = [x * grow for x in xr]
+        if xi is not None:
+            xi[:] = [x * grow for x in xi]
+        den *= grow
+    scale = den // d
+    xr.append(re // g * scale)
+    if xi is not None:
+        xi.append(im // g * scale)
+    return den
 
 
 def _product(xr, xi, wr, wi):

@@ -20,6 +20,8 @@ from pstirling.levy import (
 )
 from pstirling.randomvars import hat_transform, standardize_moments
 
+from test_properties import unrelated_sequence
+
 SPECS_BY_NAME = {
     "rademacher": ps.moments_of(ps.rademacher(), 10),
     "bernoulli(1/2)": ps.moments_of(ps.bernoulli(F(1, 2)), 10),
@@ -258,6 +260,18 @@ def test_criterion_13_determinism(tmp_path):
             assert main(argv + ["--out", str(path)]) == 0
         first, second = (p.read_bytes() for p in paths)
         assert first == second and first, argv
+
+
+def test_cumulants_on_unrelated_denominators_within_budget():
+    # the series log of 101 moments with random 19-digit parts takes about 1 s;
+    # over a dilated input, whose numerators grew like the product of the
+    # denominators, it took 24.5 s
+    m = unrelated_sequence(101, 0, False, 100, digits=19)
+    start = time.perf_counter()
+    kappa = ps.cumulants_oracle(m).kappa
+    elapsed = time.perf_counter() - start
+    assert kappa[0] == m[1] and len(kappa) == 100
+    assert elapsed < 10.0, f"cumulants_oracle took {elapsed:.1f}s, over its 10s budget"
 
 
 def test_standardization_helper_for_criterion_context():

@@ -162,6 +162,17 @@ class TestLevyCommand:
         assert code == 0
         assert "1,3,2" in out  # gamma process h_3 = 2
 
+    def test_dist_flag_replaces_the_config_process(self, tmp_path, capsys):
+        config = tmp_path / "process.json"
+        process = {"tau2": "1", "tstar_moments": ["1", "2", "6", "24"]}  # the gamma process
+        config.write_text(json.dumps({"process": process}))
+        gamma = run_cli(capsys, "levy", "--config", str(config), "--jmax", "3")
+        assert gamma == run_cli(capsys, "levy", "--dist", "gamma", "--jmax", "3")
+        poisson = run_cli(capsys, "levy", "--config", str(config), "--dist", "poisson",
+                          "--jmax", "3")
+        assert poisson == run_cli(capsys, "levy", "--dist", "poisson", "--jmax", "3")
+        assert poisson[0] == 0 and poisson != gamma
+
     def test_unknown_process(self, capsys):
         code, _, err = run_cli(capsys, "levy", "--dist", "weibull", "--t", "1")
         assert code == 2
@@ -336,6 +347,9 @@ class TestConfigAndOutput:
             # checked before any work: E S_n^j has about j log10(n) digits
             (["moments", "--dist", "uniformstd", "--n", "1" + "0" * 1000, "--jmax", "200"], None,
              f"n must be at most {MAX_MOMENTS_N}"),
+            # a config dist that is not a name: it raised TypeError (unhashable type)
+            (["levy"], {"dist": {"dist": "uniformstd"}}, "levy needs --dist"),
+            (["levy"], {"dist": ["gamma"]}, "levy needs --dist"),
         ],
     )
     def test_bad_input_is_one_line_exit_2(self, tmp_path, capsys, argv, config, message):

@@ -205,6 +205,17 @@ class TestCdf:
         for y in (-2.0, 0.7):
             assert edgeworth_cdf(model, 5, y) == normal_cdf(y)
 
+    @pytest.mark.parametrize("K", (1, 2))  # K = 1 has no terms, so edgeworth_cdf checks n itself
+    @pytest.mark.parametrize("n", (0, -1))
+    def test_nonpositive_n_is_refused(self, n, K):
+        # n = 0 divided by zero and n = -1 returned G(y)
+        model = edgeworth_model(uniform_std(), K=K)
+        with pytest.raises(ValueError, match="n must be positive"):
+            edgeworth_cdf(model, n, 1.0)
+        if K == 2:
+            with pytest.raises(ValueError, match="n must be positive"):
+                edgeworth_term(model, 2, n, 1.0)
+
     def test_lattice_warns_but_evaluates(self):
         model = edgeworth_model(rademacher(), K=2)
         with pytest.warns(LatticeWarning):

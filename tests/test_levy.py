@@ -52,6 +52,11 @@ class TestTstar:
         spec = LevySpec(3, 2, MomentSeq([F(1), F(2)]))
         assert tstar_moments(spec, 1)[0] == 1
 
+    def test_negative_order_is_refused(self):
+        # it sliced from the end: order -3 of the order-4 sequence gave order 2
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            tstar_moments(compensated_unit_jump(4), -3)
+
 
 class TestLevyMoments:
     def test_unit_jump_small_orders(self):

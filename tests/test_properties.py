@@ -12,10 +12,11 @@ from math import comb, factorial
 import pytest
 
 from pstirling import levy, moments, stirling
-from pstirling.powerseries import QC, EGFFactor, EGFSeries, egf_one, egf_pow
+from pstirling.powerseries import QC, EGFFactor, EGFSeries, egf_exp, egf_log, egf_one, egf_pow
 from pstirling.randomvars import MomentSeq, hat_transform, vanishing_order
 
 from oracles import (
+    schoolbook_egf_exp,
     schoolbook_egf_log,
     schoolbook_egf_mul,
     schoolbook_hat_transform,
@@ -333,12 +334,16 @@ def test_table_and_ladder_consumers_do_no_qc_arithmetic(monkeypatch):
         assert route() == expected[name], name
 
 
-def unrelated_sequence(seed, r, is_complex, order):
-    """mu_1..mu_r = 0, then random rationals with unrelated 9-digit numerators and denominators."""
+def unrelated_sequence(seed, r, is_complex, order, digits=9):
+    """mu_1..mu_r = 0, then random rationals with unrelated numerators and denominators.
+
+    Each numerator and denominator has ``digits`` digits.
+    """
     rng = random.Random(seed)
 
     def rational():
-        return F(rng.randint(10**8, 10**9) * rng.choice((-1, 1)), rng.randint(10**8, 10**9))
+        low, high = 10 ** (digits - 1), 10**digits
+        return F(rng.randint(low, high) * rng.choice((-1, 1)), rng.randint(low, high))
 
     mu = [QC(1)] + [QC(0)] * r
     mu += [QC(rational(), rational() if is_complex else 0) for _ in range(order - r)]
@@ -363,3 +368,14 @@ def test_consumers_on_unrelated_denominators(r, is_complex):
         tau = j // (r + 1)
         for n in sorted({tau, 2 * tau + 1, 20}):
             assert moments.sum_moment_recursion(m, n, j) == moments.sum_moment(m, n, j), (n, j)
+
+
+@pytest.mark.parametrize(
+    "digits, is_complex", [(19, False), (9, True)], ids=["19-digit-real", "9-digit-complex"]
+)
+def test_log_exp_on_unrelated_denominators(digits, is_complex):
+    """egf_log and egf_exp at J = 60 equal the schoolbook on random, unrelated denominators."""
+    m = unrelated_sequence(60 + digits, 0, is_complex, 60, digits)
+    assert egf_log(m) == EGFSeries(schoolbook_egf_log(m))
+    a = EGFSeries((QC(0),) + m.coeffs[1:])
+    assert egf_exp(a) == EGFSeries(schoolbook_egf_exp(a))
