@@ -1,9 +1,9 @@
 """Command-line front end: tables, sweeps, process moments, expansions, validation.
 
-One binary with subcommands; a JSON config file can replace any flag and
-explicit flags win.  Exact-mode output prints rationals as p/q strings
-and is byte-identical across runs; float mode prints shortest-roundtrip
-floats.  Exit codes: 0 success, 1 validation failure, 2 argument errors.
+One binary with subcommands, each taking only the keys it reads, as flags
+or JSON config keys; explicit flags win.  Exact-mode output prints
+rationals as p/q strings, byte-identical across runs; float mode prints
+shortest-roundtrip floats.  Exit codes: 0 success, 1 validation failure, 2 argument errors.
 """
 
 from __future__ import annotations
@@ -31,6 +31,23 @@ MAX_MOMENTS_N = 10**6
 # the values a flag or a config may give these fields
 _CHOICES = {"mode": ("exact", "float"), "format": ("csv", "json"), "suite": ("all", "exact", "mc")}
 
+# argparse keywords of each flag; a command has the flags its row in _COMMANDS names
+_FLAGS = {
+    "dist": {"help": "catalog distribution or named process"},
+    "param": {"help": "distribution parameter as a rational p/q"},
+    "jmax": {"type": int, "help": "maximum order"},
+    "mode": {"choices": _CHOICES["mode"], "help": "numeric mode (default exact)"},
+    "seed": {"type": int, "help": "base seed for stochastic paths"},
+    "out": {"help": "output path (default stdout)"},
+    "format": {"choices": _CHOICES["format"], "help": "output format (default csv)"},
+    "n": {"type": int, "help": "number of summands"},
+    "t": {"help": "time point as a rational p/q"},
+    "K": {"type": int, "help": "truncation order of the expansion"},
+    "grid": {"help": "evaluation grid start:stop:step"},
+    "suite": {"choices": _CHOICES["suite"], "help": "which checks to run"},
+    "mc_samples": {"type": int, "help": "Monte Carlo sample count"},
+}
+
 # --dist of the levy command: the builder's name in the levy module
 _NAMED_PROCESSES = {
     "poisson": "poisson_subordinator",
@@ -40,48 +57,25 @@ _NAMED_PROCESSES = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line and exit 2, as every other bad input
+        self.exit(2, f"pstirling: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pstirling",
         description="probabilistic Stirling numbers, exact sum moments, cumulants, "
         "Levy/subordinator moments, and Edgeworth expansions",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p):
-        p.add_argument("--dist", help="catalog distribution or named process")
-        p.add_argument("--param", help="distribution parameter as a rational p/q")
+    for name, (help_text, keys, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--jmax", type=int, help="maximum order")
-        p.add_argument("--mode", choices=_CHOICES["mode"], help="numeric mode (default exact)")
-        p.add_argument("--seed", type=int, help="base seed for stochastic paths")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=_CHOICES["format"], help="output format (default csv)")
-
-    p = sub.add_parser("stirling", help="emit the probabilistic Stirling triangle")
-    add_common(p)
-
-    p = sub.add_parser("moments", help="emit E S_n^j for j = 0..jmax")
-    add_common(p)
-    p.add_argument("--n", type=int, help="number of summands")
-
-    p = sub.add_parser("cumulants", help="emit cumulants kappa_1..kappa_jmax")
-    add_common(p)
-
-    p = sub.add_parser("levy", help="emit Levy/subordinator moment functions at t")
-    add_common(p)
-    p.add_argument("--t", help="time point as a rational p/q")
-
-    p = sub.add_parser("edgeworth", help="emit an Edgeworth CDF curve on a grid")
-    add_common(p)
-    p.add_argument("--n", type=int, help="number of summands")
-    p.add_argument("--K", type=int, help="truncation order of the expansion")
-    p.add_argument("--grid", help="evaluation grid start:stop:step")
-
-    p = sub.add_parser("validate", help="run the validation suite and emit JSON reports")
-    add_common(p)
-    p.add_argument("--suite", choices=_CHOICES["suite"], help="which checks to run")
-    p.add_argument("--mc-samples", type=int, dest="mc_samples", help="Monte Carlo sample count")
+        for key in keys:
+            if key in _FLAGS:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAGS[key])
     return parser
 
 
@@ -95,13 +89,15 @@ def _load_config(args) -> dict:
                 raise ValueError(f"config {args.config} nests too deeply") from None
         if not isinstance(config, dict):
             raise ValueError("config must be a JSON object")
-    merged = dict(config)
-    if args.dist is not None:
+    keys = _COMMANDS[args.subcommand][1]
+    for key in config:
+        if key not in keys:
+            raise ValueError(f"{args.subcommand} does not take the config key {key!r}")
+    flags = {key: value for key, value in vars(args).items() if key in keys and value is not None}
+    if "dist" in flags:
         # --dist and a config's process both name the levy process: the flag wins
-        merged.pop("process", None)
-    for key, value in vars(args).items():
-        if value is not None and key not in ("subcommand", "config"):
-            merged[key] = value
+        config.pop("process", None)
+    merged = {**config, **flags}
     merged.setdefault("mode", "exact")
     merged.setdefault("format", "csv")
     merged.setdefault("seed", 7)
@@ -121,11 +117,8 @@ def _check_fields(config: dict, subcommand: str) -> None:
     _check_range(config, "mc_samples", 1, MAX_MC_SAMPLES)
     # an expansion of order K reads 3K moments; K < 0 is edgeworth_model's to reject
     _check_range(config, "K", None, MAX_JMAX // 3)
-    if subcommand == "edgeworth":
-        # n < 1 is _cmd_edgeworth's to reject
-        _check_range(config, "n", None, MAX_EDGEWORTH_N)
-    elif subcommand == "moments":
-        _check_range(config, "n", None, MAX_MOMENTS_N)
+    # only moments and edgeworth take n; n < 1 is _cmd_edgeworth's to reject
+    _check_range(config, "n", None, MAX_EDGEWORTH_N if subcommand == "edgeworth" else MAX_MOMENTS_N)
     for key, choices in _CHOICES.items():
         if key in config and config[key] not in choices:
             raise ValueError(f"{key} must be one of {', '.join(choices)}, not {config[key]!r}")
@@ -266,8 +259,6 @@ def _cmd_cumulants(config) -> int:
 def _process_spec(config, jmax: int):
     from . import levy
 
-    if config.get("param") is not None:
-        raise ValueError("--param is not meaningful for levy processes")
     proc = config.get("process")
     if isinstance(proc, dict):
         return levy.process_from_json(proc, jmax)
@@ -283,7 +274,7 @@ def _process_spec(config, jmax: int):
 def _cmd_levy(config) -> int:
     from fractions import Fraction
 
-    from .levy import LevySpec, levy_moment_g, subordinator_moment_h
+    from .levy import levy_moment_g
 
     jmax = config.get("jmax", 8)
     proc = _process_spec(config, jmax)
@@ -291,10 +282,10 @@ def _cmd_levy(config) -> int:
     if t <= 0:
         raise ValueError("t must be positive")
     mode = config["mode"]
-    fn = levy_moment_g if isinstance(proc, LevySpec) else subordinator_moment_h
     rows = []
     for j in range(jmax + 1):
-        value = fn(proc, j, t)
+        # a subordinator's h_j too: subordinator_moment_h is levy_moment_g
+        value = levy_moment_g(proc, j, t)
         rows.append((_scalar_str(t, mode), j, _scalar_str(value, mode)))
     _write(_emit(rows, ("t", "j", "value"), config), config)
     return 0
@@ -352,13 +343,21 @@ def _cmd_validate(config) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+# each command: its help, the keys it reads, each a flag but levy's config-only
+# process, and its runner; a command takes --config and no key outside its row
 _COMMANDS = {
-    "stirling": _cmd_stirling,
-    "moments": _cmd_moments,
-    "cumulants": _cmd_cumulants,
-    "levy": _cmd_levy,
-    "edgeworth": _cmd_edgeworth,
-    "validate": _cmd_validate,
+    "stirling": ("emit the probabilistic Stirling triangle",
+                 ("dist", "param", "jmax", "mode", "out", "format"), _cmd_stirling),
+    "moments": ("emit E S_n^j for j = 0..jmax",
+                ("dist", "param", "jmax", "mode", "out", "format", "n"), _cmd_moments),
+    "cumulants": ("emit cumulants kappa_1..kappa_jmax",
+                  ("dist", "param", "jmax", "mode", "out", "format"), _cmd_cumulants),
+    "levy": ("emit Levy/subordinator moment functions at t",
+             ("dist", "process", "jmax", "mode", "out", "format", "t"), _cmd_levy),
+    "edgeworth": ("emit an Edgeworth CDF curve on a grid",
+                  ("dist", "param", "jmax", "out", "format", "n", "K", "grid"), _cmd_edgeworth),
+    "validate": ("run the validation suite and emit JSON reports",
+                 ("seed", "out", "suite", "mc_samples"), _cmd_validate),
 }
 
 
@@ -385,11 +384,12 @@ def _run_unlimited(command, config) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
     try:
+        if extra:
+            raise ValueError(f"{args.subcommand} does not take {extra[0]}")
         config = _load_config(args)
-        return _run_unlimited(_COMMANDS[args.subcommand], config)
+        return _run_unlimited(_COMMANDS[args.subcommand][2], config)
     except (ValueError, OSError) as exc:
         print(f"pstirling: error: {exc}", file=sys.stderr)
         return 2

@@ -67,24 +67,30 @@ def tstar_moments(spec: LevySpec, order: int) -> MomentSeq:
     return MomentSeq.from_numerators(den, re, None)
 
 
+def _variance_and_t(spec, order: int):
+    """(variance, moments of T) of a spec: T = U 1{V < w} of a Levy process, T* of a subordinator.
+
+    The moments must reach ``order``; they are kept at the spec's full
+    order, so every j reads the same sequence and the same ladder.
+    """
+    if isinstance(spec, LevySpec):
+        # at U's full order J; asking for order > J raises
+        return spec.sigma2 + spec.kappa2, tstar_moments(spec, max(order, spec.u_moments.order))
+    if isinstance(spec, SubordinatorSpec):
+        if order > spec.tstar_moments.order:
+            raise ValueError("moment sequence does not reach the requested order")
+        return spec.tau2, spec.tstar_moments
+    raise TypeError("spec must be a LevySpec or SubordinatorSpec")
+
+
 def _moment_coefficients(spec, j: int) -> list:
     # coefficient of t^{-(floor(j/2)-m)} for m = 0..floor(j/2); the m=0
     # entry vanishes for j >= 1 since W_0 = 0.  E W_m(2)^{j-2m} is
-    # coefficient j-2m of G^m on ladder (0, 2) of the T* sequence; the
-    # ladder is built once at that sequence's full order, so every j reads
-    # the same rungs
+    # coefficient j-2m of G^m on ladder (0, 2) of the T moments, read at
+    # their full order
     if j < 0:
         raise ValueError("indices must be nonnegative")
-    if isinstance(spec, LevySpec):
-        # at U's full order J; asking for order j - 2 > J raises
-        tm = tstar_moments(spec, max(j - 2, spec.u_moments.order))
-        var2 = spec.sigma2 + spec.kappa2
-    elif isinstance(spec, SubordinatorSpec):
-        tm, var2 = spec.tstar_moments, spec.tau2
-        if j - 2 > tm.order:
-            raise ValueError("moment sequence does not reach the requested order")
-    else:
-        raise TypeError("spec must be a LevySpec or SubordinatorSpec")
+    var2, tm = _variance_and_t(spec, j - 2)
     powers = ladder(tm, 0, 2).through(j // 2)
     out = [Fraction(1 if j == 0 else 0)]
     for m in range(1, j // 2 + 1):
@@ -120,7 +126,7 @@ def levy_moment_g(spec: LevySpec, j: int, t):
 
 def subordinator_moment_h(spec: SubordinatorSpec, j: int, t):
     """h_j(t) = E (X(t)-t)^j / t^{floor(j/2)}, exact for rational t."""
-    return _eval_poly(_moment_coefficients(spec, j), j, t)
+    return levy_moment_g(spec, j, t)
 
 
 def levy_process_moments(spec: LevySpec, order: int, t: Fraction) -> MomentSeq:
@@ -132,20 +138,18 @@ def levy_process_moments(spec: LevySpec, order: int, t: Fraction) -> MomentSeq:
 
 def centered_subordinator_moments(spec: SubordinatorSpec, order: int, t: Fraction) -> MomentSeq:
     """Moment sequence of X(t) - t at fixed rational t, from the h functions."""
-    t = Fraction(t)
-    mu = [subordinator_moment_h(spec, j, t) * t ** (j // 2) for j in range(order + 1)]
-    return MomentSeq(tuple(mu))
+    return levy_process_moments(spec, order, t)
 
 
-def levy_cumulant(spec: LevySpec, j: int, t):
-    """kappa_j(Y(t)) = t (sigma^2+kappa^2) E T^{j-2} for j >= 2."""
+def levy_cumulant(spec, j: int, t):
+    """kappa_j(Y(t)) = t (sigma^2+kappa^2) E T^{j-2}, or kappa_j(X(t)) = t tau^2 E T*^{j-2}, j >= 2."""
     if j < 2:
         raise ValueError("the cumulant formula applies for j >= 2")
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
-    tm = tstar_moments(spec, j - 2)
-    return (spec.sigma2 + spec.kappa2) * tm[j - 2].as_fraction() * t
+    var2, tm = _variance_and_t(spec, j - 2)
+    return var2 * tm[j - 2].as_fraction() * t
 
 
 # --- named processes and JSON wire format -----------------------------------

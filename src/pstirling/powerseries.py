@@ -206,11 +206,6 @@ class EGFSeries(Record):
         """
         return _canonical(object.__new__(cls), den, re, im)
 
-    def __mul__(self, other):
-        if isinstance(other, EGFSeries):
-            return egf_mul(self, other)
-        return NotImplemented
-
 
 def _canonical(s: EGFSeries, den: int, re, im) -> EGFSeries:
     """Store (re[j] + i im[j]) / den in s, reduced to the canonical form; den > 0."""

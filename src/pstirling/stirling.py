@@ -322,8 +322,5 @@ def bound_holds(spec: DistSpec, j: int, m_idx: int, order: int | None = None) ->
     except UnsupportedSpecError:
         if not spec.symmetric:
             raise
-        table = psn_egf_cached(mom)
-        lhs = abs(table.entry(j, m_idx).as_fraction())
-        rhs_lb = egf_pow(mom, m_idx)[j].as_fraction() / factorial(m_idx)
-        return BoundCheck(lhs <= rhs_lb, lhs, rhs_lb, True)
+        return bound_check_from_moments(mom, mom, j, m_idx)._replace(rhs_is_lower_bound=True)
     return bound_check_from_moments(mom, abs_m, j, m_idx)

@@ -182,7 +182,7 @@ class TestLevyCommand:
         # it was ignored: --dist poisson --param 3 printed the rate-1 process
         code, out, err = run_cli(capsys, "levy", "--dist", "poisson", "--param", "3")
         assert (code, out) == (2, "")
-        assert err == "pstirling: error: --param is not meaningful for levy processes\n"
+        assert err == "pstirling: error: levy does not take --param\n"
 
     def test_config_moments_past_jmax_are_cut(self, tmp_path, capsys, monkeypatch):
         rng = random.Random(40)
@@ -350,6 +350,20 @@ class TestConfigAndOutput:
             # a config dist that is not a name: it raised TypeError (unhashable type)
             (["levy"], {"dist": {"dist": "uniformstd"}}, "levy needs --dist"),
             (["levy"], {"dist": ["gamma"]}, "levy needs --dist"),
+            # a flag or a config key outside the command's row: each was read by nothing
+            (["stirling", "--dist", "rademacher", "--seed", "3"], None,
+             "stirling does not take --seed"),
+            (["edgeworth", "--dist", "uniformstd", "--n", "4", "--mode", "exact"], None,
+             "edgeworth does not take --mode"),
+            (["validate", "--suite", "exact", "--format", "csv"], None,
+             "validate does not take --format"),
+            (["validate", "--suite", "exact", "--jmax", "3"], None, "validate does not take --jmax"),
+            (["moments"], {"dist": "rademacher", "jamx": 40, "n": 3},
+             "moments does not take the config key 'jamx'"),
+            (["stirling", "--dist", "rademacher"], {"n": 3},
+             "stirling does not take the config key 'n'"),
+            (["levy", "--dist", "poisson"], {"param": "3"},
+             "levy does not take the config key 'param'"),
         ],
     )
     def test_bad_input_is_one_line_exit_2(self, tmp_path, capsys, argv, config, message):
@@ -374,6 +388,23 @@ class TestConfigAndOutput:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["frobnicate"], "invalid choice: 'frobnicate'"),
+            ([], "required: subcommand"),
+            (["stirling", "--dist", "rademacher", "--jmax", "abc"], "invalid int value: 'abc'"),
+            (["stirling", "--dist", "rademacher", "--mode", "decimal"], "invalid choice: 'decimal'"),
+        ],
+    )
+    def test_parser_errors_are_one_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("pstirling: error:") and message in err
 
 
 class TestDeterminism:

@@ -216,6 +216,9 @@ class TestAgainstCumulants:
              "moment sequence does not reach the requested order"),
             (cm_coefficients, proc, "U moments do not reach the requested order"),
             (lambda s, j: levy_moment_g(s, j, F(1)), proc, "U moments do not reach the requested order"),
+            (lambda s, j: levy_cumulant(s, j, F(1)), sub,
+             "moment sequence does not reach the requested order"),
+            (lambda s, j: levy_cumulant(s, j, F(1)), proc, "U moments do not reach the requested order"),
         ]:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 fn(spec, 8)
@@ -239,12 +242,21 @@ class TestLevyCumulant:
         assert levy_cumulant(spec, 2, F(7)) == 14
 
     def test_matches_series_log(self):
-        spec = compensated_unit_jump(10)
-        for t in TIMES:
-            mu = levy_process_moments(spec, 8, t)
-            kappa = cumulants_oracle(mu)
-            for j in range(2, 9):
-                assert kappa.kappa[j - 1] == levy_cumulant(spec, j, t)
+        for spec, moments in [
+            (compensated_unit_jump(10), levy_process_moments),
+            (gamma_subordinator(10), centered_subordinator_moments),
+            (poisson_subordinator(10), centered_subordinator_moments),
+        ]:
+            for t in TIMES:
+                kappa = cumulants_oracle(moments(spec, 8, t))
+                for j in range(2, 9):
+                    assert kappa.kappa[j - 1] == levy_cumulant(spec, j, t)
+
+    def test_non_spec_is_a_type_error(self):
+        # levy_cumulant raised AttributeError here, as it did on a subordinator
+        for fn in (levy_cumulant, levy_moment_g):
+            with pytest.raises(TypeError, match="^spec must be a LevySpec or SubordinatorSpec$"):
+                fn(MomentSeq([F(1), F(0), F(1)]), 2, F(1))
 
     def test_low_order_rejected(self):
         with pytest.raises(ValueError):
