@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 # only what parsing and checking the config need; each _cmd_* imports the
@@ -21,10 +22,11 @@ from .randomvars import UNIFORM_STD, DistSpec, dist_from_json, param_key, parse_
 MAX_JMAX = 200
 MAX_MC_SAMPLES = 10**8
 MAX_GRID_POINTS = 10**5
-# edgeworth's exact Irwin-Hall column (uniformstd) takes about 0.23 s a grid point at
-# n = 512 (2 cores, Python 3.11, the host's slower state) and grows about 7x each time
-# n doubles
 MAX_EDGEWORTH_N = 512
+# edgeworth's exact Irwin-Hall column (uniformstd) takes about 0.23 s a grid point at
+# n = 512 (2 cores, Python 3.11, the host's slower state) and 5.4-6.4x more each time n
+# doubles from 64 to 512; a column predicted, at 6x, to take longer than this is refused
+MAX_IRWIN_HALL_S = 60
 # E S_n^j has up to j log10(n) more digits than E Y^j: 1200 at jmax = MAX_JMAX
 MAX_MOMENTS_N = 10**6
 
@@ -304,6 +306,15 @@ def _cmd_edgeworth(config) -> int:
     if n < 1:
         raise ValueError("edgeworth needs n >= 1")
     grid = _parse_grid(config.get("grid", "-3:3:1/2"))
+    with_oracle = spec.kind == UNIFORM_STD
+    if with_oracle:
+        # the cost model beside MAX_IRWIN_HALL_S, checked before any work
+        seconds = math.ceil(len(grid) * 0.23 * 6 ** math.log2(n / 512))
+        if seconds > MAX_IRWIN_HALL_S:
+            raise ValueError(
+                f"the exact Irwin-Hall column of {len(grid)} grid points at n = {n} would take "
+                f"about {seconds} s, more than {MAX_IRWIN_HALL_S} s"
+            )
     K = config.get("K", 2)
     jmax = config.get("jmax")
     model = edgeworth_model(spec, K, order=jmax)
@@ -313,7 +324,6 @@ def _cmd_edgeworth(config) -> int:
             "hypothesis cannot hold",
             file=sys.stderr,
         )
-    with_oracle = spec.kind == UNIFORM_STD
     rows = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the CLI already printed its own notice

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import compress, count
 from math import comb, gcd, lcm
 from numbers import Rational
-from operator import mul, or_
+from operator import attrgetter, mul, or_
 
 
 class SeriesMismatchError(ValueError):
@@ -130,12 +130,17 @@ class Record:
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # one C-level getter of the fields, as a tuple; every subclass has two or more
+        cls._getter = staticmethod(attrgetter(*cls.__slots__))
+
     def _init(self, *values):
         for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return self._getter(self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -145,11 +150,11 @@ class Record:
 
     def __eq__(self, other):
         if type(other) is type(self):
-            return self._fields() == other._fields()
+            return self._getter(self) == other._getter(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._getter(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

@@ -16,11 +16,14 @@ Every power the cross-check routes read comes from one cache of ladders
 (``ladder``): the powers G^0, G^1, ... of one beta-weighted series G of
 the moments, G_k = E beta(r)^k mu_{k+s}, grown by products by the stored
 rows of G (an EGFFactor).  M(z) is G at (s, r) = (0, 0), so
-``psn_direct`` and ``psn_via_classical`` read E S_k^j off ladder (0, 0);
-``psn_gr_rep`` and the Levy moment functions read E W_m(r)^p off the
-ladder of their shifted, weighted G.  Each ladder is built from the
-moments alone, and each of these routes reads its value off it as one
-integer combination of rungs (``egf_combination``).
+``psn_direct`` and ``psn_via_classical`` share the alternating column
+(1/m!) sum_k C(m,k)(-1)^{m-k} M(z)^k of ladder (0, 0), built once per m
+from the rungs E S_k^j (``Ladder.column``): the first reads its
+coefficient j, the second recombines its numerators 0..j through the
+classical numbers.  ``psn_gr_rep`` and the Levy moment functions read
+E W_m(r)^p off the ladder of their shifted, weighted G, as one integer
+combination of rungs (``egf_combination``).  Each ladder is built from
+the moments alone, never from ``psn_egf``.
 All arithmetic is exact; no floating point enters this module.
 """
 
@@ -29,6 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .powerseries import QC, EGFFactor, EGFSeries, egf_combination, egf_mul, egf_one, egf_pow
@@ -154,13 +158,14 @@ class Ladder:
     """The powers G^0, G^1, ... of one series G, with the EGFFactor of G that grows them.
 
     ``rungs`` lists the powers built so far, G itself as rung 1;
-    ``through`` appends one egf_mul by ``factor`` per rung.
+    ``through`` appends one egf_mul by ``factor`` per rung.  ``columns``
+    maps m to the alternating column of ``column(m)``, built on first read.
     """
 
-    __slots__ = ("factor", "rungs")
+    __slots__ = ("factor", "rungs", "columns")
 
     def __init__(self, g: EGFSeries):
-        self.factor, self.rungs = EGFFactor(g), [egf_one(g.order), g]
+        self.factor, self.rungs, self.columns = EGFFactor(g), [egf_one(g.order), g], {}
 
     def through(self, k_max: int) -> list:
         """The rungs, grown through G^k_max.  The list may run past k_max; callers only read it."""
@@ -168,6 +173,24 @@ class Ladder:
         while len(rungs) <= k_max:
             rungs.append(egf_mul(rungs[-1], self.factor))
         return rungs
+
+    def column(self, m: int) -> EGFSeries:
+        """(1/m!) sum_k C(m,k)(-1)^{m-k} G^k, built once from rungs 0..m over their lcm.
+
+        On ladder (0, 0) its coefficient j is S_Y(j, m) by the defining sum.
+        """
+        column = self.columns.get(m)
+        if column is None:
+            rungs = self.through(m)[: m + 1]
+            d = lcm(*(rung.den for rung in rungs))
+            weights = [alternating(m - k, comb(m, k)) * (d // rung.den) for k, rung in enumerate(rungs)]
+            zeros = (0,) * len(rungs[0].re)
+            # numerator j: one C-level dot product of the weights with the rungs' numerators j;
+            # an imaginary part that is zero throughout becomes None in the canonical form
+            re = [sum(map(mul, weights, xs)) for xs in zip(*(rung.re for rung in rungs))]
+            im = [sum(map(mul, weights, xs)) for xs in zip(*(rung.im or zeros for rung in rungs))]
+            column = self.columns[m] = EGFSeries.from_numerators(d * factorial(m), re, im)
+        return column
 
 
 @lru_cache(maxsize=128)
@@ -180,51 +203,53 @@ def ladder(m: MomentSeq, shift: int, r: int) -> Ladder:
     holds more moments than it reads cuts them first, as the CLI does.
     The ladder is built from the moments alone, never from psn_egf or its
     columns, so the routes that read it stay independent of the table
-    they check.  Only ``Ladder.through`` grows it; every caller reads it.
+    they check.  Only ``Ladder.through`` grows its rungs and
+    ``Ladder.column`` its columns; every caller reads them.
     """
     return Ladder(weighted_series(m, shift, r, m.order - shift))
 
 
-def _alternating_read(m: MomentSeq, j: int, m_idx: int, f) -> QC:
-    # (1/m!) sum_k C(m,k)(-1)^{m-k} f(M(z)^k): the shared read of the
-    # defining and classical-number routes
+def _column(m: MomentSeq, j: int, m_idx: int):
+    """Column m_idx of m's ladder (0, 0), or None where m_idx > j makes S_Y(j, m_idx) zero."""
     if j < 0 or m_idx < 0:
         raise ValueError("indices must be nonnegative")
     if j > m.order:
         raise ValueError("j exceeds the available moment order")
-    if m_idx > j:
-        return QC(0)
-    rungs = ladder(m, 0, 0).through(m_idx)[: m_idx + 1]
-    weights = (alternating(m_idx - k, comb(m_idx, k)) for k in range(m_idx + 1))
-    return egf_combination(rungs, weights, f, factorial(m_idx))
+    return ladder(m, 0, 0).column(m_idx) if m_idx <= j else None
 
 
 def psn_direct(m: MomentSeq, j: int, m_idx: int) -> QC:
-    """Defining route: (1/m!) sum_k C(m,k)(-1)^{m-k} E S_k^j.
+    """Defining route: (1/m!) sum_k C(m,k)(-1)^{m-k} E S_k^j, coefficient j of the alternating column.
 
     Returns the structural zero for m_idx > j.
     """
-    return _alternating_read(m, j, m_idx, lambda x: x[j])
+    column = _column(m, j, m_idx)
+    return QC(0) if column is None else column[j]
+
+
+@lru_cache(maxsize=None)
+def _classical_row(j: int) -> tuple:
+    # (S(j,l), coefficients of (x)_l) for each l with S(j,l) != 0
+    return tuple((s2, _falling_factorial_coeffs(l)) for l in range(j + 1) if (s2 := classical_s2(j, l)))
+
+
+def _classical(j: int, x) -> int:
+    # sum_l S(j,l) sum_i s(l,i) x_i: the factorial moments of x recombined
+    return sum(s2 * sum(map(mul, s1, x)) for s2, s1 in _classical_row(j))
 
 
 def psn_via_classical(m: MomentSeq, j: int, m_idx: int) -> QC:
     """Cross-check route through classical numbers of both kinds.
 
     Converts power moments E S_k^i to factorial moments E (S_k)_l with
-    signed first-kind numbers, then recombines with second-kind numbers.
+    signed first-kind numbers, then recombines with second-kind numbers,
+    on the numerators of the alternating column that psn_direct reads.
     """
-
-    def classical(x):
-        # sum_l S(j,l) E (S_k)_l, with E (S_k)_l = sum_i s(l,i) E S_k^i
-        acc = 0
-        for l in range(j + 1):
-            s2 = classical_s2(j, l)
-            if s2:
-                s1 = _falling_factorial_coeffs(l)
-                acc += s2 * sum(s1[i] * x[i] for i in range(l + 1))
-        return acc
-
-    return _alternating_read(m, j, m_idx, classical)
+    column = _column(m, j, m_idx)
+    if column is None:
+        return QC(0)
+    im = _classical(j, column.im) if column.im else 0
+    return QC(Fraction(_classical(j, column.re), column.den), Fraction(im, column.den))
 
 
 def weighted_sum_moment(m: MomentSeq, r: int, m_idx: int, p: int) -> QC:

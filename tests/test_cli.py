@@ -8,10 +8,11 @@ import pytest
 
 from fractions import Fraction as F
 
-from pstirling import stirling
+from pstirling import edgeworth, oracle, stirling
 from pstirling.cli import (
     MAX_EDGEWORTH_N,
     MAX_GRID_POINTS,
+    MAX_IRWIN_HALL_S,
     MAX_JMAX,
     MAX_MC_SAMPLES,
     MAX_MOMENTS_N,
@@ -234,6 +235,40 @@ class TestEdgeworthCommand:
         assert "lattice" in err
         assert out.startswith("y,G,edgeworth")
         assert len(out.strip().split("\n")) == 3
+
+    @pytest.mark.parametrize(
+        "n, grid, points, seconds",
+        [(512, "0:260:1", 261, 61), (64, f"1:{MAX_GRID_POINTS}:1", MAX_GRID_POINTS, 107)],
+    )
+    def test_irwin_hall_column_bounded_before_any_work(
+        self, capsys, monkeypatch, n, grid, points, seconds
+    ):
+        def unavailable(*args, **kwargs):
+            raise AssertionError("the command started work past its bound")
+
+        monkeypatch.setattr(edgeworth, "edgeworth_model", unavailable)
+        monkeypatch.setattr(oracle, "uniform_fn_exact", unavailable)
+        code, out, err = run_cli(
+            capsys, "edgeworth", "--dist", "uniformstd", "--n", str(n), f"--grid={grid}"
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            f"pstirling: error: the exact Irwin-Hall column of {points} grid points at n = {n} "
+            f"would take about {seconds} s, more than {MAX_IRWIN_HALL_S} s\n"
+        )
+
+    @pytest.mark.parametrize(
+        "n, grid, points",
+        [(16, "-2:2:1/2", 9), (512, "0:259:1", 260)],  # the criterion-13 command; the bound's edge
+    )
+    def test_irwin_hall_column_within_the_bound_runs(self, capsys, monkeypatch, n, grid, points):
+        # the exact column at n = 512 takes about a minute; only the bound is under test
+        monkeypatch.setattr(oracle, "uniform_fn_exact", lambda *args: 0.5)
+        code, out, err = run_cli(
+            capsys, "edgeworth", "--dist", "uniformstd", "--n", str(n), f"--grid={grid}"
+        )
+        assert code == 0 and err == ""
+        assert len(out.strip().split("\n")) == 1 + points
 
 
 class TestValidateCommand:

@@ -49,22 +49,30 @@ def fresh_sequence(seed, r, is_complex, order=J):
 
 @pytest.fixture(params=CASES, ids=CASE_IDS)
 def seq(request):
-    r, is_complex = request.param
-    m = fresh_sequence(1000 + 10 * r + is_complex, r, is_complex)
+    # (r, is_complex), or (r, is_complex, order, digits) for an unrelated_sequence
+    r, is_complex, *unrelated = request.param
+    if unrelated:
+        m = unrelated_sequence(1000 + 10 * r + is_complex, r, is_complex, *unrelated)
+    else:
+        m = fresh_sequence(1000 + 10 * r + is_complex, r, is_complex)
     assert vanishing_order(m) == r and m.is_real != is_complex
     return m
 
 
+# the column's lcm over rung denominators meets large, unrelated ones at J = 12
+@pytest.mark.parametrize(
+    "seq", CASES + [(1, True, 12, 19)], ids=CASE_IDS + ["r1-complex-19-digit"], indirect=True
+)
 def test_four_routes_equal_the_table(seq):
     table = stirling.psn_egf(seq)
-    v = vanishing_order(seq)
-    for j in range(J + 1):
+    v, order = vanishing_order(seq), seq.order
+    for j in range(order + 1):
         for mm in range(j + 1):
             expected = table.entry(j, mm)
             assert stirling.psn_direct(seq, j, mm) == expected, (j, mm)
             assert stirling.psn_via_classical(seq, j, mm) == expected, (j, mm)
             p = j - mm * (v + 1)
-            if mm == 0 or p < 0 or p + v + 1 <= J:
+            if mm == 0 or p < 0 or p + v + 1 <= order:
                 assert stirling.psn_gr_rep(seq, v, j, mm) == expected, (j, mm)
 
 
@@ -244,6 +252,26 @@ def test_routes_never_read_the_table(monkeypatch):
             assert stirling.psn_direct(m, j, mm) == table.entry(j, mm)
             assert stirling.psn_via_classical(m, j, mm) == table.entry(j, mm)
     assert moments.cumulants_from_sum_moments(m).kappa == kappa
+
+
+def test_classical_route_reads_the_classical_numbers(monkeypatch):
+    """With one wrong S(j,l) the classical route goes wrong and the defining one does not:
+    the route is not x[j] of the column psn_direct reads."""
+    m = fresh_sequence(80, 0, True)
+    table = stirling.psn_egf(m)
+    j, mm = 8, 3
+    real_s2 = stirling.classical_s2
+
+    def wrong_s2(jj, l):
+        return real_s2(jj, l) + (jj == j and l == 5)
+
+    monkeypatch.setattr(stirling, "classical_s2", wrong_s2)
+    stirling._classical_row.cache_clear()
+    try:
+        assert stirling.psn_via_classical(m, j, mm) != table.entry(j, mm)
+        assert stirling.psn_direct(m, j, mm) == table.entry(j, mm)
+    finally:
+        stirling._classical_row.cache_clear()
 
 
 def schoolbook_weighted_powers(m, shift, r, k_max):
