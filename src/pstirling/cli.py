@@ -16,7 +16,7 @@ import sys
 # only what parsing and checking the config need; each _cmd_* imports the
 # modules it runs, so a command's process loads no other command's modules
 from .powerseries import QC
-from .randomvars import UNIFORM_STD, DistSpec, dist_from_json, param_key, parse_rational
+from .randomvars import UNIFORM_STD, DistSpec, dist_from_json, only_keys, param_key, parse_rational
 
 # Input bounds, checked before any work starts; far above every documented use
 MAX_JMAX = 200
@@ -92,9 +92,7 @@ def _load_config(args) -> dict:
         if not isinstance(config, dict):
             raise ValueError("config must be a JSON object")
     keys = _COMMANDS[args.subcommand][1]
-    for key in config:
-        if key not in keys:
-            raise ValueError(f"{args.subcommand} does not take the config key {key!r}")
+    only_keys(config, keys, f"{args.subcommand} does not take the config key")
     flags = {key: value for key, value in vars(args).items() if key in keys and value is not None}
     if "dist" in flags:
         # --dist and a config's process both name the levy process: the flag wins

@@ -155,7 +155,7 @@ class HatEvenMoment(NamedTuple):
 
 
 def hat_even_moment(m: MomentSeq, s: int) -> HatEvenMoment:
-    """E (Y+iZ)^{2s} by direct binomial expansion.
+    """E (Y+iZ)^{2s}, coefficient 2s of the product series ``hat_transform`` builds.
 
     When the hat sequence vanishes through order 2s-1 (``matched``), the
     value equals E Y^{2s} - E Z^{2s}; otherwise the computed value is

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .powerseries import Record
-from .randomvars import MomentSeq, normal_even_moment, parse_rational
+from .randomvars import MomentSeq, normal_even_moment, only_keys, parse_rational
 from .stirling import ladder
 
 
@@ -195,12 +195,12 @@ def process_from_json(data: dict, order: int):
         return tuple(parse_rational(v, f"a {key} entry") for v in data[key])
 
     if "u_moments" in data:
-        family, params = LevySpec, (rational("sigma2"), rational("kappa2"))
-        mu = moments("u_moments")
+        family, keys = LevySpec, ("sigma2", "kappa2", "u_moments")
     elif "tstar_moments" in data:
-        family, params = SubordinatorSpec, (rational("tau2"),)
-        mu = moments("tstar_moments")
+        family, keys = SubordinatorSpec, ("tau2", "tstar_moments")
     else:
         raise ValueError("process spec needs u_moments or tstar_moments")
+    only_keys(data, keys, "a process spec does not take the key")
+    params, mu = [rational(key) for key in keys[:-1]], moments(keys[-1])
     family(*params, MomentSeq(mu))  # checks the entries past the order too
     return family(*params, MomentSeq(mu[: order + 1]))

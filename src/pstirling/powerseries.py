@@ -4,9 +4,10 @@ A series of order J represents sum_{j<=J} a_j z^j / j!.  Coefficients are
 complex numbers with rational real/imaginary parts, stored as integer
 numerators over one denominator, so every operation is exact.  A value
 leaves a series as a :class:`QC`, either one coefficient (``s[j]``) or an
-integer combination of series (``egf_combination``).  A series that
-several products share, such as the base of a ladder of powers, is held
-as an :class:`EGFFactor`, whose binomial-weighted rows are built once.
+integer combination of series (``egf_combination``).  Every product
+multiplies by the binomial-weighted rows of an :class:`EGFFactor`; a
+series that several products share, such as the base of a ladder of
+powers, is held as one, so that its rows are built once.
 All binary operations require equal truncation orders.
 """
 
@@ -237,25 +238,20 @@ def egf_mul(a: EGFSeries, b, den: int = 1) -> EGFSeries:
 
     This is the product of the underlying functions, truncated at the
     common order; with moment sequences as inputs it multiplies MGFs.
-    b is a series, whose rows C(j,k) b_{j-k} are weighted for this one
-    call, or an EGFFactor holding them already.  den scales the result
-    within its one reduction.
+    b is an EGFFactor, or a series held as one for this one call.  den
+    scales the result within its one reduction.
     """
     _check_compatible(a, b)
-    if isinstance(b, EGFFactor):
-        va = _valuation(a)
-        vb, bden = b.valuation, b.series.den
-        rows = ((wr[va:], wi and wi[va:]) for wr, wi in b.rows[va:])
-    else:
-        va, vb, bden = _valuation(a), _valuation(b), b.den
-        rows = _rows(b.re, b.im, vb, va, a.im is not None)
+    if not isinstance(b, EGFFactor):
+        b = EGFFactor(b)
+    va = _valuation(a)
     # c_j is 0 for j < va + vb; otherwise only the k in [va, j - vb] can contribute
     n = len(a.re)
     xr, xi = a.re[va:], a.im and a.im[va:]
     re, im = [0] * n, [0] * n
-    for j, (wr, wi) in enumerate(rows, va + vb):
-        re[j], im[j] = _product(xr, xi, wr, wi)
-    return EGFSeries.from_numerators(a.den * bden * den, re, im)
+    for j, (wr, wi) in enumerate(b.rows[va:], va + b.valuation):
+        re[j], im[j] = _product(xr, xi, wr[va:], wi and wi[va:])
+    return EGFSeries.from_numerators(a.den * b.series.den * den, re, im)
 
 
 class EGFFactor:
@@ -264,10 +260,9 @@ class EGFFactor:
     Row j holds W_j[k] = C(j,k) b_{j-k} for k = 0..j - v, v the valuation
     of b, as numerators over b.den, real and imaginary parts apart.
     ``egf_mul(a, factor)`` then costs one multiplication per coefficient
-    pair, c_j = sum_k a_k W_j[k], where ``egf_mul(a, b)`` pays a second
-    one to weight each b_{j-k}.  Building the rows costs one
-    multiplication per pair too, so a factor pays off from its second
-    product on.
+    pair, c_j = sum_k a_k W_j[k].  Building the rows costs one
+    multiplication per pair too, which a factor that several products
+    share pays only once.
     """
 
     __slots__ = ("series", "valuation", "rows")
@@ -276,7 +271,7 @@ class EGFFactor:
         self.series = b
         self.valuation = _valuation(b)
         # rows[i] is row j = valuation + i
-        self.rows = tuple(_rows(b.re, b.im, self.valuation, 0, True))
+        self.rows = tuple(_rows(b.re, b.im, self.valuation, True))
 
     @property
     def order(self) -> int:
@@ -290,11 +285,12 @@ def egf_pow(a: EGFSeries, n: int) -> EGFSeries:
     result = egf_one(a.order)
     base = a
     while n:
+        factor = EGFFactor(base)
         if n & 1:
-            result = egf_mul(result, base)
+            result = egf_mul(result, factor)
         n >>= 1
         if n:
-            base = egf_mul(base, base)
+            base = egf_mul(base, factor)
     return result
 
 
@@ -310,7 +306,7 @@ def egf_log(a: EGFSeries) -> EGFSeries:
     ar, ai = a.re, a.im
     # lr[k], li[k]: the numerators of L_{k+1} over den; row j's k = j term, a_0, meets no L
     lr, li, den = [], (None if ai is None else []), 1
-    for j, (wr, wi) in zip(range(a.order), _rows(ar, ai, 0, 0, ai is not None)):
+    for j, (wr, wi) in zip(range(a.order), _rows(ar, ai, 0, ai is not None)):
         # L_{j+1} = a_{j+1} - (re + i im) / (den a.den)
         re, im = _product(lr, li, wr, wi)
         im = 0 if li is None else ai[j + 1] * den - im
@@ -326,7 +322,7 @@ def egf_exp(a: EGFSeries) -> EGFSeries:
     # E_{j+1} = sum_k C(j,k) E_k a_{j+1-k}, the coefficient form of E' = a' E:
     # row j of the series a_1, a_2, ...
     er, ei, den = [1], (None if ai is None else [0]), 1
-    for wr, wi in _rows(a.re[1:], ai and ai[1:], 0, 0, ai is not None):
+    for wr, wi in _rows(a.re[1:], ai and ai[1:], 0, ai is not None):
         re, im = _product(er, ei, wr, wi)
         den = _append(er, ei, den, re, im, den * a.den)
     return EGFSeries.from_numerators(den, er, ei)
@@ -372,8 +368,8 @@ def _valuation(a: EGFSeries) -> int:
     return next(compress(count(), nonzero), len(a.re))
 
 
-def _rows(re, im, vb, lo, reused):
-    """Rows j = lo + vb, ..., len(re) - 1 of the weighted C(j,k) y_{j-k}, k = lo..j - vb.
+def _rows(re, im, vb, reused):
+    """Rows j = vb, ..., len(re) - 1 of the weighted C(j,k) y_{j-k}, k = 0..j - vb.
 
     y_i = re[i] + i im[i] is 0 for i < vb.  Each row is a pair of real
     and imaginary parts, the second None when im is.  A row that is
@@ -381,10 +377,10 @@ def _rows(re, im, vb, lo, reused):
     otherwise it is an iterator that its one reader consumes.
     """
     n = len(re)
-    # y reversed, so that y_{j-k} for k = lo, lo+1, ... is a forward slice
+    # y reversed, so that y_{j-k} for k = 0, 1, ... is a forward slice
     yr, yi = re[::-1], im and im[::-1]
-    for j in range(lo + vb, n):
-        row, s = _binomials(j)[lo:], n - 1 - j + lo
+    for j in range(vb, n):
+        row, s = _binomials(j), n - 1 - j
         wr, wi = map(mul, row, yr[s : n - vb]), yi and map(mul, row, yi[s : n - vb])
         yield (tuple(wr), wi and tuple(wi)) if reused else (wr, wi)
 

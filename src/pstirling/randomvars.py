@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from itertools import islice, repeat
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .powerseries import QC, DomainError, EGFSeries, Record, egf_mul
+from .powerseries import QC, DomainError, EGFSeries, Record, egf_exp, egf_mul
 
 SQRT3 = math.sqrt(3.0)
 
@@ -212,21 +212,19 @@ def standardize_moments(m: MomentSeq) -> MomentSeq:
     """
     if not m.is_real:
         raise DomainError("standardization is defined for real moment sequences")
-    mu = [v.as_fraction() for v in m.coeffs]
-    mean = mu[1]
-    centered = []
-    for k in range(m.order + 1):
-        acc = Fraction(0)
-        for i in range(k + 1):
-            acc += comb(k, i) * mu[i] * (-mean) ** (k - i)
-        centered.append(acc)
-    var = centered[2] if m.order >= 2 else Fraction(0)
+    if m.order < 2:
+        raise DomainError("standardization needs order >= 2")
+    # M(z) e^{-mu_1 z}, where e^{-pz/q} has numerators (-p)^k q^{J-k} over q^J
+    p, q, J = m[1].re.numerator, m[1].re.denominator, m.order
+    shift = EGFSeries.from_numerators(q**J, [(-p) ** k * q ** (J - k) for k in range(J + 1)], None)
+    centered = egf_mul(m, shift)
+    var = centered[2].re
     if var == 0:
         raise DomainError("cannot standardize a degenerate distribution")
     sigma = _rational_sqrt(var)
     if sigma is None:
         raise DomainError("variance has no rational square root")
-    return MomentSeq(tuple(c / sigma**k for k, c in enumerate(centered)))
+    return MomentSeq(tuple(c / sigma**k for k, c in enumerate(centered.coeffs)))
 
 
 def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
@@ -274,12 +272,11 @@ def sample_sums(spec: DistSpec, n: int, count: int, rng: random.Random) -> Itera
 # One record per kind holds all that the package knows of it.
 
 
-def _poisson_moments(spec: DistSpec, order: int) -> list:
-    # Touchard recurrence: mu_{n+1} = lambda * sum_k C(n,k) mu_k.
-    mu = [Fraction(1)]
-    for n in range(order):
-        mu.append(spec.param * sum(comb(n, k) * mu[k] for k in range(n + 1)))
-    return mu
+def _poisson_moments(spec: DistSpec, order: int) -> tuple:
+    # M(z) = exp(lambda (e^z - 1)), whose exponent has coefficients 0, lambda, lambda, ...
+    lam = spec.param
+    exponent = (0,) + (lam.numerator,) * order
+    return egf_exp(EGFSeries.from_numerators(lam.denominator, exponent, None)).coeffs
 
 
 def _gamma_moments(spec: DistSpec, order: int) -> list:
@@ -479,6 +476,8 @@ def parse_rational(value, what: str) -> Fraction:
     # 3x leaves room for both parts, the bar, a sign, a point and spaces
     if isinstance(value, str) and (len(value) > 3 * MAX_RATIONAL_DIGITS or "e" in value.lower()):
         raise error
+    if isinstance(value, (bool, float)):  # a JSON true or 0.1 is no p/q
+        raise error
     try:
         q = Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
@@ -488,13 +487,17 @@ def parse_rational(value, what: str) -> Fraction:
     return q
 
 
+def only_keys(data: dict, keys, message: str) -> None:
+    """Raise ValueError("<message> '<key>'") for the first key of data outside keys."""
+    for key in data:
+        _require(key in keys, f"{message} {key!r}")
+
+
 def _scalar_from_json(v) -> QC:
     if isinstance(v, dict):
         _require("re" in v, f"a complex moment needs 're', not {v!r}")
-        return QC(
-            parse_rational(v["re"], "a moment's 're'"),
-            parse_rational(v.get("im", 0), "a moment's 'im'"),
-        )
+        only_keys(v, ("re", "im"), "a complex moment does not take the key")
+        return QC(*(parse_rational(v.get(k, 0), f"a moment's {k!r}") for k in ("re", "im")))
     return QC(parse_rational(v, "a moment"))
 
 
@@ -503,6 +506,7 @@ def dist_from_json(data: dict) -> DistSpec:
     name = data.get("dist")
     kind = _kind(name)
     key = "moments" if kind.moment_list else kind.key
+    only_keys(data, ("dist", key), f"a {name} spec does not take the key")
     if key is None:
         return DistSpec(name)
     value = data.get(key, kind.default)

@@ -399,6 +399,20 @@ class TestConfigAndOutput:
              "stirling does not take the config key 'n'"),
             (["levy", "--dist", "poisson"], {"param": "3"},
              "levy does not take the config key 'param'"),
+            # a JSON float or bool is no rational: 0.1 ran as 3602879701896397/2^55
+            (["stirling"], {"dist": "poisson", "param": 0.1}, "'lambda' must be"),
+            (["stirling"], {"dist": {"dist": "bernoulli", "p": True}}, "'p' must be"),
+            (["levy", "--dist", "gamma"], {"t": 0.5}, "t must be"),
+            # a key that a nested spec does not read
+            (["stirling"], {"dist": {"dist": "normal", "sigam2": "4"}},
+             "a normal spec does not take the key 'sigam2'"),
+            (["stirling"], {"dist": {"dist": "rademacher", "p": "1/3"}},
+             "a rademacher spec does not take the key 'p'"),
+            (["stirling"],
+             {"dist": {"dist": "custom", "moments": ["1", {"re": "1/2", "imag": "3"}]}},
+             "a complex moment does not take the key 'imag'"),
+            (["levy"], {"process": {"tau2": "1", "tstar_moments": ["1", "2"], "sigma2": "1"}},
+             "a process spec does not take the key 'sigma2'"),
         ],
     )
     def test_bad_input_is_one_line_exit_2(self, tmp_path, capsys, argv, config, message):

@@ -35,7 +35,8 @@ from pstirling.randomvars import (
 )
 from pstirling.stirling import classical_s2
 
-from oracles import beta_moment_integral, touchard_moments
+from oracles import beta_moment_integral, shift_moments, touchard_moments
+from test_properties import unrelated_sequence
 
 CATALOG = [
     point_mass(2),
@@ -78,6 +79,13 @@ class TestMomentsOf:
                 direct = sum(classical_s2(k, m) * lam**m for m in range(k + 1))
                 assert mu[k] == direct
         assert [v.re for v in moments_of(poisson(1), 6).coeffs] == touchard_moments(1, 6)
+
+    @pytest.mark.parametrize(
+        "lam", [F(99999999999999999999, 7), F(3141592653589793239, 2718281828459045235)]
+    )
+    def test_poisson_exp_route_matches_touchard(self, lam):
+        # moments_of takes exp of lambda (e^z - 1); the oracle runs the Touchard recurrence
+        assert [v.re for v in moments_of(poisson(lam), 60).coeffs] == touchard_moments(lam, 60)
 
     def test_gamma_rising_factorial(self):
         mu = moments_of(gamma_shape(F(5, 2)), 3)
@@ -305,6 +313,20 @@ class TestStandardize:
     def test_irrational_sigma_rejected(self):
         with pytest.raises(DomainError):
             standardize_moments(moments_of(poisson(F(1, 2)), 4))
+
+    def test_order_below_two_rejected(self):
+        # (1, 0) lacks mu_2; it is not a degenerate distribution
+        for m in (MomentSeq((1,)), MomentSeq((1, 0)), MomentSeq((1, F(3, 7)))):
+            with pytest.raises(DomainError, match="needs order >= 2"):
+                standardize_moments(m)
+
+    def test_recovers_x_from_affine_image(self):
+        # X standardized with unrelated denominators; Y = c + s X, its moments by the oracle
+        J, c, s = 40, F(-123456789, 98765431), F(271828183, 314159)
+        tail = unrelated_sequence(4040, 2, False, J).coeffs[3:]
+        x = [F(1), F(0), F(1)] + [v.re for v in tail]
+        y = shift_moments([s**k * v for k, v in enumerate(x)], c)
+        assert [v.re for v in standardize_moments(MomentSeq(tuple(y))).coeffs] == x
 
 
 # The first six draws of Y from random.Random(2020), as float.hex.
