@@ -9,7 +9,7 @@ shortest-roundtrip floats.  Exit codes: 0 success, 1 validation failure, 2 argum
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import math
 import sys
 
@@ -65,7 +65,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"pstirling: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of one command: every command's name and help, only its flags.
+
+    A call parses one command, so the other commands' flags are never
+    built; ``command`` None (no command named) gives names and help alone.
+    """
     parser = _Parser(
         prog="pstirling",
         description="probabilistic Stirling numbers, exact sum moments, cumulants, "
@@ -74,6 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (help_text, keys, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        if name != command:
+            continue
         p.add_argument("--config", help="JSON config file; flags override its values")
         for key in keys:
             if key in _FLAGS:
@@ -84,6 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> dict:
     config = {}
     if args.config:
+        import json
+
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 config = json.load(fh)
@@ -183,6 +193,8 @@ def _scalar_str(value, mode: str) -> str:
 
 def _emit(rows, header, config) -> str:
     if config["format"] == "json":
+        import json
+
         payload = [dict(zip(header, row)) for row in rows]
         return json.dumps(payload, indent=2) + "\n"
     lines = [",".join(header)]
@@ -340,6 +352,8 @@ def _cmd_edgeworth(config) -> int:
 
 
 def _cmd_validate(config) -> int:
+    import json
+
     from . import oracle
 
     suite = config.get("suite", "all")
@@ -392,7 +406,10 @@ def _run_unlimited(command, config) -> int:
 
 
 def main(argv=None) -> int:
-    args, extra = _build_parser().parse_known_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args, extra = _build_parser(command).parse_known_args(argv)
     try:
         if extra:
             raise ValueError(f"{args.subcommand} does not take {extra[0]}")

@@ -29,31 +29,35 @@ class DomainError(ValueError):
     """Operand outside an operation's domain (e.g. log of a_0 != 1)."""
 
 
+def _exact_part(value) -> Fraction:
+    # a QC part that is not a Fraction: an int or another Rational, never a float, complex or str
+    if type(value) is int or isinstance(value, Rational):
+        return Fraction(value)
+    raise TypeError(f"cannot build exact scalar from {type(value).__name__}")
+
+
 class QC:
     """Complex scalar with exact rational real and imaginary parts.
 
     Fraction keeps both parts normalized (gcd 1, positive denominator).
-    Arithmetic accepts int/Fraction on either side; floats and complex
-    are rejected so that inexact values cannot enter silently.
+    Construction and arithmetic accept int/Fraction; floats, complex and
+    strings are rejected (TypeError) so that inexact values cannot enter
+    silently.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
         # a Fraction part is immutable, so it is kept rather than copied
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        object.__setattr__(self, "re", re if type(re) is Fraction else _exact_part(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else _exact_part(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("QC is immutable")
 
     @classmethod
     def of(cls, value) -> "QC":
-        if isinstance(value, QC):
-            return value
-        if isinstance(value, Rational):
-            return cls(value)
-        raise TypeError(f"cannot build exact scalar from {type(value).__name__}")
+        return value if isinstance(value, QC) else cls(value)
 
     @property
     def is_real(self) -> bool:

@@ -45,7 +45,8 @@ class MomentSeq(EGFSeries):
     ``__slots__``, and an empty tuple here would hide EGFSeries's.
     ``MomentSeq.from_numerators`` skips the mu_0 check; its callers keep
     mu_0 = 1 by construction: ``hat_transform`` (a product of sequences),
-    ``tilde_transform`` (mu_{k+2}/mu_2) and ``levy.tstar_moments``.
+    ``tilde_transform`` (mu_{k+2}/mu_2), the Poisson kind (a series exp,
+    whose E_0 is 1) and ``levy.tstar_moments``.
     """
 
     def __init__(self, mu):
@@ -135,7 +136,8 @@ def moments_of(spec: DistSpec, order: int) -> MomentSeq:
     """Exact rational moments mu_0..mu_J for a catalog spec."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return MomentSeq(tuple(_KINDS[spec.kind].moments(spec, order)))
+    mu = _KINDS[spec.kind].moments(spec, order)
+    return mu if isinstance(mu, MomentSeq) else MomentSeq(tuple(mu))
 
 
 def abs_moments_of(spec: DistSpec, order: int) -> MomentSeq:
@@ -272,11 +274,12 @@ def sample_sums(spec: DistSpec, n: int, count: int, rng: random.Random) -> Itera
 # One record per kind holds all that the package knows of it.
 
 
-def _poisson_moments(spec: DistSpec, order: int) -> tuple:
+def _poisson_moments(spec: DistSpec, order: int) -> MomentSeq:
     # M(z) = exp(lambda (e^z - 1)), whose exponent has coefficients 0, lambda, lambda, ...
     lam = spec.param
     exponent = (0,) + (lam.numerator,) * order
-    return egf_exp(EGFSeries.from_numerators(lam.denominator, exponent, None)).coeffs
+    m = egf_exp(EGFSeries.from_numerators(lam.denominator, exponent, None))
+    return MomentSeq.from_numerators(m.den, m.re, m.im)
 
 
 def _gamma_moments(spec: DistSpec, order: int) -> list:
@@ -359,7 +362,7 @@ def _check_custom(spec: DistSpec) -> None:
 class _Kind(NamedTuple):
     """How one distribution kind is parameterized, described and sampled."""
 
-    moments: Callable[[DistSpec, int], Sequence]  # exact mu_0..mu_order
+    moments: Callable[[DistSpec, int], Sequence]  # exact mu_0..mu_order, or their MomentSeq
     key: Optional[str] = None  # JSON and --param name of the rational parameter
     default: Optional[Fraction] = None  # the parameter when JSON omits its key
     check: Callable[[DistSpec], None] = lambda spec: None  # rejects a parameter off the domain

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -16,6 +17,7 @@ from pstirling.cli import (
     MAX_JMAX,
     MAX_MC_SAMPLES,
     MAX_MOMENTS_N,
+    _build_parser,
     _parse_grid,
     main,
 )
@@ -515,6 +517,107 @@ class TestImportBoundary:
         assert "pstirling.stirling'" in loaded
         for name in ("oracle", "levy", "edgeworth"):
             assert f"pstirling.{name}'" not in loaded
+
+    def test_edgeworth_loads_neither_levy_nor_moments(self):
+        # the Irwin-Hall column needs oracle's engines, not its validation suite
+        code = (
+            "import io, contextlib\nfrom pstirling import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['edgeworth', '--dist', 'uniformstd', '--n', '16', '--K', '2']) == 0\n"
+            + self.LOADED
+        )
+        loaded = _fresh_process(code)
+        assert "pstirling.edgeworth'" in loaded and "pstirling.oracle'" in loaded
+        for name in ("levy", "moments"):
+            assert f"pstirling.{name}'" not in loaded
+
+    def test_no_json_without_json_input_or_output(self):
+        argvs = [
+            ["stirling", "--dist", "uniformstd", "--jmax", "4"],
+            ["moments", "--dist", "poisson", "--param", "2", "--n", "3", "--jmax", "4"],
+            ["cumulants", "--dist", "exponential", "--jmax", "4"],
+            ["levy", "--dist", "gamma", "--t", "5", "--jmax", "4"],
+            ["edgeworth", "--dist", "uniformstd", "--n", "4", "--grid", "0:1:1/2"],
+        ]
+        code = (
+            "import io, contextlib, sys\nfrom pstirling import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert [cli.main(a) for a in {argvs!r}] == [0] * {len(argvs)}\n"
+            "print('json' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['cumulants', '--dist', 'exponential', '--format', 'json'])\n"
+            "print('json' in sys.modules)\n"
+        )
+        assert _fresh_process(code) == "False\nTrue\n"
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert "{stirling,moments,cumulants,levy,edgeworth,validate}" in out
+        for name, help_text in [
+            ("stirling", "emit the probabilistic Stirling triangle"),
+            ("moments", "emit E S_n^j for j = 0..jmax"),
+            ("cumulants", "emit cumulants kappa_1..kappa_jmax"),
+            ("levy", "emit Levy/subordinator moment functions at t"),
+            ("edgeworth", "emit an Edgeworth CDF curve on a grid"),
+            ("validate", "run the validation suite and emit JSON reports"),
+        ]:
+            assert re.search(rf"^\s+{name}\s+{re.escape(help_text)}$", out, re.M), name
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("stirling", "dist param jmax mode out format"),
+            ("moments", "dist param jmax mode out format n"),
+            ("cumulants", "dist param jmax mode out format"),
+            ("levy", "dist jmax mode out format t"),
+            ("edgeworth", "dist param jmax out format n K grid"),
+            ("validate", "seed out suite mc-samples"),
+        ],
+    )
+    def test_command_help_lists_its_own_flags(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        expected = {"--help", "--config", *("--" + flag for flag in flags.split())}
+        assert set(re.findall(r"--[A-Za-z][\w-]*", out)) == expected
+
+    def test_repeated_calls_in_one_process_are_byte_identical(self, capsys):
+        # each call parses with its command's cached parser, in any order
+        argvs = [
+            ["stirling", "--dist", "uniformstd", "--jmax", "4"],
+            ["levy", "--dist", "gamma", "--t", "5", "--jmax", "4", "--format", "json"],
+            ["moments", "--dist", "rademacher", "--n", "3", "--jmax", "4", "--mode", "float"],
+            ["stirling", "--dist", "rademacher", "--jmax", "3", "--format", "json"],
+            ["validate", "--suite", "exact"],
+            ["edgeworth", "--dist", "uniformstd", "--n", "4", "--grid", "0:1:1/2"],
+            ["cumulants", "--dist", "poisson", "--param", "2", "--jmax", "5"],
+        ]
+        first = [run_cli(capsys, *argv) for argv in argvs]
+        second = [run_cli(capsys, *argv) for argv in reversed(argvs)][::-1]
+        assert first == second and all(code == 0 and out for code, out, _ in first)
+
+    def test_other_commands_flags_and_unknown_commands_exit_2(self, capsys):
+        # moments' parser is built and cached first; levy's still refuses --n
+        assert run_cli(capsys, "moments", "--dist", "rademacher", "--n", "2")[0] == 0
+        for argv, message in [
+            (["levy", "--dist", "gamma", "--n", "2"], "levy does not take --n"),
+            (["validate", "--dist", "gamma"], "validate does not take --dist"),
+            (["cumulants", "--dist", "gamma", "--t", "1"], "cumulants does not take --t"),
+        ]:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == (2, "", f"pstirling: error: {message}\n")
+        for command in ("frobnicate", "--dist", "Stirling"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--dist", "gamma"])
+            out, err = capsys.readouterr()
+            assert exc.value.code == 2 and out == ""
+            assert err.startswith("pstirling: error: ") and len(err.splitlines()) == 1
+        # one parser per command and one for no command named
+        assert _build_parser.cache_info().currsize <= 7
 
     def test_public_names_resolve(self):
         code = (

@@ -162,6 +162,11 @@ class TestMcEmpiricalCdf:
         with pytest.raises(ValueError, match="at least one sample"):
             mc_empirical_cdf(uniform_std(), 2, [0.0], n_samples, seed=1)
 
+    def test_nan_grid_point_rejected(self):
+        # a NaN cut sorts anywhere, and its point read (nan, 1.0)
+        with pytest.raises(ValueError, match="not nan"):
+            mc_empirical_cdf(uniform_std(), 2, [0.0, math.nan, 1.0], 1_000, seed=1)
+
 
 # mc_sum_moment(spec, 2, 3, 20, seed=5) value and stderr, then the
 # mc_empirical_cdf(spec, 2, GOLDEN_GRID, 20, seed=5) values, as float.hex, read

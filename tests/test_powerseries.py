@@ -55,6 +55,13 @@ class TestQC:
             QC(1) + 0.5
         with pytest.raises(TypeError):
             0.5 * QC(1)
+        # the constructor refuses inexact parts too: QC(0.1) stored 3602879701896397/2^55
+        for part in (0.1, 1.0, 1j, "1/3", None):
+            with pytest.raises(TypeError, match="cannot build exact scalar"):
+                QC(part)
+            with pytest.raises(TypeError, match="cannot build exact scalar"):
+                QC(1, part)
+        assert QC(3, F(1, 2)) == QC(F(3), F(1, 2)) and type(QC(3).re) is F
 
     def test_immutable(self):
         v = QC(1)

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from pstirling.levy import LevySpec, tstar_moments
-from pstirling.powerseries import DomainError, EGFSeries, QC, egf_mul
+from pstirling.powerseries import DomainError, EGFSeries, QC, egf_exp, egf_mul
 from pstirling.randomvars import (
     MAX_RATIONAL_DIGITS,
     DistSpec,
@@ -86,6 +86,16 @@ class TestMomentsOf:
     def test_poisson_exp_route_matches_touchard(self, lam):
         # moments_of takes exp of lambda (e^z - 1); the oracle runs the Touchard recurrence
         assert [v.re for v in moments_of(poisson(lam), 60).coeffs] == touchard_moments(lam, 60)
+
+    @pytest.mark.parametrize(
+        "lam", [F(3, 2), F(12345678901234567891, 98765432109876543211)]
+    )
+    def test_poisson_moments_skip_the_qc_round_trip(self, lam):
+        # the series exp's numerators become the MomentSeq as they are; Record
+        # equality compares the canonical fields with those of the QC rebuild
+        exponent = EGFSeries.from_numerators(lam.denominator, (0,) + (lam.numerator,) * 60, None)
+        rebuilt = MomentSeq(tuple(egf_exp(exponent).coeffs))
+        assert moments_of(poisson(lam), 60) == rebuilt
 
     def test_gamma_rising_factorial(self):
         mu = moments_of(gamma_shape(F(5, 2)), 3)
