@@ -60,6 +60,7 @@ _PUBLIC = {
     "sum_moment": "moments",
     "sum_moment_egf": "moments",
     "sum_moment_recursion": "moments",
+    "sum_moments": "moments",
     "LevySpec": "levy",
     "SubordinatorSpec": "levy",
     "cm_coefficients": "levy",

@@ -242,7 +242,7 @@ def _cmd_stirling(config) -> int:
 
 
 def _cmd_moments(config) -> int:
-    from .moments import sum_moment
+    from .moments import sum_moments
     from .randomvars import moments_of
 
     spec = _dist_spec(config)
@@ -250,8 +250,8 @@ def _cmd_moments(config) -> int:
     if "n" not in config:
         raise ValueError("moments needs --n")
     n = config["n"]
-    mom = moments_of(spec, jmax)
-    rows = [(n, j, _scalar_str(sum_moment(mom, n, j), config["mode"])) for j in range(jmax + 1)]
+    sweep = sum_moments(moments_of(spec, jmax), n).coeffs
+    rows = [(n, j, _scalar_str(v, config["mode"])) for j, v in enumerate(sweep)]
     _write(_emit(rows, ("n", "j", "value"), config), config)
     return 0
 
@@ -284,21 +284,16 @@ def _process_spec(config, jmax: int):
 
 
 def _cmd_levy(config) -> int:
-    from fractions import Fraction
-
-    from .levy import levy_moment_g
+    from .levy import levy_process_moments
 
     jmax = config.get("jmax", 8)
     proc = _process_spec(config, jmax)
-    t = config.get("t", Fraction(1))
-    if t <= 0:
-        raise ValueError("t must be positive")
+    t = config.get("t", 1)
     mode = config["mode"]
-    rows = []
-    for j in range(jmax + 1):
-        # a subordinator's h_j too: subordinator_moment_h is levy_moment_g
-        value = levy_moment_g(proc, j, t)
-        rows.append((_scalar_str(t, mode), j, _scalar_str(value, mode)))
+    # g_j(t), or a subordinator's h_j(t): E Y(t)^j / t^floor(j/2)
+    sweep = levy_process_moments(proc, jmax, t).coeffs
+    rows = [(_scalar_str(t, mode), j, _scalar_str(v.as_fraction() / t ** (j // 2), mode))
+            for j, v in enumerate(sweep)]
     _write(_emit(rows, ("t", "j", "value"), config), config)
     return 0
 

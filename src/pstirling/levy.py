@@ -15,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .powerseries import Record
-from .randomvars import MomentSeq, normal_even_moment, only_keys, parse_rational
+from .powerseries import EGFSeries, Record
+from .randomvars import MomentSeq, _exp_moments, normal_even_moment, only_keys, parse_rational
 from .stirling import ladder
 
 
@@ -111,17 +111,13 @@ def cm_coefficients(spec, j: int) -> list:
     return _moment_coefficients(spec, j)[1:]
 
 
-def _eval_poly(coeffs: list, j: int, t):
-    half = j // 2
+def levy_moment_g(spec: LevySpec, j: int, t):
+    """g_j(t) = E Y(t)^j / t^{floor(j/2)}, exact for rational t."""
+    coeffs = _moment_coefficients(spec, j)
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
-    return sum(c * t ** (m - half) for m, c in enumerate(coeffs))
-
-
-def levy_moment_g(spec: LevySpec, j: int, t):
-    """g_j(t) = E Y(t)^j / t^{floor(j/2)}, exact for rational t."""
-    return _eval_poly(_moment_coefficients(spec, j), j, t)
+    return sum(c * t ** (m - j // 2) for m, c in enumerate(coeffs))
 
 
 def subordinator_moment_h(spec: SubordinatorSpec, j: int, t):
@@ -130,14 +126,19 @@ def subordinator_moment_h(spec: SubordinatorSpec, j: int, t):
 
 
 def levy_process_moments(spec: LevySpec, order: int, t: Fraction) -> MomentSeq:
-    """Moment sequence of Y(t) at fixed rational t, from the g functions."""
+    """Moments of Y(t), rational t > 0: exp(t K), K_j = var2 E T^{j-2} the cumulants at t = 1."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     t = Fraction(t)
-    mu = [levy_moment_g(spec, j, t) * t ** (j // 2) for j in range(order + 1)]
-    return MomentSeq(tuple(mu))
+    if t <= 0:
+        raise ValueError("t must be positive")
+    var2, tm = _variance_and_t(spec, order - 2)
+    k = [0, 0, *(var2.numerator * x for x in tm.re)][: order + 1]  # K_0 = K_1 = 0
+    return _exp_moments(EGFSeries.from_numerators(var2.denominator * tm.den, k, None), t)
 
 
 def centered_subordinator_moments(spec: SubordinatorSpec, order: int, t: Fraction) -> MomentSeq:
-    """Moment sequence of X(t) - t at fixed rational t, from the h functions."""
+    """Moment sequence of X(t) - t at fixed rational t: h_j(t) times t^{floor(j/2)}."""
     return levy_process_moments(spec, order, t)
 
 

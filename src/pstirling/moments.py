@@ -6,7 +6,8 @@ recursion expresses E S_n^j for large n through the values at n < tau.
 Cumulants come from the table, from an alternating binomial over sum
 moments, and from the series logarithm, and all three must agree.  The
 table and ladder routes read each value out as one integer combination
-of columns or rungs (``egf_combination``); only the result is a QC.
+of columns or rungs (``egf_combination``); only the result is a QC.  The
+CLI's sweep is one series exp(n log M) (``sum_moments``), which no route reads.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .powerseries import QC, egf_combination, egf_log, egf_pow
-from .randomvars import MomentSeq, vanishing_order
+from .randomvars import MomentSeq, _exp_moments, vanishing_order
 from .stirling import alternating, ladder, psn_egf_cached
 
 
@@ -60,6 +61,13 @@ def sum_moment(m: MomentSeq, n: int, j: int, r=None) -> QC:
     # (n)_0, (n)_1, ..., (n)_top
     weights = accumulate(range(n, n - top, -1), mul, initial=1)
     return egf_combination(psn_egf_cached(m).columns[: top + 1], weights, lambda x: x[j])
+
+
+def sum_moments(m: MomentSeq, n: int) -> MomentSeq:
+    """E S_n^0..E S_n^J as one sequence: exp(n log M), the n-fold cumulants of Y."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _exp_moments(egf_log(m), n)
 
 
 def sum_moment_egf(m: MomentSeq, n: int, j: int) -> QC:

@@ -95,6 +95,8 @@ def mc_sum_moment(spec: DistSpec, n: int, j: int, n_samples: int, seed: int) -> 
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    if j < 0:
+        raise ValueError("indices must be nonnegative")
     total = 0.0
     total_sq = 0.0
     for sums in _stream_sums(spec, n, n_samples, seed):

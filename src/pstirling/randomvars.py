@@ -45,7 +45,7 @@ class MomentSeq(EGFSeries):
     ``__slots__``, and an empty tuple here would hide EGFSeries's.
     ``MomentSeq.from_numerators`` skips the mu_0 check; its callers keep
     mu_0 = 1 by construction: ``hat_transform`` (a product of sequences),
-    ``tilde_transform`` (mu_{k+2}/mu_2), the Poisson kind (a series exp,
+    ``tilde_transform`` (mu_{k+2}/mu_2), ``_exp_moments`` (a series exp,
     whose E_0 is 1) and ``levy.tstar_moments``.
     """
 
@@ -54,6 +54,14 @@ class MomentSeq(EGFSeries):
         super().__init__(mu or (0,))
         if self.re[0] != self.den or self.im and self.im[0]:
             raise DomainError("moment sequence must start with mu_0 = 1")
+
+
+def _exp_moments(k: EGFSeries, c) -> MomentSeq:
+    """The moments exp(c K) of a cumulant series K (K_0 = 0), c >= 0 scaling its numerators."""
+    num = c.numerator
+    e = egf_exp(EGFSeries.from_numerators(
+        k.den * c.denominator, [num * x for x in k.re], k.im and [num * x for x in k.im]))
+    return MomentSeq.from_numerators(e.den, e.re, e.im)
 
 
 class DistSpec(Record):
@@ -163,6 +171,8 @@ def beta_moments(r: int, order: int) -> MomentSeq:
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     if r == 0:
         return MomentSeq((Fraction(1),) * (order + 1))
     mu = [Fraction(factorial(k) * factorial(r), factorial(k + r)) for k in range(order + 1)]
@@ -272,14 +282,6 @@ def sample_sums(spec: DistSpec, n: int, count: int, rng: random.Random) -> Itera
 
 # --- the distribution kinds -------------------------------------------------
 # One record per kind holds all that the package knows of it.
-
-
-def _poisson_moments(spec: DistSpec, order: int) -> MomentSeq:
-    # M(z) = exp(lambda (e^z - 1)), whose exponent has coefficients 0, lambda, lambda, ...
-    lam = spec.param
-    exponent = (0,) + (lam.numerator,) * order
-    m = egf_exp(EGFSeries.from_numerators(lam.denominator, exponent, None))
-    return MomentSeq.from_numerators(m.den, m.re, m.im)
 
 
 def _gamma_moments(spec: DistSpec, order: int) -> list:
@@ -408,7 +410,9 @@ _KINDS = {
         symmetric=lambda spec: True,
     ),
     POISSON: _Kind(
-        _poisson_moments,
+        # M(z) = exp(lambda (e^z - 1)): every cumulant is lambda
+        lambda spec, order: _exp_moments(EGFSeries.from_numerators(1, (0,) + (1,) * order, None),
+                                         spec.param),
         key="lambda",
         check=lambda spec: _require(spec.param > 0, "poisson rate must be positive"),
         abs_spec=lambda spec: spec,

@@ -200,7 +200,7 @@ def ladder(m: MomentSeq, shift: int, r: int) -> Ladder:
     Ladder (0, 0) holds M(z)^k, the EGFs of E S_k^j; ladder (s, r) holds
     G^m, whose coefficient p is E W_m(r)^p over the shifted moments.  A
     sequence is powered at its full order J - shift, so a caller that
-    holds more moments than it reads cuts them first, as the CLI does.
+    holds more moments than it reads cuts them first.
     The ladder is built from the moments alone, never from psn_egf or its
     columns, so the routes that read it stay independent of the table
     they check.  Only ``Ladder.through`` grows its rungs and

@@ -9,7 +9,7 @@ import pytest
 
 from fractions import Fraction as F
 
-from pstirling import edgeworth, oracle, stirling
+from pstirling import edgeworth, levy, moments, oracle, randomvars
 from pstirling.cli import (
     MAX_EDGEWORTH_N,
     MAX_GRID_POINTS,
@@ -21,6 +21,7 @@ from pstirling.cli import (
     _parse_grid,
     main,
 )
+from pstirling.powerseries import QC
 from pstirling.randomvars import MAX_RATIONAL_DIGITS
 
 
@@ -192,13 +193,14 @@ class TestLevyCommand:
         tstar = ["1"] + [f"{rng.randrange(10**18, 10**19)}/{rng.randrange(10**18, 10**19)}"
                          for _ in range(39)]
         orders = []
-        real = stirling.weighted_series
+        real = levy.levy_process_moments
 
-        def recording(m, shift, r, order):
-            orders.append(order)
-            return real(m, shift, r, order)
+        def recording(spec, order, t):
+            orders.append((spec.tstar_moments.order, order))
+            return real(spec, order, t)
 
-        monkeypatch.setattr(stirling, "weighted_series", recording)
+        # the T* moments that each run's one series exp reads, and its order
+        monkeypatch.setattr(levy, "levy_process_moments", recording)
         config = tmp_path / "process.json"
 
         def run(moments):
@@ -207,11 +209,100 @@ class TestLevyCommand:
 
         full, cut = run(tstar), run(tstar[:9])
         assert full == cut and full[0] == 0 and len(full[1].split()) == 10
-        assert orders == [8]  # one ladder at order jmax, shared by both runs
+        assert orders == [(8, 8), (8, 8)]
         tstar[20] = "-1"
         code, out, err = run(tstar)
         assert (code, out) == (2, "")
         assert err == "pstirling: error: T* moments must be nonnegative\n"
+
+
+def _p_q(value) -> str:
+    """An exact value as the CLI prints it: p/q, a complex one as p/q+p/qi."""
+    value = QC.of(value)
+    if value.is_real:
+        return str(value.re)
+    return f"{value.re}{'+' if value.im >= 0 else ''}{value.im}i"
+
+
+def _rationals(seed, count, digits, signed=False, is_complex=False):
+    """count random p/q strings of digits-digit parts; a complex entry is a {re, im} object."""
+    rng = random.Random(seed)
+
+    def one():
+        p, q = (rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(2))
+        return f"{rng.choice(('-', '')) if signed else ''}{p}/{q}"
+
+    return [{"re": one(), "im": one()} if is_complex else one() for _ in range(count)]
+
+
+class TestSweepsMatchThePapersRoutes:
+    """moments and levy print one series exp each; the table and the ladder print the same bytes."""
+
+    @pytest.mark.parametrize("dist, n, jmax", [
+        ({"dist": "rademacher"}, 5, 12),
+        ({"dist": "gamma", "a": "5/2"}, 7, 12),
+        ({"dist": "poisson", "lambda": "99999999999999999999/7"}, 3, 10),
+        ({"dist": "uniformstd"}, 1000, 10),
+        ({"dist": "bernoulli", "p": "1/3"}, 2, 8),
+        ({"dist": "custom", "moments": ["1"] + _rationals(50, 16, 19, signed=True)}, 1000, 16),
+        ({"dist": "custom", "moments": ["1"] + _rationals(51, 12, 9, True, True)}, 7, 12),
+    ], ids=["rademacher", "gamma", "poisson", "uniformstd", "bernoulli", "custom-19-digit",
+            "custom-complex"])
+    def test_moments_equal_the_table_route(self, tmp_path, capsys, dist, n, jmax):
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps({"dist": dist}))
+        code, out, err = run_cli(capsys, "moments", "--config", str(path), "--n", str(n),
+                                 "--jmax", str(jmax))
+        m = randomvars.moments_of(randomvars.dist_from_json(dist), jmax)
+        table = [f"{n},{j},{_p_q(moments.sum_moment(m, n, j))}" for j in range(jmax + 1)]
+        assert (code, err) == (0, "")
+        assert out == "\n".join(["n,j,value", *table]) + "\n"
+
+    NAMED = {"poisson": levy.poisson_subordinator, "gamma": levy.gamma_subordinator,
+             "unitjump": levy.compensated_unit_jump, "gaussian": levy.gaussian_part_only}
+
+    @pytest.mark.parametrize("process, t, jmax", [
+        ("poisson", "1/2", 12),
+        ("gamma", "1/3", 14),
+        ("unitjump", "5/3", 12),
+        ("gaussian", "2/9", 12),
+        ({"tau2": "7/3", "tstar_moments": ["1"] + _rationals(52, 16, 19)}, "2/3", 18),
+        ({"sigma2": "1/3", "kappa2": "2/5", "u_moments": ["1"] + _rationals(53, 16, 19, True)},
+         "9/4", 18),
+    ], ids=["poisson", "gamma", "unitjump", "gaussian", "tstar-19-digit", "u-moments-19-digit"])
+    def test_levy_equals_the_ladder_route(self, tmp_path, capsys, process, t, jmax):
+        if isinstance(process, str):
+            argv, spec = ["--dist", process], self.NAMED[process](jmax)
+        else:
+            path = tmp_path / "process.json"
+            path.write_text(json.dumps({"process": process}))
+            argv, spec = ["--config", str(path)], levy.process_from_json(process, jmax)
+        code, out, err = run_cli(capsys, "levy", *argv, "--t", t, "--jmax", str(jmax))
+        ladder = [f"{t},{j},{_p_q(levy.levy_moment_g(spec, j, F(t)))}" for j in range(jmax + 1)]
+        assert (code, err) == (0, "")
+        assert out == "\n".join(["t,j,value", *ladder]) + "\n"
+
+    def test_neither_command_builds_a_table_or_a_ladder(self, tmp_path, capsys, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a Stirling table or a ladder was built")
+
+        for module, name in [(moments, "psn_egf_cached"), (moments, "ladder"), (levy, "ladder")]:
+            monkeypatch.setattr(module, name, refused)
+        custom = tmp_path / "custom.json"
+        custom.write_text(json.dumps({"dist": {"dist": "custom",
+                                               "moments": ["1"] + _rationals(54, 8, 19)}}))
+        process = tmp_path / "process.json"
+        process.write_text(json.dumps({"process": {"tau2": "1",
+                                                   "tstar_moments": ["1"] + _rationals(55, 8, 19)}}))
+        for argv in [
+            ("moments", "--dist", "gamma", "--param", "5/2", "--n", "7", "--jmax", "8"),
+            ("moments", "--config", str(custom), "--n", "3", "--jmax", "8"),
+            ("levy", "--dist", "gamma", "--t", "1/3", "--jmax", "8"),
+            ("levy", "--dist", "unitjump", "--t", "1/3", "--jmax", "8"),
+            ("levy", "--config", str(process), "--jmax", "8"),
+        ]:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err, len(out.split())) == (0, "", 10), argv
 
 
 class TestEdgeworthCommand:

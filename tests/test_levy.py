@@ -94,6 +94,9 @@ class TestLevyMoments:
         spec = compensated_unit_jump(8)
         with pytest.raises(ValueError):
             levy_moment_g(spec, 3, F(-1))
+        for t in (0, F(-1, 3)):  # the levy command relies on this check
+            with pytest.raises(ValueError, match="^t must be positive$"):
+                levy_process_moments(spec, 4, t)
 
 
 class TestSubordinatorMoments:
@@ -134,6 +137,18 @@ class TestSubordinatorMoments:
 def test_negative_j_is_refused(moment):
     with pytest.raises(ValueError, match="indices must be nonnegative"):
         moment(-1)
+
+
+@pytest.mark.parametrize(
+    "moments, spec",
+    [(levy_process_moments, compensated_unit_jump(8)),
+     (centered_subordinator_moments, gamma_subordinator(8))],
+    ids=["levy", "subordinator"],
+)
+def test_negative_order_is_refused(moments, spec):
+    # it ended in DomainError("moment sequence must start with mu_0 = 1")
+    with pytest.raises(ValueError, match="^order must be nonnegative$"):
+        moments(spec, -1, F(1, 2))
 
 
 class TestCompleteMonotonicity:
@@ -184,6 +199,7 @@ class TestAgainstCumulants:
         reference = moments_by_cumulants(var2, tail, t, self.ORDER)
         for j in range(self.ORDER + 1):
             assert fn(spec, j, t) * t ** (j // 2) == reference[j], j
+        assert list(levy_process_moments(spec, self.ORDER, t).coeffs) == reference
 
     @pytest.mark.parametrize("build", [gamma_subordinator, poisson_subordinator])
     def test_named_subordinators(self, build):
@@ -242,13 +258,11 @@ class TestLevyCumulant:
         assert levy_cumulant(spec, 2, F(7)) == 14
 
     def test_matches_series_log(self):
-        for spec, moments in [
-            (compensated_unit_jump(10), levy_process_moments),
-            (gamma_subordinator(10), centered_subordinator_moments),
-            (poisson_subordinator(10), centered_subordinator_moments),
-        ]:
+        # the moments of the paper's 1/t-polynomials: levy_process_moments is exp of these cumulants
+        for spec in [compensated_unit_jump(10), gamma_subordinator(10), poisson_subordinator(10)]:
             for t in TIMES:
-                kappa = cumulants_oracle(moments(spec, 8, t))
+                mu = MomentSeq([levy_moment_g(spec, j, t) * t ** (j // 2) for j in range(9)])
+                kappa = cumulants_oracle(mu)
                 for j in range(2, 9):
                     assert kappa.kappa[j - 1] == levy_cumulant(spec, j, t)
 

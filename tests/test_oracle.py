@@ -116,6 +116,16 @@ class TestMcSumMoment:
         with pytest.raises(UnsupportedSpecError):
             mc_sum_moment(custom([1, 0, 1]), 2, 2, 10_000, seed=0)
 
+    @pytest.mark.parametrize("spec", [rademacher(), exponential()], ids=["rademacher", "exponential"])
+    def test_negative_j_is_refused_before_sampling(self, spec, monkeypatch):
+        # rademacher raised ZeroDivisionError; exponential estimated E S^-1 as 1.48
+        def no_sampling(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(oracle, "_stream_sums", no_sampling)
+        with pytest.raises(ValueError, match="^indices must be nonnegative$"):
+            mc_sum_moment(spec, 2, -1, 10_000, seed=0)
+
     def test_stderr_shrinks_with_n(self):
         # averaged over seeds, doubling the sample count cuts SE by ~sqrt(2)
         small = [mc_sum_moment(uniform_std(), 2, 2, 3_000, seed=s).stderr for s in range(10)]

@@ -389,9 +389,11 @@ def test_consumers_on_unrelated_denominators(r, is_complex):
     for n in (0, 1, 2, 7, 1000):
         power = egf_pow(m, n)  # sum_moment_egf(m, n, j) is power[j]; built once per n
         assert moments.sum_moment_egf(m, n, order) == power[order]
+        sweep = moments.sum_moments(m, n)  # exp(n log M), what the CLI prints
+        assert sweep.coeffs == power.coeffs, n
         for j in range(order + 1):
             for rr in range(r + 1):
-                assert moments.sum_moment(m, n, j, r=rr) == power[j], (n, j, rr)
+                assert moments.sum_moment(m, n, j, r=rr) == sweep[j], (n, j, rr)
     for j in range(r + 1, order + 1):
         tau = j // (r + 1)
         for n in sorted({tau, 2 * tau + 1, 20}):

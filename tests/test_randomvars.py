@@ -294,6 +294,12 @@ class TestBetaMoments:
     def test_r0_all_ones(self):
         assert all(v == 1 for v in beta_moments(0, 5).coeffs)
 
+    @pytest.mark.parametrize("r", [0, 2])
+    def test_negative_order_is_refused(self, r):
+        # it ended in DomainError("moment sequence must start with mu_0 = 1")
+        with pytest.raises(ValueError, match="^order must be nonnegative$"):
+            beta_moments(r, -1)
+
     def test_against_integral(self):
         for r in range(5):
             bm = beta_moments(r, 8)
