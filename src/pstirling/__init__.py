@@ -23,6 +23,7 @@ _PUBLIC = {
     "egf_log": "powerseries",
     "egf_mul": "powerseries",
     "egf_pow": "powerseries",
+    "CumulantSeq": "randomvars",
     "DistSpec": "randomvars",
     "MomentSeq": "randomvars",
     "UnsupportedSpecError": "randomvars",
@@ -52,7 +53,6 @@ _PUBLIC = {
     "psn_gr_rep": "stirling",
     "psn_via_classical": "stirling",
     "weighted_sum_moment": "stirling",
-    "CumulantSeq": "moments",
     "cumulants_from_stirling": "moments",
     "cumulants_from_sum_moments": "moments",
     "cumulants_oracle": "moments",

@@ -50,15 +50,6 @@ _FLAGS = {
     "mc_samples": {"type": int, "help": "Monte Carlo sample count"},
 }
 
-# --dist of the levy command: the builder's name in the levy module
-_NAMED_PROCESSES = {
-    "poisson": "poisson_subordinator",
-    "gamma": "gamma_subordinator",
-    "unitjump": "compensated_unit_jump",
-    "gaussian": "gaussian_part_only",
-}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # one line and exit 2, as every other bad input
@@ -275,12 +266,10 @@ def _process_spec(config, jmax: int):
     if isinstance(proc, dict):
         return levy.process_from_json(proc, jmax)
     dist = config.get("dist")
-    builder = _NAMED_PROCESSES.get(dist) if isinstance(dist, str) else None
+    builder = levy.NAMED_PROCESSES.get(dist) if isinstance(dist, str) else None
     if builder is None:
-        raise ValueError(
-            "levy needs --dist poisson|gamma|unitjump|gaussian or a config process spec"
-        )
-    return getattr(levy, builder)(jmax)
+        raise ValueError(f"levy needs --dist {'|'.join(levy.NAMED_PROCESSES)} or a config process spec")
+    return builder(jmax)
 
 
 def _cmd_levy(config) -> int:

@@ -103,7 +103,9 @@ def edgeworth_model(source, K: int, order: int | None = None) -> EdgeworthModel:
         if order is not None and order != mom.order:
             raise ValueError("order conflicts with the supplied sequence")
         J = mom.order
-    if mom.order < 2 or mom[1] != 0 or mom[2] != 1:
+    if mom.order < 2:
+        raise DomainError(f"expansion needs moment order >= 2, not {mom.order}")
+    if mom[1] != 0 or mom[2] != 1:
         raise DomainError("expansion needs a standardized source (mean 0, variance 1)")
     hat = hat_transform(mom)
     r = vanishing_order(hat)

@@ -15,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .powerseries import EGFSeries, Record
-from .randomvars import MomentSeq, _exp_moments, normal_even_moment, only_keys, parse_rational
+from .powerseries import Record
+from .randomvars import CumulantSeq, MomentSeq, normal_even_moment, only_keys, parse_rational
 from .stirling import ladder
 
 
@@ -125,16 +125,21 @@ def subordinator_moment_h(spec: SubordinatorSpec, j: int, t):
     return levy_moment_g(spec, j, t)
 
 
+def _cumulant_series(spec, order: int) -> CumulantSeq:
+    """The cumulants at t = 1 through ``order``: K_j = var2 E T^{j-2}, K_0 = K_1 = 0."""
+    var2, tm = _variance_and_t(spec, order - 2)
+    k = [0, 0, *(var2.numerator * x for x in tm.re)][: order + 1]
+    return CumulantSeq.from_numerators(var2.denominator * tm.den, k, None)
+
+
 def levy_process_moments(spec: LevySpec, order: int, t: Fraction) -> MomentSeq:
-    """Moments of Y(t), rational t > 0: exp(t K), K_j = var2 E T^{j-2} the cumulants at t = 1."""
+    """Moments of Y(t), rational t > 0: exp(t K), K the cumulants at t = 1."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
-    var2, tm = _variance_and_t(spec, order - 2)
-    k = [0, 0, *(var2.numerator * x for x in tm.re)][: order + 1]  # K_0 = K_1 = 0
-    return _exp_moments(EGFSeries.from_numerators(var2.denominator * tm.den, k, None), t)
+    return _cumulant_series(spec, order).moments(t)
 
 
 def centered_subordinator_moments(spec: SubordinatorSpec, order: int, t: Fraction) -> MomentSeq:
@@ -149,8 +154,7 @@ def levy_cumulant(spec, j: int, t):
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
-    var2, tm = _variance_and_t(spec, j - 2)
-    return var2 * tm[j - 2].as_fraction() * t
+    return _cumulant_series(spec, j)[j].as_fraction() * t
 
 
 # --- named processes and JSON wire format -----------------------------------
@@ -176,6 +180,15 @@ def gamma_subordinator(order: int) -> SubordinatorSpec:
     """Gamma process: T* has density theta e^{-theta}, so E T*^k = (k+1)!."""
     mu = tuple(Fraction(factorial(k + 1)) for k in range(order + 1))
     return SubordinatorSpec(1, MomentSeq(mu))
+
+
+# --dist of the levy command: each named process and its builder, which takes the order
+NAMED_PROCESSES = {
+    "poisson": poisson_subordinator,
+    "gamma": gamma_subordinator,
+    "unitjump": compensated_unit_jump,
+    "gaussian": gaussian_part_only,
+}
 
 
 def process_from_json(data: dict, order: int):

@@ -5,9 +5,9 @@ floor(j/(r+1)) + 1 terms when the first r moments of Y vanish; a finite
 recursion expresses E S_n^j for large n through the values at n < tau.
 Cumulants come from the table, from an alternating binomial over sum
 moments, and from the series logarithm, and all three must agree.  The
-table and ladder routes read each value out as one integer combination
-of columns or rungs (``egf_combination``); only the result is a QC.  The
-CLI's sweep is one series exp(n log M) (``sum_moments``), which no route reads.
+table and ladder routes read their values out as integer combinations of
+columns or rungs (``egf_combination``, ``egf_lincomb``); every cumulant route
+returns a ``CumulantSeq``.  The CLI's sweep is exp(n log M) (``sum_moments``).
 """
 
 from __future__ import annotations
@@ -16,21 +16,10 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, lcm, perm
 from operator import mul
-from typing import NamedTuple
 
-from .powerseries import QC, egf_combination, egf_log, egf_pow
-from .randomvars import MomentSeq, _exp_moments, vanishing_order
+from .powerseries import QC, egf_combination, egf_lincomb, egf_log, egf_pow
+from .randomvars import CumulantSeq, MomentSeq, vanishing_order
 from .stirling import alternating, ladder, psn_egf_cached
-
-
-class CumulantSeq(NamedTuple):
-    """Cumulants kappa_1..kappa_J; kappa[i] is kappa_{i+1}."""
-
-    kappa: tuple
-
-    @property
-    def order(self) -> int:
-        return len(self.kappa)
 
 
 def _tau(m: MomentSeq, j: int, r) -> int:
@@ -60,14 +49,14 @@ def sum_moment(m: MomentSeq, n: int, j: int, r=None) -> QC:
     top = min(n, _tau(m, j, r))
     # (n)_0, (n)_1, ..., (n)_top
     weights = accumulate(range(n, n - top, -1), mul, initial=1)
-    return egf_combination(psn_egf_cached(m).columns[: top + 1], weights, lambda x: x[j])
+    return egf_combination(psn_egf_cached(m).columns[: top + 1], weights, j)
 
 
 def sum_moments(m: MomentSeq, n: int) -> MomentSeq:
     """E S_n^0..E S_n^J as one sequence: exp(n log M), the n-fold cumulants of Y."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _exp_moments(egf_log(m), n)
+    return cumulants_oracle(m).moments(n)
 
 
 def sum_moment_egf(m: MomentSeq, n: int, j: int) -> QC:
@@ -95,7 +84,7 @@ def sum_moment_recursion(m: MomentSeq, n: int, j: int, r=None) -> QC:
     d = factorial(tau - 1) * l
     weights = [d] + [alternating(tau - 1 - k, comb(tau - 1, k)) * (l // (n - k)) for k in range(tau)]
     series = [psn_egf_cached(m).columns[tau]] + ladder(m, 0, 0).through(tau - 1)[:tau]
-    return egf_combination(series, weights, lambda x: nf * x[j], d)
+    return egf_combination(series, [nf * w for w in weights], j, d)
 
 
 def even_moment_sequence(m: MomentSeq, j: int, n_max: int):
@@ -120,13 +109,13 @@ def even_moment_sequence(m: MomentSeq, j: int, n_max: int):
 
 
 def cumulants_from_stirling(m: MomentSeq) -> CumulantSeq:
-    """kappa_j = sum_m (-1)^{m-1} (m-1)! S_Y(j,m) over the table."""
-    columns = psn_egf_cached(m).columns
-    weights = [alternating(mm - 1, factorial(mm - 1)) for mm in range(1, m.order + 1)]
-    return CumulantSeq(tuple(
-        egf_combination(columns[1 : j + 1], weights[:j], lambda x: x[j])
-        for j in range(1, m.order + 1)
-    ))
+    """kappa_j = sum_m (-1)^{m-1} (m-1)! S_Y(j,m): one combination of the table's columns.
+
+    Column m's weight is the same for every j, S_Y(j,m) = 0 for m > j, and column 0 weighs 0.
+    """
+    weights = [0] + [alternating(mm - 1, factorial(mm - 1)) for mm in range(1, m.order + 1)]
+    k = egf_lincomb(psn_egf_cached(m).columns, weights)
+    return CumulantSeq.from_numerators(k.den, k.re, k.im)
 
 
 def cumulants_from_sum_moments(m: MomentSeq) -> CumulantSeq:
@@ -136,11 +125,11 @@ def cumulants_from_sum_moments(m: MomentSeq) -> CumulantSeq:
     for j in range(1, m.order + 1):
         d = lcm(*range(1, j + 1))
         weights = [alternating(k - 1, comb(j, k)) * (d // k) for k in range(1, j + 1)]
-        kappa.append(egf_combination(pows[1 : j + 1], weights, lambda x: x[j], d))
-    return CumulantSeq(tuple(kappa))
+        kappa.append(egf_combination(pows[1 : j + 1], weights, j, d))
+    return CumulantSeq([0, *kappa])
 
 
 def cumulants_oracle(m: MomentSeq) -> CumulantSeq:
-    """Reference route: coefficients of the series logarithm of the MGF."""
-    log_series = egf_log(m)
-    return CumulantSeq(tuple(log_series[j] for j in range(1, m.order + 1)))
+    """Reference route: the series logarithm of the MGF."""
+    k = egf_log(m)
+    return CumulantSeq.from_numerators(k.den, k.re, k.im)

@@ -332,21 +332,34 @@ def egf_exp(a: EGFSeries) -> EGFSeries:
     return EGFSeries.from_numerators(den, er, ei)
 
 
-def egf_combination(series, weights, f, den: int = 1) -> QC:
-    """sum_i weights[i] f(series[i]) / den as one QC, for int weights and den > 0.
+def egf_combination(series, weights, j: int, den: int = 1) -> QC:
+    """sum_i weights[i] series[i][j] / den as one QC, for int weights and den > 0.
 
-    f maps a numerator tuple to an int and must be linear over the integers,
-    as ``lambda x: x[j]`` is.  The terms meet over the lcm of the series'
-    denominators as Python ints, real and imaginary parts apart.
+    The terms meet over the lcm of the series' denominators as Python
+    ints, real and imaginary parts apart; only coefficient j is read.
     """
     d = lcm(*(s.den for s in series))
     re = im = 0
     for s, w in zip(series, weights, strict=True):
         c = w * (d // s.den)
-        re += c * f(s.re)
+        re += c * s.re[j]
         if s.im is not None:
-            im += c * f(s.im)
+            im += c * s.im[j]
     return QC(Fraction(re, d * den), Fraction(im, d * den))
+
+
+def egf_lincomb(series, weights, den: int = 1) -> EGFSeries:
+    """sum_i weights[i] series[i] / den as one series, for int weights, den > 0 and equal orders.
+
+    The series meet over the lcm of their denominators; numerator j is one
+    C-level dot product of the weights with the series' numerators j.
+    """
+    d = lcm(*(s.den for s in series))
+    scaled = [w * (d // s.den) for s, w in zip(series, weights, strict=True)]
+    zeros = (0,) * len(series[0].re)
+    re = [sum(map(mul, scaled, xs)) for xs in zip(*(s.re for s in series), strict=True)]
+    im = [sum(map(mul, scaled, xs)) for xs in zip(*(s.im or zeros for s in series), strict=True)]
+    return EGFSeries.from_numerators(d * den, re, im)
 
 
 # --- the integer kernel -----------------------------------------------------

@@ -45,8 +45,8 @@ class MomentSeq(EGFSeries):
     ``__slots__``, and an empty tuple here would hide EGFSeries's.
     ``MomentSeq.from_numerators`` skips the mu_0 check; its callers keep
     mu_0 = 1 by construction: ``hat_transform`` (a product of sequences),
-    ``tilde_transform`` (mu_{k+2}/mu_2), ``_exp_moments`` (a series exp,
-    whose E_0 is 1) and ``levy.tstar_moments``.
+    ``tilde_transform``, ``standardize_moments``, ``CumulantSeq.moments``
+    (a series exp, whose E_0 is 1) and ``levy.tstar_moments``.
     """
 
     def __init__(self, mu):
@@ -56,12 +56,29 @@ class MomentSeq(EGFSeries):
             raise DomainError("moment sequence must start with mu_0 = 1")
 
 
-def _exp_moments(k: EGFSeries, c) -> MomentSeq:
-    """The moments exp(c K) of a cumulant series K (K_0 = 0), c >= 0 scaling its numerators."""
-    num = c.numerator
-    e = egf_exp(EGFSeries.from_numerators(
-        k.den * c.denominator, [num * x for x in k.re], k.im and [num * x for x in k.im]))
-    return MomentSeq.from_numerators(e.den, e.re, e.im)
+class CumulantSeq(EGFSeries):
+    """Truncated cumulant series K = log M: K_0 = 0 and K_j = kappa_j, j = 1..J.
+
+    ``CumulantSeq.from_numerators`` skips the K_0 check; its callers keep
+    K_0 = 0 by construction.
+    """
+
+    def __init__(self, coeffs):
+        super().__init__(coeffs)
+        if self.re[0] or self.im and self.im[0]:
+            raise DomainError("cumulant series must start with K_0 = 0")
+
+    @property
+    def kappa(self) -> tuple:
+        """kappa_1..kappa_J; kappa[i] is kappa_{i+1}."""
+        return self.coeffs[1:]
+
+    def moments(self, c) -> MomentSeq:
+        """exp(c K), rational c >= 0: the moments of c summands, or of a Levy process at time c."""
+        num = c.numerator
+        e = egf_exp(EGFSeries.from_numerators(
+            self.den * c.denominator, [num * x for x in self.re], self.im and [num * x for x in self.im]))
+        return MomentSeq.from_numerators(e.den, e.re, e.im)
 
 
 class DistSpec(Record):
@@ -233,20 +250,12 @@ def standardize_moments(m: MomentSeq) -> MomentSeq:
     var = centered[2].re
     if var == 0:
         raise DomainError("cannot standardize a degenerate distribution")
-    sigma = _rational_sqrt(var)
-    if sigma is None:
+    s, t = math.isqrt(abs(var.numerator)), math.isqrt(var.denominator)
+    if var < 0 or s * s != var.numerator or t * t != var.denominator:
         raise DomainError("variance has no rational square root")
-    return MomentSeq(tuple(c / sigma**k for k, c in enumerate(centered.coeffs)))
-
-
-def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
-    if q < 0:
-        return None
-    ns = math.isqrt(q.numerator)
-    ds = math.isqrt(q.denominator)
-    if ns * ns == q.numerator and ds * ds == q.denominator:
-        return Fraction(ns, ds)
-    return None
+    # sigma = s/t, so (c_k / den) / sigma^k is c_k t^k s^{J-k} over den s^J
+    nums = [c * t**k * s ** (J - k) for k, c in enumerate(centered.re)]
+    return MomentSeq.from_numerators(centered.den * s**J, nums, None)
 
 
 # --- samplers ---------------------------------------------------------------
@@ -411,8 +420,7 @@ _KINDS = {
     ),
     POISSON: _Kind(
         # M(z) = exp(lambda (e^z - 1)): every cumulant is lambda
-        lambda spec, order: _exp_moments(EGFSeries.from_numerators(1, (0,) + (1,) * order, None),
-                                         spec.param),
+        lambda spec, order: CumulantSeq.from_numerators(1, (0,) + (1,) * order, None).moments(spec.param),
         key="lambda",
         check=lambda spec: _require(spec.param > 0, "poisson rate must be positive"),
         abs_spec=lambda spec: spec,

@@ -18,12 +18,12 @@ the moments, G_k = E beta(r)^k mu_{k+s}, grown by products by the stored
 rows of G (an EGFFactor).  M(z) is G at (s, r) = (0, 0), so
 ``psn_direct`` and ``psn_via_classical`` share the alternating column
 (1/m!) sum_k C(m,k)(-1)^{m-k} M(z)^k of ladder (0, 0), built once per m
-from the rungs E S_k^j (``Ladder.column``): the first reads its
-coefficient j, the second recombines its numerators 0..j through the
-classical numbers.  ``psn_gr_rep`` and the Levy moment functions read
-E W_m(r)^p off the ladder of their shifted, weighted G, as one integer
-combination of rungs (``egf_combination``).  Each ladder is built from
-the moments alone, never from ``psn_egf``.
+as one ``egf_lincomb`` of the rungs E S_k^j (``Ladder.column``): the
+first reads its coefficient j, the second recombines its numerators
+0..j through the classical numbers.  ``psn_gr_rep`` and the Levy moment
+functions read E W_m(r)^p off the ladder of their shifted, weighted G,
+as one integer combination of rungs (``egf_combination``).  Each ladder
+is built from the moments alone, never from ``psn_egf``.
 All arithmetic is exact; no floating point enters this module.
 """
 
@@ -35,7 +35,7 @@ from math import comb, factorial, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .powerseries import QC, EGFFactor, EGFSeries, egf_combination, egf_mul, egf_one, egf_pow
+from .powerseries import QC, EGFFactor, EGFSeries, egf_combination, egf_lincomb, egf_mul, egf_one, egf_pow
 from .randomvars import (
     DistSpec,
     MomentSeq,
@@ -181,15 +181,8 @@ class Ladder:
         """
         column = self.columns.get(m)
         if column is None:
-            rungs = self.through(m)[: m + 1]
-            d = lcm(*(rung.den for rung in rungs))
-            weights = [alternating(m - k, comb(m, k)) * (d // rung.den) for k, rung in enumerate(rungs)]
-            zeros = (0,) * len(rungs[0].re)
-            # numerator j: one C-level dot product of the weights with the rungs' numerators j;
-            # an imaginary part that is zero throughout becomes None in the canonical form
-            re = [sum(map(mul, weights, xs)) for xs in zip(*(rung.re for rung in rungs))]
-            im = [sum(map(mul, weights, xs)) for xs in zip(*(rung.im or zeros for rung in rungs))]
-            column = self.columns[m] = EGFSeries.from_numerators(d * factorial(m), re, im)
+            weights = [alternating(m - k, comb(m, k)) for k in range(m + 1)]
+            column = self.columns[m] = egf_lincomb(self.through(m)[: m + 1], weights, factorial(m))
         return column
 
 
@@ -298,7 +291,7 @@ def psn_gr_rep(m: MomentSeq, r: int, j: int, m_idx: int) -> QC:
         raise ValueError("j exceeds the available moment order for this route")
     power = ladder(m, r + 1, r + 1).through(m_idx)[m_idx]
     den = factorial(m_idx) * factorial(r + 1) ** m_idx
-    return egf_combination([power], [factorial(k) * comb(j, k)], lambda x: x[p], den)
+    return egf_combination([power], [factorial(k) * comb(j, k)], p, den)
 
 
 class BoundCheck(NamedTuple):

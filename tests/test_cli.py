@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -350,6 +351,15 @@ class TestEdgeworthCommand:
             f"would take about {seconds} s, more than {MAX_IRWIN_HALL_S} s\n"
         )
 
+    @pytest.mark.parametrize("jmax", [0, 1])
+    def test_too_few_moments_is_named_as_such(self, capsys, jmax):
+        # uniformstd is standardized: the fault is the moment order, not the source
+        code, out, err = run_cli(
+            capsys, "edgeworth", "--dist", "uniformstd", "--n", "4", "--jmax", str(jmax)
+        )
+        assert code == 2 and out == ""
+        assert err == f"pstirling: error: expansion needs moment order >= 2, not {jmax}\n"
+
     @pytest.mark.parametrize(
         "n, grid, points",
         [(16, "-2:2:1/2", 9), (512, "0:259:1", 260)],  # the criterion-13 command; the bound's edge
@@ -586,6 +596,23 @@ class TestImportBoundary:
         "import sys\n"
         "print(sorted(m for m in sys.modules if m.startswith(('pstirling', 'dataclasses'))))"
     )
+
+    def test_package_imports_only_the_standard_library(self):
+        package = os.path.dirname(randomvars.__file__)
+        paths = sorted(os.path.join(package, name) for name in os.listdir(package)
+                       if name.endswith(".py"))
+        imported = set()
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported.update((path, alias.name) for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add((path, node.module))
+        assert len(paths) > 1 and imported
+        for path, name in sorted(imported):
+            assert name.split(".")[0] in sys.stdlib_module_names, (path, name)
 
     @pytest.mark.parametrize("module", ["pstirling", "pstirling.cli"])
     def test_no_dataclasses(self, module):

@@ -4,6 +4,7 @@ from math import perm
 import pytest
 
 from pstirling.moments import (
+    CumulantSeq,
     cumulants_from_stirling,
     cumulants_from_sum_moments,
     cumulants_oracle,
@@ -23,6 +24,7 @@ from pstirling.randomvars import (
     rademacher,
     uniform_std,
 )
+from pstirling.powerseries import QC, DomainError
 from pstirling.stirling import ladder, psn_egf, psn_egf_cached
 
 from oracles import RADEMACHER_SUPPORT, enum_sum_moment, shift_moments, touchard_moments
@@ -193,6 +195,19 @@ class TestCumulants:
         b = cumulants_from_sum_moments(m)
         c = cumulants_oracle(m)
         assert a.kappa == b.kappa == c.kappa
+
+    def test_every_route_returns_one_cumulant_series(self):
+        for spec in SPECS:
+            m = moments_of(spec, 8)
+            routes = [cumulants_from_stirling(m), cumulants_from_sum_moments(m), cumulants_oracle(m)]
+            assert all(type(k) is CumulantSeq for k in routes), spec
+            assert routes[0] == routes[1] == routes[2], spec
+            assert routes[0][0] == 0 and routes[0].order == 8, spec
+
+    @pytest.mark.parametrize("coeffs", [(1, 2), (QC(0, 1), 1), (F(1, 2),)], ids=repr)
+    def test_k0_must_be_zero(self, coeffs):
+        with pytest.raises(DomainError):
+            CumulantSeq(coeffs)
 
     def test_poisson_all_ones(self):
         seq = cumulants_from_stirling(moments_of(poisson(1), 6))

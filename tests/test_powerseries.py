@@ -11,7 +11,9 @@ from pstirling.powerseries import (
     QC,
     Record,
     SeriesMismatchError,
+    egf_combination,
     egf_exp,
+    egf_lincomb,
     egf_log,
     egf_mul,
     egf_one,
@@ -238,6 +240,20 @@ class TestKernelAgainstSchoolbook:
             a = random_series(rng, order, kind_a)
             b = random_series(rng, order, kind_b)
             assert_schoolbook(egf_mul(a, b), schoolbook_egf_mul(a, b))
+
+    def test_combinations(self):
+        # whole (egf_lincomb) and one coefficient at a time (egf_combination), against QC sums
+        rng = random.Random("combinations")
+        for order in (0, 1, 7, 30):
+            series = [random_series(rng, order, kind) for kind in KINDS]
+            weights = [rng.randint(-(10**6), 10**6) for _ in series]
+            den = rng.randint(1, 10**4)
+            expected = tuple(sum((w * s[j] for w, s in zip(weights, series)), QC(0)) / den
+                             for j in range(order + 1))
+            assert_schoolbook(egf_lincomb(series, weights, den), expected)
+            assert tuple(egf_combination(series, weights, j, den) for j in range(order + 1)) == expected
+        with pytest.raises(ValueError):
+            egf_lincomb([egf_one(2), egf_one(3)], [1, 1])
 
     def test_mul_every_order(self):
         rng = random.Random(40)

@@ -11,7 +11,7 @@ from math import comb, factorial
 
 import pytest
 
-from pstirling import levy, moments, stirling
+from pstirling import levy, moments, randomvars, stirling
 from pstirling.powerseries import QC, EGFFactor, EGFSeries, egf_exp, egf_log, egf_one, egf_pow
 from pstirling.randomvars import MomentSeq, hat_transform, vanishing_order
 
@@ -333,8 +333,8 @@ def test_weighted_routes_never_read_the_table(monkeypatch):
 
 
 def test_table_and_ladder_consumers_do_no_qc_arithmetic(monkeypatch):
-    """Every table and ladder consumer sums integer numerators and builds one QC at the end:
-    with QC's arithmetic unusable each still returns the value it returned before."""
+    """Every table and ladder consumer, and standardization, sums integer numerators and builds
+    QC values only at the end: with QC's arithmetic unusable each returns what it did before."""
     m = fresh_sequence(85, 1, True)
     cases = {
         "sum_moment": lambda: [moments.sum_moment(m, n, j) for n in (0, 3, 20) for j in range(J + 1)],
@@ -348,6 +348,9 @@ def test_table_and_ladder_consumers_do_no_qc_arithmetic(monkeypatch):
                                       for j in range(J + 1) for mm in range(j + 1)],
         "psn_gr_rep": lambda: [stirling.psn_gr_rep(m, 1, j, mm)
                                for j in range(J + 1) for mm in range(j + 1) if j - 2 * mm <= J - 2],
+        # gamma(9/4): mean 9/4 and sigma 3/2, so every factor of the rescaling is nontrivial
+        "standardize_moments": lambda: randomvars.standardize_moments(
+            randomvars.moments_of(randomvars.gamma_shape(F(9, 4)), J)),
     }
     expected = {name: route() for name, route in cases.items()}
 
