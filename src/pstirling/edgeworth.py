@@ -63,12 +63,12 @@ def delta_set(r: int, n: int, k: int) -> list:
 
 
 class EdgeworthModel(Record):
-    """Expansion state: matching order r, hat table, truncation K, moment order J."""
+    """Expansion state: matching order r, hat table (of the moment order), truncation K."""
 
-    __slots__ = ("r", "hat_table", "K", "J", "lattice")
+    __slots__ = ("r", "hat_table", "K", "lattice")
 
-    def __init__(self, r: int, hat_table: StirlingTable, K: int, J: int, lattice: bool = False):
-        self._init(r, hat_table, K, J, lattice)
+    def __init__(self, r: int, hat_table: StirlingTable, K: int, lattice: bool = False):
+        self._init(r, hat_table, K, lattice)
         if self.r < 2:
             raise DomainError("expansion needs matching order r >= 2")
         if not self.hat_table.is_real:
@@ -78,7 +78,7 @@ class EdgeworthModel(Record):
             if any(column.re[: m * (self.r + 1)]):
                 raise DomainError("hat table violates the vanishing structure")
         max_m = self.K // (self.r - 1)
-        if 2 * max_m + self.K > self.J:
+        if 2 * max_m + self.K > self.hat_table.order:
             raise DomainError(
                 f"truncation K={self.K} needs moment order >= {2 * max_m + self.K}"
             )
@@ -95,14 +95,12 @@ def edgeworth_model(source, K: int, order: int | None = None) -> EdgeworthModel:
         raise ValueError(f"K must be at least 0, not {K}")
     lattice = False
     if isinstance(source, DistSpec):
-        J = order if order is not None else max(3 * K, 4)
-        mom = moments_of(source, J)
+        mom = moments_of(source, order if order is not None else max(3 * K, 4))
         lattice = source.lattice
     else:
         mom = source
         if order is not None and order != mom.order:
             raise ValueError("order conflicts with the supplied sequence")
-        J = mom.order
     if mom.order < 2:
         raise DomainError(f"expansion needs moment order >= 2, not {mom.order}")
     if mom[1] != 0 or mom[2] != 1:
@@ -111,7 +109,7 @@ def edgeworth_model(source, K: int, order: int | None = None) -> EdgeworthModel:
     r = vanishing_order(hat)
     if r < 2:
         raise DomainError("source does not match the normal through order 2")
-    return EdgeworthModel(r=r, hat_table=psn_egf(hat), K=K, J=J, lattice=lattice)
+    return EdgeworthModel(r=r, hat_table=psn_egf(hat), K=K, lattice=lattice)
 
 
 def edgeworth_term(model: EdgeworthModel, k: int, n: int, y: float) -> float:

@@ -13,10 +13,12 @@ weighted sums, which is what the complete-monotonicity check certifies.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
+from operator import mul
 
-from .powerseries import Record
+from .powerseries import Record, exact_rational
 from .randomvars import CumulantSeq, MomentSeq, normal_even_moment, only_keys, parse_rational
+from .randomvars import bernoulli, gamma_shape, moments_of, point_mass  # the catalog's laws
 from .stirling import ladder
 
 
@@ -26,7 +28,7 @@ class LevySpec(Record):
     __slots__ = ("sigma2", "kappa2", "u_moments")
 
     def __init__(self, sigma2: Fraction, kappa2: Fraction, u_moments: MomentSeq):
-        self._init(Fraction(sigma2), Fraction(kappa2), u_moments)
+        self._init(exact_rational(sigma2), exact_rational(kappa2), u_moments)
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be nonnegative")
         if self.kappa2 <= 0:
@@ -41,7 +43,7 @@ class SubordinatorSpec(Record):
     __slots__ = ("tau2", "tstar_moments")
 
     def __init__(self, tau2: Fraction, tstar_moments: MomentSeq):
-        self._init(Fraction(tau2), tstar_moments)
+        self._init(exact_rational(tau2), tstar_moments)
         if self.tau2 < 0:
             raise ValueError("tau2 must be nonnegative")
         if not self.tstar_moments.is_real:
@@ -53,18 +55,17 @@ class SubordinatorSpec(Record):
 def tstar_moments(spec: LevySpec, order: int) -> MomentSeq:
     """Moments of T = U 1{V < w} with mixing weight w = kappa^2/(sigma^2+kappa^2).
 
-    E T^k = w E U^k for k >= 1 and E T^0 = 1, formed on U's numerators
-    over w's denominator times U's.
+    T = U B for B ~ Bernoulli(w) independent of U, so E T^k = E U^k E B^k:
+    U's numerators times those of B's moments, over the product of the
+    two denominators.
     """
     u = spec.u_moments
     if order < 0:
         raise ValueError("order must be nonnegative")
     if order > u.order:
         raise ValueError("U moments do not reach the requested order")
-    w = spec.kappa2 / (spec.sigma2 + spec.kappa2)
-    den = w.denominator * u.den
-    re = (den,) + tuple(w.numerator * x for x in u.re[1 : order + 1])
-    return MomentSeq.from_numerators(den, re, None)
+    b = moments_of(bernoulli(spec.kappa2 / (spec.sigma2 + spec.kappa2)), order)
+    return MomentSeq.from_numerators(u.den * b.den, list(map(mul, u.re, b.re)), None)
 
 
 def _variance_and_t(spec, order: int):
@@ -111,12 +112,18 @@ def cm_coefficients(spec, j: int) -> list:
     return _moment_coefficients(spec, j)[1:]
 
 
-def levy_moment_g(spec: LevySpec, j: int, t):
-    """g_j(t) = E Y(t)^j / t^{floor(j/2)}, exact for rational t."""
-    coeffs = _moment_coefficients(spec, j)
+def _time(t) -> Fraction:
+    """A positive time t as a Fraction; a float t is taken at its exact value."""
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
+    return t
+
+
+def levy_moment_g(spec: LevySpec, j: int, t):
+    """g_j(t) = E Y(t)^j / t^{floor(j/2)}, exact for rational t."""
+    coeffs = _moment_coefficients(spec, j)
+    t = _time(t)
     return sum(c * t ** (m - j // 2) for m, c in enumerate(coeffs))
 
 
@@ -136,10 +143,7 @@ def levy_process_moments(spec: LevySpec, order: int, t: Fraction) -> MomentSeq:
     """Moments of Y(t), rational t > 0: exp(t K), K the cumulants at t = 1."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    return _cumulant_series(spec, order).moments(t)
+    return _cumulant_series(spec, order).moments(_time(t))
 
 
 def centered_subordinator_moments(spec: SubordinatorSpec, order: int, t: Fraction) -> MomentSeq:
@@ -151,10 +155,7 @@ def levy_cumulant(spec, j: int, t):
     """kappa_j(Y(t)) = t (sigma^2+kappa^2) E T^{j-2}, or kappa_j(X(t)) = t tau^2 E T*^{j-2}, j >= 2."""
     if j < 2:
         raise ValueError("the cumulant formula applies for j >= 2")
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    return _cumulant_series(spec, j)[j].as_fraction() * t
+    return _cumulant_series(spec, j)[j].as_fraction() * _time(t)
 
 
 # --- named processes and JSON wire format -----------------------------------
@@ -162,24 +163,22 @@ def levy_cumulant(spec, j: int, t):
 
 def compensated_unit_jump(order: int) -> LevySpec:
     """Unit jumps compensated to zero mean: sigma^2 = 0, kappa^2 = 1, U = 1."""
-    return LevySpec(0, 1, MomentSeq((Fraction(1),) * (order + 1)))
+    return LevySpec(0, 1, moments_of(point_mass(1), order))
 
 
 def gaussian_part_only(order: int, sigma2=1, kappa2=1) -> LevySpec:
     """U = 0: only the Gaussian part contributes beyond the variance."""
-    mu = (Fraction(1),) + (Fraction(0),) * order
-    return LevySpec(sigma2, kappa2, MomentSeq(mu))
+    return LevySpec(sigma2, kappa2, moments_of(point_mass(0), order))
 
 
 def poisson_subordinator(order: int) -> SubordinatorSpec:
     """Standard Poisson process: T = T* = 1, tau^2 = 1."""
-    return SubordinatorSpec(1, MomentSeq((Fraction(1),) * (order + 1)))
+    return SubordinatorSpec(1, moments_of(point_mass(1), order))
 
 
 def gamma_subordinator(order: int) -> SubordinatorSpec:
-    """Gamma process: T* has density theta e^{-theta}, so E T*^k = (k+1)!."""
-    mu = tuple(Fraction(factorial(k + 1)) for k in range(order + 1))
-    return SubordinatorSpec(1, MomentSeq(mu))
+    """Gamma process: T* has density theta e^{-theta}, gamma of shape 2, so E T*^k = (k+1)!."""
+    return SubordinatorSpec(1, moments_of(gamma_shape(2), order))
 
 
 # --dist of the levy command: each named process and its builder, which takes the order

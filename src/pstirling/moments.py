@@ -130,6 +130,9 @@ def cumulants_from_sum_moments(m: MomentSeq) -> CumulantSeq:
 
 
 def cumulants_oracle(m: MomentSeq) -> CumulantSeq:
-    """Reference route: the series logarithm of the MGF."""
+    """Reference route: the series logarithm of the MGF.
+
+    It is what the ``cumulants`` command prints and what ``sum_moments`` exponentiates.
+    """
     k = egf_log(m)
     return CumulantSeq.from_numerators(k.den, k.re, k.im)

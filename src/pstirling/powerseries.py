@@ -29,8 +29,8 @@ class DomainError(ValueError):
     """Operand outside an operation's domain (e.g. log of a_0 != 1)."""
 
 
-def _exact_part(value) -> Fraction:
-    # a QC part that is not a Fraction: an int or another Rational, never a float, complex or str
+def exact_rational(value) -> Fraction:
+    """An int or other Rational as a Fraction; a float, complex or str raises TypeError."""
     if type(value) is int or isinstance(value, Rational):
         return Fraction(value)
     raise TypeError(f"cannot build exact scalar from {type(value).__name__}")
@@ -49,8 +49,8 @@ class QC:
 
     def __init__(self, re=0, im=0):
         # a Fraction part is immutable, so it is kept rather than copied
-        object.__setattr__(self, "re", re if type(re) is Fraction else _exact_part(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else _exact_part(im))
+        object.__setattr__(self, "re", re if type(re) is Fraction else exact_rational(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else exact_rational(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("QC is immutable")
@@ -209,22 +209,22 @@ class EGFSeries(Record):
 
     @classmethod
     def from_numerators(cls, den: int, re, im):
-        """The series with coefficients (re[j] + i im[j]) / den, den > 0; im None when zero.
-
-        It checks nothing about the values, so a subclass's own
-        conditions must hold by construction at the call.
-        """
+        """The series with coefficients (re[j] + i im[j]) / den, den > 0; im None when zero."""
         return _canonical(object.__new__(cls), den, re, im)
+
+    def _check(self) -> None:
+        """Raise DomainError unless the canonical fields meet the class's own conditions."""
 
 
 def _canonical(s: EGFSeries, den: int, re, im) -> EGFSeries:
-    """Store (re[j] + i im[j]) / den in s, reduced to the canonical form; den > 0."""
+    """Store (re[j] + i im[j]) / den in s, reduced to the canonical form, and check it; den > 0."""
     if not any(im or ()):
         im = None
     g = gcd(den, *re, *(im or ()))
     object.__setattr__(s, "den", den // g)
     object.__setattr__(s, "re", tuple(x // g for x in re))
     object.__setattr__(s, "im", im and tuple(x // g for x in im))
+    s._check()
     return s
 
 

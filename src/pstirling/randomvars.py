@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from math import factorial
-from itertools import islice, repeat
+from math import comb, factorial, lcm
+from itertools import accumulate, islice, repeat
+from operator import mul
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .powerseries import QC, DomainError, EGFSeries, Record, egf_exp, egf_mul
+from .powerseries import QC, DomainError, EGFSeries, Record, egf_exp, egf_lincomb, egf_mul, exact_rational
 
 SQRT3 = math.sqrt(3.0)
 
@@ -43,28 +44,21 @@ class MomentSeq(EGFSeries):
     It is the EGF of M(z) = E e^{zY}, so every series operation takes it
     as it is.  It declares no ``__slots__``: Record reads the fields from
     ``__slots__``, and an empty tuple here would hide EGFSeries's.
-    ``MomentSeq.from_numerators`` skips the mu_0 check; its callers keep
-    mu_0 = 1 by construction: ``hat_transform`` (a product of sequences),
-    ``tilde_transform``, ``standardize_moments``, ``CumulantSeq.moments``
-    (a series exp, whose E_0 is 1) and ``levy.tstar_moments``.
     """
 
     def __init__(self, mu):
         # an empty sequence fails the mu_0 check, as one starting with 0 does
         super().__init__(mu or (0,))
+
+    def _check(self) -> None:
         if self.re[0] != self.den or self.im and self.im[0]:
             raise DomainError("moment sequence must start with mu_0 = 1")
 
 
 class CumulantSeq(EGFSeries):
-    """Truncated cumulant series K = log M: K_0 = 0 and K_j = kappa_j, j = 1..J.
+    """Truncated cumulant series K = log M: K_0 = 0 and K_j = kappa_j, j = 1..J."""
 
-    ``CumulantSeq.from_numerators`` skips the K_0 check; its callers keep
-    K_0 = 0 by construction.
-    """
-
-    def __init__(self, coeffs):
-        super().__init__(coeffs)
+    def _check(self) -> None:
         if self.re[0] or self.im and self.im[0]:
             raise DomainError("cumulant series must start with K_0 = 0")
 
@@ -75,9 +69,7 @@ class CumulantSeq(EGFSeries):
 
     def moments(self, c) -> MomentSeq:
         """exp(c K), rational c >= 0: the moments of c summands, or of a Levy process at time c."""
-        num = c.numerator
-        e = egf_exp(EGFSeries.from_numerators(
-            self.den * c.denominator, [num * x for x in self.re], self.im and [num * x for x in self.im]))
+        e = egf_exp(egf_lincomb([self], [c.numerator], c.denominator))
         return MomentSeq.from_numerators(e.den, e.re, e.im)
 
 
@@ -94,13 +86,14 @@ class DistSpec(Record):
         self, kind: str, param: Optional[Fraction] = None, custom_moments: Optional[tuple] = None
     ):
         record = _kind(kind)
+        _require(param is None or record.key is not None, f"{kind} spec takes no parameter")
+        _require(param is not None or record.key is None, f"{kind} spec needs its parameter")
+        _require(custom_moments is None or record.moment_list, f"{kind} spec takes no moment list")
         if param is not None:
-            param = Fraction(param)
+            param = exact_rational(param)
         if custom_moments is not None:
             custom_moments = tuple(QC.of(v) for v in custom_moments)
         self._init(kind, param, custom_moments)
-        if record.key is not None and param is None:
-            raise ValueError(f"{kind} spec needs its parameter")
         record.check(self)
 
     @property
@@ -113,7 +106,7 @@ class DistSpec(Record):
 
 
 def point_mass(c) -> DistSpec:
-    return DistSpec(POINT_MASS, Fraction(c))
+    return DistSpec(POINT_MASS, c)
 
 
 def rademacher() -> DistSpec:
@@ -121,7 +114,7 @@ def rademacher() -> DistSpec:
 
 
 def bernoulli(p) -> DistSpec:
-    return DistSpec(BERNOULLI, Fraction(p))
+    return DistSpec(BERNOULLI, p)
 
 
 def uniform_std() -> DistSpec:
@@ -130,7 +123,7 @@ def uniform_std() -> DistSpec:
 
 
 def poisson(lam) -> DistSpec:
-    return DistSpec(POISSON, Fraction(lam))
+    return DistSpec(POISSON, lam)
 
 
 def exponential() -> DistSpec:
@@ -138,11 +131,11 @@ def exponential() -> DistSpec:
 
 
 def gamma_shape(a) -> DistSpec:
-    return DistSpec(GAMMA_SHAPE, Fraction(a))
+    return DistSpec(GAMMA_SHAPE, a)
 
 
 def normal(sigma2=1) -> DistSpec:
-    return DistSpec(NORMAL, Fraction(sigma2))
+    return DistSpec(NORMAL, sigma2)
 
 
 def custom(moments) -> DistSpec:
@@ -184,16 +177,16 @@ def abs_moments_of(spec: DistSpec, order: int) -> MomentSeq:
 def beta_moments(r: int, order: int) -> MomentSeq:
     """Moments of beta(r) with density r(1-t)^{r-1} on [0,1]; beta(0) = 1.
 
-    E beta(r)^k = k! r!/(k+r)! for r >= 1.
+    E beta(r)^k = k! r!/(k+r)! = 1/C(k+r, r), which is 1 at r = 0; the
+    moments are built on numerators over the lcm of the C(k+r, r).
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if r == 0:
-        return MomentSeq((Fraction(1),) * (order + 1))
-    mu = [Fraction(factorial(k) * factorial(r), factorial(k + r)) for k in range(order + 1)]
-    return MomentSeq(tuple(mu))
+    binomials = [comb(k + r, r) for k in range(order + 1)]
+    d = lcm(*binomials)
+    return MomentSeq.from_numerators(d, [d // c for c in binomials], None)
 
 
 def tilde_transform(m: MomentSeq) -> MomentSeq:
@@ -207,7 +200,7 @@ def tilde_transform(m: MomentSeq) -> MomentSeq:
         raise DomainError("tilde transform needs order >= 2")
     mu2 = m.re[2]  # mu_2's numerator, so nu_k = re[k+2]/re[2]
     if mu2 == 0:
-        return MomentSeq((Fraction(1),) + (Fraction(0),) * (m.order - 2))
+        return moments_of(point_mass(0), m.order - 2)
     if mu2 < 0:
         raise DomainError("second moment must be nonnegative")
     return MomentSeq.from_numerators(mu2, m.re[2:], None)
@@ -243,19 +236,19 @@ def standardize_moments(m: MomentSeq) -> MomentSeq:
         raise DomainError("standardization is defined for real moment sequences")
     if m.order < 2:
         raise DomainError("standardization needs order >= 2")
-    # M(z) e^{-mu_1 z}, where e^{-pz/q} has numerators (-p)^k q^{J-k} over q^J
-    p, q, J = m[1].re.numerator, m[1].re.denominator, m.order
-    shift = EGFSeries.from_numerators(q**J, [(-p) ** k * q ** (J - k) for k in range(J + 1)], None)
-    centered = egf_mul(m, shift)
+    # M(z) e^{-mu_1 z}, e^{-mu_1 z} being the MGF of the point mass at -mu_1
+    J = m.order
+    centered = egf_mul(m, moments_of(point_mass(-m[1].re), J))
     var = centered[2].re
     if var == 0:
         raise DomainError("cannot standardize a degenerate distribution")
     s, t = math.isqrt(abs(var.numerator)), math.isqrt(var.denominator)
     if var < 0 or s * s != var.numerator or t * t != var.denominator:
         raise DomainError("variance has no rational square root")
-    # sigma = s/t, so (c_k / den) / sigma^k is c_k t^k s^{J-k} over den s^J
-    nums = [c * t**k * s ** (J - k) for k, c in enumerate(centered.re)]
-    return MomentSeq.from_numerators(centered.den * s**J, nums, None)
+    # sigma = s/t: c_k / sigma^k is c_k times the k-th moment of the point mass at t/s
+    scale = moments_of(point_mass(Fraction(t, s)), J)
+    nums = list(map(mul, centered.re, scale.re))
+    return MomentSeq.from_numerators(centered.den * scale.den, nums, None)
 
 
 # --- samplers ---------------------------------------------------------------
@@ -293,11 +286,10 @@ def sample_sums(spec: DistSpec, n: int, count: int, rng: random.Random) -> Itera
 # One record per kind holds all that the package knows of it.
 
 
-def _gamma_moments(spec: DistSpec, order: int) -> list:
-    mu = [Fraction(1)]
-    for k in range(order):
-        mu.append(mu[-1] * (spec.param + k))
-    return mu
+def _point_mass_moments(spec: DistSpec, order: int) -> MomentSeq:
+    # c^k for c = p/q is p^k q^{J-k} over q^J
+    p, q = spec.param.numerator, spec.param.denominator
+    return MomentSeq.from_numerators(q**order, [p**k * q ** (order - k) for k in range(order + 1)], None)
 
 
 def _bernoulli_sampler(spec: DistSpec, random: _Draw) -> _Draw:
@@ -387,7 +379,7 @@ class _Kind(NamedTuple):
 
 _KINDS = {
     POINT_MASS: _Kind(
-        lambda spec, order: [spec.param**k for k in range(order + 1)],
+        _point_mass_moments,
         key="c",
         abs_spec=lambda spec: point_mass(abs(spec.param)),
         sampler=lambda spec, random: repeat(float(spec.param)).__next__,
@@ -433,7 +425,8 @@ _KINDS = {
         sampler=lambda spec, random: lambda: -math.log(1.0 - random()),
     ),
     GAMMA_SHAPE: _Kind(
-        _gamma_moments,
+        # the rising factorial: mu_{k+1} = mu_k (a + k)
+        lambda spec, order: list(accumulate((spec.param + k for k in range(order)), mul, initial=1)),
         key="a",
         check=lambda spec: _require(spec.param > 0, "gamma shape must be positive"),
         abs_spec=lambda spec: spec,

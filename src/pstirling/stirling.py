@@ -2,7 +2,8 @@
 
 The probabilistic number S_Y(j,m) is the alternating binomial transform
 of the partial-sum moments E S_k^j of i.i.d. copies of Y; it reduces to
-the classical S(j,m) for Y = 1.  Four independent routes are provided:
+the classical S(j,m) for Y = 1.  Four routes are provided, over three
+independent data paths (``psn_via_classical`` shares ``psn_direct``'s):
 
 * ``psn_egf`` -- coefficient extraction from (M(z)-1)^m / m!, the
   production route;
@@ -20,7 +21,8 @@ rows of G (an EGFFactor).  M(z) is G at (s, r) = (0, 0), so
 (1/m!) sum_k C(m,k)(-1)^{m-k} M(z)^k of ladder (0, 0), built once per m
 as one ``egf_lincomb`` of the rungs E S_k^j (``Ladder.column``): the
 first reads its coefficient j, the second recombines its numerators
-0..j through the classical numbers.  ``psn_gr_rep`` and the Levy moment
+0..j through the classical numbers, and since sum_l S(j,l) s(l,i) is
+delta_ij it returns coefficient j again.  ``psn_gr_rep`` and the Levy moment
 functions read E W_m(r)^p off the ladder of their shifted, weighted G,
 as one integer combination of rungs (``egf_combination``).  Each ladder
 is built from the moments alone, never from ``psn_egf``.
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import mul
 from typing import NamedTuple
 
@@ -41,6 +43,7 @@ from .randomvars import (
     MomentSeq,
     UnsupportedSpecError,
     abs_moments_of,
+    beta_moments,
     moments_of,
     vanishing_order,
 )
@@ -142,16 +145,16 @@ def weighted_series(m: MomentSeq, shift: int, r: int, order: int) -> EGFSeries:
     """The series G with G_k = mu_{k+shift} / C(k+r, r) for k = 0..order, order <= J - shift.
 
     1/C(k+r, r) = E beta(r)^k, so G_k = E beta(r)^k mu_{k+shift}; at
-    (shift, r) = (0, 0) G is M(z) itself.  G is built from m's numerators
-    over den * lcm(C(k+r, r)), with no QC in between.
+    (shift, r) = (0, 0) G is M(z) itself.  G multiplies m's numerators by
+    those of ``beta_moments(r, order)``, over the product of the two
+    denominators, with no QC in between.
     """
-    binomials = [comb(k + r, r) for k in range(order + 1)]
-    d = lcm(*binomials)
+    b = beta_moments(r, order)
 
     def scaled(nums):
-        return [x * (d // c) for x, c in zip(nums[shift:], binomials)]
+        return list(map(mul, nums[shift:], b.re))
 
-    return EGFSeries.from_numerators(m.den * d, scaled(m.re), m.im and scaled(m.im))
+    return EGFSeries.from_numerators(m.den * b.den, scaled(m.re), m.im and scaled(m.im))
 
 
 class Ladder:

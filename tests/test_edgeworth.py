@@ -138,7 +138,7 @@ class TestModel:
 
         with pytest.raises(DomainError):
             # r=4 overstates the matching order: S(4,1) = -6/5 != 0
-            EdgeworthModel(r=4, hat_table=psn_egf(hat), K=2, J=8)
+            EdgeworthModel(r=4, hat_table=psn_egf(hat), K=2)
 
 
 class TestTerms:

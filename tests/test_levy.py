@@ -305,6 +305,20 @@ class TestValidationAndJson:
         with pytest.raises(ValueError):
             SubordinatorSpec(1, MomentSeq([F(1), F(-2)]))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda m: LevySpec(0.1, 1, m),
+            lambda m: LevySpec(0, "1/2", m),
+            lambda m: SubordinatorSpec(0.5, m),
+        ],
+        ids=["sigma2-float", "kappa2-str", "tau2-float"],
+    )
+    def test_inexact_parameter_is_refused(self, build):
+        # LevySpec(0.1, ...) used to hold sigma2 = 3602879701896397/2^55
+        with pytest.raises(TypeError, match="exact"):
+            build(MomentSeq([1, 1]))
+
     def test_round_trips(self):
         levy = LevySpec(F(1, 2), F(3, 2), MomentSeq([F(1), F(4), F(20)]))
         data = {"sigma2": "1/2", "kappa2": "3/2", "u_moments": ["1", "4", "20"]}

@@ -209,6 +209,13 @@ class TestCumulants:
         with pytest.raises(DomainError):
             CumulantSeq(coeffs)
 
+    @pytest.mark.parametrize(
+        "den, re, im", [(1, (1,), None), (3, (1, 0), None), (1, (0, 1), (1, 0))], ids=repr
+    )
+    def test_k0_is_checked_from_numerators_too(self, den, re, im):
+        with pytest.raises(DomainError, match="K_0 = 0"):
+            CumulantSeq.from_numerators(den, re, im)
+
     def test_poisson_all_ones(self):
         seq = cumulants_from_stirling(moments_of(poisson(1), 6))
         assert all(v == 1 for v in seq.kappa)

@@ -128,6 +128,25 @@ class TestMomentsOf:
         with pytest.raises(ValueError, match="unknown"):
             dist_from_json({"dist": ["poisson"]})
 
+    @pytest.mark.parametrize(
+        "make, value",
+        [(bernoulli, 0.3), (point_mass, 0.1), (bernoulli, "1/3"), (gamma_shape, "5/2"), (normal, 2.5)],
+        ids=lambda x: getattr(x, "__name__", repr(x)),
+    )
+    def test_inexact_parameter_is_refused(self, make, value):
+        # a float or str used to become a Fraction: 0.3 as 5404319552844595/2^54
+        with pytest.raises(TypeError, match="exact"):
+            make(value)
+
+    def test_parameter_of_a_kind_without_one_is_refused(self):
+        # DistSpec("rademacher", 3) used to be accepted, and unequal to rademacher()
+        with pytest.raises(ValueError, match="rademacher spec takes no parameter"):
+            DistSpec("rademacher", 3)
+
+    def test_moment_list_of_a_kind_without_one_is_refused(self):
+        with pytest.raises(ValueError, match="poisson spec takes no moment list"):
+            DistSpec("poisson", 1, custom_moments=(1, 2))
+
 
 # spec, --param/JSON key, lattice, symmetric, samplable, exact absolute moments
 KIND_RECORDS = [
@@ -175,6 +194,13 @@ class TestMomentSeq:
     def test_mu0_must_be_one(self, mu):
         with pytest.raises(DomainError):
             MomentSeq(mu)
+
+    @pytest.mark.parametrize(
+        "den, re, im", [(1, (2,), None), (2, (1, 1), None), (1, (1, 0), (1, 0))], ids=repr
+    )
+    def test_mu0_is_checked_from_numerators_too(self, den, re, im):
+        with pytest.raises(DomainError, match="mu_0 = 1"):
+            MomentSeq.from_numerators(den, re, im)
 
     def test_values_compare_and_hash_apart(self):
         values = [(1, 0, 1), (1, 0, 2), (1, 1, 1), (1, QC(0, 1), 1), (1, 0, 1, 0), (1, F(1, 2))]

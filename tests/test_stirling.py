@@ -27,6 +27,7 @@ from pstirling.stirling import (
     bound_holds,
     classical_s1_signed,
     classical_s2,
+    ladder,
     psn_direct,
     psn_egf,
     psn_egf_cached,
@@ -202,6 +203,50 @@ class TestGrRepresentation:
         # r = -1 used to give QC(4) for S(4,2) = 3
         with pytest.raises(ValueError, match="r must be nonnegative"):
             psn_gr_rep(moments_of(rademacher(), 8), -1, 4, 2)
+
+
+def _off_by_one(s: EGFSeries) -> EGFSeries:
+    """s with 1 added to every coefficient: a wrong series of the same order."""
+    return EGFSeries.from_numerators(s.den, [x + s.den for x in s.re], s.im)
+
+
+class TestRouteIndependence:
+    """A corrupted piece that routes share must make some cross-check fail.
+
+    Each test corrupts a cached ladder; the autouse ``cold_caches``
+    fixture empties the cache before the next test.
+    """
+
+    @pytest.fixture
+    def m(self):
+        return moments_of(gamma_shape(F(5, 2)), 12)
+
+    def _corrupt_column_3(self, m):
+        table, lad = psn_egf(m), ladder(m, 0, 0)
+        assert all(psn_direct(m, j, 3) == table.entry(j, 3) for j in range(3, 13))
+        lad.columns[3] = _off_by_one(lad.column(3))
+        return table
+
+    def test_corrupt_column_is_caught_by_the_table(self, m):
+        table = self._corrupt_column_3(m)
+        for j in range(3, 13):
+            assert psn_direct(m, j, 3) != table.entry(j, 3), j
+
+    def test_corrupt_rung_is_caught_by_the_table(self, m):
+        # r = 0 reads G^2 of ladder (1, 1) for S_Y(6, 2)
+        table = psn_egf(m)
+        assert psn_gr_rep(m, 0, 6, 2) == table.entry(6, 2)
+        rungs = ladder(m, 1, 1).through(2)
+        rungs[2] = _off_by_one(rungs[2])
+        assert psn_gr_rep(m, 0, 6, 2) != table.entry(6, 2)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+    def test_corrupt_column_is_caught_by_the_classical_route(self, m):
+        # psn_via_classical recombines the very column psn_direct reads, through
+        # sum_l S(j,l) s(l,i) = delta_ij, so today the two always agree
+        self._corrupt_column_3(m)
+        for j in range(3, 13):
+            assert psn_via_classical(m, j, 3) != psn_direct(m, j, 3), j
 
 
 @pytest.mark.parametrize(
