@@ -204,8 +204,7 @@ class EGFSeries(Record):
         return tuple(self[j] for j in range(len(self.re)))
 
     def __getitem__(self, j: int) -> QC:
-        re, im = self.re[j], self.im[j] if self.im else 0
-        return QC(Fraction(re, self.den) if re else _ZERO, Fraction(im, self.den) if im else _ZERO)
+        return qc_from_numerators(self.den, self.re[j], self.im[j] if self.im else 0)
 
     @classmethod
     def from_numerators(cls, den: int, re, im):
@@ -345,7 +344,12 @@ def egf_combination(series, weights, j: int, den: int = 1) -> QC:
         re += c * s.re[j]
         if s.im is not None:
             im += c * s.im[j]
-    return QC(Fraction(re, d * den), Fraction(im, d * den))
+    return qc_from_numerators(d * den, re, im)
+
+
+def qc_from_numerators(den: int, re: int, im: int) -> QC:
+    """(re + i im) / den as one QC, den > 0; a zero part is the shared zero, which costs no gcd."""
+    return QC(Fraction(re, den) if re else _ZERO, Fraction(im, den) if im else _ZERO)
 
 
 def egf_lincomb(series, weights, den: int = 1) -> EGFSeries:

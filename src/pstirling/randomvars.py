@@ -13,9 +13,9 @@ import math
 import random
 from fractions import Fraction
 from math import comb, factorial, lcm
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, count, islice, repeat
 from operator import mul
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .powerseries import QC, DomainError, EGFSeries, Record, egf_exp, egf_lincomb, egf_mul, exact_rational
 
@@ -154,8 +154,7 @@ def moments_of(spec: DistSpec, order: int) -> MomentSeq:
     """Exact rational moments mu_0..mu_J for a catalog spec."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    mu = _KINDS[spec.kind].moments(spec, order)
-    return mu if isinstance(mu, MomentSeq) else MomentSeq(tuple(mu))
+    return _KINDS[spec.kind].moments(spec, order)
 
 
 def abs_moments_of(spec: DistSpec, order: int) -> MomentSeq:
@@ -286,10 +285,25 @@ def sample_sums(spec: DistSpec, n: int, count: int, rng: random.Random) -> Itera
 # One record per kind holds all that the package knows of it.
 
 
-def _point_mass_moments(spec: DistSpec, order: int) -> MomentSeq:
-    # c^k for c = p/q is p^k q^{J-k} over q^J
-    p, q = spec.param.numerator, spec.param.denominator
-    return MomentSeq.from_numerators(q**order, [p**k * q ** (order - k) for k in range(order + 1)], None)
+def _products(c: Fraction, order: int, factors) -> MomentSeq:
+    """mu_k = f_0 ... f_{k-1} / q^k, k = 0..order, over q^order, for ints f_i = factors(p, q), c = p/q."""
+    nums = accumulate(islice(factors(c.numerator, c.denominator), order), mul, initial=1)
+    scale = list(accumulate(repeat(c.denominator, order), mul, initial=1))  # q^0, ..., q^order
+    return MomentSeq.from_numerators(scale[-1], list(map(mul, nums, reversed(scale))), None)
+
+
+def _even(order: int, half: MomentSeq) -> MomentSeq:
+    """The moments mu_{2i} = half[i], i = 0..order // 2, every odd moment being 0."""
+    nums = [0] * (order + 1)
+    nums[::2] = half.re
+    return MomentSeq.from_numerators(half.den, nums, None)
+
+
+def _uniform_std_moments(spec: DistSpec, order: int) -> MomentSeq:
+    # mu_{2i} = 3^i / (2i + 1), over the lcm of the 2i + 1
+    d = lcm(*range(1, order + 2, 2))
+    half = [3**i * d // (2 * i + 1) for i in range(order // 2 + 1)]
+    return _even(order, MomentSeq.from_numerators(d, half, None))
 
 
 def _bernoulli_sampler(spec: DistSpec, random: _Draw) -> _Draw:
@@ -347,9 +361,9 @@ def _normal_sampler(spec: DistSpec, random: _Draw) -> _Draw:
     return draw
 
 
-def _custom_moments(spec: DistSpec, order: int) -> tuple:
+def _custom_moments(spec: DistSpec, order: int) -> MomentSeq:
     _require(order < len(spec.custom_moments), "custom spec does not carry that many moments")
-    return spec.custom_moments[: order + 1]
+    return MomentSeq(spec.custom_moments[: order + 1])
 
 
 def _require(holds: bool, message: str) -> None:
@@ -365,7 +379,7 @@ def _check_custom(spec: DistSpec) -> None:
 class _Kind(NamedTuple):
     """How one distribution kind is parameterized, described and sampled."""
 
-    moments: Callable[[DistSpec, int], Sequence]  # exact mu_0..mu_order, or their MomentSeq
+    moments: Callable[[DistSpec, int], MomentSeq]  # exact mu_0..mu_order
     key: Optional[str] = None  # JSON and --param name of the rational parameter
     default: Optional[Fraction] = None  # the parameter when JSON omits its key
     check: Callable[[DistSpec], None] = lambda spec: None  # rejects a parameter off the domain
@@ -379,7 +393,7 @@ class _Kind(NamedTuple):
 
 _KINDS = {
     POINT_MASS: _Kind(
-        _point_mass_moments,
+        lambda spec, order: _products(spec.param, order, lambda p, q: repeat(p)),
         key="c",
         abs_spec=lambda spec: point_mass(abs(spec.param)),
         sampler=lambda spec, random: repeat(float(spec.param)).__next__,
@@ -387,14 +401,16 @@ _KINDS = {
         symmetric=lambda spec: spec.param == 0,
     ),
     RADEMACHER: _Kind(
-        lambda spec, order: [Fraction(1 - k % 2) for k in range(order + 1)],
+        lambda spec, order: MomentSeq.from_numerators(1, [1 - k % 2 for k in range(order + 1)], None),
         abs_spec=lambda spec: point_mass(1),
         sampler=lambda spec, random: lambda: 1.0 if random() < 0.5 else -1.0,
         lattice=True,
         symmetric=lambda spec: True,
     ),
     BERNOULLI: _Kind(
-        lambda spec, order: [Fraction(1)] + [spec.param] * order,
+        # Y^k = Y: mu_k = p for k >= 1
+        lambda spec, order: MomentSeq.from_numerators(
+            spec.param.denominator, [spec.param.denominator] + [spec.param.numerator] * order, None),
         key="p",
         check=lambda spec: _require(
             0 <= spec.param <= 1, "bernoulli parameter must satisfy 0 <= p <= 1"
@@ -404,9 +420,7 @@ _KINDS = {
         lattice=True,
     ),
     UNIFORM_STD: _Kind(
-        lambda spec, order: [
-            Fraction(3 ** (k // 2), k + 1) if k % 2 == 0 else Fraction(0) for k in range(order + 1)
-        ],
+        _uniform_std_moments,
         sampler=lambda spec, random: lambda: SQRT3 * (2.0 * random() - 1.0),
         symmetric=lambda spec: True,
     ),
@@ -420,23 +434,21 @@ _KINDS = {
         lattice=True,
     ),
     EXPONENTIAL: _Kind(
-        lambda spec, order: [Fraction(factorial(k)) for k in range(order + 1)],
+        lambda spec, order: _products(Fraction(1), order, lambda p, q: count(1)),
         abs_spec=lambda spec: spec,
         sampler=lambda spec, random: lambda: -math.log(1.0 - random()),
     ),
     GAMMA_SHAPE: _Kind(
-        # the rising factorial: mu_{k+1} = mu_k (a + k)
-        lambda spec, order: list(accumulate((spec.param + k for k in range(order)), mul, initial=1)),
+        # the rising factorial: mu_{k+1} = mu_k (a + k), (p + kq) / q for a = p/q
+        lambda spec, order: _products(spec.param, order, lambda p, q: count(p, q)),
         key="a",
         check=lambda spec: _require(spec.param > 0, "gamma shape must be positive"),
         abs_spec=lambda spec: spec,
         sampler=_gamma_sampler,
     ),
     NORMAL: _Kind(
-        lambda spec, order: [
-            spec.param ** (k // 2) * normal_even_moment(k) if k % 2 == 0 else Fraction(0)
-            for k in range(order + 1)
-        ],
+        # mu_{2i} = sigma2^i (2i - 1)!!, the products of (2i + 1) p / q for sigma2 = p/q
+        lambda spec, order: _even(order, _products(spec.param, order // 2, lambda p, q: count(p, 2 * p))),
         key="sigma2",
         default=Fraction(1),
         check=lambda spec: _require(spec.param >= 0, "normal variance must be nonnegative"),

@@ -2,8 +2,8 @@
 
 The probabilistic number S_Y(j,m) is the alternating binomial transform
 of the partial-sum moments E S_k^j of i.i.d. copies of Y; it reduces to
-the classical S(j,m) for Y = 1.  Four routes are provided, over three
-independent data paths (``psn_via_classical`` shares ``psn_direct``'s):
+the classical S(j,m) for Y = 1.  Four routes are provided, over four
+independent data paths:
 
 * ``psn_egf`` -- coefficient extraction from (M(z)-1)^m / m!, the
   production route;
@@ -13,19 +13,18 @@ independent data paths (``psn_via_classical`` shares ``psn_direct``'s):
 * ``psn_gr_rep`` -- the beta-weighted-sum representation available when
   the first r moments vanish.
 
-Every power the cross-check routes read comes from one cache of ladders
-(``ladder``): the powers G^0, G^1, ... of one beta-weighted series G of
-the moments, G_k = E beta(r)^k mu_{k+s}, grown by products by the stored
-rows of G (an EGFFactor).  M(z) is G at (s, r) = (0, 0), so
-``psn_direct`` and ``psn_via_classical`` share the alternating column
-(1/m!) sum_k C(m,k)(-1)^{m-k} M(z)^k of ladder (0, 0), built once per m
-as one ``egf_lincomb`` of the rungs E S_k^j (``Ladder.column``): the
-first reads its coefficient j, the second recombines its numerators
-0..j through the classical numbers, and since sum_l S(j,l) s(l,i) is
-delta_ij it returns coefficient j again.  ``psn_gr_rep`` and the Levy moment
-functions read E W_m(r)^p off the ladder of their shifted, weighted G,
-as one integer combination of rungs (``egf_combination``).  Each ladder
-is built from the moments alone, never from ``psn_egf``.
+The last three read cached ladders (``Ladder``): the powers G^0, G^1, ...
+of one series G, grown by products by the stored rows of G (an
+EGFFactor), with one alternating column (1/m!) sum_k C(m,k)(-1)^{m-k} G^k
+per m, built once as one ``egf_lincomb`` of rungs 0..m.  ``psn_direct``
+reads coefficient j of that column on ``ladder(m, 0, 0)``, where G is
+M(z) and rung k holds E S_k^j.  ``psn_via_classical`` reads the column of
+``factorial_ladder(m)``, where G is the EGF F(u) = E (1+u)^Y of the
+factorial moments: M(z) = F(e^z - 1), so S_Y(j,m) = sum_l S(j,l) T_F(l,m)
+for T_F(., m) that column.  ``psn_gr_rep`` and the Levy moment functions
+read E W_m(r)^p off ladder (s, r) of G_k = E beta(r)^k mu_{k+s}, as one
+integer combination of rungs (``egf_combination``).  Each ladder is built
+from the moments alone, never from ``psn_egf``.
 All arithmetic is exact; no floating point enters this module.
 """
 
@@ -37,7 +36,8 @@ from math import comb, factorial
 from operator import mul
 from typing import NamedTuple
 
-from .powerseries import QC, EGFFactor, EGFSeries, egf_combination, egf_lincomb, egf_mul, egf_one, egf_pow
+from .powerseries import QC, EGFFactor, EGFSeries, egf_combination, egf_lincomb, egf_mul, egf_one
+from .powerseries import egf_pow, qc_from_numerators
 from .randomvars import (
     DistSpec,
     MomentSeq,
@@ -71,15 +71,11 @@ def classical_s2(j: int, m: int) -> int:
 
 @lru_cache(maxsize=None)
 def _falling_factorial_coeffs(l: int) -> tuple:
-    # coefficients of x(x-1)...(x-l+1) in ascending powers of x
-    coeffs = [1]
+    # coefficients of x(x-1)...(x-l+1) in ascending powers of x, one factor x - t at a time
+    coeffs = (1,)
     for t in range(l):
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += c
-            nxt[i] -= t * c
-        coeffs = nxt
-    return tuple(coeffs)
+        coeffs = tuple(a - t * b for a, b in zip((0,) + coeffs, coeffs + (0,)))
+    return coeffs
 
 
 def classical_s1_signed(l: int, i: int) -> int:
@@ -205,13 +201,13 @@ def ladder(m: MomentSeq, shift: int, r: int) -> Ladder:
     return Ladder(weighted_series(m, shift, r, m.order - shift))
 
 
-def _column(m: MomentSeq, j: int, m_idx: int):
-    """Column m_idx of m's ladder (0, 0), or None where m_idx > j makes S_Y(j, m_idx) zero."""
+def _in_range(m: MomentSeq, j: int, m_idx: int) -> bool:
+    """Whether S_Y(j, m_idx) can be nonzero (m_idx <= j); raises on indices m cannot serve."""
     if j < 0 or m_idx < 0:
         raise ValueError("indices must be nonnegative")
     if j > m.order:
         raise ValueError("j exceeds the available moment order")
-    return ladder(m, 0, 0).column(m_idx) if m_idx <= j else None
+    return m_idx <= j
 
 
 def psn_direct(m: MomentSeq, j: int, m_idx: int) -> QC:
@@ -219,33 +215,41 @@ def psn_direct(m: MomentSeq, j: int, m_idx: int) -> QC:
 
     Returns the structural zero for m_idx > j.
     """
-    column = _column(m, j, m_idx)
-    return QC(0) if column is None else column[j]
+    return ladder(m, 0, 0).column(m_idx)[j] if _in_range(m, j, m_idx) else QC(0)
+
+
+def factorial_moments(m: MomentSeq) -> MomentSeq:
+    """Factorial moments E (Y)_l = sum_i s(l,i) mu_i, l = 0..J, on m's numerators: F(u) = E (1+u)^Y."""
+
+    def combine(nums):
+        return [sum(map(mul, _falling_factorial_coeffs(l), nums)) for l in range(len(nums))]
+
+    return MomentSeq.from_numerators(m.den, combine(m.re), m.im and combine(m.im))
+
+
+@lru_cache(maxsize=128)
+def factorial_ladder(m: MomentSeq) -> Ladder:
+    """The ladder of F = ``factorial_moments(m)``, rung k holding E (S_k)_l, built from m alone."""
+    return Ladder(factorial_moments(m))
 
 
 @lru_cache(maxsize=None)
-def _classical_row(j: int) -> tuple:
-    # (S(j,l), coefficients of (x)_l) for each l with S(j,l) != 0
-    return tuple((s2, _falling_factorial_coeffs(l)) for l in range(j + 1) if (s2 := classical_s2(j, l)))
-
-
-def _classical(j: int, x) -> int:
-    # sum_l S(j,l) sum_i s(l,i) x_i: the factorial moments of x recombined
-    return sum(s2 * sum(map(mul, s1, x)) for s2, s1 in _classical_row(j))
+def _s2_row(j: int) -> tuple:
+    # S(j, 0), ..., S(j, j)
+    return tuple(classical_s2(j, l) for l in range(j + 1))
 
 
 def psn_via_classical(m: MomentSeq, j: int, m_idx: int) -> QC:
-    """Cross-check route through classical numbers of both kinds.
+    """Cross-check route through classical numbers of both kinds: sum_l S(j,l) T_F(l,m).
 
-    Converts power moments E S_k^i to factorial moments E (S_k)_l with
-    signed first-kind numbers, then recombines with second-kind numbers,
-    on the numerators of the alternating column that psn_direct reads.
+    T_F(., m) is column m of F's own ladder, and M(z) = F(e^z - 1); one
+    dot product of the row S(j, 0..j) with that column's numerators.
     """
-    column = _column(m, j, m_idx)
-    if column is None:
+    if not _in_range(m, j, m_idx):
         return QC(0)
-    im = _classical(j, column.im) if column.im else 0
-    return QC(Fraction(_classical(j, column.re), column.den), Fraction(im, column.den))
+    column, row = factorial_ladder(m).column(m_idx), _s2_row(j)
+    im = sum(map(mul, row, column.im)) if column.im else 0
+    return qc_from_numerators(column.den, sum(map(mul, row, column.re)), im)
 
 
 def weighted_sum_moment(m: MomentSeq, r: int, m_idx: int, p: int) -> QC:

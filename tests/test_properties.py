@@ -111,9 +111,10 @@ def test_vanishing_structure(seq):
 
 
 class TestLadder:
-    """The one ladder cache, at every key its callers read: (0, 0) is M(z)^k for psn_direct,
-    psn_via_classical, the recursion and the binomial cumulant route; (1, 1) and (2, 2) are
-    psn_gr_rep's at vanishing orders 0 and 1; (0, 2) is the Levy moment functions'."""
+    """The ladder cache, at every key its callers read: (0, 0) is M(z)^k for psn_direct, the
+    recursion and the binomial cumulant route; (1, 1) and (2, 2) are psn_gr_rep's at vanishing
+    orders 0 and 1; (0, 2) is the Levy moment functions'.  psn_via_classical reads the powers of
+    the factorial moments' series F instead, from a cache of its own (factorial_ladder)."""
 
     KEYS = [(0, 0), (1, 1), (2, 2), (0, 2)]
     KEY_IDS = [f"{s}-{r}" for s, r in KEYS]
@@ -182,17 +183,27 @@ class TestLadder:
 
     def test_grows_lazily_by_one_product_per_step(self, monkeypatch):
         m = fresh_sequence(78, 0, False)
+        f = stirling.factorial_moments(m)
         stirling.psn_egf_cached(m)  # the recursion reads one table entry
         calls, builds = count_products(monkeypatch)
+
+        def products_by(g):
+            return sum(b.series.coeffs == g.coeffs for b in calls)
+
         stirling.psn_direct(m, 6, 4)
         assert len(calls) == 3 and [b.coeffs for b in builds] == [m.coeffs]
-        stirling.psn_via_classical(m, 6, 3)
         moments.sum_moment_recursion(m, 9, 5)
         assert len(calls) == 3
+        # the classical route grows F's own ladder, by the rows of F, and not ladder (0, 0)
+        stirling.psn_via_classical(m, 6, 3)
+        assert products_by(f) == 2 and products_by(m) == 3
+        assert [b.coeffs for b in builds] == [m.coeffs, f.coeffs]
+        stirling.psn_via_classical(m, 9, 2)
+        assert products_by(f) == 2
         stirling.psn_direct(m, 8, 6)
-        assert len(calls) == 5
+        assert products_by(m) == 5 and products_by(f) == 2
         moments.cumulants_from_sum_moments(m)
-        assert len(calls) == J - 1 and len(builds) == 1
+        assert products_by(m) == J - 1 and products_by(f) == 2 and len(builds) == 2
 
 
 def count_products(monkeypatch):
@@ -235,10 +246,12 @@ def test_routes_never_read_the_table(monkeypatch):
 
     real = stirling.egf_mul
 
+    f = stirling.factorial_moments(m)
+
     def powers_of_m_only(a, b):
-        # the ladder multiplies powers of M by the rows of M itself, whose constant term is 1;
-        # M - 1 has 0
-        assert isinstance(b, EGFFactor) and b.series.coeffs == m.coeffs
+        # the ladders multiply powers of M, or of the factorial moments' F, by the rows of M or F
+        # itself, whose constant term is 1; M - 1 has 0
+        assert isinstance(b, EGFFactor) and b.series.coeffs in (m.coeffs, f.coeffs)
         assert a[0] == 1 and b.series[0] == 1
         return real(a, b)
 
@@ -247,6 +260,7 @@ def test_routes_never_read_the_table(monkeypatch):
         monkeypatch.setattr(module, name, unavailable)
     monkeypatch.setattr(stirling, "egf_mul", powers_of_m_only)
     stirling.ladder.cache_clear()
+    stirling.factorial_ladder.cache_clear()
     for j in range(J + 1):
         for mm in range(j + 1):
             assert stirling.psn_direct(m, j, mm) == table.entry(j, mm)
@@ -266,12 +280,12 @@ def test_classical_route_reads_the_classical_numbers(monkeypatch):
         return real_s2(jj, l) + (jj == j and l == 5)
 
     monkeypatch.setattr(stirling, "classical_s2", wrong_s2)
-    stirling._classical_row.cache_clear()
+    stirling._s2_row.cache_clear()
     try:
         assert stirling.psn_via_classical(m, j, mm) != table.entry(j, mm)
         assert stirling.psn_direct(m, j, mm) == table.entry(j, mm)
     finally:
-        stirling._classical_row.cache_clear()
+        stirling._s2_row.cache_clear()
 
 
 def schoolbook_weighted_powers(m, shift, r, k_max):
@@ -359,7 +373,7 @@ def test_table_and_ladder_consumers_do_no_qc_arithmetic(monkeypatch):
 
     for name in ("__add__", "__mul__", "__rmul__", "__sub__", "__truediv__"):
         monkeypatch.setattr(QC, name, unavailable)
-    for cache in (stirling.psn_egf_cached, stirling.ladder):
+    for cache in (stirling.psn_egf_cached, stirling.ladder, stirling.factorial_ladder):
         cache.cache_clear()
     for name, route in cases.items():
         assert route() == expected[name], name

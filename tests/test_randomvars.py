@@ -148,6 +148,33 @@ class TestMomentsOf:
             DistSpec("poisson", 1, custom_moments=(1, 2))
 
 
+# mu_0..mu_J of each kind as Fractions, by the textbook formulas
+FRACTION_FORMULAS = {
+    "pointmass": lambda c, J: [c**k for k in range(J + 1)],
+    "rademacher": lambda c, J: [F(1 - k % 2) for k in range(J + 1)],
+    "bernoulli": lambda p, J: [F(1)] + [p] * J,
+    "uniformstd": lambda c, J: [F(3 ** (k // 2), k + 1) if k % 2 == 0 else F(0) for k in range(J + 1)],
+    "exponential": lambda c, J: [F(math.factorial(k)) for k in range(J + 1)],
+    "gamma": lambda a, J: [math.prod(a + i for i in range(k)) for k in range(J + 1)],
+    "normal": lambda s2, J: [s2 ** (k // 2) * normal_even_moment(k) for k in range(J + 1)],
+}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    CATALOG[:5] + CATALOG[7:]
+    + [point_mass(0), bernoulli(0), bernoulli(1), bernoulli(F(3, 7)), gamma_shape(2),
+       gamma_shape(F(1, 3)), normal(0), normal(F(9, 4))],
+    ids=lambda spec: f"{spec.kind}({spec.param})",
+)
+def test_kind_moments_equal_the_fraction_formulas(spec):
+    # every kind but Poisson (exp of its cumulants) builds its MomentSeq on numerators
+    for J in range(61):
+        mu = moments_of(spec, J)
+        assert type(mu) is MomentSeq
+        assert mu == MomentSeq(FRACTION_FORMULAS[spec.kind](spec.param, J)), J
+
+
 # spec, --param/JSON key, lattice, symmetric, samplable, exact absolute moments
 KIND_RECORDS = [
     (point_mass(0), "c", True, True, True, True),
@@ -183,6 +210,7 @@ def test_kind_record(spec, key, lattice, symmetric, samplable, exact_abs):
     assert (spec.lattice, spec.symmetric) == (lattice, symmetric)
     assert _supported(lambda: sample_sum(spec, 1, random.Random(0))) == samplable
     assert _supported(lambda: abs_moments_of(spec, 4)) == exact_abs
+    assert type(moments_of(spec, 2)) is MomentSeq  # every kind's record builds the sequence
 
 
 class TestMomentSeq:

@@ -3,6 +3,7 @@ from math import comb, factorial
 
 import pytest
 
+from pstirling import stirling
 from pstirling.powerseries import QC, EGFSeries, egf_pow
 from pstirling.randomvars import (
     MomentSeq,
@@ -27,6 +28,8 @@ from pstirling.stirling import (
     bound_holds,
     classical_s1_signed,
     classical_s2,
+    factorial_ladder,
+    factorial_moments,
     ladder,
     psn_direct,
     psn_egf,
@@ -213,22 +216,23 @@ def _off_by_one(s: EGFSeries) -> EGFSeries:
 class TestRouteIndependence:
     """A corrupted piece that routes share must make some cross-check fail.
 
-    Each test corrupts a cached ladder; the autouse ``cold_caches``
-    fixture empties the cache before the next test.
+    Each test corrupts a cached ladder or table; the autouse ``cold_caches``
+    fixture empties the caches before the next test.
     """
 
     @pytest.fixture
     def m(self):
         return moments_of(gamma_shape(F(5, 2)), 12)
 
-    def _corrupt_column_3(self, m):
-        table, lad = psn_egf(m), ladder(m, 0, 0)
-        assert all(psn_direct(m, j, 3) == table.entry(j, 3) for j in range(3, 13))
+    def _corrupt_column_3(self, m, lad):
+        table = psn_egf(m)
+        for j in range(3, 13):
+            assert psn_direct(m, j, 3) == psn_via_classical(m, j, 3) == table.entry(j, 3), j
         lad.columns[3] = _off_by_one(lad.column(3))
         return table
 
     def test_corrupt_column_is_caught_by_the_table(self, m):
-        table = self._corrupt_column_3(m)
+        table = self._corrupt_column_3(m, ladder(m, 0, 0))
         for j in range(3, 13):
             assert psn_direct(m, j, 3) != table.entry(j, 3), j
 
@@ -240,13 +244,69 @@ class TestRouteIndependence:
         rungs[2] = _off_by_one(rungs[2])
         assert psn_gr_rep(m, 0, 6, 2) != table.entry(6, 2)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
     def test_corrupt_column_is_caught_by_the_classical_route(self, m):
-        # psn_via_classical recombines the very column psn_direct reads, through
-        # sum_l S(j,l) s(l,i) = delta_ij, so today the two always agree
-        self._corrupt_column_3(m)
+        # psn_via_classical reads the factorial moments' ladder, not the column psn_direct reads
+        self._corrupt_column_3(m, ladder(m, 0, 0))
         for j in range(3, 13):
             assert psn_via_classical(m, j, 3) != psn_direct(m, j, 3), j
+
+    def test_corrupt_factorial_column_is_caught_by_the_other_routes(self, m):
+        # each coefficient off by one puts sum_l S(j,l), the Bell number B_j, on the value
+        table = self._corrupt_column_3(m, factorial_ladder(m))
+        for j in range(3, 13):
+            value = psn_via_classical(m, j, 3)
+            assert value != psn_direct(m, j, 3) and value != table.entry(j, 3), j
+
+    def test_corrupt_table_column_is_caught_by_the_ladder_routes(self, m, monkeypatch):
+        table = psn_egf(m)
+        columns = list(table.columns)
+        columns[3] = _off_by_one(columns[3])
+        monkeypatch.setattr(stirling, "psn_egf_cached", lambda seq: StirlingTable(tuple(columns)))
+        corrupt = stirling.psn_egf_cached(m)
+        for j in range(13):
+            for mm in range(j + 1):
+                entry = corrupt.entry(j, mm)
+                for route in (psn_direct, psn_via_classical):
+                    assert (route(m, j, mm) == entry) == (mm != 3), (route.__name__, j, mm)
+
+    @pytest.mark.parametrize(
+        "seq",
+        [moments_of(gamma_shape(F(5, 2)), 12),
+         MomentSeq([1, QC(F(1, 2), F(-2, 3)), QC(F(7, 5)), QC(F(-1, 9), F(4, 7)), QC(2, 1), F(3, 8)])],
+        ids=["gamma", "complex"],
+    )
+    def test_classical_route_reads_neither_ladder_0_0_nor_the_table(self, seq, monkeypatch):
+        table = psn_egf(seq)
+
+        def unavailable(*args):
+            raise AssertionError("the classical route read ladder (0, 0) or the table")
+
+        for name in ("ladder", "psn_egf", "psn_egf_cached"):
+            monkeypatch.setattr(stirling, name, unavailable)
+        for j in range(seq.order + 1):
+            for mm in range(seq.order + 2):
+                assert psn_via_classical(seq, j, mm) == table.entry(j, mm), (j, mm)
+
+
+class TestFactorialMoments:
+    def test_poisson_factorial_moments_are_powers_of_the_rate(self):
+        lam = F(3, 2)
+        f = factorial_moments(moments_of(poisson(lam), 12))
+        assert type(f) is MomentSeq and f.coeffs == tuple(QC(lam**l) for l in range(13))
+
+    def test_bernoulli_has_two(self):
+        f = factorial_moments(moments_of(bernoulli(F(2, 7)), 9))
+        assert f.coeffs == (QC(1), QC(F(2, 7))) + (QC(0),) * 8
+
+    def test_signed_first_kind_combination(self):
+        m = MomentSeq([1, QC(F(1, 2), F(-2, 3)), QC(F(7, 5)), QC(F(-1, 9), F(4, 7)), QC(2, 1)])
+        expected = []
+        for l in range(5):
+            acc = QC(0)
+            for i in range(l + 1):
+                acc = acc + classical_s1_signed(l, i) * m[i]
+            expected.append(acc)
+        assert factorial_moments(m).coeffs == tuple(expected)
 
 
 @pytest.mark.parametrize(
