@@ -40,6 +40,7 @@ _PUBLIC = {
     "rademacher": "randomvars",
     "sample_sum": "randomvars",
     "sample_sums": "randomvars",
+    "standardize_moments": "randomvars",
     "tilde_transform": "randomvars",
     "uniform_std": "randomvars",
     "vanishing_order": "randomvars",
@@ -66,6 +67,7 @@ _PUBLIC = {
     "cm_coefficients": "levy",
     "levy_cumulant": "levy",
     "levy_moment_g": "levy",
+    "levy_process_moments": "levy",
     "subordinator_moment_h": "levy",
     "tstar_moments": "levy",
     "EdgeworthModel": "edgeworth",

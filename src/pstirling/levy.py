@@ -17,8 +17,8 @@ from math import comb
 from operator import mul
 
 from .powerseries import Record, exact_rational
-from .randomvars import CumulantSeq, MomentSeq, normal_even_moment, only_keys, parse_rational
-from .randomvars import bernoulli, gamma_shape, moments_of, point_mass  # the catalog's laws
+from .randomvars import CumulantSeq, MomentSeq, only_keys, parse_rational
+from .randomvars import bernoulli, gamma_shape, moments_of, normal, point_mass  # the catalog's laws
 from .stirling import ladder
 
 
@@ -88,15 +88,16 @@ def _moment_coefficients(spec, j: int) -> list:
     # coefficient of t^{-(floor(j/2)-m)} for m = 0..floor(j/2); the m=0
     # entry vanishes for j >= 1 since W_0 = 0.  E W_m(2)^{j-2m} is
     # coefficient j-2m of G^m on ladder (0, 2) of the T moments, read at
-    # their full order
+    # their full order; var2^m E Z^{2m} is moment 2m of the normal of variance var2
     if j < 0:
         raise ValueError("indices must be nonnegative")
     var2, tm = _variance_and_t(spec, j - 2)
     powers = ladder(tm, 0, 2).through(j // 2)
+    gauss = moments_of(normal(var2), j)
     out = [Fraction(1 if j == 0 else 0)]
     for m in range(1, j // 2 + 1):
         w_mom = powers[m][j - 2 * m].as_fraction()
-        out.append(comb(j, 2 * m) * var2**m * normal_even_moment(2 * m) * w_mom)
+        out.append(comb(j, 2 * m) * gauss[2 * m].re * w_mom)
     return out
 
 
@@ -144,11 +145,6 @@ def levy_process_moments(spec: LevySpec, order: int, t: Fraction) -> MomentSeq:
     if order < 0:
         raise ValueError("order must be nonnegative")
     return _cumulant_series(spec, order).moments(_time(t))
-
-
-def centered_subordinator_moments(spec: SubordinatorSpec, order: int, t: Fraction) -> MomentSeq:
-    """Moment sequence of X(t) - t at fixed rational t: h_j(t) times t^{floor(j/2)}."""
-    return levy_process_moments(spec, order, t)
 
 
 def levy_cumulant(spec, j: int, t):

@@ -12,13 +12,12 @@ returns a ``CumulantSeq``.  The CLI's sweep is exp(n log M) (``sum_moments``).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, lcm, perm
 from operator import mul
 
 from .powerseries import QC, egf_combination, egf_lincomb, egf_log, egf_pow
-from .randomvars import CumulantSeq, MomentSeq, vanishing_order
+from .randomvars import CumulantSeq, MomentSeq, moments_of, normal, vanishing_order
 from .stirling import alternating, ladder, psn_egf_cached
 
 
@@ -91,7 +90,7 @@ def even_moment_sequence(m: MomentSeq, j: int, n_max: int):
     """The non-increasing sequence E S_n^{2j}/(n)_j for n = j..n_max, plus its limit.
 
     Requires a real centered sequence; the limit is the 2j-th moment of a
-    centered normal with the same variance, sigma^{2j} (2j)!/(j! 2^j).
+    centered normal with the same variance, sigma^{2j} E Z^{2j}.
     """
     if not m.is_real:
         raise ValueError("even-moment sequence needs real moments")
@@ -104,7 +103,7 @@ def even_moment_sequence(m: MomentSeq, j: int, n_max: int):
         sum_moment(m, n, 2 * j).as_fraction() / perm(n, j)
         for n in range(j, n_max + 1)
     ]
-    limit = sigma2**j * Fraction(factorial(2 * j), factorial(j) * 2**j)
+    limit = sigma2**j * moments_of(normal(), 2 * j)[2 * j].re
     return values, limit
 
 

@@ -36,7 +36,50 @@ def exact_rational(value) -> Fraction:
     raise TypeError(f"cannot build exact scalar from {type(value).__name__}")
 
 
-class QC:
+class Record:
+    """Base of the package's immutable value classes, whose fields are their ``__slots__``.
+
+    A subclass's ``__init__`` sets the fields once, with ``_init``;
+    assigning or deleting one afterwards raises AttributeError.
+    Values of one class are equal, and hash alike, when their fields are
+    equal; a value of another class never compares equal.  QC, the one
+    scalar, keeps its own equality and hash, under which QC(2) == 2.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # one C-level getter of the fields, as a tuple; every subclass has two or more
+        cls._getter = staticmethod(attrgetter(*cls.__slots__))
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return self._getter(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._getter(self) == other._getter(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._getter(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class QC(Record):
     """Complex scalar with exact rational real and imaginary parts.
 
     Fraction keeps both parts normalized (gcd 1, positive denominator).
@@ -48,12 +91,10 @@ class QC:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        # a Fraction part is immutable, so it is kept rather than copied
+        # a Fraction part is immutable, so it is kept rather than copied; the parts
+        # are set directly, not through Record._init, as every read-out builds a QC
         object.__setattr__(self, "re", re if type(re) is Fraction else exact_rational(re))
         object.__setattr__(self, "im", im if type(im) is Fraction else exact_rational(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QC is immutable")
 
     @classmethod
     def of(cls, value) -> "QC":
@@ -122,48 +163,6 @@ class QC:
         if self.im == 0:
             return f"QC({self.re})"
         return f"QC({self.re}, {self.im})"
-
-
-class Record:
-    """Base of the package's immutable value classes, whose fields are their ``__slots__``.
-
-    A subclass's ``__init__`` sets the fields once, with ``_init``;
-    assigning or deleting one afterwards raises AttributeError, as on QC.
-    Values of one class are equal, and hash alike, when their fields are
-    equal; a value of another class never compares equal.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # one C-level getter of the fields, as a tuple; every subclass has two or more
-        cls._getter = staticmethod(attrgetter(*cls.__slots__))
-
-    def _init(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return self._getter(self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return self._getter(self) == other._getter(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._getter(self))
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
 
 
 _ZERO = Fraction(0)  # every zero part a series reads out, as a Fraction is immutable

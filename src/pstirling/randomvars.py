@@ -1,8 +1,11 @@
 """Distribution catalog as truncated moment sequences, plus transforms.
 
 Every distribution is represented only by its moments E Y^k up to a
-truncation order; all catalog moments are exact rationals.  The module
-also provides the x^2-biased (tilde) transform, the Y+iZ (hat) transform
+truncation order; all catalog moments are exact rationals, and a custom
+spec holds its list as the MomentSeq it makes.  The normal kind is the
+one place the package computes E Z^l: the hat transform, the Levy
+Gaussian factor and the even-moment limit all read it.  The module also
+provides the x^2-biased (tilde) transform, the Y+iZ (hat) transform
 against an independent standard normal, vanishing-order classification,
 beta(r) moments, and seeded samplers for the Monte Carlo oracle.
 """
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, lcm
 from itertools import accumulate, count, islice, repeat
 from operator import mul
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -77,14 +80,12 @@ class DistSpec(Record):
     """Catalog distribution: a variant tag plus at most one rational parameter.
 
     The kind's record in ``_KINDS`` names the parameter.  Custom specs
-    carry an explicit moment list instead.
+    carry an explicit moment list instead, held as the MomentSeq it makes.
     """
 
     __slots__ = ("kind", "param", "custom_moments")
 
-    def __init__(
-        self, kind: str, param: Optional[Fraction] = None, custom_moments: Optional[tuple] = None
-    ):
+    def __init__(self, kind: str, param: Optional[Fraction] = None, custom_moments=None):
         record = _kind(kind)
         _require(param is None or record.key is not None, f"{kind} spec takes no parameter")
         _require(param is not None or record.key is None, f"{kind} spec needs its parameter")
@@ -92,7 +93,7 @@ class DistSpec(Record):
         if param is not None:
             param = exact_rational(param)
         if custom_moments is not None:
-            custom_moments = tuple(QC.of(v) for v in custom_moments)
+            custom_moments = MomentSeq(custom_moments)
         self._init(kind, param, custom_moments)
         record.check(self)
 
@@ -140,14 +141,6 @@ def normal(sigma2=1) -> DistSpec:
 
 def custom(moments) -> DistSpec:
     return DistSpec(CUSTOM, custom_moments=tuple(moments))
-
-
-def normal_even_moment(l: int) -> Fraction:
-    """E Z^l for standard normal Z: (2m)!/(m! 2^m) at l = 2m, 0 for odd l."""
-    if l % 2 == 1:
-        return Fraction(0)
-    m = l // 2
-    return Fraction(factorial(2 * m), factorial(m) * 2**m)
 
 
 def moments_of(spec: DistSpec, order: int) -> MomentSeq:
@@ -212,8 +205,9 @@ def hat_transform(m: MomentSeq) -> MomentSeq:
     E (iZ)^l = (-1)^{l/2} E Z^l for even l and 0 for odd l; those moments
     are integers, so real input yields a real output sequence.
     """
-    iz = [(-1) ** (l // 2) * normal_even_moment(l).numerator for l in range(m.order + 1)]
-    product = egf_mul(m, EGFSeries.from_numerators(1, iz, None))
+    z = moments_of(normal(), m.order)
+    iz = [(-1) ** (l // 2) * x for l, x in enumerate(z.re)]
+    product = egf_mul(m, EGFSeries.from_numerators(z.den, iz, None))
     return MomentSeq.from_numerators(product.den, product.re, product.im)
 
 
@@ -362,8 +356,9 @@ def _normal_sampler(spec: DistSpec, random: _Draw) -> _Draw:
 
 
 def _custom_moments(spec: DistSpec, order: int) -> MomentSeq:
-    _require(order < len(spec.custom_moments), "custom spec does not carry that many moments")
-    return MomentSeq(spec.custom_moments[: order + 1])
+    m = spec.custom_moments
+    _require(order <= m.order, "custom spec does not carry that many moments")
+    return MomentSeq.from_numerators(m.den, m.re[: order + 1], m.im and m.im[: order + 1])
 
 
 def _require(holds: bool, message: str) -> None:
@@ -373,7 +368,6 @@ def _require(holds: bool, message: str) -> None:
 
 def _check_custom(spec: DistSpec) -> None:
     _require(spec.custom_moments is not None, "custom spec needs a moment list")
-    _require(spec.custom_moments[:1] == (1,), "custom moments must start with mu_0 = 1")
 
 
 class _Kind(NamedTuple):

@@ -3,6 +3,7 @@
 Everything here deliberately avoids the library's production code paths:
 lattice sums are enumerated state by state, Bell/Poisson values come from
 the Touchard recurrence, beta moments from term-by-term integration, the
+normal's moments from the closed form (2m)!/(m! 2^m), the
 Irwin-Hall CDF from piecewise-polynomial convolution, the normal CDF
 from a rational Maclaurin series with Machin's formula for pi, and the
 series product, log and exp from term-by-term loops over the exact
@@ -11,7 +12,7 @@ scalar ``QC``, which bypass the integer kernel that ``powerseries`` uses.
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, prod
+from math import comb, factorial
 
 from pstirling.powerseries import QC, EGFSeries
 
@@ -75,6 +76,14 @@ def gamma_raw_moments(t, order):
     for k in range(order):
         mu.append(mu[-1] * (Fraction(t) + k))
     return mu
+
+
+def normal_even_moment(l):
+    """E Z^l for a standard normal Z: (2m)!/(m! 2^m) at l = 2m, 0 for odd l."""
+    if l % 2:
+        return Fraction(0)
+    m = l // 2
+    return Fraction(factorial(2 * m), factorial(m) * 2**m)
 
 
 class PiecewisePoly:
@@ -241,7 +250,7 @@ def schoolbook_sum_moment_powers(m, k_max):
 def schoolbook_hat_transform(m):
     """E (Y+iZ)^s = sum_k C(s,k) mu_k i^{s-k} E Z^{s-k} for s = 0..J, term by term over QC.
 
-    Z is standard normal: i^l E Z^l = (-1)^{l/2} (l-1)!! for even l, 0 for odd l.
+    Z is standard normal: i^l E Z^l = (-1)^{l/2} E Z^l for even l, 0 for odd l.
     """
     mu = m.coeffs
     out = []
@@ -250,7 +259,7 @@ def schoolbook_hat_transform(m):
         for k in range(s + 1):
             l = s - k
             if l % 2 == 0:
-                acc = acc + (-1) ** (l // 2) * prod(range(l - 1, 0, -2)) * comb(s, k) * mu[k]
+                acc = acc + (-1) ** (l // 2) * normal_even_moment(l) * comb(s, k) * mu[k]
         out.append(acc)
     return tuple(out)
 

@@ -516,6 +516,9 @@ class TestConfigAndOutput:
              "a complex moment does not take the key 'imag'"),
             (["levy"], {"process": {"tau2": "1", "tstar_moments": ["1", "2"], "sigma2": "1"}},
              "a process spec does not take the key 'sigma2'"),
+            # a custom list is held as its MomentSeq, whose own check refuses mu_0 != 1
+            (["stirling"], {"dist": {"dist": "custom", "moments": ["2", "0", "1"]}},
+             "moment sequence must start with mu_0 = 1"),
         ],
     )
     def test_bad_input_is_one_line_exit_2(self, tmp_path, capsys, argv, config, message):

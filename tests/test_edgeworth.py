@@ -28,7 +28,7 @@ from pstirling.randomvars import (
     uniform_std,
 )
 
-from oracles import normal_cdf_series
+from oracles import normal_cdf_series, normal_even_moment
 
 # explicit probabilists' Hermite polynomials, ascending coefficients
 HERMITE_COEFFS = {
@@ -254,8 +254,6 @@ class TestHatEvenMoment:
         assert res.value == F(48, 7)  # still the true E hat^6
 
     def test_matched_value_is_moment_difference(self):
-        from pstirling.randomvars import normal_even_moment
-
         for spec in (rademacher(), uniform_std()):
             m = moments_of(spec, 8)
             res = hat_even_moment(m, 2)

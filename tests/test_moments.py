@@ -16,6 +16,7 @@ from pstirling.moments import (
 from pstirling.randomvars import (
     MomentSeq,
     bernoulli,
+    custom,
     exponential,
     moments_of,
     normal,
@@ -27,7 +28,13 @@ from pstirling.randomvars import (
 from pstirling.powerseries import QC, DomainError
 from pstirling.stirling import ladder, psn_egf, psn_egf_cached
 
-from oracles import RADEMACHER_SUPPORT, enum_sum_moment, shift_moments, touchard_moments
+from oracles import (
+    RADEMACHER_SUPPORT,
+    enum_sum_moment,
+    normal_even_moment,
+    shift_moments,
+    touchard_moments,
+)
 
 SPECS = [
     point_mass(1),
@@ -163,6 +170,18 @@ class TestEvenMomentSequence:
     def test_rejects_uncentered(self):
         with pytest.raises(ValueError):
             even_moment_sequence(moments_of(poisson(1), 8), 2, 10)
+
+    def test_negative_second_moment_keeps_its_algebraic_limit(self):
+        # a signed list with mu_2 = -1 is no law, but its limit is still sigma2^j E Z^{2j}
+        m = moments_of(custom([1, 0, -1, F(1, 2), 2, 0, -3]), 6)
+        expected = {
+            1: ([-1] * 6, -1),
+            2: ([5, 4, F(11, 3), F(7, 2), F(17, 5)], 3),
+            3: ([-44, F(-117, 4), F(-293, 12), F(-881, 40)], -15),
+        }
+        for j, (values, limit) in expected.items():
+            assert even_moment_sequence(m, j, 6) == (values, limit)
+            assert limit == (-1) ** j * normal_even_moment(2 * j)
 
 
 class TestOddMomentOrder:

@@ -420,6 +420,7 @@ def _record_values():
     seq = MomentSeq(mu)
     estimate = mc_sum_moment(rademacher(), 2, 2, 10, 1)
     return [
+        (QC, lambda: QC(1, F(1, 2)), "re", seq),
         (EGFSeries, lambda: EGFSeries([1, F(1, 2), QC(0, 1)]), "den", seq),
         (MomentSeq, lambda: MomentSeq(list(mu)), "den", cumulants_oracle(seq)),
         (DistSpec, lambda: DistSpec("poisson", 2), "param", seq),

@@ -21,7 +21,6 @@ from pstirling.randomvars import (
     hat_transform,
     moments_of,
     normal,
-    normal_even_moment,
     param_key,
     point_mass,
     poisson,
@@ -35,7 +34,7 @@ from pstirling.randomvars import (
 )
 from pstirling.stirling import classical_s2
 
-from oracles import beta_moment_integral, shift_moments, touchard_moments
+from oracles import beta_moment_integral, normal_even_moment, shift_moments, touchard_moments
 from test_properties import unrelated_sequence
 
 CATALOG = [
