@@ -15,7 +15,6 @@ from importlib import import_module
 # each public name and the submodule that defines it
 _PUBLIC = {
     "DomainError": "powerseries",
-    "EGFFactor": "powerseries",
     "EGFSeries": "powerseries",
     "QC": "powerseries",
     "SeriesMismatchError": "powerseries",
@@ -38,7 +37,6 @@ _PUBLIC = {
     "point_mass": "randomvars",
     "poisson": "randomvars",
     "rademacher": "randomvars",
-    "sample_sum": "randomvars",
     "sample_sums": "randomvars",
     "standardize_moments": "randomvars",
     "tilde_transform": "randomvars",

@@ -116,7 +116,8 @@ def edgeworth_term(model: EdgeworthModel, k: int, n: int, y: float) -> float:
     """The order-n^{-k/2} correction term at y.
 
     -g(y) n^{-k/2} sum_{(m,j)} S(j,m)/j! * (n)_m/n^m * H_{j-1}(y), with the
-    rational factor computed exactly before the single float conversion.
+    rational factor computed exactly before the single float conversion;
+    a factor beyond float range raises DomainError.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -128,7 +129,12 @@ def edgeworth_term(model: EdgeworthModel, k: int, n: int, y: float) -> float:
         if entry == 0:
             continue
         coeff = entry / factorial(j) * Fraction(perm(n, m), n**m)
-        total += float(coeff) * hermite_eval(j - 1, y)
+        try:
+            c = float(coeff)
+        except OverflowError:
+            raise DomainError(f"the Edgeworth term k = {k} at n = {n} has a coefficient beyond "
+                              f"float range, at (j, m) = ({j}, {m})") from None
+        total += c * hermite_eval(j - 1, y)
     return -normal_pdf(y) * float(n) ** (-k / 2.0) * total
 
 

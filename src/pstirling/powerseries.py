@@ -5,9 +5,10 @@ complex numbers with rational real/imaginary parts, stored as integer
 numerators over one denominator, so every operation is exact.  A value
 leaves a series as a :class:`QC`, either one coefficient (``s[j]``) or an
 integer combination of series (``egf_combination``).  Every product
-multiplies by the binomial-weighted rows of an :class:`EGFFactor`; a
-series that several products share, such as the base of a ladder of
-powers, is held as one, so that its rows are built once.
+multiplies by the binomial-weighted rows of its right operand, which a
+series builds the first time it is one and keeps, so that a series that
+several products share, such as the base of a ladder of powers, builds
+them once.
 All binary operations require equal truncation orders.
 """
 
@@ -39,22 +40,25 @@ def exact_rational(value) -> Fraction:
 class Record:
     """Base of the package's immutable value classes, whose fields are their ``__slots__``.
 
-    A subclass's ``__init__`` sets the fields once, with ``_init``;
-    assigning or deleting one afterwards raises AttributeError.
-    Values of one class are equal, and hash alike, when their fields are
-    equal; a value of another class never compares equal.  QC, the one
-    scalar, keeps its own equality and hash, under which QC(2) == 2.
+    A slot named ``_...`` is a cache, not a field; a class that declares no
+    fields has its parent's.  A subclass's ``__init__`` sets the fields
+    once, with ``_init``; assigning or deleting one afterwards raises
+    AttributeError.  Values of one class are equal, and hash alike, when
+    their fields are equal; a value of another class never compares equal.
+    QC, the one scalar, keeps its own equality and hash, under which QC(2) == 2.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # one C-level getter of the fields, as a tuple; every subclass has two or more
-        cls._getter = staticmethod(attrgetter(*cls.__slots__))
+        names = tuple(name for name in cls.__dict__.get("__slots__", ()) if name[0] != "_")
+        if names:
+            # one C-level getter of the fields, as a tuple; every class with fields has two or more
+            cls._names, cls._getter = names, staticmethod(attrgetter(*names))
 
     def _init(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
+        for name, value in zip(self._names, values, strict=True):
             object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
@@ -75,7 +79,7 @@ class Record:
         return hash(self._getter(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
         return f"{type(self).__qualname__}({fields})"
 
 
@@ -179,7 +183,8 @@ class EGFSeries(Record):
     values when read.
     """
 
-    __slots__ = ("den", "re", "im")  # int, tuple of ints, tuple of ints or None
+    # int, tuple of ints, tuple of ints or None; then the cache of _operand_rows
+    __slots__ = ("den", "re", "im", "_operand")
 
     def __init__(self, coeffs):
         values = [QC.of(v) for v in coeffs]
@@ -222,6 +227,7 @@ def _canonical(s: EGFSeries, den: int, re, im) -> EGFSeries:
     object.__setattr__(s, "den", den // g)
     object.__setattr__(s, "re", tuple(x // g for x in re))
     object.__setattr__(s, "im", im and tuple(x // g for x in im))
+    object.__setattr__(s, "_operand", None)
     s._check()
     return s
 
@@ -235,49 +241,25 @@ def _check_compatible(a: EGFSeries, b: EGFSeries):
         raise SeriesMismatchError(f"order mismatch: {a.order} vs {b.order}")
 
 
-def egf_mul(a: EGFSeries, b, den: int = 1) -> EGFSeries:
+def egf_mul(a: EGFSeries, b: EGFSeries, den: int = 1) -> EGFSeries:
     """Binomial convolution over den > 0: c_j = sum_k C(j,k) a_k b_{j-k} / den.
 
     This is the product of the underlying functions, truncated at the
     common order; with moment sequences as inputs it multiplies MGFs.
-    b is an EGFFactor, or a series held as one for this one call.  den
+    b keeps the rows that its first product as a right operand builds,
+    for as long as b lives, so later products by b build none.  den
     scales the result within its one reduction.
     """
     _check_compatible(a, b)
-    if not isinstance(b, EGFFactor):
-        b = EGFFactor(b)
+    vb, rows = _operand_rows(b)
     va = _valuation(a)
     # c_j is 0 for j < va + vb; otherwise only the k in [va, j - vb] can contribute
     n = len(a.re)
     xr, xi = a.re[va:], a.im and a.im[va:]
     re, im = [0] * n, [0] * n
-    for j, (wr, wi) in enumerate(b.rows[va:], va + b.valuation):
+    for j, (wr, wi) in enumerate(rows[va:], va + vb):
         re[j], im[j] = _product(xr, xi, wr[va:], wi and wi[va:])
-    return EGFSeries.from_numerators(a.den * b.series.den * den, re, im)
-
-
-class EGFFactor:
-    """A series b held with its binomial-weighted rows, for products that share b.
-
-    Row j holds W_j[k] = C(j,k) b_{j-k} for k = 0..j - v, v the valuation
-    of b, as numerators over b.den, real and imaginary parts apart.
-    ``egf_mul(a, factor)`` then costs one multiplication per coefficient
-    pair, c_j = sum_k a_k W_j[k].  Building the rows costs one
-    multiplication per pair too, which a factor that several products
-    share pays only once.
-    """
-
-    __slots__ = ("series", "valuation", "rows")
-
-    def __init__(self, b: EGFSeries):
-        self.series = b
-        self.valuation = _valuation(b)
-        # rows[i] is row j = valuation + i
-        self.rows = tuple(_rows(b.re, b.im, self.valuation, True))
-
-    @property
-    def order(self) -> int:
-        return self.series.order
+    return EGFSeries.from_numerators(a.den * b.den * den, re, im)
 
 
 def egf_pow(a: EGFSeries, n: int) -> EGFSeries:
@@ -285,14 +267,13 @@ def egf_pow(a: EGFSeries, n: int) -> EGFSeries:
     if n < 0:
         raise DomainError("negative powers are not defined for truncated EGFs")
     result = egf_one(a.order)
-    base = a
+    base = EGFSeries.from_numerators(a.den, a.re, a.im)  # a copy, so that a keeps no rows
     while n:
-        factor = EGFFactor(base)
         if n & 1:
-            result = egf_mul(result, factor)
+            result = egf_mul(result, base)
         n >>= 1
         if n:
-            base = egf_mul(base, factor)
+            base = egf_mul(base, base)
     return result
 
 
@@ -386,6 +367,17 @@ def _valuation(a: EGFSeries) -> int:
     """Index of a's first nonzero coefficient, real or imaginary; len(a.re) for zero."""
     nonzero = map(or_, a.re, a.im) if a.im else a.re
     return next(compress(count(), nonzero), len(a.re))
+
+
+def _operand_rows(b: EGFSeries) -> tuple:
+    """(v, rows): b's valuation, and its rows j = v, v + 1, ... (``_rows``), built once and kept.
+
+    A product by b then costs one multiplication per coefficient pair.
+    """
+    if b._operand is None:
+        v = _valuation(b)
+        object.__setattr__(b, "_operand", (v, tuple(_rows(b.re, b.im, v, True))))
+    return b._operand
 
 
 def _rows(re, im, vb, reused):

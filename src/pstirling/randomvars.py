@@ -45,9 +45,10 @@ class MomentSeq(EGFSeries):
     """Truncated moment sequence mu_k = E Y^k, k = 0..J, with mu_0 = 1.
 
     It is the EGF of M(z) = E e^{zY}, so every series operation takes it
-    as it is.  It declares no ``__slots__``: Record reads the fields from
-    ``__slots__``, and an empty tuple here would hide EGFSeries's.
+    as it is.
     """
+
+    __slots__ = ()
 
     def __init__(self, mu):
         # an empty sequence fails the mu_0 check, as one starting with 0 does
@@ -60,6 +61,8 @@ class MomentSeq(EGFSeries):
 
 class CumulantSeq(EGFSeries):
     """Truncated cumulant series K = log M: K_0 = 0 and K_j = kappa_j, j = 1..J."""
+
+    __slots__ = ()
 
     def _check(self) -> None:
         if self.re[0] or self.im and self.im[0]:
@@ -254,17 +257,13 @@ def standardize_moments(m: MomentSeq) -> MomentSeq:
 # exponentials and handles a fractional shape by beta rejection.
 
 
-def sample_sum(spec: DistSpec, n: int, rng: random.Random) -> float:
-    """One draw of S_n = Y_1 + ... + Y_n, deterministic given the rng state."""
-    return next(sample_sums(spec, n, 1, rng))
-
-
 def sample_sums(spec: DistSpec, n: int, count: int, rng: random.Random) -> Iterator[float]:
-    """Lazily, ``count`` successive draws of S_n from one rng.
+    """Lazily, ``count`` successive draws of S_n = Y_1 + ... + Y_n from one rng.
 
-    Each sum is ``sum()`` of the next n draws of Y, so the values equal
-    ``count`` calls of ``sample_sum`` on the same rng.  ``n`` and the spec
-    are checked here, not when the iterator is first read.
+    Each sum is ``sum()`` of the next n draws of Y, so the stream is fixed
+    by the rng state, and ``count`` calls with count 1 on the same rng
+    draw the same sums.  ``n`` and the spec are checked here, not when the
+    iterator is first read.
     """
     if n < 1:
         raise ValueError("n must be positive")

@@ -14,8 +14,8 @@ independent data paths:
   the first r moments vanish.
 
 The last three read cached ladders (``Ladder``): the powers G^0, G^1, ...
-of one series G, grown by products by the stored rows of G (an
-EGFFactor), with one alternating column (1/m!) sum_k C(m,k)(-1)^{m-k} G^k
+of one series G, grown by products by G, which keeps its rows from the
+first of them, with one alternating column (1/m!) sum_k C(m,k)(-1)^{m-k} G^k
 per m, built once as one ``egf_lincomb`` of rungs 0..m.  ``psn_direct``
 reads coefficient j of that column on ``ladder(m, 0, 0)``, where G is
 M(z) and rung k holds E S_k^j.  ``psn_via_classical`` reads the column of
@@ -36,7 +36,7 @@ from math import comb, factorial
 from operator import mul
 from typing import NamedTuple
 
-from .powerseries import QC, EGFFactor, EGFSeries, egf_combination, egf_lincomb, egf_mul, egf_one
+from .powerseries import QC, EGFSeries, egf_combination, egf_lincomb, egf_mul, egf_one
 from .powerseries import egf_pow, qc_from_numerators
 from .randomvars import (
     DistSpec,
@@ -121,10 +121,10 @@ def psn_egf(m: MomentSeq) -> StirlingTable:
 
     Column m is column m-1 times M(z)-1, over m: one binomial convolution
     per column, O(J^2) exact operations each, by the rows of M(z)-1 that
-    the table builds once (an EGFFactor).
+    its first product builds and the others reuse.
     """
     # M(z) - 1; im[0] is 0
-    shifted = EGFFactor(EGFSeries.from_numerators(m.den, (0,) + m.re[1:], m.im))
+    shifted = EGFSeries.from_numerators(m.den, (0,) + m.re[1:], m.im)
     columns = [egf_one(m.order)]
     for col in range(1, m.order + 1):
         columns.append(egf_mul(columns[-1], shifted, col))
@@ -154,23 +154,24 @@ def weighted_series(m: MomentSeq, shift: int, r: int, order: int) -> EGFSeries:
 
 
 class Ladder:
-    """The powers G^0, G^1, ... of one series G, with the EGFFactor of G that grows them.
+    """The powers G^0, G^1, ... of one series G.
 
     ``rungs`` lists the powers built so far, G itself as rung 1;
-    ``through`` appends one egf_mul by ``factor`` per rung.  ``columns``
-    maps m to the alternating column of ``column(m)``, built on first read.
+    ``through`` appends one egf_mul by G per rung, so G builds its rows at
+    the first and keeps them for the ladder's life.  ``columns`` maps m to
+    the alternating column of ``column(m)``, built on first read.
     """
 
-    __slots__ = ("factor", "rungs", "columns")
+    __slots__ = ("rungs", "columns")
 
     def __init__(self, g: EGFSeries):
-        self.factor, self.rungs, self.columns = EGFFactor(g), [egf_one(g.order), g], {}
+        self.rungs, self.columns = [egf_one(g.order), g], {}
 
     def through(self, k_max: int) -> list:
         """The rungs, grown through G^k_max.  The list may run past k_max; callers only read it."""
         rungs = self.rungs
         while len(rungs) <= k_max:
-            rungs.append(egf_mul(rungs[-1], self.factor))
+            rungs.append(egf_mul(rungs[-1], rungs[1]))
         return rungs
 
     def column(self, m: int) -> EGFSeries:

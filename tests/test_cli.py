@@ -519,6 +519,10 @@ class TestConfigAndOutput:
             # a custom list is held as its MomentSeq, whose own check refuses mu_0 != 1
             (["stirling"], {"dist": {"dist": "custom", "moments": ["2", "0", "1"]}},
              "moment sequence must start with mu_0 = 1"),
+            # an exact Edgeworth coefficient beyond float range: an OverflowError traceback, exit 1
+            (["edgeworth", "--n", "64", "--K", "17", "--grid", "0:0:1"],
+             {"dist": {"dist": "custom", "moments": [1, 0, 1] + ["99999999999999999999"] * 67}},
+             "beyond float range"),
         ],
     )
     def test_bad_input_is_one_line_exit_2(self, tmp_path, capsys, argv, config, message):

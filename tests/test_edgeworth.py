@@ -181,6 +181,15 @@ class TestTerms:
         with pytest.raises(ValueError):
             edgeworth_term(model, 3, 16, 0.0)
 
+    def test_coefficient_beyond_float_range_is_a_domain_error(self):
+        # 20-digit moments: term 16 still converts, term 17 holds a coefficient past 2^1024
+        model = edgeworth_model(MomentSeq([1, 0, 1] + [10**20 - 1] * 67), K=17, order=69)
+        assert math.isfinite(edgeworth_term(model, 16, 64, 0.0))
+        with pytest.raises(DomainError, match=r"k = 17 at n = 64 .* \(j, m\) = \(51, 17\)"):
+            edgeworth_term(model, 17, 64, 0.0)
+        with pytest.raises(DomainError):
+            edgeworth_cdf(model, 64, 0.0)
+
 
 class TestCdf:
     def test_empty_truncation_is_normal(self):

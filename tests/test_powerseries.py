@@ -4,9 +4,9 @@ from math import factorial, gcd
 
 import pytest
 
+from pstirling import powerseries
 from pstirling.powerseries import (
     DomainError,
-    EGFFactor,
     EGFSeries,
     QC,
     Record,
@@ -324,22 +324,23 @@ class TestKernelAgainstSchoolbook:
 
     @pytest.mark.parametrize("kind_b", KINDS)
     @pytest.mark.parametrize("kind_a", KINDS)
-    def test_mul_by_a_factor(self, kind_a, kind_b):
-        """One factor's stored rows serve products with operands of every valuation, and a divisor."""
+    def test_mul_by_a_factor(self, monkeypatch, kind_a, kind_b):
+        """One right operand's kept rows serve products with operands of every valuation, and a
+        divisor, as rows built afresh for one product do."""
+        builds = count_row_builds(monkeypatch)
         rng = random.Random(f"factor {kind_a} {kind_b}")
         for order in (0, 1, 7, 33):
             h = order // 2 + 1
             for vb in (0, 1, h, order + 1):
                 b = with_head(random_series(rng, order, kind_b), vb, imaginary=vb % 2 == 1)
-                factor = EGFFactor(b)
-                assert factor.series is b and factor.order == order
                 for va in (0, 1, h, order + 1):
                     a = with_head(random_series(rng, order, kind_a), va)
                     expected = schoolbook_egf_mul(a, b)
-                    assert_schoolbook(egf_mul(a, factor), expected)
+                    assert_schoolbook(egf_mul(a, b), expected)
                     den = rng.choice((2, 6, 33, 10**9 + 7))
-                    assert_schoolbook(egf_mul(a, factor, den), tuple(v / den for v in expected))
-                    assert egf_mul(a, b, den) == egf_mul(a, factor, den)
+                    assert_schoolbook(egf_mul(a, b, den), tuple(v / den for v in expected))
+                    assert egf_mul(a, b, den) == egf_mul(a, copy_of(b), den)
+                assert sum(x is b for x in builds) == 1
 
     def test_psn_egf_with_imaginary_mean(self):
         """psn_egf at J = 33 with mu_1 purely imaginary equals the schoolbook powers of M - 1."""
@@ -370,6 +371,65 @@ class TestKernelAgainstSchoolbook:
             assert_schoolbook(egf_exp(l), schoolbook_egf_exp(l))
             assert egf_exp(egf_log(a)) == a
             assert egf_log(egf_exp(l)) == l
+
+
+def count_row_builds(monkeypatch):
+    """Each series that builds its rows as a right operand from here on, once per build."""
+    builds, real = [], powerseries._operand_rows
+
+    def counting(b):
+        if b._operand is None:
+            builds.append(b)
+        return real(b)
+
+    monkeypatch.setattr(powerseries, "_operand_rows", counting)
+    return builds
+
+
+def copy_of(b):
+    """A series equal to b that has served in no product."""
+    return EGFSeries.from_numerators(b.den, b.re, b.im)
+
+
+class TestKeptRows:
+    """A series keeps the rows it is multiplied by, and they are no part of its value."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rows_are_built_once(self, monkeypatch, kind):
+        rng = random.Random(f"kept {kind}")
+        b = random_series(rng, 12, kind)
+        calls, real = [], powerseries._rows
+
+        def counting(re, im, vb, reused):
+            calls.append(re)
+            return real(re, im, vb, reused)
+
+        monkeypatch.setattr(powerseries, "_rows", counting)
+        operands = [random_series(rng, 12, "complex") for _ in range(5)]
+        products = [egf_mul(a, b) for a in operands]
+        assert calls == [b.re]
+        assert products == [egf_mul(a, copy_of(b)) for a in operands]
+        assert len(calls) == 1 + len(operands)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_value_is_unchanged_by_serving(self, kind):
+        b = random_series(random.Random(f"value {kind}"), 9, kind)
+        before = (b._fields(), hash(b), repr(b))
+        egf_mul(b, b)
+        assert b._operand is not None
+        assert (b._fields(), hash(b), repr(b)) == before
+        twin = copy_of(b)
+        assert twin._operand is None and b == twin and twin == b and hash(b) == hash(twin)
+
+    def test_pow_leaves_its_argument_without_rows(self, monkeypatch):
+        builds = count_row_builds(monkeypatch)
+        a = random_series(random.Random("pow"), 8, "complex")
+        m = MomentSeq([1, F(1, 2), QC(0, 3), 7])
+        for n in range(6):
+            assert egf_pow(a, n) == egf_pow(copy_of(a), n)
+            egf_pow(m, n)
+        assert a._operand is None and m._operand is None
+        assert all(b is not a and b is not m for b in builds)
 
 
 def assert_columns_are_schoolbook_powers(m):
@@ -470,3 +530,12 @@ class TestRecords:
         with pytest.raises(AttributeError):
             delattr(a, field)
         assert repr(a).startswith(cls.__name__ + "(")
+
+    @pytest.mark.parametrize(
+        "cls, build, field, other", SLOTS, ids=[row[0].__name__ for row in SLOTS]
+    )
+    def test_slots_records_have_no_instance_dict(self, cls, build, field, other):
+        a = build()
+        assert not hasattr(a, "__dict__")
+        with pytest.raises(AttributeError):
+            object.__setattr__(a, "stray", 1)

@@ -12,7 +12,7 @@ from math import comb, factorial
 import pytest
 
 from pstirling import levy, moments, randomvars, stirling
-from pstirling.powerseries import QC, EGFFactor, EGFSeries, egf_exp, egf_log, egf_one, egf_pow
+from pstirling.powerseries import QC, EGFSeries, egf_exp, egf_log, egf_one, egf_pow
 from pstirling.randomvars import MomentSeq, hat_transform, vanishing_order
 
 from oracles import (
@@ -24,6 +24,7 @@ from oracles import (
     schoolbook_psn_via_classical,
     schoolbook_sum_moment_powers,
 )
+from test_powerseries import count_row_builds
 
 J = 10
 CASES = [(r, is_complex) for r in (0, 1, 2) for is_complex in (False, True)]
@@ -171,14 +172,16 @@ class TestLadder:
         ladder = stirling.ladder(m, shift, r)
         g = ladder.rungs[1]
         assert g == stirling.weighted_series(m, shift, r, J - shift)
-        # the rows of G, from the moments alone; G^0 and G^1 take no product
-        assert builds == [g] and calls == [] and ladder.rungs == [egf_one(J - shift), g]
+        # G^0 and G^1 take no product, so a ladder read only there builds no rows
+        assert ladder.through(1) == [egf_one(J - shift), g]
+        assert builds == [] and calls == []
         ladder.through(5)
-        assert len(calls) == 4
+        # the rows of G, from the moments alone, built at the first product
+        assert len(calls) == 4 and len(builds) == 1 and builds[0] is g
         ladder.through(3)  # a read within the ladder grows nothing
         assert len(calls) == 4
         assert stirling.ladder(m, shift, r).through(7) is ladder.rungs
-        assert len(calls) == 6 and all(b.series is g for b in calls) and len(builds) == 1
+        assert len(calls) == 6 and all(b is g for b in calls) and len(builds) == 1
         assert len(ladder.rungs) == 8 and all(rung.order == J - shift for rung in ladder.rungs)
 
     def test_grows_lazily_by_one_product_per_step(self, monkeypatch):
@@ -188,7 +191,7 @@ class TestLadder:
         calls, builds = count_products(monkeypatch)
 
         def products_by(g):
-            return sum(b.series.coeffs == g.coeffs for b in calls)
+            return sum(b.coeffs == g.coeffs for b in calls)
 
         stirling.psn_direct(m, 6, 4)
         assert len(calls) == 3 and [b.coeffs for b in builds] == [m.coeffs]
@@ -207,22 +210,15 @@ class TestLadder:
 
 
 def count_products(monkeypatch):
-    """Record stirling's products, each by stored rows, and the series whose rows it builds."""
-    calls, builds = [], []
-    real_mul, real_factor = stirling.egf_mul, stirling.EGFFactor
+    """Record stirling's products, each by its right operand, and each series that builds rows."""
+    calls, real_mul = [], stirling.egf_mul
 
     def counting_mul(a, b, *den):
-        assert isinstance(b, EGFFactor), "a product by a series that no stored rows hold"
         calls.append(b)
         return real_mul(a, b, *den)
 
-    def counting_factor(b):
-        builds.append(b)
-        return real_factor(b)
-
     monkeypatch.setattr(stirling, "egf_mul", counting_mul)
-    monkeypatch.setattr(stirling, "EGFFactor", counting_factor)
-    return calls, builds
+    return calls, count_row_builds(monkeypatch)
 
 
 @pytest.mark.parametrize("is_complex", (False, True), ids=("real", "complex"))
@@ -232,7 +228,7 @@ def test_table_builds_the_rows_of_m_minus_1_once(monkeypatch, is_complex):
     calls, builds = count_products(monkeypatch)
     assert stirling.psn_egf(m) == expected
     assert len(builds) == 1 and builds[0].coeffs == (QC(0),) + m.coeffs[1:]
-    assert len(calls) == J and all(b.series is builds[0] for b in calls)
+    assert len(calls) == J and all(b is builds[0] for b in calls)
 
 
 def test_routes_never_read_the_table(monkeypatch):
@@ -251,8 +247,8 @@ def test_routes_never_read_the_table(monkeypatch):
     def powers_of_m_only(a, b):
         # the ladders multiply powers of M, or of the factorial moments' F, by the rows of M or F
         # itself, whose constant term is 1; M - 1 has 0
-        assert isinstance(b, EGFFactor) and b.series.coeffs in (m.coeffs, f.coeffs)
-        assert a[0] == 1 and b.series[0] == 1
+        assert b.coeffs in (m.coeffs, f.coeffs)
+        assert a[0] == 1 and b[0] == 1
         return real(a, b)
 
     for module, name in [(stirling, "psn_egf"), (stirling, "psn_egf_cached"),

@@ -25,7 +25,6 @@ from pstirling.randomvars import (
     point_mass,
     poisson,
     rademacher,
-    sample_sum,
     sample_sums,
     standardize_moments,
     tilde_transform,
@@ -207,7 +206,7 @@ def test_kind_record(spec, key, lattice, symmetric, samplable, exact_abs):
     if key is not None:
         assert dist_from_json({"dist": spec.kind, key: str(spec.param)}) == spec
     assert (spec.lattice, spec.symmetric) == (lattice, symmetric)
-    assert _supported(lambda: sample_sum(spec, 1, random.Random(0))) == samplable
+    assert _supported(lambda: next(sample_sums(spec, 1, 1, random.Random(0)))) == samplable
     assert _supported(lambda: abs_moments_of(spec, 4)) == exact_abs
     assert type(moments_of(spec, 2)) is MomentSeq  # every kind's record builds the sequence
 
@@ -421,12 +420,12 @@ GOLDEN_DRAWS = [
 class TestSamplers:
     def test_point_mass_deterministic(self):
         rng = random.Random(1)
-        assert sample_sum(point_mass(F(3, 2)), 4, rng) == 6.0
+        assert next(sample_sums(point_mass(F(3, 2)), 4, 1, rng)) == 6.0
 
     def test_rademacher_support(self):
         rng = random.Random(2)
         for _ in range(50):
-            v = sample_sum(rademacher(), 5, rng)
+            v = next(sample_sums(rademacher(), 5, 1, rng))
             assert v in {-5.0, -3.0, -1.0, 1.0, 3.0, 5.0}
 
     def test_bernoulli_compares_exactly(self):
@@ -435,13 +434,13 @@ class TestSamplers:
             def random(self):
                 return float(F(1, 3))
 
-        assert sample_sum(bernoulli(F(1, 3)), 1, FixedDraw()) == 1.0
-        assert sample_sum(bernoulli(F(2, 3)), 1, FixedDraw()) == 1.0
-        assert sample_sum(bernoulli(F(1, 4)), 1, FixedDraw()) == 0.0
+        assert next(sample_sums(bernoulli(F(1, 3)), 1, 1, FixedDraw())) == 1.0
+        assert next(sample_sums(bernoulli(F(2, 3)), 1, 1, FixedDraw())) == 1.0
+        assert next(sample_sums(bernoulli(F(1, 4)), 1, 1, FixedDraw())) == 0.0
 
     def test_seed_determinism(self):
-        a = [sample_sum(normal(1), 1, random.Random(99)) for _ in range(3)]
-        b = [sample_sum(normal(1), 1, random.Random(99)) for _ in range(3)]
+        a = [next(sample_sums(normal(1), 1, 1, random.Random(99))) for _ in range(3)]
+        b = [next(sample_sums(normal(1), 1, 1, random.Random(99))) for _ in range(3)]
         assert a == b
 
     @pytest.mark.parametrize(
@@ -452,14 +451,15 @@ class TestSamplers:
         # Sums are compared with sum() of the pinned draws, because sum()
         # rounds differently from Python 3.12 on.
         rng = random.Random(2020)
-        assert [sample_sum(spec, 1, rng).hex() for _ in expected] == expected
+        assert [next(sample_sums(spec, 1, 1, rng)).hex() for _ in expected] == expected
         draws = [float.fromhex(h) for h in expected]
         rng = random.Random(2020)
-        assert [sample_sum(spec, 3, rng) for _ in range(2)] == [sum(draws[:3]), sum(draws[3:])]
+        sums = [next(sample_sums(spec, 3, 1, rng)) for _ in range(2)]
+        assert sums == [sum(draws[:3]), sum(draws[3:])]
 
     def test_custom_unsupported(self):
         with pytest.raises(UnsupportedSpecError):
-            sample_sum(custom([1, 0, 1]), 2, random.Random(0))
+            next(sample_sums(custom([1, 0, 1]), 2, 1, random.Random(0)))
 
     @pytest.mark.parametrize("count", [0, 1, 5])
     @pytest.mark.parametrize("n", [1, 3])
@@ -467,7 +467,7 @@ class TestSamplers:
     def test_sample_sums_equal_sample_sum_calls(self, spec, n, count):
         rng, twin = random.Random(2020), random.Random(2020)
         sums = list(sample_sums(spec, n, count, rng))
-        assert sums == [sample_sum(spec, n, twin) for _ in range(count)]
+        assert sums == [next(sample_sums(spec, n, 1, twin)) for _ in range(count)]
         # both consumed exactly n * count draws of Y
         assert rng.random() == twin.random()
 
@@ -481,7 +481,7 @@ class TestSamplers:
     def test_sample_sums_draw_on_demand(self):
         rng, twin = random.Random(4), random.Random(4)
         sums = sample_sums(uniform_std(), 2, 1000, rng)
-        assert next(sums) == sample_sum(uniform_std(), 2, twin)
+        assert next(sums) == next(sample_sums(uniform_std(), 2, 1, twin))
         # the first sum has taken two draws, not the 2000 of the whole batch
         assert rng.random() == twin.random()
 
@@ -502,7 +502,7 @@ class TestSamplers:
         n_samples = 100_000
         rng = random.Random(31)
         mu = moments_of(spec, 4)
-        draws = [sample_sum(spec, 1, rng) for _ in range(n_samples)]
+        draws = [next(sample_sums(spec, 1, 1, rng)) for _ in range(n_samples)]
         for k in (1, 2):
             mean_k = sum(v**k for v in draws) / n_samples
             sd = math.sqrt(float(mu[2 * k].re - mu[k].re ** 2))
@@ -512,7 +512,7 @@ class TestSamplers:
         # CLT error bar at 4 standard deviations for the mean of S_4
         n_samples = 200_000
         rng = random.Random(8)
-        total = sum(sample_sum(uniform_std(), 4, rng) for _ in range(n_samples))
+        total = sum(next(sample_sums(uniform_std(), 4, 1, rng)) for _ in range(n_samples))
         assert abs(total / n_samples) <= 4 * math.sqrt(4 / n_samples)
 
 
