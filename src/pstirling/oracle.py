@@ -17,8 +17,10 @@ from itertools import accumulate
 from math import comb, factorial
 from typing import NamedTuple
 
-# the engines need only randomvars; the validation suite imports the modules
-# it checks, so a process that reads the Irwin-Hall CDF loads none of them
+# the engines need only randomvars and the powerseries it imports; the validation
+# suite imports the modules it checks, so a process that reads the Irwin-Hall CDF
+# loads none of them
+from .powerseries import DomainError
 from .randomvars import DistSpec, moments_of, point_mass, sample_sums, uniform_std
 from . import randomvars
 
@@ -91,7 +93,9 @@ def mc_sum_moment(spec: DistSpec, n: int, j: int, n_samples: int, seed: int) -> 
 
     Replicas are split into chunks of fixed size, each driven by its own
     stream seeded seed + index, and reduced in stream order, making the
-    result a pure function of (spec, n, j, n_samples, seed).
+    result a pure function of (spec, n, j, n_samples, seed).  A power
+    S_n^j or a sum of their squares that a float cannot hold raises
+    DomainError, checked once after the loop rather than per sample.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -99,15 +103,20 @@ def mc_sum_moment(spec: DistSpec, n: int, j: int, n_samples: int, seed: int) -> 
         raise ValueError("indices must be nonnegative")
     total = 0.0
     total_sq = 0.0
-    for sums in _stream_sums(spec, n, n_samples, seed):
-        chunk = 0.0
-        chunk_sq = 0.0
-        for s in sums:
-            v = s**j
-            chunk += v
-            chunk_sq += v * v
-        total += chunk
-        total_sq += chunk_sq
+    try:
+        for sums in _stream_sums(spec, n, n_samples, seed):
+            chunk = 0.0
+            chunk_sq = 0.0
+            for s in sums:
+                v = s**j
+                chunk += v
+                chunk_sq += v * v
+            total += chunk
+            total_sq += chunk_sq
+    except OverflowError:
+        total_sq = math.inf
+    if not math.isfinite(total_sq):
+        raise DomainError(f"S_n^j overflows a float at j = {j}, n = {n}")
     mean = total / n_samples
     if n_samples > 1:
         var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))

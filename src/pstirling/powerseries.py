@@ -46,6 +46,9 @@ class Record:
     AttributeError.  Values of one class are equal, and hash alike, when
     their fields are equal; a value of another class never compares equal.
     QC, the one scalar, keeps its own equality and hash, under which QC(2) == 2.
+    A copy or a pickle (``__reduce__``) rebuilds the value from its fields
+    through its class, so it is checked again and carries no cache; a
+    subclass's ``__init__`` therefore takes its fields in their slot order.
     """
 
     __slots__ = ()
@@ -81,6 +84,9 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
         return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._getter(self)
 
 
 class QC(Record):
@@ -170,6 +176,8 @@ class QC(Record):
 
 
 _ZERO = Fraction(0)  # every zero part a series reads out, as a Fraction is immutable
+# the read-out's unchecked constructor: a bare QC and the setters of its two slots
+_new, _set_re, _set_im = object.__new__, QC.re.__set__, QC.im.__set__
 
 
 class EGFSeries(Record):
@@ -180,11 +188,13 @@ class EGFSeries(Record):
     gcd(den, *re, *im) == 1, and ``im`` is None exactly when every a_j is
     real.  So den is the lcm of the coefficients' reduced denominators, and
     equal series have equal fields.  ``s[j]`` and ``coeffs`` build QC
-    values when read.
+    values when read.  The hash of the fields is computed once, on first
+    use, and kept in the cache slot ``_hash``, so a cache keyed by a
+    series costs one tuple hash per series, not one per lookup.
     """
 
-    # int, tuple of ints, tuple of ints or None; then the cache of _operand_rows
-    __slots__ = ("den", "re", "im", "_operand")
+    # int, tuple of ints, tuple of ints or None; then the caches of _operand_rows and __hash__
+    __slots__ = ("den", "re", "im", "_operand", "_hash")
 
     def __init__(self, coeffs):
         values = [QC.of(v) for v in coeffs]
@@ -218,6 +228,16 @@ class EGFSeries(Record):
     def _check(self) -> None:
         """Raise DomainError unless the canonical fields meet the class's own conditions."""
 
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(self._getter(self))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return type(self).from_numerators, (self.den, self.re, self.im)
+
 
 def _canonical(s: EGFSeries, den: int, re, im) -> EGFSeries:
     """Store (re[j] + i im[j]) / den in s, reduced to the canonical form, and check it; den > 0."""
@@ -228,6 +248,7 @@ def _canonical(s: EGFSeries, den: int, re, im) -> EGFSeries:
     object.__setattr__(s, "re", tuple(x // g for x in re))
     object.__setattr__(s, "im", im and tuple(x // g for x in im))
     object.__setattr__(s, "_operand", None)
+    object.__setattr__(s, "_hash", None)
     s._check()
     return s
 
@@ -328,8 +349,15 @@ def egf_combination(series, weights, j: int, den: int = 1) -> QC:
 
 
 def qc_from_numerators(den: int, re: int, im: int) -> QC:
-    """(re + i im) / den as one QC, den > 0; a zero part is the shared zero, which costs no gcd."""
-    return QC(Fraction(re, den) if re else _ZERO, Fraction(im, den) if im else _ZERO)
+    """(re + i im) / den as one QC, den > 0; a zero part is the shared zero, which costs no gcd.
+
+    The parts are Fractions built here, so the QC is made without QC.__init__,
+    whose check is for a caller's values: its two slots are set directly.
+    """
+    q = _new(QC)
+    _set_re(q, Fraction(re, den) if re else _ZERO)
+    _set_im(q, Fraction(im, den) if im else _ZERO)
+    return q
 
 
 def egf_lincomb(series, weights, den: int = 1) -> EGFSeries:

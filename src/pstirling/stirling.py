@@ -22,9 +22,11 @@ M(z) and rung k holds E S_k^j.  ``psn_via_classical`` reads the column of
 ``factorial_ladder(m)``, where G is the EGF F(u) = E (1+u)^Y of the
 factorial moments: M(z) = F(e^z - 1), so S_Y(j,m) = sum_l S(j,l) T_F(l,m)
 for T_F(., m) that column.  ``psn_gr_rep`` and the Levy moment functions
-read E W_m(r)^p off ladder (s, r) of G_k = E beta(r)^k mu_{k+s}, as one
-integer combination of rungs (``egf_combination``).  Each ladder is built
-from the moments alone, never from ``psn_egf``.
+read E W_m(r)^p off ladder (s, r) of G_k = E beta(r)^k mu_{k+s};
+``psn_gr_rep`` reads it as one scaled coefficient of rung m
+(``qc_from_numerators``).  Each ladder is built from the moments alone,
+never from ``psn_egf``.  Every structural value a route returns, zero
+above the diagonal and the m = 0 one, is one shared QC.
 All arithmetic is exact; no floating point enters this module.
 """
 
@@ -36,7 +38,7 @@ from math import comb, factorial
 from operator import mul
 from typing import NamedTuple
 
-from .powerseries import QC, EGFSeries, egf_combination, egf_lincomb, egf_mul, egf_one
+from .powerseries import QC, EGFSeries, egf_lincomb, egf_mul, egf_one
 from .powerseries import egf_pow, qc_from_numerators
 from .randomvars import (
     DistSpec,
@@ -47,6 +49,10 @@ from .randomvars import (
     moments_of,
     vanishing_order,
 )
+
+
+# the structural values the routes return, built once: a QC is immutable, so one can be shared
+_QC_ZERO, _QC_ONE = qc_from_numerators(1, 0, 0), qc_from_numerators(1, 1, 0)
 
 
 def alternating(e: int, value):
@@ -108,7 +114,7 @@ class StirlingTable(NamedTuple):
         if j > self.order:
             raise ValueError(f"j = {j} exceeds the table order {self.order}")
         if m > j:
-            return QC(0)
+            return _QC_ZERO
         return self.columns[m][j]
 
     @property
@@ -216,7 +222,7 @@ def psn_direct(m: MomentSeq, j: int, m_idx: int) -> QC:
 
     Returns the structural zero for m_idx > j.
     """
-    return ladder(m, 0, 0).column(m_idx)[j] if _in_range(m, j, m_idx) else QC(0)
+    return ladder(m, 0, 0).column(m_idx)[j] if _in_range(m, j, m_idx) else _QC_ZERO
 
 
 def factorial_moments(m: MomentSeq) -> MomentSeq:
@@ -247,7 +253,7 @@ def psn_via_classical(m: MomentSeq, j: int, m_idx: int) -> QC:
     dot product of the row S(j, 0..j) with that column's numerators.
     """
     if not _in_range(m, j, m_idx):
-        return QC(0)
+        return _QC_ZERO
     column, row = factorial_ladder(m).column(m_idx), _s2_row(j)
     im = sum(map(mul, row, column.im)) if column.im else 0
     return qc_from_numerators(column.den, sum(map(mul, row, column.re)), im)
@@ -267,7 +273,7 @@ def weighted_sum_moment(m: MomentSeq, r: int, m_idx: int, p: int) -> QC:
     if m_idx < 0 or p < 0:
         raise ValueError("indices must be nonnegative")
     if m_idx == 0:
-        return QC(1) if p == 0 else QC(0)
+        return _QC_ONE if p == 0 else _QC_ZERO
     if p > m.order:
         raise ValueError("p exceeds the available moment order")
     return egf_pow(weighted_series(m, 0, r, p), m_idx)[p]
@@ -281,7 +287,9 @@ def psn_gr_rep(m: MomentSeq, r: int, j: int, m_idx: int) -> QC:
     with p = j - m(r+1), and the expectation is the p-th entry of the m-th
     power of the EGF with entries E beta(r+1)^k mu_{k+r+1}, where
     E beta(r+1)^k = 1/C(k+r+1, r+1); that power is read off the
-    sequence's ladder (r+1, r+1).
+    sequence's ladder (r+1, r+1), and the value is its numerator p times
+    the integer weight, over its denominator times the factorials: one
+    ``qc_from_numerators``, with no series combination in between.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -290,16 +298,17 @@ def psn_gr_rep(m: MomentSeq, r: int, j: int, m_idx: int) -> QC:
     if vanishing_order(m) < r:
         raise ValueError(f"moment sequence does not vanish through order {r}")
     if m_idx == 0:
-        return QC(1) if j == 0 else QC(0)
+        return _QC_ONE if j == 0 else _QC_ZERO
     k = m_idx * (r + 1)
     if j < k:
-        return QC(0)
+        return _QC_ZERO
     p = j - k
     if p + r + 1 > m.order:
         raise ValueError("j exceeds the available moment order for this route")
     power = ladder(m, r + 1, r + 1).through(m_idx)[m_idx]
-    den = factorial(m_idx) * factorial(r + 1) ** m_idx
-    return egf_combination([power], [factorial(k) * comb(j, k)], p, den)
+    # w power[p] / den, read off the one rung's numerators
+    w, den = factorial(k) * comb(j, k), factorial(m_idx) * factorial(r + 1) ** m_idx
+    return qc_from_numerators(power.den * den, w * power.re[p], w * power.im[p] if power.im else 0)
 
 
 class BoundCheck(NamedTuple):

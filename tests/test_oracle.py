@@ -12,6 +12,7 @@ from pstirling.oracle import (
     run_validation,
     uniform_fn_exact,
 )
+from pstirling.powerseries import DomainError
 from pstirling.randomvars import (
     UnsupportedSpecError,
     bernoulli,
@@ -125,6 +126,17 @@ class TestMcSumMoment:
         monkeypatch.setattr(oracle, "_stream_sums", no_sampling)
         with pytest.raises(ValueError, match="^indices must be nonnegative$"):
             mc_sum_moment(spec, 2, -1, 10_000, seed=0)
+
+    @pytest.mark.parametrize("j", [320, 350, 500, 1000])
+    def test_a_power_a_float_cannot_hold_is_a_domain_error(self, j):
+        # j = 320..500: v * v overflows to inf, which would read stderr 0.0; j = 1000: s**j overflows
+        with pytest.raises(DomainError, match=f"j = {j}, n = 2$"):
+            mc_sum_moment(exponential(), 2, j, 10, 1)
+
+    def test_the_largest_finite_powers_keep_their_values(self):
+        # the last j of this stream whose squares a float holds, as computed with no overflow check
+        est = mc_sum_moment(exponential(), 2, 300, 10, 1)
+        assert (est.value.hex(), est.stderr.hex()) == ("0x1.4781e4a073a17p+495",) * 2
 
     def test_stderr_shrinks_with_n(self):
         # averaged over seeds, doubling the sample count cuts SE by ~sqrt(2)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 from math import factorial, gcd
@@ -18,8 +20,10 @@ from pstirling.powerseries import (
     egf_mul,
     egf_one,
     egf_pow,
+    qc_from_numerators,
 )
-from pstirling.randomvars import MomentSeq, hat_transform, moments_of, normal, uniform_std
+from pstirling.randomvars import CumulantSeq, MomentSeq, custom, hat_transform
+from pstirling.randomvars import moments_of, normal, uniform_std
 from pstirling.stirling import psn_egf
 
 from oracles import (
@@ -69,6 +73,32 @@ class TestQC:
         v = QC(1)
         with pytest.raises(AttributeError):
             v.re = F(2)
+
+
+class TestReadOut:
+    """qc_from_numerators builds, without QC's checks, the value QC builds with them."""
+
+    def test_equals_the_checked_value(self):
+        rng = random.Random("read-out")
+
+        def numerator():
+            return rng.choice((0, rng.randint(-9, 9), rng.randint(-(10**30), 10**30)))
+
+        cases = [(1, 0, 0), (1, 5, -3), (7, 0, 14), (6, -4, 0), (1, 0, -1)]
+        cases += [(rng.choice((1, rng.randint(1, 10**12))), numerator(), numerator()) for _ in range(300)]
+        for den, re, im in cases:
+            q, expected = qc_from_numerators(den, re, im), QC(F(re, den), F(im, den))
+            assert type(q) is QC and q == expected and hash(q) == hash(expected), (den, re, im)
+            assert type(q.re) is F and type(q.im) is F and repr(q) == repr(expected)
+
+    def test_is_immutable(self):
+        q = qc_from_numerators(3, 1, 2)
+        for name in ("re", "im"):
+            with pytest.raises(AttributeError):
+                setattr(q, name, F(1))
+            with pytest.raises(AttributeError):
+                delattr(q, name)
+        assert q == QC(F(1, 3), F(2, 3))
 
 
 class TestMul:
@@ -432,6 +462,28 @@ class TestKeptRows:
         assert all(b is not a and b is not m for b in builds)
 
 
+class TestKeptHash:
+    """A series hashes its fields once and keeps the hash, which is no part of its value."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_hash_is_the_hash_of_the_fields(self, kind):
+        b = random_series(random.Random(f"hash {kind}"), 9, kind)
+        before = (b._fields(), repr(b))
+        assert b._hash is None
+        h = hash(b)
+        assert b._hash == h == hash(b._fields()) and hash(b) == h
+        assert (b._fields(), repr(b)) == before and "_hash" not in repr(b)
+        twin = copy_of(b)
+        assert twin._hash is None and twin == b and b == twin and hash(twin) == h
+
+    def test_sequences_keep_it_in_the_series_slot(self):
+        assert MomentSeq.__slots__ == () and CumulantSeq.__slots__ == ()
+        m = MomentSeq([1, F(1, 2), QC(0, 3)])
+        hash(m)
+        assert not hasattr(m, "__dict__") and m._hash == hash(m._fields())
+        assert m._fields() == (m.den, m.re, m.im)
+
+
 def assert_columns_are_schoolbook_powers(m):
     """Column col of psn_egf(m) is the col-th schoolbook power of M - 1, over col!."""
     table = psn_egf(m)
@@ -539,3 +591,34 @@ class TestRecords:
         assert not hasattr(a, "__dict__")
         with pytest.raises(AttributeError):
             object.__setattr__(a, "stray", 1)
+
+    COPIES = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+    }
+
+    @pytest.mark.parametrize("how", COPIES)
+    @pytest.mark.parametrize(
+        "cls, build, field, other", RECORDS, ids=[row[0].__name__ for row in RECORDS]
+    )
+    def test_copies_are_equal_values(self, cls, build, field, other, how):
+        # the default reduce restores slots by setattr, which a Record refuses
+        a = build()
+        b = self.COPIES[how](a)
+        assert type(b) is cls and b == a and a == b and hash(b) == hash(a)
+
+    def test_a_custom_spec_pickles(self):
+        spec = custom([1, F(1, 2), QC(0, 3)])
+        assert pickle.loads(pickle.dumps(spec)) == spec
+
+    def test_a_series_pickles_without_its_caches(self):
+        m = MomentSeq([1, F(1, 2), QC(0, 3), 7])
+        hash(m)
+        egf_mul(m, m)
+        assert m._hash is not None and m._operand is not None
+        assert pickle.dumps(m) == pickle.dumps(MomentSeq([1, F(1, 2), QC(0, 3), 7]))
+        loaded = pickle.loads(pickle.dumps(m))
+        assert loaded._hash is None and loaded._operand is None and loaded == m
+        # the copy is rebuilt through the class's checked path
+        assert m.__reduce__() == (MomentSeq.from_numerators, (m.den, m.re, m.im))

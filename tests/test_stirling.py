@@ -288,6 +288,58 @@ class TestRouteIndependence:
                 assert psn_via_classical(seq, j, mm) == table.entry(j, mm), (j, mm)
 
 
+class TestWarmReads:
+    """Once its ladders are built, a read is one cache lookup and one read-out."""
+
+    @staticmethod
+    def read_all(m, table):
+        values = [weighted_sum_moment(m, 1, 0, p) for p in (0, 3)]
+        for j in range(m.order + 1):
+            for mm in range(m.order + 2):  # past the diagonal, into the structural zeros
+                values += [table.entry(j, mm), psn_direct(m, j, mm), psn_via_classical(m, j, mm)]
+                values += [psn_gr_rep(m, r, j, mm) for r in (0, 1)]
+        return values
+
+    @pytest.mark.parametrize("spec", [rademacher(), custom([1, 0, F(1, 2), QC(0, 1), 3, 1, F(-2, 7)])],
+                             ids=["rademacher", "complex"])
+    def test_build_no_checked_scalar(self, spec, monkeypatch):
+        m = moments_of(spec, 6)
+        table = psn_egf_cached(m)
+        cold = self.read_all(m, table)
+        calls, real = [], QC.__init__
+
+        def counting(self, *args):
+            calls.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(QC, "__init__", counting)
+        assert self.read_all(m, table) == cold and calls == []
+
+    def test_structural_values_are_shared(self):
+        m = moments_of(rademacher(), 6)
+        zero, one = stirling._QC_ZERO, stirling._QC_ONE
+        assert (zero, one) == (QC(0), QC(1)) and (hash(zero), hash(one)) == (hash(QC(0)), hash(QC(1)))
+        for value in (psn_egf(m).entry(2, 5), psn_direct(m, 2, 5), psn_via_classical(m, 2, 5),
+                      psn_gr_rep(m, 1, 3, 2), psn_gr_rep(m, 1, 3, 0), weighted_sum_moment(m, 0, 0, 2)):
+            assert value is zero
+        assert psn_gr_rep(m, 1, 0, 0) is one and weighted_sum_moment(m, 2, 0, 0) is one
+        for value in (zero, one):
+            for name in ("re", "im"):
+                with pytest.raises(AttributeError):
+                    setattr(value, name, F(5))
+                with pytest.raises(AttributeError):
+                    delattr(value, name)
+        assert (zero, one) == (QC(0), QC(1))
+
+    def test_equal_sequences_share_their_ladders(self):
+        a = moments_of(exponential(), 8)
+        b = MomentSeq(list(a.coeffs))
+        assert b is not a and b == a
+        assert ladder(b, 0, 0) is ladder(a, 0, 0) and ladder(b, 2, 2) is ladder(a, 2, 2)
+        assert factorial_ladder(b) is factorial_ladder(a)
+        assert a._hash == b._hash == hash(a._fields())
+
+
 class TestFactorialMoments:
     def test_poisson_factorial_moments_are_powers_of_the_rate(self):
         lam = F(3, 2)
