@@ -9,6 +9,7 @@ shortest-roundtrip floats.  Exit codes: 0 success, 1 validation failure, 2 argum
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -33,21 +34,21 @@ MAX_MOMENTS_N = 10**6
 # the values a flag or a config may give these fields
 _CHOICES = {"mode": ("exact", "float"), "format": ("csv", "json"), "suite": ("all", "exact", "mc")}
 
-# argparse keywords of each flag; a command has the flags its row in _COMMANDS names
+# the help of each flag; a command has the flags its row in _COMMANDS names
 _FLAGS = {
-    "dist": {"help": "catalog distribution or named process"},
-    "param": {"help": "distribution parameter as a rational p/q"},
-    "jmax": {"type": int, "help": "maximum order"},
-    "mode": {"choices": _CHOICES["mode"], "help": "numeric mode (default exact)"},
-    "seed": {"type": int, "help": "base seed for stochastic paths"},
-    "out": {"help": "output path (default stdout)"},
-    "format": {"choices": _CHOICES["format"], "help": "output format (default csv)"},
-    "n": {"type": int, "help": "number of summands"},
-    "t": {"help": "time point as a rational p/q"},
-    "K": {"type": int, "help": "truncation order of the expansion"},
-    "grid": {"help": "evaluation grid start:stop:step"},
-    "suite": {"choices": _CHOICES["suite"], "help": "which checks to run"},
-    "mc_samples": {"type": int, "help": "Monte Carlo sample count"},
+    "dist": "catalog distribution or named process",
+    "param": "distribution parameter as a rational p/q",
+    "jmax": "maximum order",
+    "mode": "numeric mode: exact (default) or float",
+    "seed": "base seed for stochastic paths",
+    "out": "output path (default stdout)",
+    "format": "output format: csv (default) or json",
+    "n": "number of summands",
+    "t": "time point as a rational p/q",
+    "K": "truncation order of the expansion",
+    "grid": "evaluation grid start:stop:step",
+    "suite": "which checks to run: all (default), exact or mc",
+    "mc_samples": "Monte Carlo sample count",
 }
 
 class _Parser(argparse.ArgumentParser):
@@ -76,7 +77,7 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override its values")
         for key in keys:
             if key in _FLAGS:
-                p.add_argument("--" + key.replace("_", "-"), dest=key, **_FLAGS[key])
+                p.add_argument("--" + key.replace("_", "-"), dest=key, help=_FLAGS[key])
     return parser
 
 
@@ -110,7 +111,7 @@ _INTEGER_FIELDS = ("jmax", "n", "K", "seed", "mc_samples")
 
 
 def _check_fields(config: dict, subcommand: str) -> None:
-    """Reject, or normalize in place, config values of the wrong JSON type or size."""
+    """Reject, or normalize in place, flag or config values of the wrong type or size."""
     for key in _INTEGER_FIELDS:
         if key in config:
             config[key] = _integer(key, config[key])
@@ -182,24 +183,25 @@ def _scalar_str(value, mode: str) -> str:
     return str(value)
 
 
-def _emit(rows, header, config) -> str:
-    if config["format"] == "json":
-        import json
+def _emit(header, rows, config) -> None:
+    """Write formatted rows as CSV or JSON to --out or stdout, one row at a time.
 
-        payload = [dict(zip(header, row)) for row in rows]
-        return json.dumps(payload, indent=2) + "\n"
-    lines = [",".join(header)]
-    lines.extend(",".join(str(c) for c in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _write(text: str, config):
+    Commands format every row first, so a failing one writes nothing and creates no file.
+    JSON is laid out exactly as json.dumps of the list of row objects, indent 2, and a newline.
+    """
     out = config.get("out")
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(out, "w", encoding="utf-8", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
+        if config["format"] == "json":
+            import json
+
+            for i, row in enumerate(rows):
+                text = json.dumps(dict(zip(header, row)), indent=2).replace("\n", "\n  ")
+                fh.write(("[\n  " if i == 0 else ",\n  ") + text)
+            fh.write("\n]\n" if rows else "[]\n")
+        else:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(map(str, row)) + "\n")
 
 
 def _parse_grid(spec: str) -> list:
@@ -228,7 +230,7 @@ def _cmd_stirling(config) -> int:
         for m in range(j + 1):
             v = table.columns[m][j]
             rows.append((j, m, _scalar_str(v.re, mode), _scalar_str(v.im, mode)))
-    _write(_emit(rows, ("j", "m", "re", "im"), config), config)
+    _emit(("j", "m", "re", "im"), rows, config)
     return 0
 
 
@@ -243,7 +245,7 @@ def _cmd_moments(config) -> int:
     n = config["n"]
     sweep = sum_moments(moments_of(spec, jmax), n).coeffs
     rows = [(n, j, _scalar_str(v, config["mode"])) for j, v in enumerate(sweep)]
-    _write(_emit(rows, ("n", "j", "value"), config), config)
+    _emit(("n", "j", "value"), rows, config)
     return 0
 
 
@@ -255,7 +257,7 @@ def _cmd_cumulants(config) -> int:
     jmax = config.get("jmax", 8)
     seq = cumulants_oracle(moments_of(spec, jmax))
     rows = [(j + 1, _scalar_str(v, config["mode"])) for j, v in enumerate(seq.kappa)]
-    _write(_emit(rows, ("j", "value"), config), config)
+    _emit(("j", "value"), rows, config)
     return 0
 
 
@@ -283,7 +285,7 @@ def _cmd_levy(config) -> int:
     sweep = levy_process_moments(proc, jmax, t).coeffs
     rows = [(_scalar_str(t, mode), j, _scalar_str(v.as_fraction() / t ** (j // 2), mode))
             for j, v in enumerate(sweep)]
-    _write(_emit(rows, ("t", "j", "value"), config), config)
+    _emit(("t", "j", "value"), rows, config)
     return 0
 
 
@@ -331,21 +333,16 @@ def _cmd_edgeworth(config) -> int:
             else:
                 rows.append((yf, repr(g), repr(approx)))
     header = ("y", "G", "F_exact", "edgeworth", "abs_err") if with_oracle else ("y", "G", "edgeworth")
-    _write(_emit(rows, header, config), config)
+    _emit(header, rows, config)
     return 0
 
 
 def _cmd_validate(config) -> int:
-    import json
-
     from . import oracle
 
-    suite = config.get("suite", "all")
-    seed = config["seed"]
-    n_samples = config.get("mc_samples", 10**6)
-    reports = oracle.run_validation(suite, seed, n_samples)
-    payload = json.dumps([r.to_json() for r in reports], indent=2) + "\n"
-    _write(payload, config)
+    reports = oracle.run_validation(config.get("suite", "all"), config["seed"],
+                                    config.get("mc_samples", 10**6))
+    _emit(oracle.ValidationReport._fields, reports, {**config, "format": "json"})
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -174,9 +174,6 @@ class ValidationReport(NamedTuple):
     tolerance: float
     passed: bool
 
-    def to_json(self) -> dict:
-        return self._asdict()
-
 
 def _report(name: str, expected, computed, tolerance: float = 0.0) -> ValidationReport:
     if isinstance(expected, float) or isinstance(computed, float):

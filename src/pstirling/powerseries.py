@@ -101,8 +101,9 @@ class QC(Record):
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        # a Fraction part is immutable, so it is kept rather than copied; the parts
-        # are set directly, not through Record._init, as every read-out builds a QC
+        # a Fraction part is immutable, so it is kept rather than copied; the parts are
+        # set directly, not through Record._init, as QC arithmetic builds one per operation
+        # (read-outs build theirs in qc_from_numerators, which skips this check)
         object.__setattr__(self, "re", re if type(re) is Fraction else exact_rational(re))
         object.__setattr__(self, "im", im if type(im) is Fraction else exact_rational(im))
 
@@ -368,9 +369,11 @@ def egf_lincomb(series, weights, den: int = 1) -> EGFSeries:
     """
     d = lcm(*(s.den for s in series))
     scaled = [w * (d // s.den) for s, w in zip(series, weights, strict=True)]
-    zeros = (0,) * len(series[0].re)
     re = [sum(map(mul, scaled, xs)) for xs in zip(*(s.re for s in series), strict=True)]
-    im = [sum(map(mul, scaled, xs)) for xs in zip(*(s.im or zeros for s in series), strict=True)]
+    im = None
+    if any(s.im for s in series):
+        zeros = (0,) * len(re)
+        im = [sum(map(mul, scaled, xs)) for xs in zip(*(s.im or zeros for s in series), strict=True)]
     return EGFSeries.from_numerators(d * den, re, im)
 
 

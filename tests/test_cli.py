@@ -19,6 +19,7 @@ from pstirling.cli import (
     MAX_MC_SAMPLES,
     MAX_MOMENTS_N,
     _build_parser,
+    _emit,
     _parse_grid,
     main,
 )
@@ -115,6 +116,17 @@ class TestMomentsCommand:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and err.startswith("pstirling: error: ")
         assert "overflows a float" in err and "--mode exact" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_float_overflow_creates_no_out_file(self, tmp_path, capsys, fmt):
+        # every row is formatted before --out is opened
+        target = tmp_path / "sweep.out"
+        code, out, err = run_cli(
+            capsys, "moments", "--dist", "rademacher", "--n", "1000", "--mode", "float",
+            "--jmax", "132", "--format", fmt, "--out", str(target),
+        )
+        assert (code, out) == (2, "") and "overflows a float" in err
+        assert not target.exists()
 
     def test_missing_n_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--dist", "rademacher", "--jmax", "4")
@@ -553,8 +565,6 @@ class TestConfigAndOutput:
         [
             (["frobnicate"], "invalid choice: 'frobnicate'"),
             ([], "required: subcommand"),
-            (["stirling", "--dist", "rademacher", "--jmax", "abc"], "invalid int value: 'abc'"),
-            (["stirling", "--dist", "rademacher", "--mode", "decimal"], "invalid choice: 'decimal'"),
         ],
     )
     def test_parser_errors_are_one_line(self, capsys, argv, message):
@@ -564,6 +574,76 @@ class TestConfigAndOutput:
         assert exc.value.code == 2 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("pstirling: error:") and message in err
+
+    # a flag value is checked once, with its config value: the same line, exit 2
+    FLAG_VALUES = [
+        (["stirling", "--dist", "rademacher"], "jmax", "abc", "jmax must be an integer, not 'abc'"),
+        (["moments", "--dist", "rademacher"], "n", "3/2", "n must be an integer, not '3/2'"),
+        (["edgeworth", "--dist", "uniformstd", "--n", "4"], "K", "2.0",
+         "K must be an integer, not '2.0'"),
+        (["validate", "--suite", "exact"], "seed", "x7", "seed must be an integer, not 'x7'"),
+        (["validate", "--suite", "mc"], "mc_samples", "1e6",
+         "mc_samples must be an integer, not '1e6'"),
+        (["stirling", "--dist", "rademacher"], "mode", "decimal",
+         "mode must be one of exact, float, not 'decimal'"),
+        (["cumulants", "--dist", "rademacher"], "format", "xml",
+         "format must be one of csv, json, not 'xml'"),
+        (["validate"], "suite", "everything",
+         "suite must be one of all, exact, mc, not 'everything'"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, key, value, message", FLAG_VALUES, ids=[row[1] for row in FLAG_VALUES]
+    )
+    def test_a_flag_value_is_checked_as_its_config_value(
+        self, tmp_path, capsys, argv, key, value, message
+    ):
+        flag = run_cli(capsys, *argv, "--" + key.replace("_", "-"), value)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: value}))
+        config = run_cli(capsys, *argv, "--config", str(path))
+        assert flag == config == (2, "", f"pstirling: error: {message}\n")
+
+
+class TestEmit:
+    """The one writer, byte for byte against the whole-text formulas it replaced."""
+
+    HEADER = ("name", "x", "ok")
+    ROWS = [
+        ('quote " backslash \\ newline \n tab \t', 1.5, True),
+        ("caf\u00e9 \u2211", float("nan"), False),
+        ("-0.0", -0.0, None),
+        ("big", 1e300, 12345678901234567890),
+        ("inf", float("-inf"), "1/3"),
+    ]
+
+    @staticmethod
+    def _expected(rows, fmt):
+        if fmt == "json":
+            return json.dumps([dict(zip(TestEmit.HEADER, row)) for row in rows], indent=2) + "\n"
+        lines = [",".join(TestEmit.HEADER)] + [",".join(str(c) for c in row) for row in rows]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("count", [0, 1, 5, 12])
+    def test_stdout_and_out_hold_the_whole_text_bytes(self, tmp_path, capsys, fmt, count):
+        rows = [self.ROWS[i % len(self.ROWS)] for i in range(count)]
+        expected = self._expected(rows, fmt)
+        _emit(self.HEADER, rows, {"format": fmt})
+        assert capsys.readouterr().out == expected
+        target = tmp_path / "rows.out"
+        _emit(self.HEADER, rows, {"format": fmt, "out": str(target)})
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == expected.encode("utf-8")
+
+    def test_an_empty_json_table_is_an_empty_list(self, capsys):
+        assert run_cli(capsys, "cumulants", "--dist", "rademacher", "--jmax", "0",
+                       "--format", "json") == (0, "[]\n", "")
+
+    def test_validate_prints_the_reports_as_one_json_list(self, capsys):
+        reports = oracle.run_validation("exact", 7, 10**6)
+        expected = json.dumps([r._asdict() for r in reports], indent=2) + "\n"
+        assert run_cli(capsys, "validate", "--suite", "exact") == (0, expected, "")
 
 
 class TestDeterminism:

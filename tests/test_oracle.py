@@ -261,7 +261,7 @@ class TestValidationSuite:
     def test_report_consistency(self):
         for r in run_validation("mc", seed=3, n_samples=50_000):
             assert r.passed == (r.abs_dev <= r.tolerance)
-            payload = r.to_json()
+            payload = r._asdict()
             assert set(payload) == {
                 "name", "expected", "computed", "abs_dev", "rel_dev", "tolerance", "passed",
             }
