@@ -1,9 +1,12 @@
 """Command-line front end: tables, sweeps, process moments, expansions, validation.
 
 One binary with subcommands, each taking only the keys it reads, as flags
-or JSON config keys; explicit flags win.  Exact-mode output prints
-rationals as p/q strings, byte-identical across runs; float mode prints
-shortest-roundtrip floats.  Exit codes: 0 success, 1 validation failure, 2 argument errors.
+or JSON config keys; explicit flags win.  This module is the one reader of
+outside input: every flag, config key and distribution or process spec is
+parsed and bounded here, and the library takes typed values only.
+Exact-mode output prints rationals as p/q strings, byte-identical across
+runs; float mode prints shortest-roundtrip floats.  Exit codes: 0 success,
+1 validation failure, 2 argument errors.
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ import contextlib
 import functools
 import math
 import sys
+from fractions import Fraction
 
-# only what parsing and checking the config need; each _cmd_* imports the
+# only what reading and checking the input need; each _cmd_* imports the
 # modules it runs, so a command's process loads no other command's modules
 from .powerseries import QC
-from .randomvars import UNIFORM_STD, DistSpec, dist_from_json, only_keys, param_key, parse_rational
+from .randomvars import UNIFORM_STD, DistSpec, MomentSeq, custom, kind_record
 
 # Input bounds, checked before any work starts; far above every documented use
 MAX_JMAX = 200
@@ -30,26 +34,97 @@ MAX_EDGEWORTH_N = 512
 MAX_IRWIN_HALL_S = 60
 # E S_n^j has up to j log10(n) more digits than E Y^j: 1200 at jmax = MAX_JMAX
 MAX_MOMENTS_N = 10**6
+# The most digits a rational input may have above and below its bar.  A
+# poisson rate of d digits a part makes E Y^j about j*d digits long: at
+# jmax 200, d = 20 runs for minutes, and d = 30 outgrows the 4300 digits
+# that str(int) will write.
+MAX_RATIONAL_DIGITS = 20
+_RATIONAL_BOUND = 10**MAX_RATIONAL_DIGITS
 
-# the values a flag or a config may give these fields
-_CHOICES = {"mode": ("exact", "float"), "format": ("csv", "json"), "suite": ("all", "exact", "mc")}
 
-# the help of each flag; a command has the flags its row in _COMMANDS names
-_FLAGS = {
-    "dist": "catalog distribution or named process",
-    "param": "distribution parameter as a rational p/q",
-    "jmax": "maximum order",
-    "mode": "numeric mode: exact (default) or float",
-    "seed": "base seed for stochastic paths",
-    "out": "output path (default stdout)",
-    "format": "output format: csv (default) or json",
-    "n": "number of summands",
-    "t": "time point as a rational p/q",
-    "K": "truncation order of the expansion",
-    "grid": "evaluation grid start:stop:step",
-    "suite": "which checks to run: all (default), exact or mc",
-    "mc_samples": "Monte Carlo sample count",
+def parse_rational(value, what: str) -> Fraction:
+    """A rational from JSON or a flag: an int, or a "p/q" or plain decimal string.
+
+    Its numerator and denominator have at most MAX_RATIONAL_DIGITS digits
+    each.  A string is checked before Fraction reads it, since Fraction
+    builds the whole int of an exponent ("1e10000000") or a long string
+    first.  ValueError names ``what``.
+    """
+    error = ValueError(
+        f"{what} must be a rational p/q of at most {MAX_RATIONAL_DIGITS} digits a part, "
+        f"not {value!r:.60}"
+    )
+    # 3x leaves room for both parts, the bar, a sign, a point and spaces
+    if isinstance(value, str) and (len(value) > 3 * MAX_RATIONAL_DIGITS or "e" in value.lower()):
+        raise error
+    if isinstance(value, (bool, float)):  # a JSON true or 0.1 is no p/q
+        raise error
+    try:
+        q = Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise error from None
+    if abs(q.numerator) >= _RATIONAL_BOUND or q.denominator >= _RATIONAL_BOUND:
+        raise error
+    return q
+
+
+def _count(low, high):
+    """The check of a count: a JSON int or an integer string, in [low, high] (None: no bound)."""
+
+    def read(value, key: str) -> int:
+        if isinstance(value, str):
+            with contextlib.suppress(ValueError):
+                value = int(value)
+        # a float or a bool is a type error, not a count
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{key} must be an integer, not {value!r}")
+        if low is not None and value < low:
+            raise ValueError(f"{key} must be at least {low}, not {value}")
+        if high is not None and value > high:
+            raise ValueError(f"{key} must be at most {high}, not {value}")
+        return value
+
+    return read
+
+
+def _choice(*choices):
+    def read(value, key: str) -> str:
+        if value not in choices:
+            raise ValueError(f"{key} must be one of {', '.join(choices)}, not {value!r}")
+        return value
+
+    return read
+
+
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, not {value!r}")
+    return value
+
+
+# One row per key: its flag's help (None: config only) and its check, which
+# returns the value the command reads or raises ValueError naming the key
+# (None: the command's spec reader reads it).  A command has the keys its
+# row in _COMMANDS names.
+_KEYS = {
+    "dist": ("catalog distribution or named process", None),
+    "param": ("distribution parameter as a rational p/q", None),
+    "process": (None, None),
+    "jmax": ("maximum order", _count(0, MAX_JMAX)),
+    "mode": ("numeric mode: exact (default) or float", _choice("exact", "float")),
+    "seed": ("base seed for stochastic paths", _count(None, None)),
+    "out": ("output path (default stdout)", _string),
+    "format": ("output format: csv (default) or json", _choice("csv", "json")),
+    # edgeworth's tighter bound is checked first thing in _cmd_edgeworth
+    "n": ("number of summands", _count(None, MAX_MOMENTS_N)),
+    "t": ("time point as a rational p/q", parse_rational),
+    # an expansion of order K reads 3K moments
+    "K": ("truncation order of the expansion", _count(0, MAX_JMAX // 3)),
+    "grid": ("evaluation grid start:stop:step", _string),
+    "suite": ("which checks to run: all (default), exact or mc", _choice("all", "exact", "mc")),
+    "mc_samples": ("Monte Carlo sample count", _count(1, MAX_MC_SAMPLES)),
 }
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -76,96 +151,129 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
             continue
         p.add_argument("--config", help="JSON config file; flags override its values")
         for key in keys:
-            if key in _FLAGS:
-                p.add_argument("--" + key.replace("_", "-"), dest=key, help=_FLAGS[key])
+            flag_help = _KEYS[key][0]
+            if flag_help is not None:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, help=flag_help)
     return parser
 
 
 def _load_config(args) -> dict:
-    config = {}
+    """Each of the command's keys, from its flag, else the --config file, else its default; checked."""
+    given = {}
     if args.config:
         import json
 
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
-                config = json.load(fh)
+                given = json.load(fh)
             except RecursionError:
                 raise ValueError(f"config {args.config} nests too deeply") from None
-        if not isinstance(config, dict):
+        if not isinstance(given, dict):
             raise ValueError("config must be a JSON object")
-    keys = _COMMANDS[args.subcommand][1]
-    only_keys(config, keys, f"{args.subcommand} does not take the config key")
-    flags = {key: value for key, value in vars(args).items() if key in keys and value is not None}
+    defaults = _COMMANDS[args.subcommand][1]
+    _refuse_other_keys(given, defaults, f"{args.subcommand} does not take the config key")
+    flags = {key: value for key, value in vars(args).items() if key in defaults and value is not None}
     if "dist" in flags:
         # --dist and a config's process both name the levy process: the flag wins
-        config.pop("process", None)
-    merged = {**config, **flags}
-    merged.setdefault("mode", "exact")
-    merged.setdefault("format", "csv")
-    merged.setdefault("seed", 7)
-    _check_fields(merged, args.subcommand)
-    return merged
+        given.pop("process", None)
+    given.update(flags)
+    config = {}
+    for key, default in defaults.items():
+        check = _KEYS[key][1]
+        if key in given:
+            config[key] = check(given[key], key) if check else given[key]
+        elif default is _REQUIRED:
+            raise ValueError(f"{args.subcommand} needs --{key}")
+        else:
+            config[key] = default
+    return config
 
 
-_INTEGER_FIELDS = ("jmax", "n", "K", "seed", "mc_samples")
+# --- the distribution and process grammars ----------------------------------
 
 
-def _check_fields(config: dict, subcommand: str) -> None:
-    """Reject, or normalize in place, flag or config values of the wrong type or size."""
-    for key in _INTEGER_FIELDS:
-        if key in config:
-            config[key] = _integer(key, config[key])
-    _check_range(config, "jmax", 0, MAX_JMAX)
-    _check_range(config, "mc_samples", 1, MAX_MC_SAMPLES)
-    # an expansion of order K reads 3K moments; K < 0 is edgeworth_model's to reject
-    _check_range(config, "K", None, MAX_JMAX // 3)
-    # only moments and edgeworth take n; n < 1 is _cmd_edgeworth's to reject
-    _check_range(config, "n", None, MAX_EDGEWORTH_N if subcommand == "edgeworth" else MAX_MOMENTS_N)
-    for key, choices in _CHOICES.items():
-        if key in config and config[key] not in choices:
-            raise ValueError(f"{key} must be one of {', '.join(choices)}, not {config[key]!r}")
-    if "t" in config:
-        config["t"] = parse_rational(config["t"], "t")
-    for key in ("out", "grid"):
-        if not isinstance(config.get(key, ""), str):
-            raise ValueError(f"{key} must be a string, not {config[key]!r}")
+def _refuse_other_keys(data: dict, keys, message: str) -> None:
+    """Raise ValueError("<message> '<key>'") for the first key of data outside keys."""
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"{message} {key!r}")
 
 
-def _check_range(config: dict, key: str, low, high: int) -> None:
-    value = config.get(key)
+def _spec_value(data: dict, key: str, owner: str, default=None):
+    """data[key], or default when data has no key; None is an error naming the owner."""
+    value = data.get(key, default)
     if value is None:
-        return
-    if low is not None and value < low:
-        raise ValueError(f"{key} must be at least {low}, not {value}")
-    if value > high:
-        raise ValueError(f"{key} must be at most {high}, not {value}")
+        raise ValueError(f"{owner} needs {key!r}")
+    return value
 
 
-def _integer(key: str, value) -> int:
-    # JSON ints and integer strings; a float or a bool is a type error, not a count
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    elif isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{key} must be an integer, not {value!r}")
+def _spec_list(data: dict, key: str, owner: str, read) -> tuple:
+    """The list data[key], each entry through read."""
+    value = _spec_value(data, key, owner)
+    if not isinstance(value, list):
+        raise ValueError(f"{owner} needs {key!r} as a list, not {value!r}")
+    return tuple(map(read, value))
+
+
+def _moment(value) -> QC:
+    """A custom moment: a rational, or a complex one {"re": ..., "im": ...} with its "re"."""
+    if not isinstance(value, dict):
+        return QC(parse_rational(value, "a moment"))
+    if "re" not in value:
+        raise ValueError(f"a complex moment needs 're', not {value!r}")
+    _refuse_other_keys(value, ("re", "im"), "a complex moment does not take the key")
+    return QC(*(parse_rational(value.get(k, 0), f"a moment's {k!r}") for k in ("re", "im")))
+
+
+def dist_from_json(data: dict) -> DistSpec:
+    """A spec {"dist": "<name>", <its kind's key, or "moments">: ...}; the kind's record names the key."""
+    name = data.get("dist")
+    record = kind_record(name)
+    key = "moments" if record.moment_list else record.key
+    owner = f"{name} spec"
+    _refuse_other_keys(data, ("dist", key), f"a {owner} does not take the key")
+    if record.moment_list:
+        return custom(_spec_list(data, key, owner, _moment))
+    if key is None:
+        return DistSpec(name)
+    return DistSpec(name, parse_rational(_spec_value(data, key, owner, record.default), repr(key)))
+
+
+def process_from_json(data: dict, order: int):
+    """A Levy process or subordinator spec, its moments kept 0..order as the named builders keep them.
+
+    The key set picks the process family.  Every entry is read and
+    checked, those past the order too, before the sequence is cut.
+    """
+    from .levy import LevySpec, SubordinatorSpec
+
+    if "u_moments" in data:
+        family, keys = LevySpec, ("sigma2", "kappa2", "u_moments")
+    elif "tstar_moments" in data:
+        family, keys = SubordinatorSpec, ("tau2", "tstar_moments")
+    else:
+        raise ValueError("process spec needs u_moments or tstar_moments")
+    *names, moments = keys
+    owner = "process spec"
+    _refuse_other_keys(data, keys, f"a {owner} does not take the key")
+    params = [parse_rational(_spec_value(data, key, owner), repr(key)) for key in names]
+    mu = _spec_list(data, moments, owner, lambda v: parse_rational(v, f"a {moments} entry"))
+    family(*params, MomentSeq(mu))  # checks the entries past the order too
+    return family(*params, MomentSeq(mu[: order + 1]))
 
 
 def _dist_spec(config) -> DistSpec:
-    dist = config.get("dist")
+    dist = config["dist"]
     if isinstance(dist, dict):
         return dist_from_json(dist)
     if dist is None:
         raise ValueError("a distribution is required: pass --dist or a config with one")
     data = {"dist": dist}
-    param = config.get("param")
-    if param is not None:
-        key = param_key(dist)
+    if config["param"] is not None:
+        key = kind_record(dist).key
         if key is None:
             raise ValueError(f"--param is not meaningful for {dist!r}")
-        data[key] = param
+        data[key] = config["param"]
     return dist_from_json(data)
 
 
@@ -221,9 +329,7 @@ def _cmd_stirling(config) -> int:
     from .randomvars import moments_of
     from .stirling import psn_egf
 
-    spec = _dist_spec(config)
-    jmax = config.get("jmax", 8)
-    table = psn_egf(moments_of(spec, jmax))
+    table = psn_egf(moments_of(_dist_spec(config), config["jmax"]))
     mode = config["mode"]
     rows = []
     for j in range(table.order + 1):
@@ -238,12 +344,8 @@ def _cmd_moments(config) -> int:
     from .moments import sum_moments
     from .randomvars import moments_of
 
-    spec = _dist_spec(config)
-    jmax = config.get("jmax", 8)
-    if "n" not in config:
-        raise ValueError("moments needs --n")
     n = config["n"]
-    sweep = sum_moments(moments_of(spec, jmax), n).coeffs
+    sweep = sum_moments(moments_of(_dist_spec(config), config["jmax"]), n).coeffs
     rows = [(n, j, _scalar_str(v, config["mode"])) for j, v in enumerate(sweep)]
     _emit(("n", "j", "value"), rows, config)
     return 0
@@ -253,9 +355,7 @@ def _cmd_cumulants(config) -> int:
     from .moments import cumulants_oracle
     from .randomvars import moments_of
 
-    spec = _dist_spec(config)
-    jmax = config.get("jmax", 8)
-    seq = cumulants_oracle(moments_of(spec, jmax))
+    seq = cumulants_oracle(moments_of(_dist_spec(config), config["jmax"]))
     rows = [(j + 1, _scalar_str(v, config["mode"])) for j, v in enumerate(seq.kappa)]
     _emit(("j", "value"), rows, config)
     return 0
@@ -264,25 +364,24 @@ def _cmd_cumulants(config) -> int:
 def _process_spec(config, jmax: int):
     from . import levy
 
-    proc = config.get("process")
-    if isinstance(proc, dict):
-        return levy.process_from_json(proc, jmax)
-    dist = config.get("dist")
-    builder = levy.NAMED_PROCESSES.get(dist) if isinstance(dist, str) else None
+    if isinstance(config["process"], dict):
+        return process_from_json(config["process"], jmax)
+    # --dist of the levy command: each named process and its builder, which takes the order
+    named = {"poisson": levy.poisson_subordinator, "gamma": levy.gamma_subordinator,
+             "unitjump": levy.compensated_unit_jump, "gaussian": levy.gaussian_part_only}
+    dist = config["dist"]
+    builder = named.get(dist) if isinstance(dist, str) else None
     if builder is None:
-        raise ValueError(f"levy needs --dist {'|'.join(levy.NAMED_PROCESSES)} or a config process spec")
+        raise ValueError(f"levy needs --dist {'|'.join(named)} or a config process spec")
     return builder(jmax)
 
 
 def _cmd_levy(config) -> int:
     from .levy import levy_process_moments
 
-    jmax = config.get("jmax", 8)
-    proc = _process_spec(config, jmax)
-    t = config.get("t", 1)
-    mode = config["mode"]
+    jmax, t, mode = config["jmax"], config["t"], config["mode"]
     # g_j(t), or a subordinator's h_j(t): E Y(t)^j / t^floor(j/2)
-    sweep = levy_process_moments(proc, jmax, t).coeffs
+    sweep = levy_process_moments(_process_spec(config, jmax), jmax, t).coeffs
     rows = [(_scalar_str(t, mode), j, _scalar_str(v.as_fraction() / t ** (j // 2), mode))
             for j, v in enumerate(sweep)]
     _emit(("t", "j", "value"), rows, config)
@@ -295,13 +394,13 @@ def _cmd_edgeworth(config) -> int:
     from .edgeworth import edgeworth_cdf, edgeworth_model, normal_cdf
     from .oracle import uniform_fn_exact
 
-    spec = _dist_spec(config)
-    if "n" not in config:
-        raise ValueError("edgeworth needs --n")
     n = config["n"]
+    if n > MAX_EDGEWORTH_N:
+        raise ValueError(f"n must be at most {MAX_EDGEWORTH_N}, not {n}")
     if n < 1:
         raise ValueError("edgeworth needs n >= 1")
-    grid = _parse_grid(config.get("grid", "-3:3:1/2"))
+    spec = _dist_spec(config)
+    grid = _parse_grid(config["grid"])
     with_oracle = spec.kind == UNIFORM_STD
     if with_oracle:
         # the cost model beside MAX_IRWIN_HALL_S, checked before any work
@@ -311,9 +410,7 @@ def _cmd_edgeworth(config) -> int:
                 f"the exact Irwin-Hall column of {len(grid)} grid points at n = {n} would take "
                 f"about {seconds} s, more than {MAX_IRWIN_HALL_S} s"
             )
-    K = config.get("K", 2)
-    jmax = config.get("jmax")
-    model = edgeworth_model(spec, K, order=jmax)
+    model = edgeworth_model(spec, config["K"], order=config["jmax"])
     if model.lattice:
         print(
             "warning: lattice distribution; the expansion's integrability "
@@ -340,27 +437,29 @@ def _cmd_edgeworth(config) -> int:
 def _cmd_validate(config) -> int:
     from . import oracle
 
-    reports = oracle.run_validation(config.get("suite", "all"), config["seed"],
-                                    config.get("mc_samples", 10**6))
+    reports = oracle.run_validation(config["suite"], config["seed"], config["mc_samples"])
     _emit(oracle.ValidationReport._fields, reports, {**config, "format": "json"})
     return 0 if all(r.passed for r in reports) else 1
 
 
-# each command: its help, the keys it reads, each a flag but levy's config-only
-# process, and its runner; a command takes --config and no key outside its row
+_REQUIRED = object()  # in place of a default: the command needs the key given
+# the keys of the commands that read one distribution, with their defaults
+_DIST_KEYS = {"dist": None, "param": None, "jmax": 8, "mode": "exact", "out": None, "format": "csv"}
+
+# each command: its help, every key it reads with its default (None: not given),
+# and its runner; a command takes --config and no key outside its row
 _COMMANDS = {
-    "stirling": ("emit the probabilistic Stirling triangle",
-                 ("dist", "param", "jmax", "mode", "out", "format"), _cmd_stirling),
-    "moments": ("emit E S_n^j for j = 0..jmax",
-                ("dist", "param", "jmax", "mode", "out", "format", "n"), _cmd_moments),
-    "cumulants": ("emit cumulants kappa_1..kappa_jmax",
-                  ("dist", "param", "jmax", "mode", "out", "format"), _cmd_cumulants),
+    "stirling": ("emit the probabilistic Stirling triangle", _DIST_KEYS, _cmd_stirling),
+    "moments": ("emit E S_n^j for j = 0..jmax", {**_DIST_KEYS, "n": _REQUIRED}, _cmd_moments),
+    "cumulants": ("emit cumulants kappa_1..kappa_jmax", _DIST_KEYS, _cmd_cumulants),
     "levy": ("emit Levy/subordinator moment functions at t",
-             ("dist", "process", "jmax", "mode", "out", "format", "t"), _cmd_levy),
+             {"dist": None, "process": None, "jmax": 8, "mode": "exact", "out": None, "format": "csv",
+              "t": 1}, _cmd_levy),
     "edgeworth": ("emit an Edgeworth CDF curve on a grid",
-                  ("dist", "param", "jmax", "out", "format", "n", "K", "grid"), _cmd_edgeworth),
+                  {"dist": None, "param": None, "jmax": None, "out": None, "format": "csv",
+                   "n": _REQUIRED, "K": 2, "grid": "-3:3:1/2"}, _cmd_edgeworth),
     "validate": ("run the validation suite and emit JSON reports",
-                 ("seed", "out", "suite", "mc_samples"), _cmd_validate),
+                 {"seed": 7, "out": None, "suite": "all", "mc_samples": 10**6}, _cmd_validate),
 }
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from fractions import Fraction
 from math import factorial, perm
 from typing import NamedTuple
 
@@ -33,12 +32,15 @@ def hermite_eval(n: int, y: float) -> float:
     """Probabilists' Hermite H_n(y) via H_{k+1} = y H_k - k H_{k-1}."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, float(y)
+    return _hermite_values(n, y)[n]
+
+
+def _hermite_values(n: int, y: float) -> list:
+    """H_0(y), ..., H_n(y), n >= 0, by the recurrence; at least H_0 and H_1."""
+    h = [1.0, float(y)]
     for k in range(1, n):
-        prev, cur = cur, y * cur - k * prev
-    return cur
+        h.append(y * h[k] - k * h[k - 1])
+    return h
 
 
 def normal_pdf(y: float) -> float:
@@ -79,9 +81,7 @@ class EdgeworthModel(Record):
                 raise DomainError("hat table violates the vanishing structure")
         max_m = self.K // (self.r - 1)
         if 2 * max_m + self.K > self.hat_table.order:
-            raise DomainError(
-                f"truncation K={self.K} needs moment order >= {2 * max_m + self.K}"
-            )
+            raise DomainError(f"truncation K={self.K} needs moment order >= {2 * max_m + self.K}")
 
 
 def edgeworth_model(source, K: int, order: int | None = None) -> EdgeworthModel:
@@ -105,36 +105,36 @@ def edgeworth_model(source, K: int, order: int | None = None) -> EdgeworthModel:
         raise DomainError(f"expansion needs moment order >= 2, not {mom.order}")
     if mom[1] != 0 or mom[2] != 1:
         raise DomainError("expansion needs a standardized source (mean 0, variance 1)")
+    # mean 0 and variance 1 make the first two hat moments zero, so r >= 2
     hat = hat_transform(mom)
-    r = vanishing_order(hat)
-    if r < 2:
-        raise DomainError("source does not match the normal through order 2")
-    return EdgeworthModel(r=r, hat_table=psn_egf(hat), K=K, lattice=lattice)
+    return EdgeworthModel(r=vanishing_order(hat), hat_table=psn_egf(hat), K=K, lattice=lattice)
 
 
 def edgeworth_term(model: EdgeworthModel, k: int, n: int, y: float) -> float:
     """The order-n^{-k/2} correction term at y.
 
-    -g(y) n^{-k/2} sum_{(m,j)} S(j,m)/j! * (n)_m/n^m * H_{j-1}(y), with the
-    rational factor computed exactly before the single float conversion;
-    a factor beyond float range raises DomainError.
+    -g(y) n^{-k/2} sum_{(m,j)} S(j,m)/j! * (n)_m/n^m * H_{j-1}(y): each
+    coefficient is one quotient of integers, S(j,m)'s numerator over its
+    column's denominator, rounded once to a float; a coefficient beyond
+    float range raises DomainError.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if not model.r - 1 <= k <= model.K:
         raise ValueError(f"k must lie in [{model.r - 1}, {model.K}]")
+    pairs = delta_set(model.r, n, k)
+    hermite = _hermite_values(pairs[-1][1] if pairs else 0, y)
     total = 0.0
-    for m, j in delta_set(model.r, n, k):
-        entry = model.hat_table.entry(j, m).as_fraction()
-        if entry == 0:
+    for m, j in pairs:
+        column = model.hat_table.columns[m]
+        if not column.re[j]:
             continue
-        coeff = entry / factorial(j) * Fraction(perm(n, m), n**m)
         try:
-            c = float(coeff)
+            c = column.re[j] * perm(n, m) / (column.den * factorial(j) * n**m)
         except OverflowError:
             raise DomainError(f"the Edgeworth term k = {k} at n = {n} has a coefficient beyond "
                               f"float range, at (j, m) = ({j}, {m})") from None
-        total += c * hermite_eval(j - 1, y)
+        total += c * hermite[j - 1]
     return -normal_pdf(y) * float(n) ** (-k / 2.0) * total
 
 

@@ -17,7 +17,7 @@ from math import comb
 from operator import mul
 
 from .powerseries import Record, exact_rational
-from .randomvars import CumulantSeq, MomentSeq, only_keys, parse_rational
+from .randomvars import CumulantSeq, MomentSeq
 from .randomvars import bernoulli, gamma_shape, moments_of, normal, point_mass  # the catalog's laws
 from .stirling import ladder
 
@@ -114,8 +114,8 @@ def cm_coefficients(spec, j: int) -> list:
 
 
 def _time(t) -> Fraction:
-    """A positive time t as a Fraction; a float t is taken at its exact value."""
-    t = Fraction(t)
+    """A positive time t as a Fraction; a float t is taken at its exact value, a str is a TypeError."""
+    t = Fraction(t) if isinstance(t, float) else exact_rational(t)
     if t <= 0:
         raise ValueError("t must be positive")
     return t
@@ -154,7 +154,7 @@ def levy_cumulant(spec, j: int, t):
     return _cumulant_series(spec, j)[j].as_fraction() * _time(t)
 
 
-# --- named processes and JSON wire format -----------------------------------
+# --- named processes ---------------------------------------------------------
 
 
 def compensated_unit_jump(order: int) -> LevySpec:
@@ -175,41 +175,3 @@ def poisson_subordinator(order: int) -> SubordinatorSpec:
 def gamma_subordinator(order: int) -> SubordinatorSpec:
     """Gamma process: T* has density theta e^{-theta}, gamma of shape 2, so E T*^k = (k+1)!."""
     return SubordinatorSpec(1, moments_of(gamma_shape(2), order))
-
-
-# --dist of the levy command: each named process and its builder, which takes the order
-NAMED_PROCESSES = {
-    "poisson": poisson_subordinator,
-    "gamma": gamma_subordinator,
-    "unitjump": compensated_unit_jump,
-    "gaussian": gaussian_part_only,
-}
-
-
-def process_from_json(data: dict, order: int):
-    """Parse a process spec and keep its moments 0..order, like the named builders.
-
-    The key set picks the process family.  Every entry is parsed and
-    checked, those past the order too, before the sequence is cut.
-    """
-
-    def rational(key):
-        if key not in data:
-            raise ValueError(f"process spec needs {key!r}")
-        return parse_rational(data[key], repr(key))
-
-    def moments(key):
-        if not isinstance(data[key], list):
-            raise ValueError(f"process spec needs {key!r} as a list, not {data[key]!r}")
-        return tuple(parse_rational(v, f"a {key} entry") for v in data[key])
-
-    if "u_moments" in data:
-        family, keys = LevySpec, ("sigma2", "kappa2", "u_moments")
-    elif "tstar_moments" in data:
-        family, keys = SubordinatorSpec, ("tau2", "tstar_moments")
-    else:
-        raise ValueError("process spec needs u_moments or tstar_moments")
-    only_keys(data, keys, "a process spec does not take the key")
-    params, mu = [rational(key) for key in keys[:-1]], moments(keys[-1])
-    family(*params, MomentSeq(mu))  # checks the entries past the order too
-    return family(*params, MomentSeq(mu[: order + 1]))

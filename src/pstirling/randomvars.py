@@ -20,7 +20,7 @@ from itertools import accumulate, count, islice, repeat
 from operator import mul
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .powerseries import QC, DomainError, EGFSeries, Record, egf_exp, egf_lincomb, egf_mul, exact_rational
+from .powerseries import DomainError, EGFSeries, Record, egf_exp, egf_lincomb, egf_mul, exact_rational
 
 SQRT3 = math.sqrt(3.0)
 
@@ -75,6 +75,9 @@ class CumulantSeq(EGFSeries):
 
     def moments(self, c) -> MomentSeq:
         """exp(c K), rational c >= 0: the moments of c summands, or of a Levy process at time c."""
+        c = exact_rational(c)
+        if c < 0:
+            raise DomainError(f"c must be nonnegative, not {c}")
         e = egf_exp(egf_lincomb([self], [c.numerator], c.denominator))
         return MomentSeq.from_numerators(e.den, e.re, e.im)
 
@@ -89,7 +92,7 @@ class DistSpec(Record):
     __slots__ = ("kind", "param", "custom_moments")
 
     def __init__(self, kind: str, param: Optional[Fraction] = None, custom_moments=None):
-        record = _kind(kind)
+        record = kind_record(kind)
         _require(param is None or record.key is not None, f"{kind} spec takes no parameter")
         _require(param is not None or record.key is None, f"{kind} spec needs its parameter")
         _require(custom_moments is None or record.moment_list, f"{kind} spec takes no moment list")
@@ -373,8 +376,8 @@ class _Kind(NamedTuple):
     """How one distribution kind is parameterized, described and sampled."""
 
     moments: Callable[[DistSpec, int], MomentSeq]  # exact mu_0..mu_order
-    key: Optional[str] = None  # JSON and --param name of the rational parameter
-    default: Optional[Fraction] = None  # the parameter when JSON omits its key
+    key: Optional[str] = None  # the CLI's JSON and --param name of the rational parameter
+    default: Optional[Fraction] = None  # the parameter when a spec omits its key
     check: Callable[[DistSpec], None] = lambda spec: None  # rejects a parameter off the domain
     abs_spec: Optional[Callable[[DistSpec], DistSpec]] = None  # |Y|, when E|Y|^k is rational
     # (spec, rng.random) -> a zero-argument draw of Y; None: not samplable
@@ -452,79 +455,8 @@ _KINDS = {
 }
 
 
-def _kind(name) -> _Kind:
+def kind_record(name) -> _Kind:
+    """The record of the distribution kind ``name``; ValueError for any other name."""
     if not (isinstance(name, str) and name in _KINDS):
         raise ValueError(f"unknown distribution kind {name!r}")
     return _KINDS[name]
-
-
-def param_key(kind: str) -> Optional[str]:
-    """Name of the kind's rational parameter in JSON and for --param, or None."""
-    return _kind(kind).key
-
-
-# --- JSON wire format -------------------------------------------------------
-
-
-# The most digits a rational input may have above and below its bar.  A
-# poisson rate of d digits a part makes E Y^j about j*d digits long: at
-# jmax 200, d = 20 runs for minutes, and d = 30 outgrows the 4300 digits
-# that str(int) will write.
-MAX_RATIONAL_DIGITS = 20
-_RATIONAL_BOUND = 10**MAX_RATIONAL_DIGITS
-
-
-def parse_rational(value, what: str) -> Fraction:
-    """A rational from JSON or a flag: an int, or a "p/q" or plain decimal string.
-
-    Its numerator and denominator have at most MAX_RATIONAL_DIGITS digits
-    each.  A string is checked before Fraction reads it, since Fraction
-    builds the whole int of an exponent ("1e10000000") or a long string
-    first.  ValueError names ``what``.
-    """
-    error = ValueError(
-        f"{what} must be a rational p/q of at most {MAX_RATIONAL_DIGITS} digits a part, "
-        f"not {value!r:.60}"
-    )
-    # 3x leaves room for both parts, the bar, a sign, a point and spaces
-    if isinstance(value, str) and (len(value) > 3 * MAX_RATIONAL_DIGITS or "e" in value.lower()):
-        raise error
-    if isinstance(value, (bool, float)):  # a JSON true or 0.1 is no p/q
-        raise error
-    try:
-        q = Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise error from None
-    if abs(q.numerator) >= _RATIONAL_BOUND or q.denominator >= _RATIONAL_BOUND:
-        raise error
-    return q
-
-
-def only_keys(data: dict, keys, message: str) -> None:
-    """Raise ValueError("<message> '<key>'") for the first key of data outside keys."""
-    for key in data:
-        _require(key in keys, f"{message} {key!r}")
-
-
-def _scalar_from_json(v) -> QC:
-    if isinstance(v, dict):
-        _require("re" in v, f"a complex moment needs 're', not {v!r}")
-        only_keys(v, ("re", "im"), "a complex moment does not take the key")
-        return QC(*(parse_rational(v.get(k, 0), f"a moment's {k!r}") for k in ("re", "im")))
-    return QC(parse_rational(v, "a moment"))
-
-
-def dist_from_json(data: dict) -> DistSpec:
-    """Parse {"dist": "<name>", ...params}; rationals are "p/q" strings."""
-    name = data.get("dist")
-    kind = _kind(name)
-    key = "moments" if kind.moment_list else kind.key
-    only_keys(data, ("dist", key), f"a {name} spec does not take the key")
-    if key is None:
-        return DistSpec(name)
-    value = data.get(key, kind.default)
-    _require(value is not None, f"{name} spec needs {key!r}")
-    if kind.moment_list:
-        _require(isinstance(value, list), f"{name} spec needs {key!r} as a list, not {value!r}")
-        return custom(map(_scalar_from_json, value))
-    return DistSpec(name, parse_rational(value, repr(key)))

@@ -60,12 +60,11 @@ def alternating(e: int, value):
     return -value if e % 2 else value
 
 
-@lru_cache(maxsize=None)
 def classical_s2(j: int, m: int) -> int:
     """Classical second-kind number: partitions of a j-set into m blocks.
 
     Evaluated by the explicit alternating sum (1/m!) sum_k C(m,k)(-1)^{m-k} k^j;
-    returns 0 for m > j.
+    returns 0 for m > j.  The reference that the rows of ``_s2_row`` are tested against.
     """
     if j < 0 or m < 0:
         raise ValueError("indices must be nonnegative")
@@ -240,10 +239,15 @@ def factorial_ladder(m: MomentSeq) -> Ladder:
     return Ladder(factorial_moments(m))
 
 
-@lru_cache(maxsize=None)
+_S2_ROWS = [(1,)]  # rows 0, 1, ... of S(j, l), grown on demand and kept
+
+
 def _s2_row(j: int) -> tuple:
-    # S(j, 0), ..., S(j, j)
-    return tuple(classical_s2(j, l) for l in range(j + 1))
+    """S(j, 0), ..., S(j, j), grown row by row by S(j,l) = l S(j-1,l) + S(j-1,l-1)."""
+    while len(_S2_ROWS) <= j:
+        prev = _S2_ROWS[-1]
+        _S2_ROWS.append((0, *(l * prev[l] + prev[l - 1] for l in range(1, len(prev))), 1))
+    return _S2_ROWS[j]
 
 
 def psn_via_classical(m: MomentSeq, j: int, m_idx: int) -> QC:

@@ -18,13 +18,15 @@ from pstirling.cli import (
     MAX_JMAX,
     MAX_MC_SAMPLES,
     MAX_MOMENTS_N,
+    MAX_RATIONAL_DIGITS,
     _build_parser,
     _emit,
     _parse_grid,
+    dist_from_json,
     main,
+    process_from_json,
 )
 from pstirling.powerseries import QC
-from pstirling.randomvars import MAX_RATIONAL_DIGITS
 
 
 def run_cli(capsys, *argv):
@@ -266,7 +268,7 @@ class TestSweepsMatchThePapersRoutes:
         path.write_text(json.dumps({"dist": dist}))
         code, out, err = run_cli(capsys, "moments", "--config", str(path), "--n", str(n),
                                  "--jmax", str(jmax))
-        m = randomvars.moments_of(randomvars.dist_from_json(dist), jmax)
+        m = randomvars.moments_of(dist_from_json(dist), jmax)
         table = [f"{n},{j},{_p_q(moments.sum_moment(m, n, j))}" for j in range(jmax + 1)]
         assert (code, err) == (0, "")
         assert out == "\n".join(["n,j,value", *table]) + "\n"
@@ -289,7 +291,7 @@ class TestSweepsMatchThePapersRoutes:
         else:
             path = tmp_path / "process.json"
             path.write_text(json.dumps({"process": process}))
-            argv, spec = ["--config", str(path)], levy.process_from_json(process, jmax)
+            argv, spec = ["--config", str(path)], process_from_json(process, jmax)
         code, out, err = run_cli(capsys, "levy", *argv, "--t", t, "--jmax", str(jmax))
         ladder = [f"{t},{j},{_p_q(levy.levy_moment_g(spec, j, F(t)))}" for j in range(jmax + 1)]
         assert (code, err) == (0, "")

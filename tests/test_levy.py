@@ -15,10 +15,10 @@ from pstirling.levy import (
     levy_moment_g,
     levy_process_moments,
     poisson_subordinator,
-    process_from_json,
     subordinator_moment_h,
     tstar_moments,
 )
+from pstirling.cli import process_from_json
 from pstirling.moments import cumulants_oracle
 from pstirling.powerseries import EGFSeries
 from pstirling.randomvars import MomentSeq, moments_of, poisson
@@ -94,6 +94,16 @@ class TestLevyMoments:
     def test_float_time(self):
         spec = compensated_unit_jump(8)
         assert levy_moment_g(spec, 4, 2.0) == pytest.approx(3.5)
+
+    @pytest.mark.parametrize("t", ["1/2", "1e5000000"])
+    def test_str_time_is_a_type_error(self, t):
+        # "1/2" returned g_4(1/2) = 5, and "1e5000000" built a 16.6-million-bit int first
+        spec = compensated_unit_jump(8)
+        with pytest.raises(TypeError):
+            levy_moment_g(spec, 4, t)
+        with pytest.raises(TypeError):
+            levy_process_moments(spec, 4, t)
+        assert levy_moment_g(spec, 4, 0.5) == levy_moment_g(spec, 4, F(1, 2)) == 5
 
     def test_rejects_bad_time(self):
         spec = compensated_unit_jump(8)

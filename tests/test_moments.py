@@ -235,6 +235,16 @@ class TestCumulants:
         with pytest.raises(DomainError, match="K_0 = 0"):
             CumulantSeq.from_numerators(den, re, im)
 
+    @pytest.mark.parametrize("c, error", [(0.5, TypeError), ("2", TypeError), (-1, DomainError),
+                                          (F(-1, 3), DomainError)], ids=repr)
+    def test_moments_take_a_rational_c_at_least_zero(self, c, error):
+        # a float or str c raised AttributeError, and c < 0 returned exp(-|c| K)
+        seq = cumulants_oracle(moments_of(poisson(1), 4))
+        with pytest.raises(error):
+            seq.moments(c)
+        assert seq.moments(F(1, 2)) == moments_of(poisson(F(1, 2)), 4)
+        assert seq.moments(0) == moments_of(point_mass(0), 4)
+
     def test_poisson_all_ones(self):
         seq = cumulants_from_stirling(moments_of(poisson(1), 6))
         assert all(v == 1 for v in seq.kappa)

@@ -270,18 +270,58 @@ def test_classical_route_reads_the_classical_numbers(monkeypatch):
     m = fresh_sequence(80, 0, True)
     table = stirling.psn_egf(m)
     j, mm = 8, 3
-    real_s2 = stirling.classical_s2
+    real_row = stirling._s2_row
 
-    def wrong_s2(jj, l):
-        return real_s2(jj, l) + (jj == j and l == 5)
+    def wrong_row(jj):
+        row = real_row(jj)
+        return row[:5] + (row[5] + 1,) + row[6:] if jj == j else row
 
-    monkeypatch.setattr(stirling, "classical_s2", wrong_s2)
-    stirling._s2_row.cache_clear()
+    monkeypatch.setattr(stirling, "_s2_row", wrong_row)
+    assert stirling.psn_via_classical(m, j, mm) != table.entry(j, mm)
+    assert stirling.psn_direct(m, j, mm) == table.entry(j, mm)
+
+
+def test_a_kernel_fault_is_caught_by_the_schoolbook_oracles(monkeypatch):
+    """Every route in src multiplies through powerseries._product, so with one coefficient
+    off by one they can still agree with each other; the schoolbook oracles build with QC
+    arithmetic and read series only through .coeffs, so they never call it and disagree."""
+    from pstirling import powerseries
+
+    real, armed = powerseries._product, []
+
+    def faulty(xr, xi, wr, wi):
+        re, im = real(xr, xi, wr, wi)
+        if armed:  # the first product after arming, one coefficient, is off by one
+            armed.pop()
+            re += 1
+        return re, im
+
+    monkeypatch.setattr(powerseries, "_product", faulty)
+    a, b = fresh_sequence(3101, 0, True), fresh_sequence(3102, 1, False)
+    j, mm = J, 3
+    routes = [
+        (lambda: powerseries.egf_mul(a, b).coeffs, lambda: schoolbook_egf_mul(a, b)),
+        (lambda: stirling.psn_egf(a).entry(j, mm), lambda: schoolbook_psn_direct(a, j, mm)),
+        (lambda: stirling.psn_direct(a, j, mm), lambda: schoolbook_psn_direct(a, j, mm)),
+        (lambda: stirling.psn_via_classical(a, j, mm),
+         lambda: schoolbook_psn_via_classical(a, j, mm)),
+    ]
     try:
-        assert stirling.psn_via_classical(m, j, mm) != table.entry(j, mm)
-        assert stirling.psn_direct(m, j, mm) == table.entry(j, mm)
+        for route, oracle in routes:
+            # a fresh ladder cache, so that the route builds its rungs through the faulty kernel
+            stirling.ladder.cache_clear()
+            stirling.factorial_ladder.cache_clear()
+            expected = oracle()
+            armed.append(True)
+            got = route()
+            assert not armed  # the fault fired
+            assert got != expected
+            armed.append(True)
+            assert oracle() == expected and armed  # the oracle never reached the kernel
+            armed.clear()
     finally:
-        stirling._s2_row.cache_clear()
+        stirling.ladder.cache_clear()
+        stirling.factorial_ladder.cache_clear()
 
 
 def schoolbook_weighted_powers(m, shift, r, k_max):

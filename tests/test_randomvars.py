@@ -4,10 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from pstirling.cli import MAX_RATIONAL_DIGITS, dist_from_json
 from pstirling.levy import LevySpec, tstar_moments
 from pstirling.powerseries import DomainError, EGFSeries, QC, egf_exp, egf_mul
 from pstirling.randomvars import (
-    MAX_RATIONAL_DIGITS,
     DistSpec,
     MomentSeq,
     UnsupportedSpecError,
@@ -15,13 +15,12 @@ from pstirling.randomvars import (
     bernoulli,
     beta_moments,
     custom,
-    dist_from_json,
     exponential,
     gamma_shape,
     hat_transform,
+    kind_record,
     moments_of,
     normal,
-    param_key,
     point_mass,
     poisson,
     rademacher,
@@ -202,7 +201,7 @@ def _supported(call) -> bool:
     ids=[f"{row[0].kind}({row[0].param})" for row in KIND_RECORDS],
 )
 def test_kind_record(spec, key, lattice, symmetric, samplable, exact_abs):
-    assert param_key(spec.kind) == key
+    assert kind_record(spec.kind).key == key
     if key is not None:
         assert dist_from_json({"dist": spec.kind, key: str(spec.param)}) == spec
     assert (spec.lattice, spec.symmetric) == (lattice, symmetric)

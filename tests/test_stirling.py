@@ -58,6 +58,12 @@ class TestClassical:
             for m in range(1, j + 1):
                 assert classical_s2(j, m) == m * classical_s2(j - 1, m) + classical_s2(j - 1, m - 1)
 
+    def test_rows_grow_by_the_recurrence_to_the_alternating_sums(self):
+        # the rows psn_via_classical reads, against the explicit sum; S(j, j-1) = C(j, 2)
+        for j in (60, 7, 0, 61, 1):
+            assert stirling._s2_row(j) == tuple(classical_s2(j, m) for m in range(j + 1))
+        assert stirling._s2_row(250)[249] == comb(250, 2)
+
     def test_row_sums_are_bell_numbers(self):
         bells = bell_numbers(8)
         for j in range(9):
