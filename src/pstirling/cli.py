@@ -265,6 +265,8 @@ def process_from_json(data: dict, order: int):
 def _dist_spec(config) -> DistSpec:
     dist = config["dist"]
     if isinstance(dist, dict):
+        if config["param"] is not None:
+            raise ValueError("param is not meaningful beside a dist object; give the parameter in the object")
         return dist_from_json(dist)
     if dist is None:
         raise ValueError("a distribution is required: pass --dist or a config with one")

@@ -12,9 +12,12 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
-from itertools import accumulate
+from functools import reduce
+from itertools import accumulate, islice, repeat
 from math import comb, factorial
+from operator import add, mul
 from typing import NamedTuple
 
 # the engines need only randomvars and the powerseries it imports; the validation
@@ -26,6 +29,7 @@ from . import randomvars
 
 _SQRT3N_DIGITS = 40
 _CHUNK = 100_000
+_BLOCK = 1024  # powers held at once while a stream is reduced
 
 
 def irwin_hall_cdf(n: int, x):
@@ -78,14 +82,10 @@ class MCEstimate(NamedTuple):
     seed: int
 
 
-def _stream_rng(seed: int, index: int) -> random.Random:
-    return random.Random(seed + index)
-
-
 def _stream_sums(spec: DistSpec, n: int, n_samples: int, seed: int):
     """Per stream, the lazy sums of S_n it draws: chunks of _CHUNK, stream i seeded seed + i."""
     for stream, done in enumerate(range(0, n_samples, _CHUNK)):
-        yield sample_sums(spec, n, min(_CHUNK, n_samples - done), _stream_rng(seed, stream))
+        yield sample_sums(spec, n, min(_CHUNK, n_samples - done), random.Random(seed + stream))
 
 
 def mc_sum_moment(spec: DistSpec, n: int, j: int, n_samples: int, seed: int) -> MCEstimate:
@@ -105,12 +105,12 @@ def mc_sum_moment(spec: DistSpec, n: int, j: int, n_samples: int, seed: int) -> 
     total_sq = 0.0
     try:
         for sums in _stream_sums(spec, n, n_samples, seed):
-            chunk = 0.0
-            chunk_sq = 0.0
-            for s in sums:
-                v = s**j
-                chunk += v
-                chunk_sq += v * v
+            powers = map(pow, sums, repeat(j))
+            chunk = chunk_sq = 0.0
+            # reduce(add) adds as `chunk += v` did, left to right, a block of powers at a time
+            while block := list(islice(powers, _BLOCK)):
+                chunk = reduce(add, block, chunk)
+                chunk_sq = reduce(add, map(mul, block, block), chunk_sq)
             total += chunk
             total_sq += chunk_sq
     except OverflowError:
@@ -149,12 +149,11 @@ def mc_empirical_cdf(
         raise ValueError("grid points must be numbers, not nan")
     mu2 = float(moments_of(spec, 2)[2].as_fraction())
     scale = 1.0 / math.sqrt(n * mu2)
-    # counts[i]: the samples in (cuts[i-1], cuts[i]]; the last holds those above every cut
-    counts = [0] * (len(cuts) + 1)
+    # counts[i]: the samples in (cuts[i-1], cuts[i]]; counts[len(cuts)] those above every cut
+    counts = Counter()
     for sums in _stream_sums(spec, n, n_samples, seed):
-        for s in sums:
-            counts[bisect_left(cuts, s * scale)] += 1
-    at_most = dict(zip(cuts, accumulate(counts)))
+        counts.update(map(bisect_left, repeat(cuts), map(mul, sums, repeat(scale))))
+    at_most = dict(zip(cuts, accumulate(counts[i] for i in range(len(cuts)))))
     points = tuple((float(y), at_most[float(y)] / n_samples) for y in grid)
     bound = math.sqrt(math.log(2.0 / delta) / (2.0 * n_samples))
     return EmpiricalCdf(points, bound, n_samples, delta)

@@ -253,9 +253,10 @@ def standardize_moments(m: MomentSeq) -> MomentSeq:
 # --- samplers ---------------------------------------------------------------
 #
 # All samplers draw from a caller-owned random.Random instance so that a
-# fixed seed fixes the entire stream.  A kind's sampler factory converts
-# the exact parameter once and returns a zero-argument draw over the
-# rng's bound ``random`` method.  The normal sampler is Box-Muller on two
+# fixed seed fixes the entire stream.  A kind's ``draws(spec, random, size)``
+# converts the exact parameter once and returns a lazy iterator of exactly
+# ``size`` draws of Y over the rng's bound ``random`` method, which calls
+# it only as each draw is read.  The normal sampler is Box-Muller on two
 # uniforms; Poisson uses the product method; gamma sums whole
 # exponentials and handles a fractional shape by beta rejection.
 
@@ -270,11 +271,11 @@ def sample_sums(spec: DistSpec, n: int, count: int, rng: random.Random) -> Itera
     """
     if n < 1:
         raise ValueError("n must be positive")
-    sampler = _KINDS[spec.kind].sampler
-    if sampler is None:
+    draws = _KINDS[spec.kind].draws
+    if draws is None:
         raise UnsupportedSpecError(f"{spec.kind!r} specs cannot be sampled")
-    draws = iter(sampler(spec, rng.random), None)
-    return map(sum, map(islice, repeat(draws, count), repeat(n)))
+    # n references to one iterator: zip reads each sum's n draws in turn
+    return map(sum, zip(*[draws(spec, rng.random, n * count)] * n))
 
 
 # --- the distribution kinds -------------------------------------------------
@@ -302,34 +303,30 @@ def _uniform_std_moments(spec: DistSpec, order: int) -> MomentSeq:
     return _even(order, MomentSeq.from_numerators(d, half, None))
 
 
-def _bernoulli_sampler(spec: DistSpec, random: _Draw) -> _Draw:
+def _bernoulli_draws(spec: DistSpec, random: _Draw, size: int) -> Iterator[float]:
     # for a float u, u < p exactly iff u < t, the least float >= p; float(p)
     # alone could round below p and flip a draw on the boundary
     t = float(spec.param)
     if t < spec.param:
         t = math.nextafter(t, math.inf)
-    return lambda: 1.0 if random() < t else 0.0
+    return (1.0 if random() < t else 0.0 for _ in repeat(None, size))
 
 
-def _poisson_sampler(spec: DistSpec, random: _Draw) -> _Draw:
+def _poisson_draws(spec: DistSpec, random: _Draw, size: int) -> Iterator[float]:
     limit = math.exp(-float(spec.param))
-
-    def draw():
-        k = 0
+    for _ in repeat(None, size):
+        k = 0.0  # counted in floats, exact below 2**53, so no draw needs float(k)
         p = random()
         while p > limit:
-            k += 1
+            k += 1.0
             p *= random()
-        return float(k)
-
-    return draw
+        yield k
 
 
-def _gamma_sampler(spec: DistSpec, random: _Draw) -> _Draw:
+def _gamma_draws(spec: DistSpec, random: _Draw, size: int) -> Iterator[float]:
     whole = int(spec.param)
     frac = float(spec.param - whole)
-
-    def draw():
+    for _ in repeat(None, size):
         total = 0.0
         for _ in range(whole):
             total += -math.log(1.0 - random())
@@ -341,20 +338,14 @@ def _gamma_sampler(spec: DistSpec, random: _Draw) -> _Draw:
                 if x + y <= 1.0:
                     break
             total += -math.log(1.0 - random()) * x / (x + y)
-        return total
-
-    return draw
+        yield total
 
 
-def _normal_sampler(spec: DistSpec, random: _Draw) -> _Draw:
+def _normal_draws(spec: DistSpec, random: _Draw, size: int) -> Iterator[float]:
+    # u1 = 1 - random() is drawn before u2 = random(), left to right
     sigma = math.sqrt(float(spec.param))
-
-    def draw():
-        u1 = 1.0 - random()
-        u2 = random()
-        return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-    return draw
+    return (sigma * math.sqrt(-2.0 * math.log(1.0 - random())) * math.cos(2.0 * math.pi * random())
+            for _ in repeat(None, size))
 
 
 def _custom_moments(spec: DistSpec, order: int) -> MomentSeq:
@@ -380,8 +371,8 @@ class _Kind(NamedTuple):
     default: Optional[Fraction] = None  # the parameter when a spec omits its key
     check: Callable[[DistSpec], None] = lambda spec: None  # rejects a parameter off the domain
     abs_spec: Optional[Callable[[DistSpec], DistSpec]] = None  # |Y|, when E|Y|^k is rational
-    # (spec, rng.random) -> a zero-argument draw of Y; None: not samplable
-    sampler: Optional[Callable[[DistSpec, _Draw], _Draw]] = None
+    # (spec, rng.random, size) -> a lazy iterator of size draws of Y; None: not samplable
+    draws: Optional[Callable[[DistSpec, _Draw, int], Iterator[float]]] = None
     lattice: bool = False
     symmetric: Callable[[DistSpec], bool] = lambda spec: False
     moment_list: bool = False  # carries its moments (JSON "moments") instead of a parameter
@@ -392,14 +383,14 @@ _KINDS = {
         lambda spec, order: _products(spec.param, order, lambda p, q: repeat(p)),
         key="c",
         abs_spec=lambda spec: point_mass(abs(spec.param)),
-        sampler=lambda spec, random: repeat(float(spec.param)).__next__,
+        draws=lambda spec, random, size: repeat(float(spec.param), size),
         lattice=True,
         symmetric=lambda spec: spec.param == 0,
     ),
     RADEMACHER: _Kind(
         lambda spec, order: MomentSeq.from_numerators(1, [1 - k % 2 for k in range(order + 1)], None),
         abs_spec=lambda spec: point_mass(1),
-        sampler=lambda spec, random: lambda: 1.0 if random() < 0.5 else -1.0,
+        draws=lambda spec, random, size: (1.0 if random() < 0.5 else -1.0 for _ in repeat(None, size)),
         lattice=True,
         symmetric=lambda spec: True,
     ),
@@ -412,12 +403,12 @@ _KINDS = {
             0 <= spec.param <= 1, "bernoulli parameter must satisfy 0 <= p <= 1"
         ),
         abs_spec=lambda spec: spec,
-        sampler=_bernoulli_sampler,
+        draws=_bernoulli_draws,
         lattice=True,
     ),
     UNIFORM_STD: _Kind(
         _uniform_std_moments,
-        sampler=lambda spec, random: lambda: SQRT3 * (2.0 * random() - 1.0),
+        draws=lambda spec, random, size: (SQRT3 * (2.0 * random() - 1.0) for _ in repeat(None, size)),
         symmetric=lambda spec: True,
     ),
     POISSON: _Kind(
@@ -426,13 +417,13 @@ _KINDS = {
         key="lambda",
         check=lambda spec: _require(spec.param > 0, "poisson rate must be positive"),
         abs_spec=lambda spec: spec,
-        sampler=_poisson_sampler,
+        draws=_poisson_draws,
         lattice=True,
     ),
     EXPONENTIAL: _Kind(
         lambda spec, order: _products(Fraction(1), order, lambda p, q: count(1)),
         abs_spec=lambda spec: spec,
-        sampler=lambda spec, random: lambda: -math.log(1.0 - random()),
+        draws=lambda spec, random, size: (-math.log(1.0 - random()) for _ in repeat(None, size)),
     ),
     GAMMA_SHAPE: _Kind(
         # the rising factorial: mu_{k+1} = mu_k (a + k), (p + kq) / q for a = p/q
@@ -440,7 +431,7 @@ _KINDS = {
         key="a",
         check=lambda spec: _require(spec.param > 0, "gamma shape must be positive"),
         abs_spec=lambda spec: spec,
-        sampler=_gamma_sampler,
+        draws=_gamma_draws,
     ),
     NORMAL: _Kind(
         # mu_{2i} = sigma2^i (2i - 1)!!, the products of (2i + 1) p / q for sigma2 = p/q
@@ -448,7 +439,7 @@ _KINDS = {
         key="sigma2",
         default=Fraction(1),
         check=lambda spec: _require(spec.param >= 0, "normal variance must be nonnegative"),
-        sampler=_normal_sampler,
+        draws=_normal_draws,
         symmetric=lambda spec: True,
     ),
     CUSTOM: _Kind(_custom_moments, check=_check_custom, moment_list=True),

@@ -8,10 +8,15 @@ Irwin-Hall CDF from piecewise-polynomial convolution, the normal CDF
 from a rational Maclaurin series with Machin's formula for pi, and the
 series product, log and exp from term-by-term loops over the exact
 scalar ``QC``, which bypass the integer kernel that ``powerseries`` uses.
+The Monte Carlo reference draws each Y by one closure call and reduces
+the sums in a Python loop, one sample at a time.
 """
 
+import math
+import random
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, islice, product, repeat
 from math import comb, factorial
 
 from pstirling.powerseries import QC, EGFSeries
@@ -318,3 +323,122 @@ def schoolbook_psn_via_classical(m, j, m_idx):
             inner = inner + sign * comb(m_idx, k) * falling_moment(k, l)
         acc = acc + s2[l] * inner
     return acc / factorial(m_idx)
+
+
+# --- Monte Carlo, one draw and one sample at a time ---------------------------
+# Each kind's sampler returns a zero-argument draw over rng.random; a sum of n
+# draws is sum() of n successive calls, and the estimators add one sample at a
+# time over streams of ``chunk`` samples, stream i seeded seed + i.
+
+SQRT3 = math.sqrt(3.0)
+
+
+def _bernoulli_sampler(spec, random):
+    # for a float u, u < p exactly iff u < t, the least float >= p; float(p)
+    # alone could round below p and flip a draw on the boundary
+    t = float(spec.param)
+    if t < spec.param:
+        t = math.nextafter(t, math.inf)
+    return lambda: 1.0 if random() < t else 0.0
+
+
+def _poisson_sampler(spec, random):
+    limit = math.exp(-float(spec.param))
+
+    def draw():
+        k = 0
+        p = random()
+        while p > limit:
+            k += 1
+            p *= random()
+        return float(k)
+
+    return draw
+
+
+def _gamma_sampler(spec, random):
+    whole = int(spec.param)
+    frac = float(spec.param - whole)
+
+    def draw():
+        total = 0.0
+        for _ in range(whole):
+            total += -math.log(1.0 - random())
+        if frac > 0.0:
+            # Johnk rejection for the fractional shape in (0,1).
+            while True:
+                x = random() ** (1.0 / frac)
+                y = random() ** (1.0 / (1.0 - frac))
+                if x + y <= 1.0:
+                    break
+            total += -math.log(1.0 - random()) * x / (x + y)
+        return total
+
+    return draw
+
+
+def _normal_sampler(spec, random):
+    sigma = math.sqrt(float(spec.param))
+
+    def draw():
+        u1 = 1.0 - random()
+        u2 = random()
+        return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    return draw
+
+
+REFERENCE_SAMPLERS = {
+    "pointmass": lambda spec, random: repeat(float(spec.param)).__next__,
+    "rademacher": lambda spec, random: lambda: 1.0 if random() < 0.5 else -1.0,
+    "bernoulli": _bernoulli_sampler,
+    "uniformstd": lambda spec, random: lambda: SQRT3 * (2.0 * random() - 1.0),
+    "poisson": _poisson_sampler,
+    "exponential": lambda spec, random: lambda: -math.log(1.0 - random()),
+    "gamma": _gamma_sampler,
+    "normal": _normal_sampler,
+}
+
+
+def reference_sample_sums(spec, n, count, rng):
+    """``count`` sums of n draws, each sum() of n successive draw() calls."""
+    draws = iter(REFERENCE_SAMPLERS[spec.kind](spec, rng.random), None)
+    return map(sum, map(islice, repeat(draws, count), repeat(n)))
+
+
+def _reference_streams(spec, n, n_samples, seed, chunk):
+    for stream, done in enumerate(range(0, n_samples, chunk)):
+        yield reference_sample_sums(spec, n, min(chunk, n_samples - done), random.Random(seed + stream))
+
+
+def reference_mc_sum_moment(spec, n, j, n_samples, seed, chunk):
+    """(mean, stderr) of S_n^j, each power added to its stream's total one at a time."""
+    total = 0.0
+    total_sq = 0.0
+    for sums in _reference_streams(spec, n, n_samples, seed, chunk):
+        chunk_total = 0.0
+        chunk_sq = 0.0
+        for s in sums:
+            v = s**j
+            chunk_total += v
+            chunk_sq += v * v
+        total += chunk_total
+        total_sq += chunk_sq
+    mean = total / n_samples
+    if n_samples > 1:
+        var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
+    else:
+        var = 0.0
+    return mean, math.sqrt(var / n_samples)
+
+
+def reference_mc_empirical_cdf(spec, n, grid, n_samples, seed, chunk, mu2):
+    """((y, F_hat(y)), ...) for S_n / sqrt(n mu2), one count per sample."""
+    cuts = sorted({float(y) for y in grid})
+    scale = 1.0 / math.sqrt(n * mu2)
+    counts = [0] * (len(cuts) + 1)
+    for sums in _reference_streams(spec, n, n_samples, seed, chunk):
+        for s in sums:
+            counts[bisect_left(cuts, s * scale)] += 1
+    at_most = dict(zip(cuts, accumulate(counts)))
+    return tuple((float(y), at_most[float(y)] / n_samples) for y in grid)

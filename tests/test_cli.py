@@ -537,6 +537,13 @@ class TestConfigAndOutput:
             (["edgeworth", "--n", "64", "--K", "17", "--grid", "0:0:1"],
              {"dist": {"dist": "custom", "moments": [1, 0, 1] + ["99999999999999999999"] * 67}},
              "beyond float range"),
+            # --param beside a dist object: it was ignored, and the object's own parameter ran
+            (["cumulants", "--param", "5"], {"dist": {"dist": "poisson", "lambda": "2"}},
+             "param is not meaningful beside a dist object"),
+            (["moments", "--n", "4"], {"dist": {"dist": "poisson", "lambda": "2"}, "param": "5"},
+             "param is not meaningful beside a dist object"),
+            (["edgeworth", "--n", "4", "--param", "5"], {"dist": {"dist": "rademacher"}},
+             "param is not meaningful beside a dist object"),
         ],
     )
     def test_bad_input_is_one_line_exit_2(self, tmp_path, capsys, argv, config, message):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +20,7 @@ from pstirling.randomvars import (
     custom,
     exponential,
     gamma_shape,
+    moments_of,
     normal,
     point_mass,
     poisson,
@@ -26,7 +28,14 @@ from pstirling.randomvars import (
     uniform_std,
 )
 
-from oracles import PiecewisePoly, enum_sum_moment, RADEMACHER_SUPPORT
+from oracles import (
+    PiecewisePoly,
+    RADEMACHER_SUPPORT,
+    enum_sum_moment,
+    reference_mc_empirical_cdf,
+    reference_mc_sum_moment,
+)
+from test_randomvars import SAMPLED_SPECS
 
 
 class TestIrwinHall:
@@ -251,6 +260,41 @@ def test_golden_estimates(monkeypatch, spec, value, stderr, cdf):
     emp = mc_empirical_cdf(spec, 2, GOLDEN_GRID, 20, seed=5)
     assert [y for y, _ in emp.points] == GOLDEN_GRID
     assert [f.hex() for _, f in emp.points] == cdf
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("spec", SAMPLED_SPECS, ids=lambda s: f"{s.kind}({s.param})")
+def test_estimators_equal_the_per_sample_reference(monkeypatch, spec, n):
+    # 20 samples in streams of 7, 7 and 6; both sides read the running Python's sum()
+    monkeypatch.setattr(oracle, "_CHUNK", 7)
+    for j in (0, 3):
+        est = mc_sum_moment(spec, n, j, 20, seed=5)
+        mean, stderr = reference_mc_sum_moment(spec, n, j, 20, seed=5, chunk=7)
+        assert (est.value.hex(), est.stderr.hex()) == (mean.hex(), stderr.hex())
+    grid = [0.5, -1.0, 0.0, -0.0, 0.5, 1.25, -3.0, 0.0, 3.0]
+    mu2 = float(moments_of(spec, 2)[2].as_fraction())
+    emp = mc_empirical_cdf(spec, n, grid, 20, seed=5)
+    ref = reference_mc_empirical_cdf(spec, n, grid, 20, seed=5, chunk=7, mu2=mu2)
+    assert [(y.hex(), f.hex()) for y, f in emp.points] == [(y.hex(), f.hex()) for y, f in ref]
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda: mc_sum_moment(uniform_std(), 4, 2, 250_000, 1),
+        lambda: mc_empirical_cdf(uniform_std(), 4, [0.0, 1.0], 250_000, 1),
+    ],
+    ids=["mc_sum_moment", "mc_empirical_cdf"],
+)
+def test_estimators_keep_no_per_sample_list(estimate):
+    # a list of a stream's 100,000 samples would take about 3 MB
+    tracemalloc.start()
+    try:
+        estimate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 class TestValidationSuite:

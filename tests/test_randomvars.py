@@ -32,7 +32,14 @@ from pstirling.randomvars import (
 )
 from pstirling.stirling import classical_s2
 
-from oracles import beta_moment_integral, normal_even_moment, shift_moments, touchard_moments
+from oracles import (
+    REFERENCE_SAMPLERS,
+    beta_moment_integral,
+    normal_even_moment,
+    reference_sample_sums,
+    shift_moments,
+    touchard_moments,
+)
 from test_properties import unrelated_sequence
 
 CATALOG = [
@@ -415,6 +422,9 @@ GOLDEN_DRAWS = [
                  "-0x1.da01bf3a91727p+0", "0x1.1ae4ce9c5e528p-3", "-0x1.517104003f717p-1"]),
 ]
 
+# every samplable kind, and gamma with a whole shape, a fractional one and both
+SAMPLED_SPECS = [spec for spec, _ in GOLDEN_DRAWS] + [gamma_shape(2), gamma_shape(F(1, 2))]
+
 
 class TestSamplers:
     def test_point_mass_deterministic(self):
@@ -483,6 +493,20 @@ class TestSamplers:
         assert next(sums) == next(sample_sums(uniform_std(), 2, 1, twin))
         # the first sum has taken two draws, not the 2000 of the whole batch
         assert rng.random() == twin.random()
+
+    def test_the_reference_samples_every_samplable_kind(self):
+        samplable = {row[0].kind for row in KIND_RECORDS if row[4]}
+        assert {spec.kind for spec in SAMPLED_SPECS} == set(REFERENCE_SAMPLERS) == samplable
+
+    @pytest.mark.parametrize("count", [0, 1, 7, 20])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("spec", SAMPLED_SPECS, ids=lambda s: f"{s.kind}({s.param})")
+    def test_sample_sums_equal_the_per_draw_reference(self, spec, n, count):
+        # each sum is sum() of the same n draws, and the rng is left where one call per draw leaves it
+        rng, twin = random.Random(2020 + n), random.Random(2020 + n)
+        sums = [s.hex() for s in sample_sums(spec, n, count, rng)]
+        assert sums == [s.hex() for s in reference_sample_sums(spec, n, count, twin)]
+        assert rng.getstate() == twin.getstate()
 
     @pytest.mark.parametrize(
         "spec",
