@@ -135,7 +135,9 @@ def edgeworth_term(model: EdgeworthModel, k: int, n: int, y: float) -> float:
             raise DomainError(f"the Edgeworth term k = {k} at n = {n} has a coefficient beyond "
                               f"float range, at (j, m) = ({j}, {m})") from None
         total += c * hermite[j - 1]
-    return -normal_pdf(y) * float(n) ** (-k / 2.0) * total
+    # where g(y) underflows to 0.0 the term is 0.0, though a Hermite value may have overflowed
+    g = normal_pdf(y)
+    return -g * float(n) ** (-k / 2.0) * total if g else 0.0
 
 
 def edgeworth_cdf(model: EdgeworthModel, n: int, y: float) -> float:

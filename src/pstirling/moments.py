@@ -18,15 +18,12 @@ from operator import mul
 
 from .powerseries import QC, egf_combination, egf_lincomb, egf_log, egf_pow
 from .randomvars import CumulantSeq, MomentSeq, moments_of, normal, vanishing_order
-from .stirling import alternating, ladder, psn_egf_cached
+from .stirling import _in_range, alternating, ladder, psn_egf_cached
 
 
 def _tau(m: MomentSeq, j: int, r) -> int:
     """tau = floor(j/(r+1)) once j and r are checked; r None is the vanishing order."""
-    if j < 0:
-        raise ValueError("indices must be nonnegative")
-    if j > m.order:
-        raise ValueError("j exceeds the available moment order")
+    _in_range(m, j, 0)
     v = vanishing_order(m)
     if r is None:
         r = v
@@ -60,10 +57,9 @@ def sum_moments(m: MomentSeq, n: int) -> MomentSeq:
 
 def sum_moment_egf(m: MomentSeq, n: int, j: int) -> QC:
     """Oracle route: coefficient j of the n-th MGF power."""
-    if j < 0:
-        raise ValueError("indices must be nonnegative")
-    if j > m.order:
-        raise ValueError("j exceeds the available moment order")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    _in_range(m, j, 0)
     return egf_pow(m, n)[j]
 
 

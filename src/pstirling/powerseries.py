@@ -15,11 +15,10 @@ All binary operations require equal truncation orders.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import compress, count
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from numbers import Rational
-from operator import attrgetter, mul, or_
+from operator import add, attrgetter, mul, or_
 
 
 class SeriesMismatchError(ValueError):
@@ -388,10 +387,23 @@ def egf_lincomb(series, weights, den: int = 1) -> EGFSeries:
 # denominator that grows to the lcm of those built so far (``_append``).
 
 
-@lru_cache(maxsize=None)
-def _binomials(j: int) -> tuple:
-    """Row j of Pascal's triangle, built on first use."""
-    return tuple(comb(j, k) for k in range(j + 1))
+def triangle_rows(step):
+    """The row reader of an integer triangle: row 0 is (1,), row j + 1 is step(j, row j).
+
+    A read of row j grows the kept rows through j, so each row is built once.
+    """
+    rows = [(1,)]
+
+    def row(j: int) -> tuple:
+        while len(rows) <= j:
+            rows.append(step(len(rows) - 1, rows[-1]))
+        return rows[j]
+
+    return row
+
+
+# C(j, k), k = 0..j, by Pascal's rule
+_binomials = triangle_rows(lambda j, row: (1, *map(add, row, row[1:]), 1))
 
 
 def _valuation(a: EGFSeries) -> int:

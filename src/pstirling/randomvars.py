@@ -324,20 +324,21 @@ def _poisson_draws(spec: DistSpec, random: _Draw, size: int) -> Iterator[float]:
 
 
 def _gamma_draws(spec: DistSpec, random: _Draw, size: int) -> Iterator[float]:
-    whole = int(spec.param)
+    whole, log = int(spec.param), math.log
     frac = float(spec.param - whole)
+    # Johnk rejection for the fractional shape in (0,1), by its two exponents
+    ex, ey = (1.0 / frac, 1.0 / (1.0 - frac)) if frac > 0.0 else (None, None)
     for _ in repeat(None, size):
         total = 0.0
         for _ in range(whole):
-            total += -math.log(1.0 - random())
+            total += -log(1.0 - random())
         if frac > 0.0:
-            # Johnk rejection for the fractional shape in (0,1).
             while True:
-                x = random() ** (1.0 / frac)
-                y = random() ** (1.0 / (1.0 - frac))
+                x = random() ** ex
+                y = random() ** ey
                 if x + y <= 1.0:
                     break
-            total += -math.log(1.0 - random()) * x / (x + y)
+            total += -log(1.0 - random()) * x / (x + y)
         yield total
 
 

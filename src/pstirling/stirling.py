@@ -39,7 +39,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .powerseries import QC, EGFSeries, egf_lincomb, egf_mul, egf_one
-from .powerseries import egf_pow, qc_from_numerators
+from .powerseries import egf_pow, qc_from_numerators, triangle_rows
 from .randomvars import (
     DistSpec,
     MomentSeq,
@@ -74,13 +74,10 @@ def classical_s2(j: int, m: int) -> int:
     return q
 
 
-@lru_cache(maxsize=None)
-def _falling_factorial_coeffs(l: int) -> tuple:
-    # coefficients of x(x-1)...(x-l+1) in ascending powers of x, one factor x - t at a time
-    coeffs = (1,)
-    for t in range(l):
-        coeffs = tuple(a - t * b for a, b in zip((0,) + coeffs, coeffs + (0,)))
-    return coeffs
+# s(l, 0..l), the coefficients of (x)_l = x(x-1)...(x-l+1): s(l+1,i) = s(l,i-1) - l s(l,i)
+_s1_row = triangle_rows(lambda l, row: tuple(a - l * b for a, b in zip((0, *row), (*row, 0))))
+# S(j, 0..j): S(j+1,l) = l S(j,l) + S(j,l-1)
+_s2_row = triangle_rows(lambda j, row: (0, *(l * row[l] + row[l - 1] for l in range(1, j + 1)), 1))
 
 
 def classical_s1_signed(l: int, i: int) -> int:
@@ -89,7 +86,7 @@ def classical_s1_signed(l: int, i: int) -> int:
         raise ValueError("indices must be nonnegative")
     if i > l:
         return 0
-    return _falling_factorial_coeffs(l)[i]
+    return _s1_row(l)[i]
 
 
 class StirlingTable(NamedTuple):
@@ -228,7 +225,7 @@ def factorial_moments(m: MomentSeq) -> MomentSeq:
     """Factorial moments E (Y)_l = sum_i s(l,i) mu_i, l = 0..J, on m's numerators: F(u) = E (1+u)^Y."""
 
     def combine(nums):
-        return [sum(map(mul, _falling_factorial_coeffs(l), nums)) for l in range(len(nums))]
+        return [sum(map(mul, _s1_row(l), nums)) for l in range(len(nums))]
 
     return MomentSeq.from_numerators(m.den, combine(m.re), m.im and combine(m.im))
 
@@ -237,17 +234,6 @@ def factorial_moments(m: MomentSeq) -> MomentSeq:
 def factorial_ladder(m: MomentSeq) -> Ladder:
     """The ladder of F = ``factorial_moments(m)``, rung k holding E (S_k)_l, built from m alone."""
     return Ladder(factorial_moments(m))
-
-
-_S2_ROWS = [(1,)]  # rows 0, 1, ... of S(j, l), grown on demand and kept
-
-
-def _s2_row(j: int) -> tuple:
-    """S(j, 0), ..., S(j, j), grown row by row by S(j,l) = l S(j-1,l) + S(j-1,l-1)."""
-    while len(_S2_ROWS) <= j:
-        prev = _S2_ROWS[-1]
-        _S2_ROWS.append((0, *(l * prev[l] + prev[l - 1] for l in range(1, len(prev))), 1))
-    return _S2_ROWS[j]
 
 
 def psn_via_classical(m: MomentSeq, j: int, m_idx: int) -> QC:

@@ -335,6 +335,16 @@ class TestEdgeworthCommand:
             parts = line.split(",")
             assert float(parts[4]) < 1e-3
 
+    @pytest.mark.parametrize("y", ["1000000000", "-1000000000"])
+    def test_far_tail_prints_the_normal_cdf(self, capsys, y):
+        # each row printed nan in the expansion and error columns
+        code, out, err = run_cli(
+            capsys, "edgeworth", "--dist", "uniformstd", "--n", "16", "--K", "30", f"--grid={y}:{y}:1"
+        )
+        g = "1.0" if y[0] != "-" else "0.0"
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == f"{float(y)},{g},{g},{g},0.0"
+
     def test_lattice_warning_on_stderr(self, capsys):
         code, out, err = run_cli(
             capsys, "edgeworth", "--dist", "rademacher", "--n", "16", "--K", "2", "--grid=0:1:1"
@@ -544,6 +554,9 @@ class TestConfigAndOutput:
              "param is not meaningful beside a dist object"),
             (["edgeworth", "--n", "4", "--param", "5"], {"dist": {"dist": "rademacher"}},
              "param is not meaningful beside a dist object"),
+            # --param on a kind that takes none
+            (["stirling", "--dist", "rademacher", "--param", "2"], None,
+             "--param is not meaningful for 'rademacher'"),
         ],
     )
     def test_bad_input_is_one_line_exit_2(self, tmp_path, capsys, argv, config, message):

@@ -141,6 +141,25 @@ class TestModel:
             EdgeworthModel(r=4, hat_table=psn_egf(hat), K=2)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: hermite_eval(-1, 0.5), ValueError, "^degree must be nonnegative$"),
+        (lambda: delta_set(1, 4, 3), ValueError, "^matching order r must be at least 2$"),
+        (lambda: EdgeworthModel(1, edgeworth_model(uniform_std(), K=2).hat_table, 2), DomainError,
+         "^expansion needs matching order r >= 2$"),
+        (lambda: edgeworth_model(moments_of(uniform_std(), 6), 2, order=7), ValueError,
+         "^order conflicts with the supplied sequence$"),
+        (lambda: hat_even_moment(moments_of(uniform_std(), 4), 3), ValueError,
+         "^2s exceeds the available moment order$"),
+    ],
+    ids=["hermite-degree", "delta-r", "model-r", "model-order", "hat-even-2s"],
+)
+def test_refusal_names_its_fault(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestTerms:
     def test_leading_term_formula(self):
         # term at k = r-1 is -g(y) H_r(y) E hat^{r+1}/(r+1)! n^{-(r-1)/2}
@@ -185,8 +204,10 @@ class TestTerms:
         # 20-digit moments: term 16 still converts, term 17 holds a coefficient past 2^1024
         model = edgeworth_model(MomentSeq([1, 0, 1] + [10**20 - 1] * 67), K=17, order=69)
         assert math.isfinite(edgeworth_term(model, 16, 64, 0.0))
-        with pytest.raises(DomainError, match=r"k = 17 at n = 64 .* \(j, m\) = \(51, 17\)"):
-            edgeworth_term(model, 17, 64, 0.0)
+        # every coefficient is formed before the term reads g(y), so y = +-1e9, where g underflows, too
+        for y in (0.0, 1e9, -1e9):
+            with pytest.raises(DomainError, match=r"k = 17 at n = 64 .* \(j, m\) = \(51, 17\)"):
+                edgeworth_term(model, 17, 64, y)
         with pytest.raises(DomainError):
             edgeworth_cdf(model, 64, 0.0)
 
@@ -203,6 +224,15 @@ class TestCdf:
         expected = normal_cdf(1.0) - 2 * normal_pdf(1.0) / 320
         assert value == pytest.approx(expected, rel=1e-13)
         assert abs(value - uniform_fn_exact(16, 1.0)) < 1e-4
+
+    @pytest.mark.parametrize("y", [1e9, -1e9])
+    def test_far_tail_is_the_normal_cdf(self, y):
+        # g(y) is 0.0 there and H_89(y) overflows, to inf - inf = nan; 0 * inf made such rows nan
+        model = edgeworth_model(uniform_std(), K=30)
+        assert normal_pdf(y) == 0.0 and not math.isfinite(hermite_eval(89, y))
+        for k in range(model.r - 1, model.K + 1):
+            assert edgeworth_term(model, k, 16, y) == 0.0
+        assert edgeworth_cdf(model, 16, y) == normal_cdf(y) == (1.0 if y > 0 else 0.0)
 
     def test_symmetric_midpoint(self):
         model = edgeworth_model(uniform_std(), K=4, order=12)

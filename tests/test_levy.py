@@ -20,7 +20,7 @@ from pstirling.levy import (
 )
 from pstirling.cli import process_from_json
 from pstirling.moments import cumulants_oracle
-from pstirling.powerseries import EGFSeries
+from pstirling.powerseries import QC, EGFSeries
 from pstirling.randomvars import MomentSeq, moments_of, poisson
 
 from oracles import (
@@ -351,6 +351,19 @@ class TestValidationAndJson:
         ]:
             with pytest.raises(ValueError, match=message):
                 process_from_json(data, 1)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: LevySpec(0, 1, MomentSeq([1, QC(1, 1)])), "^U must be real-valued$"),
+            (lambda: SubordinatorSpec(-1, MomentSeq([1, 2])), "^tau2 must be nonnegative$"),
+            (lambda: SubordinatorSpec(1, MomentSeq([1, QC(2, 1)])), "^T\\* must be real-valued$"),
+        ],
+        ids=["complex-U", "negative-tau2", "complex-T*"],
+    )
+    def test_refusal_names_its_fault(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_gamma_builder_moments(self):
         sub = gamma_subordinator(5)

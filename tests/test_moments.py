@@ -99,6 +99,24 @@ class TestSumMoment:
             sum_moment_egf(m, 3, -1)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda m: sum_moment(m, -1, 2), "^n must be nonnegative$"),
+        (lambda m: sum_moment_egf(m, -1, 2), "^n must be nonnegative$"),
+        (lambda m: sum_moment_egf(m, 3, 5), "^j exceeds the available moment order$"),
+        (lambda m: even_moment_sequence(MomentSeq([1, QC(0, 1), 1]), 1, 3), "needs real moments"),
+        (lambda m: even_moment_sequence(m, 3, 5), "^2j exceeds the available moment order$"),
+    ],
+    ids=["sum-n", "egf-n", "egf-j", "even-complex", "even-2j"],
+)
+def test_refusal_names_its_fault(call, message):
+    # sum_moment_egf(m, -1, j) raised DomainError from inside egf_pow
+    with pytest.raises(ValueError, match=message) as raised:
+        call(moments_of(rademacher(), 4))
+    assert type(raised.value) is ValueError
+
+
 class TestRecursion:
     def test_rademacher_closed_form(self):
         m = moments_of(rademacher(), 8)

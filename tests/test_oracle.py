@@ -147,6 +147,22 @@ class TestMcSumMoment:
         est = mc_sum_moment(exponential(), 2, 300, 10, 1)
         assert (est.value.hex(), est.stderr.hex()) == ("0x1.4781e4a073a17p+495",) * 2
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: irwin_hall_cdf(0, F(1, 2)), "^n must be positive$"),
+            (lambda: mc_sum_moment(uniform_std(), 2, 2, 0, seed=1), "^need at least one sample$"),
+        ],
+        ids=["irwin-hall-n", "mc-no-samples"],
+    )
+    def test_refusal_names_its_fault(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_one_sample_has_stderr_zero(self):
+        est = mc_sum_moment(uniform_std(), 2, 2, 1, seed=1)
+        assert est.n_samples == 1 and est.stderr == 0.0 and est.value > 0.0
+
     def test_stderr_shrinks_with_n(self):
         # averaged over seeds, doubling the sample count cuts SE by ~sqrt(2)
         small = [mc_sum_moment(uniform_std(), 2, 2, 3_000, seed=s).stderr for s in range(10)]

@@ -6,7 +6,7 @@ from math import factorial, gcd
 
 import pytest
 
-from pstirling import powerseries
+from pstirling import powerseries, stirling
 from pstirling.powerseries import (
     DomainError,
     EGFSeries,
@@ -21,6 +21,7 @@ from pstirling.powerseries import (
     egf_one,
     egf_pow,
     qc_from_numerators,
+    triangle_rows,
 )
 from pstirling.randomvars import CumulantSeq, MomentSeq, custom, hat_transform
 from pstirling.randomvars import moments_of, normal, uniform_std
@@ -73,6 +74,23 @@ class TestQC:
         v = QC(1)
         with pytest.raises(AttributeError):
             v.re = F(2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: QC(1, 2).as_fraction(), DomainError, r"^QC\(1, 2\) has a nonzero imaginary part$"),
+        (lambda: QC(1) - 0.5, TypeError, "unsupported operand type"),
+        (lambda: QC(1) / 0.5, TypeError, "unsupported operand type"),
+        (lambda: EGFSeries([]), ValueError, "^series needs at least the order-0 coefficient$"),
+        (lambda: egf_pow(egf_one(3), -1), DomainError,
+         "^negative powers are not defined for truncated EGFs$"),
+    ],
+    ids=["complex-as-fraction", "minus-float", "over-float", "empty-series", "negative-power"],
+)
+def test_refusal_names_its_fault(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestReadOut:
@@ -460,6 +478,27 @@ class TestKeptRows:
             egf_pow(m, n)
         assert a._operand is None and m._operand is None
         assert all(b is not a and b is not m for b in builds)
+
+
+class TestTriangleRows:
+    def test_each_row_is_built_once_and_kept(self):
+        steps = []
+
+        def step(j, row):
+            steps.append(j)
+            return (*row, j + 1)
+
+        rows = triangle_rows(step)
+        assert rows(3) == (1, 1, 2, 3)
+        assert rows(0) == (1,) and rows(1) == (1, 1) and rows(3) is rows(3)
+        assert rows(5) == (1, 1, 2, 3, 4, 5)
+        assert steps == [0, 1, 2, 3, 4]
+
+    def test_the_package_triangles_are_its_row_readers(self):
+        # one helper's closure each: no lru_cache, and no second way to keep rows
+        row_reader = triangle_rows(None).__code__
+        for rows in (powerseries._binomials, stirling._s1_row, stirling._s2_row):
+            assert rows.__code__ is row_reader and not hasattr(rows, "cache_info")
 
 
 class TestKeptHash:

@@ -217,6 +217,24 @@ def test_kind_record(spec, key, lattice, symmetric, samplable, exact_abs):
     assert type(moments_of(spec, 2)) is MomentSeq  # every kind's record builds the sequence
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: moments_of(rademacher(), -1), ValueError, "^order must be nonnegative$"),
+        (lambda: beta_moments(-1, 3), ValueError, "^r must be nonnegative$"),
+        (lambda: tilde_transform(MomentSeq([1, 0])), DomainError, "^tilde transform needs order >= 2$"),
+        (lambda: tilde_transform(MomentSeq([1, 0, -1])), DomainError,
+         "^second moment must be nonnegative$"),
+        (lambda: standardize_moments(MomentSeq([1, QC(0, 1), 1])), DomainError,
+         "^standardization is defined for real moment sequences$"),
+    ],
+    ids=["moments-order", "beta-r", "tilde-order", "tilde-mu2", "standardize-complex"],
+)
+def test_refusal_names_its_fault(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestMomentSeq:
     """A MomentSeq is the EGFSeries of M(z), and a value of its own class."""
 

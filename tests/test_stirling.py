@@ -3,7 +3,7 @@ from math import comb, factorial
 
 import pytest
 
-from pstirling import stirling
+from pstirling import powerseries, stirling
 from pstirling.powerseries import QC, EGFSeries, egf_pow
 from pstirling.randomvars import (
     MomentSeq,
@@ -39,7 +39,13 @@ from pstirling.stirling import (
     weighted_sum_moment,
 )
 
-from oracles import RADEMACHER_SUPPORT, bell_numbers, enum_sum_moment, shift_moments
+from oracles import (
+    RADEMACHER_SUPPORT,
+    bell_numbers,
+    enum_sum_moment,
+    shift_moments,
+    stirling1_signed_triangle,
+)
 
 
 class TestClassical:
@@ -63,6 +69,14 @@ class TestClassical:
         for j in (60, 7, 0, 61, 1):
             assert stirling._s2_row(j) == tuple(classical_s2(j, m) for m in range(j + 1))
         assert stirling._s2_row(250)[249] == comb(250, 2)
+
+    def test_the_kept_triangles_equal_their_references_through_row_200(self):
+        # Pascal, first-kind and second-kind rows, each grown by its recurrence in one helper
+        s1 = stirling1_signed_triangle(200)
+        for j in range(201):
+            assert powerseries._binomials(j) == tuple(comb(j, k) for k in range(j + 1))
+            assert stirling._s1_row(j) == tuple(s1[j])
+            assert stirling._s2_row(j) == tuple(classical_s2(j, m) for m in range(j + 1))
 
     def test_row_sums_are_bell_numbers(self):
         bells = bell_numbers(8)
@@ -387,6 +401,34 @@ def test_weighted_sum_moment_refuses_negative_arguments():
             weighted_sum_moment(m, 1, m_idx, p)
     with pytest.raises(ValueError, match="r must be nonnegative"):
         weighted_sum_moment(m, -1, 2, 2)
+
+
+# a complex sequence, and a real one of order 4 that every route below reads past
+_COMPLEX, _M4 = MomentSeq([1, QC(0, 1), 1]), MomentSeq([1, 0, 1, 0, 3])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: classical_s2(-1, 0), "indices must be nonnegative"),
+        (lambda: classical_s2(2, -1), "indices must be nonnegative"),
+        (lambda: classical_s1_signed(-1, 0), "indices must be nonnegative"),
+        (lambda: classical_s1_signed(2, -1), "indices must be nonnegative"),
+        (lambda: psn_egf(_M4).entry(-1, 0), "indices must be nonnegative"),
+        (lambda: psn_egf(_M4).entry(2, -1), "indices must be nonnegative"),
+        (lambda: psn_direct(_M4, 5, 1), "^j exceeds the available moment order$"),
+        (lambda: psn_via_classical(_M4, 5, 1), "^j exceeds the available moment order$"),
+        (lambda: weighted_sum_moment(_M4, 1, 2, 5), "^p exceeds the available moment order$"),
+        # m = 1, r = 1: p = 3 reads mu_{p+2} = mu_5
+        (lambda: psn_gr_rep(_M4, 1, 5, 1), "^j exceeds the available moment order for this route$"),
+        (lambda: bound_check_from_moments(_COMPLEX, _M4, 2, 1), "applies to real-valued distributions"),
+    ],
+    ids=["s2-j", "s2-m", "s1-l", "s1-i", "entry-j", "entry-m", "direct-j", "via-classical-j",
+         "weighted-p", "gr-rep-j", "bound-complex"],
+)
+def test_refusal_names_its_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestWeightedSumMoment:
