@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import functools
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -127,6 +128,10 @@ _KEYS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")  # every flag takes a value: -3/2 is one
+
     def error(self, message):
         # one line and exit 2, as every other bad input
         self.exit(2, f"pstirling: error: {message}\n")
@@ -412,16 +417,11 @@ def _cmd_edgeworth(config) -> int:
                 f"the exact Irwin-Hall column of {len(grid)} grid points at n = {n} would take "
                 f"about {seconds} s, more than {MAX_IRWIN_HALL_S} s"
             )
-    model = edgeworth_model(spec, config["K"], order=config["jmax"])
-    if model.lattice:
-        print(
-            "warning: lattice distribution; the expansion's integrability "
-            "hypothesis cannot hold",
-            file=sys.stderr,
-        )
+    model = edgeworth_model(spec, config["K"])
     rows = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the CLI already printed its own notice
+    # the library's warnings, one per call site as Python shows them, printed after the rows
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
         for y in grid:
             yf = float(y)
             g = normal_cdf(yf)
@@ -433,6 +433,7 @@ def _cmd_edgeworth(config) -> int:
                 rows.append((yf, repr(g), repr(approx)))
     header = ("y", "G", "F_exact", "edgeworth", "abs_err") if with_oracle else ("y", "G", "edgeworth")
     _emit(header, rows, config)
+    sys.stderr.writelines(f"warning: {w.message}\n" for w in caught)
     return 0
 
 
@@ -458,7 +459,7 @@ _COMMANDS = {
              {"dist": None, "process": None, "jmax": 8, "mode": "exact", "out": None, "format": "csv",
               "t": 1}, _cmd_levy),
     "edgeworth": ("emit an Edgeworth CDF curve on a grid",
-                  {"dist": None, "param": None, "jmax": None, "out": None, "format": "csv",
+                  {"dist": None, "param": None, "out": None, "format": "csv",
                    "n": _REQUIRED, "K": 2, "grid": "-3:3:1/2"}, _cmd_edgeworth),
     "validate": ("run the validation suite and emit JSON reports",
                  {"seed": 7, "out": None, "suite": "all", "mc_samples": 10**6}, _cmd_validate),

@@ -84,23 +84,25 @@ class EdgeworthModel(Record):
             raise DomainError(f"truncation K={self.K} needs moment order >= {2 * max_m + self.K}")
 
 
-def edgeworth_model(source, K: int, order: int | None = None) -> EdgeworthModel:
+def edgeworth_model(source, K: int) -> EdgeworthModel:
     """Build the expansion model from a spec or a standardized moment sequence.
 
     The source must have mean 0 and variance 1; the matching order is
-    read off the hat-transformed sequence.  ``order`` controls how many
-    moments are consumed (default 3K, always enough for K terms).
+    read off the hat-transformed sequence.  K terms read the moments
+    through order 3K: a spec gives its first max(3K, 4), or all that a
+    custom list carries when that is fewer, and a sequence gives its own.
     """
     if K < 0:
         raise ValueError(f"K must be at least 0, not {K}")
     lattice = False
     if isinstance(source, DistSpec):
-        mom = moments_of(source, order if order is not None else max(3 * K, 4))
+        order = max(3 * K, 4)
+        if source.custom_moments is not None:
+            order = min(order, source.custom_moments.order)
+        mom = moments_of(source, order)
         lattice = source.lattice
     else:
         mom = source
-        if order is not None and order != mom.order:
-            raise ValueError("order conflicts with the supplied sequence")
     if mom.order < 2:
         raise DomainError(f"expansion needs moment order >= 2, not {mom.order}")
     if mom[1] != 0 or mom[2] != 1:

@@ -56,9 +56,9 @@ def irwin_hall_cdf(n: int, x):
     return Fraction(total, q**n * factorial(n))
 
 
-def _sqrt_fraction(m: int, digits: int = _SQRT3N_DIGITS) -> Fraction:
-    # rational sqrt(m) accurate to ~10^-digits
-    scale = 10**digits
+def _sqrt_fraction(m: int) -> Fraction:
+    # rational sqrt(m) accurate to ~10^-_SQRT3N_DIGITS
+    scale = 10**_SQRT3N_DIGITS
     return Fraction(math.isqrt(m * scale * scale), scale)
 
 

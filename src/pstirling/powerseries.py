@@ -63,9 +63,6 @@ class Record:
         for name, value in zip(self._names, values, strict=True):
             object.__setattr__(self, name, value)
 
-    def _fields(self) -> tuple:
-        return self._getter(self)
-
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 from math import comb, lcm
 from itertools import accumulate, count, islice, repeat
@@ -314,6 +315,12 @@ def _bernoulli_draws(spec: DistSpec, random: _Draw, size: int) -> Iterator[float
 
 def _poisson_draws(spec: DistSpec, random: _Draw, size: int) -> Iterator[float]:
     limit = math.exp(-float(spec.param))
+    if limit < sys.float_info.min:  # a subnormal limit would stop every product near 745 factors
+        raise UnsupportedSpecError(f"poisson rate {spec.param} cannot be sampled: exp(-lambda) underflows")
+    return _product_counts(limit, random, size)
+
+
+def _product_counts(limit: float, random: _Draw, size: int) -> Iterator[float]:
     for _ in repeat(None, size):
         k = 0.0  # counted in floats, exact below 2**53, so no draw needs float(k)
         p = random()

@@ -143,6 +143,37 @@ class TestMomentsCommand:
         assert "2,2,3/2" in out  # E S_2^2 = 2 p + 2 p^2 = 3/2
 
 
+class TestNegativeValues:
+    """A value after a space that starts with a minus and a digit is the flag's value."""
+
+    def test_a_negative_rational_param(self, capsys):
+        # argparse took -3/2 for a flag: "argument --param: expected one argument"
+        code, out, err = run_cli(
+            capsys, "stirling", "--dist", "pointmass", "--param", "-3/2", "--jmax", "1"
+        )
+        assert (code, err) == (0, "") and out.splitlines()[-1] == "1,1,-3/2,0"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stirling", "--dist", "pointmass", "--param", "-.5", "--jmax", "3"],
+            ["moments", "--dist", "pointmass", "--param", "-7", "--n", "3", "--jmax", "4"],
+            ["edgeworth", "--dist", "uniformstd", "--n", "4", "--grid", "-1:1:1"],
+            ["edgeworth", "--dist", "uniformstd", "--n", "4", "--grid", "-.5:1/2:1/4"],
+        ],
+    )
+    def test_a_space_reads_as_the_equals_sign(self, capsys, argv):
+        joined = []
+        for token in argv:
+            if token[0] == "-" and token[1:2] != "-":
+                joined[-1] += "=" + token
+            else:
+                joined.append(token)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and out
+        assert run_cli(capsys, *joined) == (code, out, err)
+
+
 class TestCumulantsCommand:
     def test_poisson(self, capsys):
         code, out, _ = run_cli(capsys, "cumulants", "--dist", "poisson", "--param", "1", "--jmax", "5")
@@ -375,14 +406,45 @@ class TestEdgeworthCommand:
             f"would take about {seconds} s, more than {MAX_IRWIN_HALL_S} s\n"
         )
 
-    @pytest.mark.parametrize("jmax", [0, 1])
-    def test_too_few_moments_is_named_as_such(self, capsys, jmax):
-        # uniformstd is standardized: the fault is the moment order, not the source
-        code, out, err = run_cli(
-            capsys, "edgeworth", "--dist", "uniformstd", "--n", "4", "--jmax", str(jmax)
-        )
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_too_few_moments_is_named_as_such(self, tmp_path, capsys, order):
+        # a custom list of order + 1 moments: the fault is the moment order, not the source
+        config = tmp_path / "short.json"
+        config.write_text(json.dumps({"dist": {"dist": "custom", "moments": ["1", "0"][: order + 1]}}))
+        code, out, err = run_cli(capsys, "edgeworth", "--config", str(config), "--n", "4")
         assert code == 2 and out == ""
-        assert err == f"pstirling: error: expansion needs moment order >= 2, not {jmax}\n"
+        assert err == f"pstirling: error: expansion needs moment order >= 2, not {order}\n"
+
+    def test_a_short_custom_list_runs_on_the_moments_it_carries(self, tmp_path, capsys):
+        # K = 2 reads moments through order 6; these five carry order 4, all that K = 2 needs
+        # here, and print what an explicit --jmax 4 printed when the command took one
+        config = tmp_path / "short.json"
+        config.write_text(json.dumps({"dist": {"dist": "custom", "moments": ["1", "0", "1", "0", "2"]}}))
+        assert run_cli(capsys, "edgeworth", "--config", str(config), "--n", "4", "--K", "2",
+                       "--grid=-1:1:1") == (0, (
+            "y,G,edgeworth\n"
+            "-1.0,0.15865525393145707,0.16369631069227256\n"
+            "0.0,0.5,0.5\n"
+            "1.0,0.8413447460685429,0.8363036893077275\n"
+        ), "")
+
+    def test_lattice_warning_is_the_librarys_printed_once(self, capsys):
+        with pytest.warns(edgeworth.LatticeWarning) as caught:
+            edgeworth.edgeworth_cdf(edgeworth.edgeworth_model(randomvars.rademacher(), K=2), 16, 1.0)
+        code, out, err = run_cli(
+            capsys, "edgeworth", "--dist", "rademacher", "--n", "16", "--grid=-2:2:1/4"
+        )
+        assert code == 0 and len(out.splitlines()) == 1 + 17
+        assert err == f"warning: {caught[0].message}\n"
+
+    def test_a_lattice_run_that_fails_prints_only_its_error(self, tmp_path, capsys):
+        # the notice came first, then the error: two stderr lines with exit 2
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(
+            capsys, "edgeworth", "--dist", "rademacher", "--n", "4", "--out", str(target)
+        )
+        assert code == 2 and out == "" and not target.exists()
+        assert len(err.splitlines()) == 1 and err.startswith("pstirling: error: ")
 
     @pytest.mark.parametrize(
         "n, grid, points",
@@ -554,6 +616,15 @@ class TestConfigAndOutput:
              "param is not meaningful beside a dist object"),
             (["edgeworth", "--n", "4", "--param", "5"], {"dist": {"dist": "rademacher"}},
              "param is not meaningful beside a dist object"),
+            # edgeworth reads the moments its K needs: jmax is no key of it, as a flag or in a config
+            (["edgeworth", "--dist", "uniformstd", "--n", "16", "--jmax", "6"], None,
+             "edgeworth does not take --jmax"),
+            (["edgeworth", "--dist", "uniformstd", "--n", "16"], {"jmax": 6},
+             "edgeworth does not take the config key 'jmax'"),
+            # a negative value after a space reaches its own check, as --t=-1/2 does
+            (["levy", "--dist", "gamma", "--t", "-1/2"], None, "t must be positive"),
+            (["stirling", "--dist", "normal", "--param", "-1/2"], None,
+             "normal variance must be nonnegative"),
             # --param on a kind that takes none
             (["stirling", "--dist", "rademacher", "--param", "2"], None,
              "--param is not meaningful for 'rademacher'"),
@@ -800,7 +871,7 @@ class TestImportBoundary:
             ("moments", "dist param jmax mode out format n"),
             ("cumulants", "dist param jmax mode out format"),
             ("levy", "dist jmax mode out format t"),
-            ("edgeworth", "dist param jmax out format n K grid"),
+            ("edgeworth", "dist param out format n K grid"),
             ("validate", "seed out suite mc-samples"),
         ],
     )

@@ -19,6 +19,7 @@ from pstirling.oracle import uniform_fn_exact
 from pstirling.powerseries import DomainError
 from pstirling.randomvars import (
     MomentSeq,
+    custom,
     exponential,
     hat_transform,
     moments_of,
@@ -124,8 +125,20 @@ class TestModel:
             edgeworth_model(exponential(), K=2)
 
     def test_rejects_insufficient_order(self):
-        with pytest.raises(DomainError):
-            edgeworth_model(uniform_std(), K=4, order=6)
+        with pytest.raises(DomainError, match="^truncation K=4 needs moment order >= 8$"):
+            edgeworth_model(moments_of(uniform_std(), 6), K=4)
+
+    @pytest.mark.parametrize("K, order", [(0, 4), (1, 4), (2, 6), (5, 15)])
+    def test_a_spec_gives_the_moments_k_terms_read(self, K, order):
+        # K terms read the hat moments through order 3K, and never fewer than 4 are taken
+        assert edgeworth_model(uniform_std(), K=K).hat_table.order == order
+
+    @pytest.mark.parametrize("carried, K, order", [(4, 2, 4), (7, 2, 6), (12, 5, 12)])
+    def test_a_custom_list_gives_at_most_what_it_carries(self, carried, K, order):
+        spec = custom(moments_of(uniform_std(), carried).coeffs)
+        model = edgeworth_model(spec, K=K)
+        assert model.hat_table.order == order
+        assert model == edgeworth_model(moments_of(uniform_std(), order), K=K)
 
     def test_rejects_negative_truncation(self):
         with pytest.raises(ValueError, match="K must be at least 0"):
@@ -148,12 +161,13 @@ class TestModel:
         (lambda: delta_set(1, 4, 3), ValueError, "^matching order r must be at least 2$"),
         (lambda: EdgeworthModel(1, edgeworth_model(uniform_std(), K=2).hat_table, 2), DomainError,
          "^expansion needs matching order r >= 2$"),
-        (lambda: edgeworth_model(moments_of(uniform_std(), 6), 2, order=7), ValueError,
-         "^order conflicts with the supplied sequence$"),
+        # a custom list gives the moments it carries, however many K terms read
+        (lambda: edgeworth_model(custom([1, 0]), K=2), DomainError,
+         "^expansion needs moment order >= 2, not 1$"),
         (lambda: hat_even_moment(moments_of(uniform_std(), 4), 3), ValueError,
          "^2s exceeds the available moment order$"),
     ],
-    ids=["hermite-degree", "delta-r", "model-r", "model-order", "hat-even-2s"],
+    ids=["hermite-degree", "delta-r", "model-r", "model-short-list", "hat-even-2s"],
 )
 def test_refusal_names_its_fault(call, error, message):
     with pytest.raises(error, match=message):
@@ -189,7 +203,7 @@ class TestTerms:
         )
 
     def test_uniform_k3_vanishes(self):
-        model = edgeworth_model(uniform_std(), K=3, order=10)
+        model = edgeworth_model(moments_of(uniform_std(), 10), K=3)
         for y in (-1.0, 0.5, 2.0):
             assert edgeworth_term(model, 3, 16, y) == 0.0
 
@@ -202,7 +216,7 @@ class TestTerms:
 
     def test_coefficient_beyond_float_range_is_a_domain_error(self):
         # 20-digit moments: term 16 still converts, term 17 holds a coefficient past 2^1024
-        model = edgeworth_model(MomentSeq([1, 0, 1] + [10**20 - 1] * 67), K=17, order=69)
+        model = edgeworth_model(MomentSeq([1, 0, 1] + [10**20 - 1] * 67), K=17)
         assert math.isfinite(edgeworth_term(model, 16, 64, 0.0))
         # every coefficient is formed before the term reads g(y), so y = +-1e9, where g underflows, too
         for y in (0.0, 1e9, -1e9):
@@ -235,7 +249,7 @@ class TestCdf:
         assert edgeworth_cdf(model, 16, y) == normal_cdf(y) == (1.0 if y > 0 else 0.0)
 
     def test_symmetric_midpoint(self):
-        model = edgeworth_model(uniform_std(), K=4, order=12)
+        model = edgeworth_model(moments_of(uniform_std(), 12), K=4)
         assert edgeworth_cdf(model, 8, 0.0) == 0.5
         assert uniform_fn_exact(8, 0.0) == 0.5
 

@@ -126,6 +126,11 @@ class TestMcSumMoment:
         with pytest.raises(UnsupportedSpecError):
             mc_sum_moment(custom([1, 0, 1]), 2, 2, 10_000, seed=0)
 
+    def test_poisson_rate_past_the_float_range_rejected(self):
+        # it reported 746.89 +- 0.62 for a mean of 800
+        with pytest.raises(UnsupportedSpecError, match="poisson rate 800"):
+            mc_sum_moment(poisson(800), 1, 1, 2000, seed=3)
+
     @pytest.mark.parametrize("spec", [rademacher(), exponential()], ids=["rademacher", "exponential"])
     def test_negative_j_is_refused_before_sampling(self, spec, monkeypatch):
         # rademacher raised ZeroDivisionError; exponential estimated E S^-1 as 1.48

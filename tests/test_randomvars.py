@@ -281,7 +281,7 @@ class TestMomentSeq:
         for spec in CATALOG:
             m = moments_of(spec, 6)
             series = EGFSeries(m.coeffs)
-            assert isinstance(m, EGFSeries) and m._fields() == series._fields()
+            assert isinstance(m, EGFSeries) and (m.den, m.re, m.im) == (series.den, series.re, series.im)
             assert m != series and series != m
 
 
@@ -504,6 +504,18 @@ class TestSamplers:
             sample_sums(custom([1, 0, 1]), 2, 5, random.Random(0))
         with pytest.raises(ValueError, match="n must be positive"):
             sample_sums(rademacher(), 0, 5, random.Random(0))
+
+    @pytest.mark.parametrize("lam", [709, 800, 2000, F(10**20 - 1, 7)])
+    def test_a_poisson_rate_past_the_float_range_is_refused_on_call(self, lam):
+        # exp(-lambda) is subnormal or 0.0 there, so every product stopped near 745 factors:
+        # poisson(800) drew a mean of 746.9, and poisson(2000) the same stream
+        with pytest.raises(UnsupportedSpecError, match=f"^poisson rate {lam} cannot be sampled"):
+            sample_sums(poisson(lam), 1, 2000, random.Random(3))
+        assert moments_of(poisson(lam), 2)[1] == lam  # exact moments take any rate
+
+    def test_a_poisson_rate_within_the_float_range_samples(self):
+        draws = list(sample_sums(poisson(708), 1, 400, random.Random(3)))
+        assert abs(sum(draws) / 400 - 708) <= 6 * math.sqrt(708 / 400)
 
     def test_sample_sums_draw_on_demand(self):
         rng, twin = random.Random(4), random.Random(4)
