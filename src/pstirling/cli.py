@@ -1,21 +1,19 @@
 """Command-line front end: tables, sweeps, process moments, expansions, validation.
 
 One binary with subcommands, each taking only the keys it reads, as flags
-or JSON config keys; explicit flags win.  This module is the one reader of
-outside input: every flag, config key and distribution or process spec is
-parsed and bounded here, and the library takes typed values only.
-Exact-mode output prints rationals as p/q strings, byte-identical across
-runs; float mode prints shortest-roundtrip floats.  Exit codes: 0 success,
-1 validation failure, 2 argument errors.
+(--key=value or --key value, the last repeat winning) or JSON config keys;
+explicit flags win.  This module is the one reader of outside input:
+every flag, config key and distribution or process spec is parsed and
+bounded here, and the library takes typed values only.  Exact-mode output
+prints rationals as p/q strings, byte-identical across runs; float mode
+prints shortest-roundtrip floats.  Exit codes: 0 success, 1 validation
+failure, 2 argument errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
 import math
-import re
 import sys
 from fractions import Fraction
 
@@ -105,9 +103,10 @@ def _string(value, key: str) -> str:
 
 # One row per key: its flag's help (None: config only) and its check, which
 # returns the value the command reads or raises ValueError naming the key
-# (None: the command's spec reader reads it).  A command has the keys its
-# row in _COMMANDS names.
+# (None: the command's spec reader reads it).  A command has --config and
+# the keys its row in _COMMANDS names.
 _KEYS = {
+    "config": ("JSON config file; flags override its values", None),  # read by _load_config
     "dist": ("catalog distribution or named process", None),
     "param": ("distribution parameter as a rational p/q", None),
     "process": (None, None),
@@ -127,57 +126,60 @@ _KEYS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")  # every flag takes a value: -3/2 is one
-
-    def error(self, message):
-        # one line and exit 2, as every other bad input
-        self.exit(2, f"pstirling: error: {message}\n")
+def _flags(command) -> dict:
+    """{flag: key} of the command: --config and each of its keys that has a flag."""
+    keys = ("config", *_COMMANDS[command][1])
+    return {"--" + key.replace("_", "-"): key for key in keys if _KEYS[key][0] is not None}
 
 
-@functools.cache
-def _build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of one command: every command's name and help, only its flags.
-
-    A call parses one command, so the other commands' flags are never
-    built; ``command`` None (no command named) gives names and help alone.
-    """
-    parser = _Parser(
-        prog="pstirling",
-        description="probabilistic Stirling numbers, exact sum moments, cumulants, "
-        "Levy/subordinator moments, and Edgeworth expansions",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, keys, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if name != command:
-            continue
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        for key in keys:
-            flag_help = _KEYS[key][0]
-            if flag_help is not None:
-                p.add_argument("--" + key.replace("_", "-"), dest=key, help=flag_help)
-    return parser
+def _read_argv(argv):
+    """(command, {key: value}) of argv, or (command or None, None) when it asks for help."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        return None, None
+    tokens, flags, values = iter(argv[1:]), _flags(_choice(*_COMMANDS)(command, "command")), {}
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return command, None
+        flag, equals, value = token.partition("=")
+        if flag not in flags:
+            raise ValueError(f"{command} does not take {token}")
+        value = value if equals else next(tokens, None)
+        if value is None:
+            raise ValueError(f"{command} {flag} needs a value")
+        values[flags[flag]] = value
+    return command, values
 
 
-def _load_config(args) -> dict:
+def _help(command) -> str:
+    """The help of one command, or of all (command None), from the rows of _COMMANDS and _KEYS."""
+    if command is None:
+        about = ("probabilistic Stirling numbers, exact sum moments, cumulants, "
+                 "Levy/subordinator moments, and Edgeworth expansions")
+        rows, title = [(name, row[0]) for name, row in _COMMANDS.items()], "commands:"
+    else:
+        about, rows, title = _COMMANDS[command][0], [("-h, --help", "show this help and exit")], "options:"
+        rows += [(f"{flag} {key.upper()}", _KEYS[key][0]) for flag, key in _flags(command).items()]
+    width = max(len(name) for name, _ in rows) + 2
+    head = [f"usage: pstirling {command or '<command>'} [-h] [flags]", "", about, "", title]
+    return "\n".join(head + [f"  {name:<{width}}{text}" for name, text in rows]) + "\n"
+
+
+def _load_config(command, flags) -> dict:
     """Each of the command's keys, from its flag, else the --config file, else its default; checked."""
     given = {}
-    if args.config:
+    if path := flags.pop("config", None):
         import json
 
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             try:
                 given = json.load(fh)
             except RecursionError:
-                raise ValueError(f"config {args.config} nests too deeply") from None
+                raise ValueError(f"config {path} nests too deeply") from None
         if not isinstance(given, dict):
             raise ValueError("config must be a JSON object")
-    defaults = _COMMANDS[args.subcommand][1]
-    _refuse_other_keys(given, defaults, f"{args.subcommand} does not take the config key")
-    flags = {key: value for key, value in vars(args).items() if key in defaults and value is not None}
+    defaults = _COMMANDS[command][1]
+    _refuse_other_keys(given, defaults, f"{command} does not take the config key")
     if "dist" in flags:
         # --dist and a config's process both name the levy process: the flag wins
         given.pop("process", None)
@@ -188,7 +190,7 @@ def _load_config(args) -> dict:
         if key in given:
             config[key] = check(given[key], key) if check else given[key]
         elif default is _REQUIRED:
-            raise ValueError(f"{args.subcommand} needs --{key}")
+            raise ValueError(f"{command} needs --{key}")
         else:
             config[key] = default
     return config
@@ -489,15 +491,12 @@ def _run_unlimited(command, config) -> int:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args, extra = _build_parser(command).parse_known_args(argv)
     try:
-        if extra:
-            raise ValueError(f"{args.subcommand} does not take {extra[0]}")
-        config = _load_config(args)
-        return _run_unlimited(_COMMANDS[args.subcommand][2], config)
+        command, flags = _read_argv(sys.argv[1:] if argv is None else argv)
+        if flags is None:
+            print(_help(command), end="")
+            return 0
+        return _run_unlimited(_COMMANDS[command][2], _load_config(command, flags))
     except (ValueError, OSError) as exc:
         print(f"pstirling: error: {exc}", file=sys.stderr)
         return 2

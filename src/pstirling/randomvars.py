@@ -314,7 +314,7 @@ def _bernoulli_draws(spec: DistSpec, random: _Draw, size: int) -> Iterator[float
 
 
 def _poisson_draws(spec: DistSpec, random: _Draw, size: int) -> Iterator[float]:
-    limit = math.exp(-float(spec.param))
+    limit = math.exp(-float(spec.param)) if spec.param < 709 else 0.0  # float() may overflow past 709
     if limit < sys.float_info.min:  # a subnormal limit would stop every product near 745 factors
         raise UnsupportedSpecError(f"poisson rate {spec.param} cannot be sampled: exp(-lambda) underflows")
     return _product_counts(limit, random, size)

@@ -19,7 +19,6 @@ from pstirling.cli import (
     MAX_MC_SAMPLES,
     MAX_MOMENTS_N,
     MAX_RATIONAL_DIGITS,
-    _build_parser,
     _emit,
     _parse_grid,
     dist_from_json,
@@ -147,7 +146,6 @@ class TestNegativeValues:
     """A value after a space that starts with a minus and a digit is the flag's value."""
 
     def test_a_negative_rational_param(self, capsys):
-        # argparse took -3/2 for a flag: "argument --param: expected one argument"
         code, out, err = run_cli(
             capsys, "stirling", "--dist", "pointmass", "--param", "-3/2", "--jmax", "1"
         )
@@ -648,25 +646,45 @@ class TestConfigAndOutput:
         assert _parse_grid("1:0:1") == []
         assert len(_parse_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
 
-    def test_bad_subcommand_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+    def test_bad_subcommand_exits_2(self, capsys):
+        assert run_cli(capsys, "frobnicate")[0] == 2
+
+    COMMANDS = "stirling, moments, cumulants, levy, edgeworth, validate"
 
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["frobnicate"], "invalid choice: 'frobnicate'"),
-            ([], "required: subcommand"),
+            (["frobnicate"], f"command must be one of {COMMANDS}, not 'frobnicate'"),
+            ([], f"command must be one of {COMMANDS}, not None"),
+            # a flag is named in full: each abbreviation ran as the flag it began
+            (["stirling", "--jm", "3"], "stirling does not take --jm"),
+            (["stirling", "--conf", "c.json"], "stirling does not take --conf"),
+            (["validate", "--mc", "10"], "validate does not take --mc"),
+            (["stirling", "--dist", "rademacher", "--jm=3"], "stirling does not take --jm=3"),
+            (["validate", "--mc_samples", "10"], "validate does not take --mc_samples"),
+            (["stirling", "--dist", "rademacher", "--jmax"], "stirling --jmax needs a value"),
+            (["levy", "--config"], "levy --config needs a value"),
+            (["stirling", "-x", "--dist", "rademacher"], "stirling does not take -x"),
         ],
     )
-    def test_parser_errors_are_one_line(self, capsys, argv, message):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        out, err = capsys.readouterr()
-        assert exc.value.code == 2 and out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("pstirling: error:") and message in err
+    def test_argv_errors_are_one_line(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"pstirling: error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, last",
+        [
+            (["stirling", "--dist", "rademacher", "--jmax", "2", "--jmax=4"],
+             ["stirling", "--dist", "rademacher", "--jmax", "4"]),
+            (["stirling", "--dist", "poisson", "--param", "2", "--dist=rademacher", "--param", "1",
+              "--dist", "bernoulli", "--jmax", "3"],
+             ["stirling", "--dist", "bernoulli", "--param", "1", "--jmax", "3"]),
+            (["moments", "--dist", "rademacher", "--n", "9", "--jmax", "3", "--n", "-0"],
+             ["moments", "--dist", "rademacher", "--n", "0", "--jmax", "3"]),
+        ],
+    )
+    def test_a_repeated_flag_keeps_its_last_value(self, capsys, argv, last):
+        result = run_cli(capsys, *argv)
+        assert result == run_cli(capsys, *last) and result[0] == 0 and result[1]
 
     # a flag value is checked once, with its config value: the same line, exit 2
     FLAG_VALUES = [
@@ -848,12 +866,36 @@ class TestImportBoundary:
         )
         assert _fresh_process(code) == "False\nTrue\n"
 
-    def test_top_level_help_lists_every_command(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["-h"])
-        out = capsys.readouterr().out
-        assert exc.value.code == 0
-        assert "{stirling,moments,cumulants,levy,edgeworth,validate}" in out
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stirling", "--dist", "uniformstd", "--jmax", "2"],
+            ["moments", "--dist", "rademacher", "--n", "3", "--jmax", "2"],
+            ["cumulants", "--dist", "poisson", "--param", "1", "--jmax", "2"],
+            ["levy", "--dist", "poisson", "--t", "1/2", "--jmax", "2"],
+            ["edgeworth", "--dist", "uniformstd", "--n", "4", "--grid=0:1:1/2"],
+            ["validate", "--suite", "exact"],
+            ["-h"],
+            ["validate", "--help"],
+            ["stirling", "--jm", "3"],
+        ],
+        ids=lambda argv: "-".join(argv[:2]),
+    )
+    def test_no_argument_parser_or_locale_is_loaded(self, argv):
+        # argv is read off the command tables: argparse, and the gettext and locale it loads, stay out
+        code = (
+            "import io, contextlib, sys\nfrom pstirling import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    print(cli.main({argv!r}), file=sys.__stdout__)\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+        )
+        assert _fresh_process(code).splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_top_level_help_lists_every_command(self, capsys, flag):
+        code, out, err = run_cli(capsys, flag)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: pstirling <command> [-h] [flags]\n")
         for name, help_text in [
             ("stirling", "emit the probabilistic Stirling triangle"),
             ("moments", "emit E S_n^j for j = 0..jmax"),
@@ -876,15 +918,16 @@ class TestImportBoundary:
         ],
     )
     def test_command_help_lists_its_own_flags(self, capsys, command, flags):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "-h"])
-        out = capsys.readouterr().out
-        assert exc.value.code == 0
+        code, out, err = run_cli(capsys, command, "-h")
+        assert (code, err) == (0, "") and out.startswith(f"usage: pstirling {command} [-h] [flags]\n")
         expected = {"--help", "--config", *("--" + flag for flag in flags.split())}
         assert set(re.findall(r"--[A-Za-z][\w-]*", out)) == expected
+        # --config's row comes from _KEYS as every flag's does; --help after other flags prints the same
+        assert re.search(r"^  --config CONFIG +JSON config file; flags override its values$", out, re.M)
+        assert run_cli(capsys, command, "--config", "none.json", "--help") == (0, out, "")
 
     def test_repeated_calls_in_one_process_are_byte_identical(self, capsys):
-        # each call parses with its command's cached parser, in any order
+        # each call reads its argv off the same tables, in any order
         argvs = [
             ["stirling", "--dist", "uniformstd", "--jmax", "4"],
             ["levy", "--dist", "gamma", "--t", "5", "--jmax", "4", "--format", "json"],
@@ -899,7 +942,7 @@ class TestImportBoundary:
         assert first == second and all(code == 0 and out for code, out, _ in first)
 
     def test_other_commands_flags_and_unknown_commands_exit_2(self, capsys):
-        # moments' parser is built and cached first; levy's still refuses --n
+        # moments reads --n first; levy still refuses it
         assert run_cli(capsys, "moments", "--dist", "rademacher", "--n", "2")[0] == 0
         for argv, message in [
             (["levy", "--dist", "gamma", "--n", "2"], "levy does not take --n"),
@@ -909,13 +952,9 @@ class TestImportBoundary:
             code, out, err = run_cli(capsys, *argv)
             assert (code, out, err) == (2, "", f"pstirling: error: {message}\n")
         for command in ("frobnicate", "--dist", "Stirling"):
-            with pytest.raises(SystemExit) as exc:
-                main([command, "--dist", "gamma"])
-            out, err = capsys.readouterr()
-            assert exc.value.code == 2 and out == ""
+            code, out, err = run_cli(capsys, command, "--dist", "gamma")
+            assert code == 2 and out == ""
             assert err.startswith("pstirling: error: ") and len(err.splitlines()) == 1
-        # one parser per command and one for no command named
-        assert _build_parser.cache_info().currsize <= 7
 
     def test_public_names_resolve(self):
         code = (

@@ -1,9 +1,9 @@
 """Seeded fuzz of the CLI contract: no traceback, exit 0 or 2 (1 only for validate).
 
 Each case is one ``cli.main`` call in process, with argv and, half the
-time, a JSON config of random values for every command.  Flags always
-carry values that argparse accepts, so every bad value reaches main's
-own checks: a bad rational or grid, a moment list that is too short for
+time, a JSON config of random values for every command.  Flags are
+always named in full and given a value, so every bad value reaches the
+key checks: a bad rational or grid, a moment list that is too short for
 K, an out-of-range count, an exact value beyond float range.  Moment
 lists hold at most 64 entries, so a large K or jmax on a custom sequence
 fails fast, and jmax stays low where a 20-digit table would be slow.

@@ -505,10 +505,11 @@ class TestSamplers:
         with pytest.raises(ValueError, match="n must be positive"):
             sample_sums(rademacher(), 0, 5, random.Random(0))
 
-    @pytest.mark.parametrize("lam", [709, 800, 2000, F(10**20 - 1, 7)])
+    @pytest.mark.parametrize("lam", [709, 800, 2000, F(10**20 - 1, 7), 10**400])
     def test_a_poisson_rate_past_the_float_range_is_refused_on_call(self, lam):
         # exp(-lambda) is subnormal or 0.0 there, so every product stopped near 745 factors:
-        # poisson(800) drew a mean of 746.9, and poisson(2000) the same stream
+        # poisson(800) drew a mean of 746.9, and poisson(2000) the same stream; float(10**400)
+        # raised OverflowError before the refusal
         with pytest.raises(UnsupportedSpecError, match=f"^poisson rate {lam} cannot be sampled"):
             sample_sums(poisson(lam), 1, 2000, random.Random(3))
         assert moments_of(poisson(lam), 2)[1] == lam  # exact moments take any rate
