@@ -7,7 +7,7 @@ every flag, config key and distribution or process spec is parsed and
 bounded here, and the library takes typed values only.  Exact-mode output
 prints rationals as p/q strings, byte-identical across runs; float mode
 prints shortest-roundtrip floats.  Exit codes: 0 success, 1 validation
-failure, 2 argument errors.
+failure, 2 argument errors, 130 interrupted (one stderr line, no traceback).
 """
 
 from __future__ import annotations
@@ -500,6 +500,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"pstirling: error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("pstirling: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

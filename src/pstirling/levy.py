@@ -25,7 +25,7 @@ from .stirling import ladder
 class LevySpec(Record):
     """Centered Levy process Y(t) parameterized by (sigma^2, kappa^2, U-moments)."""
 
-    __slots__ = ("sigma2", "kappa2", "u_moments")
+    __slots__ = ("sigma2", "kappa2", "u_moments", "_t")  # _t: T's moments, built once
 
     def __init__(self, sigma2: Fraction, kappa2: Fraction, u_moments: MomentSeq):
         self._init(exact_rational(sigma2), exact_rational(kappa2), u_moments)
@@ -35,6 +35,7 @@ class LevySpec(Record):
             raise ValueError("kappa2 must be positive")
         if not self.u_moments.is_real:
             raise ValueError("U must be real-valued")
+        object.__setattr__(self, "_t", tstar_moments(self, self.u_moments.order))
 
 
 class SubordinatorSpec(Record):
@@ -71,12 +72,13 @@ def tstar_moments(spec: LevySpec, order: int) -> MomentSeq:
 def _variance_and_t(spec, order: int):
     """(variance, moments of T) of a spec: T = U 1{V < w} of a Levy process, T* of a subordinator.
 
-    The moments must reach ``order``; they are kept at the spec's full
+    The moments must reach ``order``; they are the spec's own, at its full
     order, so every j reads the same sequence and the same ladder.
     """
     if isinstance(spec, LevySpec):
-        # at U's full order J; asking for order > J raises
-        return spec.sigma2 + spec.kappa2, tstar_moments(spec, max(order, spec.u_moments.order))
+        if order > spec.u_moments.order:
+            raise ValueError("U moments do not reach the requested order")
+        return spec.sigma2 + spec.kappa2, spec._t
     if isinstance(spec, SubordinatorSpec):
         if order > spec.tstar_moments.order:
             raise ValueError("moment sequence does not reach the requested order")

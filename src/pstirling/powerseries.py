@@ -96,7 +96,7 @@ class QC(Record):
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
+    def __init__(self, re, im=0):
         # a Fraction part is immutable, so it is kept rather than copied; the parts are
         # set directly, not through Record._init, as QC arithmetic builds one per operation
         # (read-outs build theirs in qc_from_numerators, which skips this check)
@@ -185,13 +185,13 @@ class EGFSeries(Record):
     gcd(den, *re, *im) == 1, and ``im`` is None exactly when every a_j is
     real.  So den is the lcm of the coefficients' reduced denominators, and
     equal series have equal fields.  ``s[j]`` and ``coeffs`` build QC
-    values when read.  The hash of the fields is computed once, on first
-    use, and kept in the cache slot ``_hash``, so a cache keyed by a
-    series costs one tuple hash per series, not one per lookup.
+    values when read.  What is derived from a series (its product rows, a
+    moment sequence's table and ladders) is kept in its one cache slot
+    ``_kept`` (``kept``), so it dies with the series.
     """
 
-    # int, tuple of ints, tuple of ints or None; then the caches of _operand_rows and __hash__
-    __slots__ = ("den", "re", "im", "_operand", "_hash")
+    # int, tuple of ints, tuple of ints or None; then the cache: None, or a dict (``kept``)
+    __slots__ = ("den", "re", "im", "_kept")
 
     def __init__(self, coeffs):
         values = [QC.of(v) for v in coeffs]
@@ -225,13 +225,6 @@ class EGFSeries(Record):
     def _check(self) -> None:
         """Raise DomainError unless the canonical fields meet the class's own conditions."""
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(self._getter(self))
-            object.__setattr__(self, "_hash", h)
-        return h
-
     def __reduce__(self):
         return type(self).from_numerators, (self.den, self.re, self.im)
 
@@ -244,19 +237,24 @@ def _canonical(s: EGFSeries, den: int, re, im) -> EGFSeries:
     object.__setattr__(s, "den", den // g)
     object.__setattr__(s, "re", tuple(x // g for x in re))
     object.__setattr__(s, "im", im and tuple(x // g for x in im))
-    object.__setattr__(s, "_operand", None)
-    object.__setattr__(s, "_hash", None)
+    object.__setattr__(s, "_kept", None)
     s._check()
     return s
 
 
+def kept(series: EGFSeries, key, build, *args):
+    """What series keeps under key: build(series, *args), built on first use, and dying with series."""
+    store = series._kept
+    if store is None:
+        object.__setattr__(series, "_kept", store := {})
+    value = store.get(key)
+    if value is None:
+        value = store[key] = build(series, *args)
+    return value
+
+
 def egf_one(order: int) -> EGFSeries:
     return EGFSeries.from_numerators(1, (1,) + (0,) * order, None)
-
-
-def _check_compatible(a: EGFSeries, b: EGFSeries):
-    if a.order != b.order:
-        raise SeriesMismatchError(f"order mismatch: {a.order} vs {b.order}")
 
 
 def egf_mul(a: EGFSeries, b: EGFSeries, den: int = 1) -> EGFSeries:
@@ -268,8 +266,9 @@ def egf_mul(a: EGFSeries, b: EGFSeries, den: int = 1) -> EGFSeries:
     for as long as b lives, so later products by b build none.  den
     scales the result within its one reduction.
     """
-    _check_compatible(a, b)
-    vb, rows = _operand_rows(b)
+    if a.order != b.order:
+        raise SeriesMismatchError(f"order mismatch: {a.order} vs {b.order}")
+    vb, rows = kept(b, "rows", _operand_rows)
     va = _valuation(a)
     # c_j is 0 for j < va + vb; otherwise only the k in [va, j - vb] can contribute
     n = len(a.re)
@@ -410,14 +409,9 @@ def _valuation(a: EGFSeries) -> int:
 
 
 def _operand_rows(b: EGFSeries) -> tuple:
-    """(v, rows): b's valuation, and its rows j = v, v + 1, ... (``_rows``), built once and kept.
-
-    A product by b then costs one multiplication per coefficient pair.
-    """
-    if b._operand is None:
-        v = _valuation(b)
-        object.__setattr__(b, "_operand", (v, tuple(_rows(b.re, b.im, v, True))))
-    return b._operand
+    """(v, rows): b's valuation and its rows j = v, v + 1, ... (``_rows``), which b keeps."""
+    v = _valuation(b)
+    return v, tuple(_rows(b.re, b.im, v, True))
 
 
 def _rows(re, im, vb, reused):

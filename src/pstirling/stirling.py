@@ -13,7 +13,7 @@ independent data paths:
 * ``psn_gr_rep`` -- the beta-weighted-sum representation available when
   the first r moments vanish.
 
-The last three read cached ladders (``Ladder``): the powers G^0, G^1, ...
+The last three read kept ladders (``Ladder``): the powers G^0, G^1, ...
 of one series G, grown by products by G, which keeps its rows from the
 first of them, with one alternating column (1/m!) sum_k C(m,k)(-1)^{m-k} G^k
 per m, built once as one ``egf_lincomb`` of rungs 0..m.  ``psn_direct``
@@ -25,21 +25,22 @@ for T_F(., m) that column.  ``psn_gr_rep`` and the Levy moment functions
 read E W_m(r)^p off ladder (s, r) of G_k = E beta(r)^k mu_{k+s};
 ``psn_gr_rep`` reads it as one scaled coefficient of rung m
 (``qc_from_numerators``).  Each ladder is built from the moments alone,
-never from ``psn_egf``.  Every structural value a route returns, zero
-above the diagonal and the m = 0 one, is one shared QC.
+never from ``psn_egf``.  A sequence keeps its table and ladders side by
+side (``kept``), so they die with it; an equal sequence builds its own.
+Every structural value a route returns, zero above the diagonal and the
+m = 0 one, is one shared QC.
 All arithmetic is exact; no floating point enters this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 from operator import mul
 from typing import NamedTuple
 
 from .powerseries import QC, EGFSeries, egf_lincomb, egf_mul, egf_one
-from .powerseries import egf_pow, qc_from_numerators, triangle_rows
+from .powerseries import egf_pow, kept, qc_from_numerators, triangle_rows
 from .randomvars import (
     DistSpec,
     MomentSeq,
@@ -133,21 +134,20 @@ def psn_egf(m: MomentSeq) -> StirlingTable:
     return StirlingTable(tuple(columns))
 
 
-@lru_cache(maxsize=128)
 def psn_egf_cached(m: MomentSeq) -> StirlingTable:
-    """Memoized psn_egf for repeated lookups against the same sequence."""
-    return psn_egf(m)
+    """psn_egf(m), built once and kept by m, for repeated lookups against the same sequence."""
+    return kept(m, "table", psn_egf)
 
 
-def weighted_series(m: MomentSeq, shift: int, r: int, order: int) -> EGFSeries:
-    """The series G with G_k = mu_{k+shift} / C(k+r, r) for k = 0..order, order <= J - shift.
+def weighted_series(m: MomentSeq, shift: int, r: int, order=None) -> EGFSeries:
+    """The series G with G_k = mu_{k+shift} / C(k+r, r) for k = 0..order <= J - shift (None: J - shift).
 
     1/C(k+r, r) = E beta(r)^k, so G_k = E beta(r)^k mu_{k+shift}; at
     (shift, r) = (0, 0) G is M(z) itself.  G multiplies m's numerators by
     those of ``beta_moments(r, order)``, over the product of the two
     denominators, with no QC in between.
     """
-    b = beta_moments(r, order)
+    b = beta_moments(r, m.order - shift if order is None else order)
 
     def scaled(nums):
         return list(map(mul, nums[shift:], b.re))
@@ -156,7 +156,7 @@ def weighted_series(m: MomentSeq, shift: int, r: int, order: int) -> EGFSeries:
 
 
 class Ladder:
-    """The powers G^0, G^1, ... of one series G.
+    """The powers G^0, G^1, ... of one series G = series(m, *args), built from m.
 
     ``rungs`` lists the powers built so far, G itself as rung 1;
     ``through`` appends one egf_mul by G per rung, so G builds its rows at
@@ -166,7 +166,8 @@ class Ladder:
 
     __slots__ = ("rungs", "columns")
 
-    def __init__(self, g: EGFSeries):
+    def __init__(self, m: MomentSeq, series, *args):
+        g = series(m, *args)
         self.rungs, self.columns = [egf_one(g.order), g], {}
 
     def through(self, k_max: int) -> list:
@@ -188,9 +189,8 @@ class Ladder:
         return column
 
 
-@lru_cache(maxsize=128)
 def ladder(m: MomentSeq, shift: int, r: int) -> Ladder:
-    """m's one shared ladder of G = ``weighted_series(m, shift, r, J - shift)``.
+    """m's one ladder of G = ``weighted_series(m, shift, r)``, of order J - shift, kept as (shift, r).
 
     Ladder (0, 0) holds M(z)^k, the EGFs of E S_k^j; ladder (s, r) holds
     G^m, whose coefficient p is E W_m(r)^p over the shifted moments.  A
@@ -201,7 +201,7 @@ def ladder(m: MomentSeq, shift: int, r: int) -> Ladder:
     they check.  Only ``Ladder.through`` grows its rungs and
     ``Ladder.column`` its columns; every caller reads them.
     """
-    return Ladder(weighted_series(m, shift, r, m.order - shift))
+    return kept(m, (shift, r), Ladder, weighted_series, shift, r)
 
 
 def _in_range(m: MomentSeq, j: int, m_idx: int) -> bool:
@@ -230,10 +230,9 @@ def factorial_moments(m: MomentSeq) -> MomentSeq:
     return MomentSeq.from_numerators(m.den, combine(m.re), m.im and combine(m.im))
 
 
-@lru_cache(maxsize=128)
 def factorial_ladder(m: MomentSeq) -> Ladder:
-    """The ladder of F = ``factorial_moments(m)``, rung k holding E (S_k)_l, built from m alone."""
-    return Ladder(factorial_moments(m))
+    """The ladder of F = ``factorial_moments(m)``, rung k holding E (S_k)_l, from m alone; kept by m."""
+    return kept(m, "factorial", Ladder, factorial_moments)
 
 
 def psn_via_classical(m: MomentSeq, j: int, m_idx: int) -> QC:
@@ -256,7 +255,7 @@ def weighted_sum_moment(m: MomentSeq, r: int, m_idx: int, p: int) -> QC:
     E beta(r)^k = 1/C(k+r, r), so the moment is the p-th entry of the m-th
     binomial-convolution power.  W_m(0,Y) is the plain partial sum S_m.
     This route runs its own egf_pow on the order-p prefix; it is the
-    reference the cached ``ladder`` is checked against.
+    reference the kept ``ladder`` is checked against.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")

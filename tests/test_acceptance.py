@@ -22,16 +22,24 @@ from pstirling.randomvars import hat_transform, standardize_moments
 
 from test_properties import unrelated_sequence
 
-SPECS_BY_NAME = {
-    "rademacher": ps.moments_of(ps.rademacher(), 10),
-    "bernoulli(1/2)": ps.moments_of(ps.bernoulli(F(1, 2)), 10),
-    "uniformstd": ps.moments_of(ps.uniform_std(), 10),
-    "poisson(1)": ps.moments_of(ps.poisson(1), 10),
-    "exponential": ps.moments_of(ps.exponential(), 10),
-    "normal(1)": ps.moments_of(ps.normal(1), 10),
-    "hat(uniformstd)": hat_transform(ps.moments_of(ps.uniform_std(), 10)),
-    "hat(rademacher)": hat_transform(ps.moments_of(ps.rademacher(), 10)),
-}
+
+def specs_by_name():
+    """The eight acceptance sequences at J = 10, built anew by each criterion that reads them.
+
+    A sequence keeps its tables and ladders, so fresh ones make each
+    criterion, and its budget, measure cold work in any test order.
+    """
+    return {
+        "rademacher": ps.moments_of(ps.rademacher(), 10),
+        "bernoulli(1/2)": ps.moments_of(ps.bernoulli(F(1, 2)), 10),
+        "uniformstd": ps.moments_of(ps.uniform_std(), 10),
+        "poisson(1)": ps.moments_of(ps.poisson(1), 10),
+        "exponential": ps.moments_of(ps.exponential(), 10),
+        "normal(1)": ps.moments_of(ps.normal(1), 10),
+        "hat(uniformstd)": hat_transform(ps.moments_of(ps.uniform_std(), 10)),
+        "hat(rademacher)": hat_transform(ps.moments_of(ps.rademacher(), 10)),
+    }
+
 
 REAL_CATALOG = [
     ps.point_mass(2),
@@ -78,7 +86,7 @@ def test_criterion_01_classical_recovery():
 
 @criterion(2, "four-route Stirling agreement, 8 sequences, J=10", budget=10.0)
 def test_criterion_02_four_routes():
-    for name, m in SPECS_BY_NAME.items():
+    for name, m in specs_by_name().items():
         r = ps.vanishing_order(m)
         table = ps.psn_egf(m)
         for j in range(11):
@@ -93,7 +101,7 @@ def test_criterion_02_four_routes():
 
 @criterion(3, "vanishing structure S_Y(j,m) = 0 for j < m(r+1)")
 def test_criterion_03_vanishing():
-    for name, m in SPECS_BY_NAME.items():
+    for name, m in specs_by_name().items():
         r = ps.vanishing_order(m)
         table = ps.psn_egf(m)
         for j in range(11):
@@ -104,19 +112,21 @@ def test_criterion_03_vanishing():
 
 @criterion(4, "moment identity sum_moment == MGF power, j<=10, n<=20")
 def test_criterion_04_moment_identity():
-    for name, m in SPECS_BY_NAME.items():
+    specs = specs_by_name()
+    for name, m in specs.items():
         for n in range(21):
             power = ps.egf_pow(m, n)
             for j in range(11):
                 assert ps.sum_moment(m, n, j) == power[j], (name, n, j)
-    rad = SPECS_BY_NAME["rademacher"]
+    rad = specs["rademacher"]
     for n in range(21):
         assert ps.sum_moment(rad, n, 4) == 3 * n**2 - 2 * n
 
 
 @criterion(5, "finite recursion equals the direct identity, j<=8, n<=20")
 def test_criterion_05_recursion():
-    for name, m in SPECS_BY_NAME.items():
+    specs = specs_by_name()
+    for name, m in specs.items():
         r = ps.vanishing_order(m)
         for j in range(1, 9):
             tau = j // (r + 1)
@@ -124,7 +134,7 @@ def test_criterion_05_recursion():
                 continue
             for n in range(tau, 21):
                 assert ps.sum_moment_recursion(m, n, j) == ps.sum_moment(m, n, j), (name, n, j)
-    rad = SPECS_BY_NAME["rademacher"]
+    rad = specs["rademacher"]
     for n in range(2, 21):
         assert ps.sum_moment_recursion(rad, n, 4) == (3 + F(1, n - 1)) * perm(n, 2)
 

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import os
 import random
@@ -482,6 +483,17 @@ class TestValidateCommand:
         code, out, _ = run_cli(capsys, "validate", "--suite", "exact")
         assert code == 1
         assert json.loads(out)[0]["passed"] is False
+
+    @pytest.mark.parametrize("argv, module, name", [
+        (("validate", "--suite", "mc", "--mc-samples", "100000000"), "oracle", "run_validation"),
+        (("stirling", "--dist", "uniformstd", "--jmax", "200"), "stirling", "psn_egf"),
+    ], ids=["validate", "stirling"])
+    def test_an_interrupt_is_one_line_exit_130(self, capsys, monkeypatch, argv, module, name):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(importlib.import_module(f"pstirling.{module}"), name, interrupted)
+        assert run_cli(capsys, *argv) == (130, "", "pstirling: interrupted\n")
 
 
 class TestConfigAndOutput:

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction as F
 from math import factorial
@@ -22,6 +23,7 @@ from pstirling.cli import process_from_json
 from pstirling.moments import cumulants_oracle
 from pstirling.powerseries import QC, EGFSeries
 from pstirling.randomvars import MomentSeq, moments_of, poisson
+from pstirling.stirling import ladder
 
 from oracles import (
     gamma_raw_moments,
@@ -30,6 +32,7 @@ from oracles import (
     shift_moments,
     touchard_moments,
 )
+from test_powerseries import count_row_builds
 
 TIMES = [F(1, 2), F(1), F(5)]
 
@@ -188,6 +191,19 @@ class TestCompleteMonotonicity:
     def test_levy_odd_rejected(self):
         with pytest.raises(ValueError):
             cm_coefficients(compensated_unit_jump(8), 3)
+
+    def test_a_levy_spec_builds_the_rows_of_g_once(self, monkeypatch):
+        """The spec keeps one T sequence, so every j reads one ladder and G builds its rows once."""
+        spec = LevySpec(F(1, 2), F(3, 4), MomentSeq(random_tail(43, 20, signed=True)))
+        assert spec._t == tstar_moments(spec, 20) and spec._t._kept is None
+        builds = count_row_builds(monkeypatch)
+        for j in range(2, 21, 2):
+            cm_coefficients(spec, j)
+            levy_moment_g(spec, j, F(2, 3))
+        assert len(builds) == 1 and builds[0] is ladder(spec._t, 0, 2).rungs[1]
+        # a copy is rebuilt through LevySpec, which builds its own T
+        twin = pickle.loads(pickle.dumps(spec))
+        assert twin == spec and twin._t == spec._t and twin._t is not spec._t
 
 
 def moments_by_cumulants(var2, tail, t, order):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as F
 from math import perm
 
@@ -26,7 +27,7 @@ from pstirling.randomvars import (
     uniform_std,
 )
 from pstirling.powerseries import QC, DomainError
-from pstirling.stirling import ladder, psn_egf, psn_egf_cached
+from pstirling.stirling import psn_egf
 
 from oracles import (
     RADEMACHER_SUPPORT,
@@ -35,6 +36,7 @@ from oracles import (
     shift_moments,
     touchard_moments,
 )
+from test_properties import unrelated_sequence
 
 SPECS = [
     point_mass(1),
@@ -147,11 +149,11 @@ class TestRecursion:
             sum_moment_recursion(m, 1, 4)  # tau = 2 > n
         with pytest.raises(ValueError):
             sum_moment_recursion(m, 5, 1)  # tau = 0
+        short = moments_of(rademacher(), 4)
         with pytest.raises(ValueError, match="j exceeds the available moment order"):
-            sum_moment_recursion(moments_of(rademacher(), 4), 9, 6)
+            sum_moment_recursion(short, 9, 6)
         # all three were refused before a table or a ladder was built
-        assert psn_egf_cached.cache_info().currsize == 0
-        assert ladder.cache_info().currsize == 0
+        assert m._kept is None and short._kept is None
 
     def test_negative_r_is_refused(self):
         with pytest.raises(ValueError, match="r must be nonnegative"):
@@ -294,3 +296,30 @@ class TestCumulants:
             m = moments_of(spec, 6)
             seq = cumulants_oracle(m)
             assert seq.kappa[3] == m[4].re - 3 * m[2].re ** 2
+
+
+def test_a_dropped_sequence_frees_its_table_and_ladders():
+    """A sequence keeps its table and ladders, so they go when the caller drops it: eight
+    19-digit sequences at J = 30 run through both consumers leave no table behind."""
+
+    def run(seed):
+        m = unrelated_sequence(seed, 0, False, 30, digits=19)
+        sum_moment(m, 3, 30)
+        cumulants_from_sum_moments(m)
+        return m
+
+    run(4100)  # the binomial rows through 30, which every product shares and keeps
+    mib = 2**20
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        held = run(4101)
+        holding = tracemalloc.get_traced_memory()[0] - base
+        del held
+        for seed in range(4102, 4109):
+            run(seed)
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    # one held sequence keeps about 1 MiB; the eight dropped ones leave almost nothing
+    assert holding > 0.8 * mib and left < 0.5 * mib, (holding / mib, left / mib)

@@ -20,6 +20,7 @@ from pstirling.powerseries import (
     egf_mul,
     egf_one,
     egf_pow,
+    kept,
     qc_from_numerators,
     triangle_rows,
 )
@@ -74,6 +75,18 @@ class TestQC:
         v = QC(1)
         with pytest.raises(AttributeError):
             v.re = F(2)
+
+    def test_a_real_value_hashes_as_its_rational(self):
+        # QC(2) == 2 == F(2), so a set or a dict must see them as one key
+        assert hash(QC(2)) == hash(2) == hash(F(2))
+        assert len({QC(2), 2, F(2)}) == 1
+        q = qc_from_numerators(6, -4, 0)
+        assert q == F(-2, 3) and hash(q) == hash(F(-2, 3)) and {F(-2, 3): "read"}[q] == "read"
+        assert hash(QC(2, 1)) == hash((F(2), F(1)))
+
+    def test_the_real_part_is_required(self):
+        with pytest.raises(TypeError):
+            QC()
 
 
 @pytest.mark.parametrize(
@@ -426,8 +439,7 @@ def count_row_builds(monkeypatch):
     builds, real = [], powerseries._operand_rows
 
     def counting(b):
-        if b._operand is None:
-            builds.append(b)
+        builds.append(b)
         return real(b)
 
     monkeypatch.setattr(powerseries, "_operand_rows", counting)
@@ -464,10 +476,10 @@ class TestKeptRows:
         b = random_series(random.Random(f"value {kind}"), 9, kind)
         before = ((b.den, b.re, b.im), hash(b), repr(b))
         egf_mul(b, b)
-        assert b._operand is not None
+        assert list(b._kept) == ["rows"]
         assert ((b.den, b.re, b.im), hash(b), repr(b)) == before
         twin = copy_of(b)
-        assert twin._operand is None and b == twin and twin == b and hash(b) == hash(twin)
+        assert twin._kept is None and b == twin and twin == b and hash(b) == hash(twin)
 
     def test_pow_leaves_its_argument_without_rows(self, monkeypatch):
         builds = count_row_builds(monkeypatch)
@@ -476,7 +488,7 @@ class TestKeptRows:
         for n in range(6):
             assert egf_pow(a, n) == egf_pow(copy_of(a), n)
             egf_pow(m, n)
-        assert a._operand is None and m._operand is None
+        assert a._kept is None and m._kept is None
         assert all(b is not a and b is not m for b in builds)
 
 
@@ -501,25 +513,41 @@ class TestTriangleRows:
             assert rows.__code__ is row_reader and not hasattr(rows, "cache_info")
 
 
-class TestKeptHash:
-    """A series hashes its fields once and keeps the hash, which is no part of its value."""
+class TestKeptSlot:
+    """A series keeps what is derived from it in one cache slot, which is no part of its value."""
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_hash_is_the_hash_of_the_fields(self, kind):
         b = random_series(random.Random(f"hash {kind}"), 9, kind)
         before = ((b.den, b.re, b.im), repr(b))
-        assert b._hash is None
         h = hash(b)
-        assert b._hash == h == hash((b.den, b.re, b.im)) and hash(b) == h
-        assert ((b.den, b.re, b.im), repr(b)) == before and "_hash" not in repr(b)
+        assert h == hash((b.den, b.re, b.im)) and b._kept is None
+        kept(b, "key", lambda s: ["derived"])
+        assert hash(b) == h and ((b.den, b.re, b.im), repr(b)) == before and "_kept" not in repr(b)
         twin = copy_of(b)
-        assert twin._hash is None and twin == b and b == twin and hash(twin) == h
+        assert twin._kept is None and twin == b and b == twin and hash(twin) == h
+
+    def test_each_key_is_built_once(self):
+        b = MomentSeq([1, F(1, 2), QC(0, 3)])
+        builds = []
+
+        def build(key):
+            def run(s):
+                builds.append((s, key))
+                return [key]
+            return run
+
+        first = kept(b, "a", build("a"))
+        assert kept(b, "a", build("again")) is first and kept(b, ("b", 1), build("b")) == ["b"]
+        assert kept(b, "c", lambda s, *args: [s, *args], 2, 3) == [b, 2, 3]
+        assert builds == [(b, "a"), (b, "b")] and list(b._kept) == ["a", ("b", 1), "c"]
 
     def test_sequences_keep_it_in_the_series_slot(self):
         assert MomentSeq.__slots__ == () and CumulantSeq.__slots__ == ()
+        assert EGFSeries.__slots__ == ("den", "re", "im", "_kept")
         m = MomentSeq([1, F(1, 2), QC(0, 3)])
-        hash(m)
-        assert not hasattr(m, "__dict__") and m._hash == hash((m.den, m.re, m.im))
+        egf_mul(m, m)
+        assert not hasattr(m, "__dict__") and list(m._kept) == ["rows"]
         assert m._names == ("den", "re", "im")
 
 
@@ -654,11 +682,10 @@ class TestRecords:
 
     def test_a_series_pickles_without_its_caches(self):
         m = MomentSeq([1, F(1, 2), QC(0, 3), 7])
-        hash(m)
         egf_mul(m, m)
-        assert m._hash is not None and m._operand is not None
+        assert m._kept is not None
         assert pickle.dumps(m) == pickle.dumps(MomentSeq([1, F(1, 2), QC(0, 3), 7]))
         loaded = pickle.loads(pickle.dumps(m))
-        assert loaded._hash is None and loaded._operand is None and loaded == m
+        assert loaded._kept is None and loaded == m
         # the copy is rebuilt through the class's checked path
         assert m.__reduce__() == (MomentSeq.from_numerators, (m.den, m.re, m.im))

@@ -5,6 +5,7 @@ that, for vanishing orders r = 0, 1, 2.  The identities are the ones the
 acceptance suite checks on catalog sequences, by exact equality.
 """
 
+import copy
 import random
 from fractions import Fraction as F
 from math import comb, factorial
@@ -135,7 +136,7 @@ class TestLadder:
                       else schoolbook_psn_via_classical)
             expected[route, j, m_idx] = oracle(m, j, m_idx)
         for calls in (self.CALLS[::-1], self.CALLS):
-            stirling.ladder.cache_clear()
+            m = copy.copy(m)  # an equal sequence that keeps no ladder yet
             for route, j, m_idx in calls:
                 assert route(m, j, m_idx) == expected[route, j, m_idx], (route.__name__, j, m_idx)
             assert len(stirling.ladder(m, 0, 0).rungs) == 9
@@ -145,7 +146,7 @@ class TestLadder:
         m = fresh_sequence(88, 2, is_complex)
         expected = schoolbook_sum_moment_powers(m, J)
         for seed in range(3):
-            stirling.ladder.cache_clear()
+            m = copy.copy(m)
             for k in random.Random(seed).sample(range(J + 1), J + 1):
                 rungs = stirling.ladder(m, 0, 0).through(k)
                 assert [rung.coeffs for rung in rungs] == expected[: len(rungs)], (seed, k)
@@ -158,7 +159,7 @@ class TestLadder:
         for m in (fresh_sequence(88, 2, False), fresh_sequence(88, 2, True)):
             expected = schoolbook_weighted_powers(m, shift, r, J)
             for seed in range(3):
-                stirling.ladder.cache_clear()
+                m = copy.copy(m)
                 for k in random.Random(seed).sample(range(J + 1), J + 1):
                     rungs = stirling.ladder(m, shift, r).through(k)
                     assert [rung.coeffs for rung in rungs] == expected[: len(rungs)], (seed, k)
@@ -255,8 +256,7 @@ def test_routes_never_read_the_table(monkeypatch):
                          (moments, "psn_egf_cached"), (stirling, "egf_pow")]:
         monkeypatch.setattr(module, name, unavailable)
     monkeypatch.setattr(stirling, "egf_mul", powers_of_m_only)
-    stirling.ladder.cache_clear()
-    stirling.factorial_ladder.cache_clear()
+    assert m._kept is None  # the table and the oracle left m no ladder
     for j in range(J + 1):
         for mm in range(j + 1):
             assert stirling.psn_direct(m, j, mm) == table.entry(j, mm)
@@ -300,28 +300,24 @@ def test_a_kernel_fault_is_caught_by_the_schoolbook_oracles(monkeypatch):
     a, b = fresh_sequence(3101, 0, True), fresh_sequence(3102, 1, False)
     j, mm = J, 3
     routes = [
-        (lambda: powerseries.egf_mul(a, b).coeffs, lambda: schoolbook_egf_mul(a, b)),
-        (lambda: stirling.psn_egf(a).entry(j, mm), lambda: schoolbook_psn_direct(a, j, mm)),
-        (lambda: stirling.psn_direct(a, j, mm), lambda: schoolbook_psn_direct(a, j, mm)),
-        (lambda: stirling.psn_via_classical(a, j, mm),
-         lambda: schoolbook_psn_via_classical(a, j, mm)),
+        (lambda a: powerseries.egf_mul(a, b).coeffs, lambda a: schoolbook_egf_mul(a, b)),
+        (lambda a: stirling.psn_egf(a).entry(j, mm), lambda a: schoolbook_psn_direct(a, j, mm)),
+        (lambda a: stirling.psn_direct(a, j, mm), lambda a: schoolbook_psn_direct(a, j, mm)),
+        (lambda a: stirling.psn_via_classical(a, j, mm),
+         lambda a: schoolbook_psn_via_classical(a, j, mm)),
     ]
-    try:
-        for route, oracle in routes:
-            # a fresh ladder cache, so that the route builds its rungs through the faulty kernel
-            stirling.ladder.cache_clear()
-            stirling.factorial_ladder.cache_clear()
-            expected = oracle()
-            armed.append(True)
-            got = route()
-            assert not armed  # the fault fired
-            assert got != expected
-            armed.append(True)
-            assert oracle() == expected and armed  # the oracle never reached the kernel
-            armed.clear()
-    finally:
-        stirling.ladder.cache_clear()
-        stirling.factorial_ladder.cache_clear()
+    for route, oracle in routes:
+        # an equal sequence that keeps no ladder, so that the route builds its rungs through
+        # the faulty kernel
+        fresh = copy.copy(a)
+        expected = oracle(fresh)
+        armed.append(True)
+        got = route(fresh)
+        assert not armed  # the fault fired
+        assert got != expected
+        armed.append(True)
+        assert oracle(fresh) == expected and armed  # the oracle never reached the kernel
+        armed.clear()
 
 
 def schoolbook_weighted_powers(m, shift, r, k_max):
@@ -373,7 +369,10 @@ def test_weighted_routes_never_read_the_table(monkeypatch):
     for module, name in [(stirling, "psn_egf"), (stirling, "psn_egf_cached"),
                          (moments, "psn_egf_cached"), (stirling, "egf_pow")]:
         monkeypatch.setattr(module, name, unavailable)
-    stirling.ladder.cache_clear()
+    # an equal spec over an equal sequence, which keeps no ladder yet, and m, which the table left
+    # with none
+    sub = copy.deepcopy(sub)
+    assert m._kept is None and sub.tstar_moments._kept is None
     for j in range(J + 1):
         for mm in range(j + 1):
             p = j - mm * 2
@@ -385,33 +384,35 @@ def test_weighted_routes_never_read_the_table(monkeypatch):
 def test_table_and_ladder_consumers_do_no_qc_arithmetic(monkeypatch):
     """Every table and ladder consumer, and standardization, sums integer numerators and builds
     QC values only at the end: with QC's arithmetic unusable each returns what it did before."""
+
+    def cases(m):
+        return {
+            "sum_moment": lambda: [moments.sum_moment(m, n, j)
+                                   for n in (0, 3, 20) for j in range(J + 1)],
+            "sum_moment_recursion": lambda: [moments.sum_moment_recursion(m, n, j)
+                                             for j in range(2, J + 1) for n in (j // 2, 20)],
+            "cumulants_from_stirling": lambda: moments.cumulants_from_stirling(m),
+            "cumulants_from_sum_moments": lambda: moments.cumulants_from_sum_moments(m),
+            "psn_direct": lambda: [stirling.psn_direct(m, j, mm)
+                                   for j in range(J + 1) for mm in range(j + 1)],
+            "psn_via_classical": lambda: [stirling.psn_via_classical(m, j, mm)
+                                          for j in range(J + 1) for mm in range(j + 1)],
+            "psn_gr_rep": lambda: [stirling.psn_gr_rep(m, 1, j, mm) for j in range(J + 1)
+                                   for mm in range(j + 1) if j - 2 * mm <= J - 2],
+            # gamma(9/4): mean 9/4 and sigma 3/2, so every factor of the rescaling is nontrivial
+            "standardize_moments": lambda: randomvars.standardize_moments(
+                randomvars.moments_of(randomvars.gamma_shape(F(9, 4)), J)),
+        }
     m = fresh_sequence(85, 1, True)
-    cases = {
-        "sum_moment": lambda: [moments.sum_moment(m, n, j) for n in (0, 3, 20) for j in range(J + 1)],
-        "sum_moment_recursion": lambda: [moments.sum_moment_recursion(m, n, j)
-                                         for j in range(2, J + 1) for n in (j // 2, 20)],
-        "cumulants_from_stirling": lambda: moments.cumulants_from_stirling(m),
-        "cumulants_from_sum_moments": lambda: moments.cumulants_from_sum_moments(m),
-        "psn_direct": lambda: [stirling.psn_direct(m, j, mm)
-                               for j in range(J + 1) for mm in range(j + 1)],
-        "psn_via_classical": lambda: [stirling.psn_via_classical(m, j, mm)
-                                      for j in range(J + 1) for mm in range(j + 1)],
-        "psn_gr_rep": lambda: [stirling.psn_gr_rep(m, 1, j, mm)
-                               for j in range(J + 1) for mm in range(j + 1) if j - 2 * mm <= J - 2],
-        # gamma(9/4): mean 9/4 and sigma 3/2, so every factor of the rescaling is nontrivial
-        "standardize_moments": lambda: randomvars.standardize_moments(
-            randomvars.moments_of(randomvars.gamma_shape(F(9, 4)), J)),
-    }
-    expected = {name: route() for name, route in cases.items()}
+    expected = {name: route() for name, route in cases(m).items()}
 
     def unavailable(*args, **kwargs):
         raise AssertionError("a consumer did arithmetic on QC values")
 
     for name in ("__add__", "__mul__", "__rmul__", "__sub__", "__truediv__"):
         monkeypatch.setattr(QC, name, unavailable)
-    for cache in (stirling.psn_egf_cached, stirling.ladder, stirling.factorial_ladder):
-        cache.cache_clear()
-    for name, route in cases.items():
+    # on an equal sequence, which keeps no table or ladder yet
+    for name, route in cases(copy.copy(m)).items():
         assert route() == expected[name], name
 
 

@@ -135,13 +135,15 @@ class TestEgfRoute:
                 power = egf_pow(shifted, k).coeffs
                 assert column == EGFSeries([c / factorial(k) for c in power]), (spec, k)
 
-    def test_cache_hits_on_an_equal_sequence(self):
+    def test_the_table_is_kept_by_its_sequence(self):
         first = moments_of(rademacher(), 6)
         second = MomentSeq([QC(v.re) for v in first.coeffs])
         assert second is not first and second == first
         table = psn_egf_cached(first)
-        assert psn_egf_cached(second) is table
-        assert psn_egf_cached.cache_info().hits == 1
+        assert psn_egf_cached(first) is table and table == psn_egf(first)
+        assert list(first._kept) == ["table"] and second._kept is None
+        # an equal sequence keeps a table of its own
+        assert psn_egf_cached(second) is not table and psn_egf_cached(second) == table
 
     def test_structural_zeros(self):
         table = psn_egf(moments_of(rademacher(), 6))
@@ -236,8 +238,8 @@ def _off_by_one(s: EGFSeries) -> EGFSeries:
 class TestRouteIndependence:
     """A corrupted piece that routes share must make some cross-check fail.
 
-    Each test corrupts a cached ladder or table; the autouse ``cold_caches``
-    fixture empties the caches before the next test.
+    Each test corrupts a ladder or table that its own sequence keeps (the
+    ``m`` fixture builds one per test), so no other test reads it.
     """
 
     @pytest.fixture
@@ -351,13 +353,15 @@ class TestWarmReads:
                     delattr(value, name)
         assert (zero, one) == (QC(0), QC(1))
 
-    def test_equal_sequences_share_their_ladders(self):
+    def test_equal_sequences_keep_ladders_of_their_own(self):
         a = moments_of(exponential(), 8)
         b = MomentSeq(list(a.coeffs))
-        assert b is not a and b == a
-        assert ladder(b, 0, 0) is ladder(a, 0, 0) and ladder(b, 2, 2) is ladder(a, 2, 2)
-        assert factorial_ladder(b) is factorial_ladder(a)
-        assert a._hash == b._hash == hash((a.den, a.re, a.im))
+        assert b is not a and b == a and hash(b) == hash(a) == hash((a.den, a.re, a.im))
+        reads = [lambda s: ladder(s, 0, 0), lambda s: ladder(s, 2, 2), factorial_ladder]
+        for read in reads:
+            assert read(a) is read(a) and read(b) is not read(a)
+            assert read(b).through(4)[:5] == read(a).through(4)[:5]
+        assert list(a._kept) == list(b._kept) == [(0, 0), (2, 2), "factorial"]
 
 
 class TestFactorialMoments:
