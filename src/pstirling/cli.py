@@ -7,7 +7,9 @@ every flag, config key and distribution or process spec is parsed and
 bounded here, and the library takes typed values only.  Exact-mode output
 prints rationals as p/q strings, byte-identical across runs; float mode
 prints shortest-roundtrip floats.  Exit codes: 0 success, 1 validation
-failure, 2 argument errors, 130 interrupted (one stderr line, no traceback).
+failure, 2 argument errors or an output that cannot be written (one stderr
+line), 130 interrupted (one stderr line, no traceback), 141 stdout closed
+by its reader, as by ``| head`` (no stderr line).
 """
 
 from __future__ import annotations
@@ -495,14 +497,39 @@ def main(argv=None) -> int:
         command, flags = _read_argv(sys.argv[1:] if argv is None else argv)
         if flags is None:
             print(_help(command), end="")
-            return 0
-        return _run_unlimited(_COMMANDS[command][2], _load_config(command, flags))
+            code = 0
+        else:
+            code = _run_unlimited(_COMMANDS[command][2], _load_config(command, flags))
+        sys.stdout.flush()  # so that a failed write is reported here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone, which is no error of the input: exit quietly, as a shell
+        # reports a process ended by SIGPIPE (128 + 13)
+        _release_stdout()
+        return 141
     except (ValueError, OSError) as exc:
         print(f"pstirling: error: {exc}", file=sys.stderr)
+        _release_stdout()
         return 2
     except KeyboardInterrupt:
         print("pstirling: interrupted", file=sys.stderr)
         return 130
+
+
+def _release_stdout() -> None:
+    """Flush stdout; if it cannot be written, point it at the null device.
+
+    Otherwise the interpreter flushes what stdout still holds at exit, fails
+    the same way and prints a second error, with exit 120.
+    """
+    try:
+        sys.stdout.flush()
+    except OSError:
+        import os
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -8,17 +8,19 @@ integer combination of series (``egf_combination``).  Every product
 multiplies by the binomial-weighted rows of its right operand, which a
 series builds the first time it is one and keeps, so that a series that
 several products share, such as the base of a ladder of powers, builds
-them once.
+them once.  A product computes each part of its result, real or
+imaginary, as one C-level pass over all those rows, and a product of
+two complex series takes three real passes, not four.
 All binary operations require equal truncation orders.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, count
+from itertools import compress, count, repeat, tee
 from math import gcd, lcm
 from numbers import Rational
-from operator import add, attrgetter, mul, or_
+from operator import add, attrgetter, floordiv, getitem, itemgetter, mul, or_, sub
 
 
 class SeriesMismatchError(ValueError):
@@ -235,8 +237,8 @@ def _canonical(s: EGFSeries, den: int, re, im) -> EGFSeries:
         im = None
     g = gcd(den, *re, *(im or ()))
     object.__setattr__(s, "den", den // g)
-    object.__setattr__(s, "re", tuple(x // g for x in re))
-    object.__setattr__(s, "im", im and tuple(x // g for x in im))
+    object.__setattr__(s, "re", tuple(map(floordiv, re, repeat(g))))
+    object.__setattr__(s, "im", im and tuple(map(floordiv, im, repeat(g))))
     object.__setattr__(s, "_kept", None)
     s._check()
     return s
@@ -263,34 +265,45 @@ def egf_mul(a: EGFSeries, b: EGFSeries, den: int = 1) -> EGFSeries:
     This is the product of the underlying functions, truncated at the
     common order; with moment sequences as inputs it multiplies MGFs.
     b keeps the rows that its first product as a right operand builds,
-    for as long as b lives, so later products by b build none.  den
-    scales the result within its one reduction.
+    for as long as b lives, so later products by b build none.  The
+    whole product is one ``_product`` over those rows.  den scales the
+    result within its one reduction.
     """
-    if a.order != b.order:
-        raise SeriesMismatchError(f"order mismatch: {a.order} vs {b.order}")
-    vb, rows = kept(b, "rows", _operand_rows)
-    va = _valuation(a)
-    # c_j is 0 for j < va + vb; otherwise only the k in [va, j - vb] can contribute
     n = len(a.re)
-    xr, xi = a.re[va:], a.im and a.im[va:]
-    re, im = [0] * n, [0] * n
-    for j, (wr, wi) in enumerate(rows[va:], va + vb):
-        re[j], im[j] = _product(xr, xi, wr[va:], wi and wi[va:])
-    return EGFSeries.from_numerators(a.den * b.den * den, re, im)
+    if n != len(b.re):
+        raise SeriesMismatchError(f"order mismatch: {a.order} vs {b.order}")
+    vb, (wr, wi, ws) = kept(b, "rows", _operand_rows)
+    va = _valuation(a)
+    xr, xi = a.re, a.im
+    if va:
+        # c_j is 0 for j < va + vb; otherwise only the k in [va, j - vb] can contribute
+        cut = itemgetter(slice(va, None))
+        xr, xi, wr = xr[va:], xi and xi[va:], map(cut, wr[va:])
+        if wi is not None:
+            wi, ws = map(cut, wi[va:]), map(cut, ws[va:])
+    # the sum of a's parts is read only by a complex b's sum rows
+    xs = None if xi is None or wi is None else tuple(map(add, xr, xi))
+    re, im = _product((xr, xi, xs), (wr, wi, ws))
+    zeros = [0] * min(va + vb, n)
+    return EGFSeries.from_numerators(a.den * b.den * den, [*zeros, *re], im and [*zeros, *im])
 
 
 def egf_pow(a: EGFSeries, n: int) -> EGFSeries:
     """n-fold egf_mul; egf_pow(a, 0) is the series of e^0."""
     if n < 0:
         raise DomainError("negative powers are not defined for truncated EGFs")
-    result = egf_one(a.order)
+    if not n:
+        return egf_one(a.order)
     base = EGFSeries.from_numerators(a.den, a.re, a.im)  # a copy, so that a keeps no rows
+    while not n & 1:
+        base, n = egf_mul(base, base), n >> 1
+    # the result starts as the base at n's lowest set bit, not as a product by one
+    result, n = base, n >> 1
     while n:
+        base = egf_mul(base, base)
         if n & 1:
             result = egf_mul(result, base)
         n >>= 1
-        if n:
-            base = egf_mul(base, base)
     return result
 
 
@@ -304,13 +317,16 @@ def egf_log(a: EGFSeries) -> EGFSeries:
     if a[0] != 1:
         raise DomainError("egf_log needs constant coefficient 1")
     ar, ai = a.re, a.im
-    # lr[k], li[k]: the numerators of L_{k+1} over den; row j's k = j term, a_0, meets no L
-    lr, li, den = [], (None if ai is None else []), 1
-    for j, (wr, wi) in zip(range(a.order), _rows(ar, ai, 0, ai is not None)):
+    # the numerators of L_1, L_2, ... over den, in three parts (``_product``), which grow in
+    # place; row j's k = j term, a_0, meets no L
+    x = ([], None, None) if ai is None else ([], [], [])
+    den = 1
+    sums_re, sums_im = _product(x, _rows(ar, ai, 0))
+    for j, re in zip(range(a.order), sums_re):
         # L_{j+1} = a_{j+1} - (re + i im) / (den a.den)
-        re, im = _product(lr, li, wr, wi)
-        im = 0 if li is None else ai[j + 1] * den - im
-        den = _append(lr, li, den, ar[j + 1] * den - re, im, den * a.den)
+        im = 0 if ai is None else ai[j + 1] * den - next(sums_im)
+        den = _append(x, den, ar[j + 1] * den - re, im, den * a.den)
+    lr, li, _ = x
     return EGFSeries.from_numerators(den, [0] + lr, li and [0] + li)
 
 
@@ -321,10 +337,12 @@ def egf_exp(a: EGFSeries) -> EGFSeries:
     ai = a.im
     # E_{j+1} = sum_k C(j,k) E_k a_{j+1-k}, the coefficient form of E' = a' E:
     # row j of the series a_1, a_2, ...
-    er, ei, den = [1], (None if ai is None else [0]), 1
-    for wr, wi in _rows(a.re[1:], ai and ai[1:], 0, ai is not None):
-        re, im = _product(er, ei, wr, wi)
-        den = _append(er, ei, den, re, im, den * a.den)
+    x = ([1], None, None) if ai is None else ([1], [0], [1])
+    den = 1
+    sums_re, sums_im = _product(x, _rows(a.re[1:], ai and ai[1:], 0))
+    for re in sums_re:
+        den = _append(x, den, re, 0 if ai is None else next(sums_im), den * a.den)
+    er, ei, _ = x
     return EGFSeries.from_numerators(den, er, ei)
 
 
@@ -376,11 +394,15 @@ def egf_lincomb(series, weights, den: int = 1) -> EGFSeries:
 #
 # Series arithmetic runs on the Python ints of EGFSeries.  Products, log
 # and exp all sum x_k w_k over the binomial-weighted rows w of one fixed
-# operand (``_rows``), in ``_product``.  A complex operand has a second
-# numerator vector, so a product of real series runs one convolution.
-# A product is reduced once, by one gcd over its denominator and all its
-# numerators.  Log and exp reduce each coefficient as they build it, over a
-# denominator that grows to the lcm of those built so far (``_append``).
+# operand (``_rows``), in ``_product``, the one multiplying kernel.  Both
+# sides come in three parts: real, imaginary and their sum, the last two
+# None for a real side.  A product of real series runs one pass, a real
+# by a complex two, and two complex ones Gauss's three; each pass is one
+# C-level pipeline over every row.  A product is reduced once, by one gcd
+# over its denominator and all its numerators.  Log and exp pull one
+# value a row from the same lazy pipelines while their own side grows,
+# and reduce each coefficient as they build it, over a denominator that
+# grows to the lcm of those built so far (``_append``).
 
 
 def triangle_rows(step):
@@ -409,54 +431,83 @@ def _valuation(a: EGFSeries) -> int:
 
 
 def _operand_rows(b: EGFSeries) -> tuple:
-    """(v, rows): b's valuation and its rows j = v, v + 1, ... (``_rows``), which b keeps."""
+    """(v, (wr, wi, ws)): b's valuation and its rows j = v, v + 1, ... (``_rows``), which b keeps.
+
+    Each part is a tuple of row tuples; wi and ws are None for a real b.
+    """
     v = _valuation(b)
-    return v, tuple(_rows(b.re, b.im, v, True))
+    return v, tuple(part and tuple(map(tuple, part)) for part in _rows(b.re, b.im, v))
 
 
-def _rows(re, im, vb, reused):
-    """Rows j = vb, ..., len(re) - 1 of the weighted C(j,k) y_{j-k}, k = 0..j - vb.
+def _rows(re, im, vb):
+    """Rows j = vb, ..., len(re) - 1 of the weighted C(j,k) y_{j-k}, k = 0..j - vb, in three parts.
 
-    y_i = re[i] + i im[i] is 0 for i < vb.  Each row is a pair of real
-    and imaginary parts, the second None when im is.  A row that is
-    ``reused`` (read twice, by a complex operand) is built as a tuple;
-    otherwise it is an iterator that its one reader consumes.
+    y_i = re[i] + i im[i] is 0 for i < vb.  The parts are iterators of the
+    rows' real parts, imaginary parts and the sums of the two, each row an
+    iterator that its one reader consumes; the last two are None when im is.
     """
     n = len(re)
-    # y reversed, so that y_{j-k} for k = 0, 1, ... is a forward slice
-    yr, yi = re[::-1], im and im[::-1]
-    for j in range(vb, n):
-        row, s = _binomials(j), n - 1 - j
-        wr, wi = map(mul, row, yr[s : n - vb]), yi and map(mul, row, yi[s : n - vb])
-        yield (tuple(wr), wi and tuple(wi)) if reused else (wr, wi)
+    binomials = list(map(_binomials, range(vb, n)))
+    # row j reads y reversed from n - 1 - j, so that y_{j-k} for k = 0, 1, ... is a forward slice
+    cuts = list(map(slice, range(n - 1 - vb, -1, -1), repeat(n - vb)))
+
+    def part(y):
+        return map(map, repeat(mul), binomials, map(getitem, repeat(y[::-1]), cuts))
+
+    if im is None:
+        return part(re), None, None
+    return part(re), part(im), part(tuple(map(add, re, im)))
 
 
-def _append(xr, xi, den: int, re: int, im: int, d: int) -> int:
-    """Append (re + i im) / d to the numerators xr, xi (None if real) over den; return the new den.
+def _append(x, den: int, re: int, im: int, d: int) -> int:
+    """Append (re + i im) / d to x's parts (``_product``), numerators over den; return the new den.
 
-    den grows to the lcm of itself and d reduced, rescaling xr and xi only if it grows.
+    den grows to the lcm of itself and d reduced, rescaling x only if it
+    grows.  Each part grows in place, so that x's pipelines read it.
     """
     g = gcd(d, re, im)
     d //= g
     grow = d // gcd(den, d)
     if grow != 1:
-        xr[:] = [x * grow for x in xr]
-        if xi is not None:
-            xi[:] = [x * grow for x in xi]
+        for part in x:
+            if part is not None:
+                part[:] = map(mul, part, repeat(grow))
         den *= grow
     scale = den // d
-    xr.append(re // g * scale)
+    re, im = re // g * scale, im // g * scale
+    xr, xi, xs = x
+    xr.append(re)
     if xi is not None:
-        xi.append(im // g * scale)
+        xi.append(im)
+        xs.append(re + im)
     return den
 
 
-def _product(xr, xi, wr, wi):
-    """Numerators (re, im) of sum_k x_k w_k, k below the shorter length; xi, wi None when zero."""
-    re = sum(map(mul, xr, wr))
-    if xi is None:
-        return re, (0 if wi is None else sum(map(mul, xr, wi)))
-    im = sum(map(mul, xi, wr))
+def _product(x, rows):
+    """Numerators re and im of sum_k x_k w_k, k below the shorter length, for each row w, lazily.
+
+    x = (xr, xi, xs) is a vector in three parts: real, imaginary and their
+    sum; rows = (wr, wi, ws) holds rows in the same three parts (``_rows``).
+    A part past the first is None when zero, and so is im.  Each part of
+    the result is one C-level pipeline over every row.  A complex x by a
+    complex w takes Gauss's three passes: p = xr wr, q = xi wi and
+    s = xs ws, with re = p - q and im = s - p - q.  The pipelines are lazy:
+    a value reads x when it is pulled, so egf_log and egf_exp, whose x
+    grows in place, pull one value a row, and egf_mul pulls them all.
+    """
+    xr, xi, xs = x
+    wr, wi, ws = rows
     if wi is None:
-        return re, im
-    return re - sum(map(mul, xi, wi)), im + sum(map(mul, xr, wi))
+        if xi is None:
+            return _dots(xr, wr), None
+        wr, wr2 = tee(wr)
+        return _dots(xr, wr), _dots(xi, wr2)
+    if xi is None:
+        return _dots(xr, wr), _dots(xr, wi)
+    (p, p2), (q, q2) = tee(_dots(xr, wr)), tee(_dots(xi, wi))
+    return map(sub, p, q), map(sub, map(sub, _dots(xs, ws), p2), q2)
+
+
+def _dots(x, rows):
+    """sum_k x_k w_k for each row w of rows, lazily, in one pass."""
+    return map(sum, map(map, repeat(mul), repeat(x), rows))

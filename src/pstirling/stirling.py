@@ -122,16 +122,17 @@ class StirlingTable(NamedTuple):
 def psn_egf(m: MomentSeq) -> StirlingTable:
     """Full table via coefficient extraction from (M(z)-1)^m / m!.
 
-    Column m is column m-1 times M(z)-1, over m: one binomial convolution
-    per column, O(J^2) exact operations each, by the rows of M(z)-1 that
-    its first product builds and the others reuse.
+    Column 1 is M(z)-1 itself, and column m > 1 is column m-1 times
+    M(z)-1, over m: one binomial convolution per column, O(J^2) exact
+    operations each, by the rows of M(z)-1 that its first product builds
+    and the others reuse.
     """
-    # M(z) - 1; im[0] is 0
-    shifted = EGFSeries.from_numerators(m.den, (0,) + m.re[1:], m.im)
-    columns = [egf_one(m.order)]
-    for col in range(1, m.order + 1):
+    shifted = EGFSeries.from_numerators(m.den, (0,) + m.re[1:], m.im)  # M(z) - 1; im[0] is 0
+    # column 1 is a copy, so that the rows the operand keeps stay out of the table
+    columns = [egf_one(m.order), EGFSeries.from_numerators(shifted.den, shifted.re, shifted.im)]
+    for col in range(2, m.order + 1):
         columns.append(egf_mul(columns[-1], shifted, col))
-    return StirlingTable(tuple(columns))
+    return StirlingTable(tuple(columns[: m.order + 1]))
 
 
 def psn_egf_cached(m: MomentSeq) -> StirlingTable:

@@ -799,6 +799,60 @@ def _fresh_process(code: str) -> str:
     return done.stdout
 
 
+def _cli_env(buffered: bool) -> dict:
+    """The environment of a fresh ``python -m pstirling.cli``: this pstirling, stdout buffered or not."""
+    import pstirling
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pstirling.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+class TestProcessBoundary:
+    """A fresh process, so that what the interpreter prints at exit, when it flushes stdout
+    a last time, is seen too: a closed pipe is exit 141 with nothing on stderr, and a full
+    device one error line with exit 2.  Buffered stdout holds a short table until exit;
+    unbuffered stdout writes each row as it goes."""
+
+    CMD = [sys.executable, "-m", "pstirling.cli", "stirling", "--dist", "rademacher"]
+    # 3 rows, and about 0.9 MB, more than a pipe holds, so the writer meets the closed pipe
+    JMAX = ("3", "200")
+
+    @pytest.mark.parametrize("buffered", (True, False), ids=("buffered", "unbuffered"))
+    @pytest.mark.parametrize("jmax", JMAX)
+    def test_a_pipe_closed_before_any_read_exits_141_quietly(self, jmax, buffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([*self.CMD, "--jmax", jmax], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=_cli_env(buffered), timeout=120)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, b"")
+
+    @pytest.mark.parametrize("buffered", (True, False), ids=("buffered", "unbuffered"))
+    def test_a_reader_that_stops_after_one_line_is_exit_141(self, buffered):
+        # as ``| head -1`` does
+        proc = subprocess.Popen([*self.CMD, "--jmax", "200"], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=_cli_env(buffered))
+        assert proc.stdout.readline() == b"j,m,re,im\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (141, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("buffered", (True, False), ids=("buffered", "unbuffered"))
+    @pytest.mark.parametrize("jmax", JMAX)
+    def test_a_full_device_is_one_line_exit_2(self, jmax, buffered):
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run([*self.CMD, "--jmax", jmax], stdout=full,
+                                  stderr=subprocess.PIPE, env=_cli_env(buffered), timeout=120)
+        assert done.returncode == 2
+        assert done.stderr == b"pstirling: error: [Errno 28] No space left on device\n"
+
+
 class TestImportBoundary:
     """Each command's process loads only the modules that command runs."""
 

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 import random
 from fractions import Fraction as F
@@ -434,6 +435,94 @@ class TestKernelAgainstSchoolbook:
             assert egf_log(egf_exp(l)) == l
 
 
+def nineteen_digit_series(rng, order, kind, v=0):
+    """Unrelated 19-digit numerators and denominators, zero below v; ``kind`` real, complex or
+    imaginary (every real part zero, so only the imaginary numerators are nonzero)."""
+
+    def part():
+        return F(rng.randint(-(10**19), 10**19), rng.randint(10**18, 10**19))
+
+    def scalar():
+        return QC(0 if kind == "imaginary" else part(), 0 if kind == "real" else part())
+
+    return EGFSeries([QC(0)] * min(v, order + 1) + [scalar() for _ in range(order + 1 - v)])
+
+
+class TestProductPipeline:
+    """egf_mul builds each part of a product in one pass over its operand's kept rows, and a
+    complex by a complex product in Gauss's three; every result is the schoolbook one."""
+
+    PARTS = ("real", "complex", "imaginary")
+
+    @pytest.mark.parametrize("kind_b", PARTS)
+    @pytest.mark.parametrize("kind_a", PARTS)
+    def test_every_pairing_and_leading_zeros(self, kind_a, kind_b):
+        rng = random.Random(f"pipeline {kind_a} {kind_b}")
+        for order in (0, 1, 5, 16):
+            # the product is all zeros, and keeps order J, once va + vb >= J + 1
+            for va, vb in ((0, 0), (1, 0), (0, 2), (2, 3), (order, 1), (1, order), (order + 1, 0)):
+                a = nineteen_digit_series(rng, order, kind_a, va)
+                b = nineteen_digit_series(rng, order, kind_b, vb)
+                product = egf_mul(a, b)
+                assert product.order == order
+                assert_schoolbook(product, schoolbook_egf_mul(a, b))
+                assert_schoolbook(egf_mul(b, a, 7), tuple(v / 7 for v in schoolbook_egf_mul(b, a)))
+
+    def test_kept_rows_serve_every_valuation(self):
+        # one operand's rows, cut at each left operand's valuation in turn, as psn_egf cuts them
+        rng = random.Random("every valuation")
+        order = 12
+        b = nineteen_digit_series(rng, order, "complex", 1)
+        for kind in self.PARTS:
+            for va in range(order + 2):
+                a = nineteen_digit_series(rng, order, kind, va)
+                assert_schoolbook(egf_mul(a, b), schoolbook_egf_mul(a, b))
+        assert list(b._kept) == ["rows"]
+
+    @pytest.mark.parametrize("kind", PARTS)
+    def test_pow_is_the_schoolbook_power(self, kind):
+        rng = random.Random(f"pipeline pow {kind}")
+        for order in (0, 3, 9):
+            a = nineteen_digit_series(rng, order, kind)
+            power = egf_one(order).coeffs
+            for n in range(7):
+                assert_schoolbook(egf_pow(a, n), power)
+                power = schoolbook_egf_mul(EGFSeries(power), a)
+            assert a._kept is None
+
+    def test_pow_starts_from_the_base(self, monkeypatch):
+        # one product fewer than a start from egf_one: a^1 takes none, a^6 two squarings and one
+        calls, real = [], powerseries.egf_mul
+
+        def counting(a, b, *den):
+            calls.append((a, b))
+            return real(a, b, *den)
+
+        monkeypatch.setattr(powerseries, "egf_mul", counting)
+        a = nineteen_digit_series(random.Random("pow count"), 6, "complex")
+        for n, products in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (6, 3), (7, 4)):
+            calls.clear()
+            egf_pow(a, n)
+            assert len(calls) == products, n
+            assert all(left != egf_one(6) for left, _ in calls)
+
+    def test_psn_egf_columns_are_unchanged(self):
+        """Every column's fields on seeded complex customs at J = 30, two of small rationals and
+        one of 19-digit parts, hash as the four-pass kernel's did."""
+        digest = hashlib.sha256()
+        for seed in range(3):
+            rng = random.Random(f"columns {seed}")
+            digits = 10**19 if seed == 2 else 10
+
+            def part():
+                return F(rng.randint(1 - digits, digits - 1), rng.randint(1, digits - 1))
+
+            m = MomentSeq([QC(1)] + [QC(part(), part()) for _ in range(30)])
+            for column in psn_egf(m).columns:
+                digest.update(repr((column.den, column.re, column.im)).encode())
+        assert digest.hexdigest() == "def8c5478d2b8c1accc9dc3f03563c0c426d82ce124e90e6dc33db7979b4e96f"
+
+
 def count_row_builds(monkeypatch):
     """Each series that builds its rows as a right operand from here on, once per build."""
     builds, real = [], powerseries._operand_rows
@@ -460,9 +549,9 @@ class TestKeptRows:
         b = random_series(rng, 12, kind)
         calls, real = [], powerseries._rows
 
-        def counting(re, im, vb, reused):
+        def counting(re, im, vb):
             calls.append(re)
-            return real(re, im, vb, reused)
+            return real(re, im, vb)
 
         monkeypatch.setattr(powerseries, "_rows", counting)
         operands = [random_series(rng, 12, "complex") for _ in range(5)]

@@ -8,7 +8,9 @@ acceptance suite checks on catalog sequences, by exact equality.
 import copy
 import random
 from fractions import Fraction as F
+from itertools import chain, repeat
 from math import comb, factorial
+from operator import add
 
 import pytest
 
@@ -227,9 +229,12 @@ def test_table_builds_the_rows_of_m_minus_1_once(monkeypatch, is_complex):
     m = fresh_sequence(87, 1, is_complex)
     expected = stirling.psn_egf(m)
     calls, builds = count_products(monkeypatch)
-    assert stirling.psn_egf(m) == expected
+    table = stirling.psn_egf(m)
+    assert table == expected
     assert len(builds) == 1 and builds[0].coeffs == (QC(0),) + m.coeffs[1:]
-    assert len(calls) == J and all(b is builds[0] for b in calls)
+    # column 1 is M - 1 itself, so the table takes J - 1 products, and it keeps no rows
+    assert len(calls) == J - 1 and all(b is builds[0] for b in calls)
+    assert table.columns[1] == builds[0] and all(column._kept is None for column in table.columns)
 
 
 def test_routes_never_read_the_table(monkeypatch):
@@ -289,11 +294,11 @@ def test_a_kernel_fault_is_caught_by_the_schoolbook_oracles(monkeypatch):
 
     real, armed = powerseries._product, []
 
-    def faulty(xr, xi, wr, wi):
-        re, im = real(xr, xi, wr, wi)
+    def faulty(x, rows):
+        re, im = real(x, rows)
         if armed:  # the first product after arming, one coefficient, is off by one
             armed.pop()
-            re += 1
+            re = map(add, re, chain((1,), repeat(0)))
         return re, im
 
     monkeypatch.setattr(powerseries, "_product", faulty)
