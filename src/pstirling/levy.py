@@ -94,11 +94,11 @@ def _moment_coefficients(spec, j: int) -> list:
     if j < 0:
         raise ValueError("indices must be nonnegative")
     var2, tm = _variance_and_t(spec, j - 2)
-    powers = ladder(tm, 0, 2).through(j // 2)
+    rung = ladder(tm, 0, 2).rung
     gauss = moments_of(normal(var2), j)
     out = [Fraction(1 if j == 0 else 0)]
     for m in range(1, j // 2 + 1):
-        w_mom = powers[m][j - 2 * m].as_fraction()
+        w_mom = rung(m)[j - 2 * m].as_fraction()
         out.append(comb(j, 2 * m) * gauss[2 * m].re * w_mom)
     return out
 

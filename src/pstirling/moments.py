@@ -45,7 +45,7 @@ def sum_moment(m: MomentSeq, n: int, j: int, r=None) -> QC:
     top = min(n, _tau(m, j, r))
     # (n)_0, (n)_1, ..., (n)_top
     weights = accumulate(range(n, n - top, -1), mul, initial=1)
-    return egf_combination(psn_egf_cached(m).columns[: top + 1], weights, j)
+    return egf_combination([*map(psn_egf_cached(m), range(top + 1))], weights, j)
 
 
 def sum_moments(m: MomentSeq, n: int) -> MomentSeq:
@@ -78,7 +78,7 @@ def sum_moment_recursion(m: MomentSeq, n: int, j: int, r=None) -> QC:
     nf, l = perm(n, tau), lcm(*range(n - tau + 1, n + 1))
     d = factorial(tau - 1) * l
     weights = [d] + [alternating(tau - 1 - k, comb(tau - 1, k)) * (l // (n - k)) for k in range(tau)]
-    series = [psn_egf_cached(m).columns[tau]] + ladder(m, 0, 0).through(tau - 1)[:tau]
+    series = [psn_egf_cached(m)(tau), *map(ladder(m, 0, 0).rung, range(tau))]
     return egf_combination(series, [nf * w for w in weights], j, d)
 
 
@@ -109,13 +109,13 @@ def cumulants_from_stirling(m: MomentSeq) -> CumulantSeq:
     Column m's weight is the same for every j, S_Y(j,m) = 0 for m > j, and column 0 weighs 0.
     """
     weights = [0] + [alternating(mm - 1, factorial(mm - 1)) for mm in range(1, m.order + 1)]
-    k = egf_lincomb(psn_egf_cached(m).columns, weights)
+    k = egf_lincomb([*map(psn_egf_cached(m), range(m.order + 1))], weights)
     return CumulantSeq.from_numerators(k.den, k.re, k.im)
 
 
 def cumulants_from_sum_moments(m: MomentSeq) -> CumulantSeq:
     """kappa_j = sum_k C(j,k) (-1)^{k-1}/k * E S_k^j, the binomial route."""
-    pows = ladder(m, 0, 0).through(m.order)
+    pows = [*map(ladder(m, 0, 0).rung, range(m.order + 1))]
     kappa = []
     for j in range(1, m.order + 1):
         d = lcm(*range(1, j + 1))

@@ -43,6 +43,10 @@ def irwin_hall_cdf(n: int, x):
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if isinstance(x, float) and not math.isfinite(x):
+        if math.isnan(x):
+            raise ValueError("points must be numbers, not nan")
+        return Fraction(x > 0)
     x = Fraction(x)
     if x <= 0:
         return Fraction(0)
@@ -70,6 +74,8 @@ def uniform_fn_exact(n: int, y) -> float:
     the alternating sum is evaluated exactly, so the result is correct to
     far below float resolution for every n the package targets.
     """
+    if isinstance(y, float) and not math.isfinite(y):
+        return float(irwin_hall_cdf(n, y))  # the limits at +-inf; nan is refused there
     yq = Fraction(y)  # floats are dyadic rationals, so this is exact
     x = Fraction(n, 2) + yq * _sqrt_fraction(3 * n) / 6
     return float(irwin_hall_cdf(n, x))

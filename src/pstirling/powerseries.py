@@ -405,12 +405,13 @@ def egf_lincomb(series, weights, den: int = 1) -> EGFSeries:
 # grows to the lcm of those built so far (``_append``).
 
 
-def triangle_rows(step):
-    """The row reader of an integer triangle: row 0 is (1,), row j + 1 is step(j, row j).
+def triangle_rows(step, first=(1,)):
+    """The row reader of a triangle: row 0 is first, row j + 1 is step(j, row j).
 
-    A read of row j grows the kept rows through j, so each row is built once.
+    A read of row j grows the kept rows through j, so each row is built
+    once; the rows are the integer triangles' tuples or a sequence's series.
     """
-    rows = [(1,)]
+    rows = [first]
 
     def row(j: int) -> tuple:
         while len(rows) <= j:

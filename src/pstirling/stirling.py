@@ -13,22 +13,25 @@ independent data paths:
 * ``psn_gr_rep`` -- the beta-weighted-sum representation available when
   the first r moments vanish.
 
-The last three read kept ladders (``Ladder``): the powers G^0, G^1, ...
-of one series G, grown by products by G, which keeps its rows from the
-first of them, with one alternating column (1/m!) sum_k C(m,k)(-1)^{m-k} G^k
-per m, built once as one ``egf_lincomb`` of rungs 0..m.  ``psn_direct``
-reads coefficient j of that column on ``ladder(m, 0, 0)``, where G is
-M(z) and rung k holds E S_k^j.  ``psn_via_classical`` reads the column of
-``factorial_ladder(m)``, where G is the EGF F(u) = E (1+u)^Y of the
-factorial moments: M(z) = F(e^z - 1), so S_Y(j,m) = sum_l S(j,l) T_F(l,m)
-for T_F(., m) that column.  ``psn_gr_rep`` and the Levy moment functions
-read E W_m(r)^p off ladder (s, r) of G_k = E beta(r)^k mu_{k+s};
-``psn_gr_rep`` reads it as one scaled coefficient of rung m
-(``qc_from_numerators``).  Each ladder is built from the moments alone,
-never from ``psn_egf``.  A sequence keeps its table and ladders side by
-side (``kept``), so they die with it; an equal sequence builds its own.
-Every structural value a route returns, zero above the diagonal and the
-m = 0 one, is one shared QC.
+Each list that grows as it is read is a ``triangle_rows`` reader: the
+classical rows, the table's columns (``table_columns``) and the rungs of
+a ladder (``Ladder``), the powers G^0, G^1, ... of one series G, each one
+product by G, which keeps its rows from the first of them.  A ladder also
+keeps one alternating column (1/m!) sum_k C(m,k)(-1)^{m-k} G^k per m, one
+``egf_lincomb`` of rungs 0..m.  ``psn_direct`` reads coefficient j of that
+column on ``ladder(m, 0, 0)``, where G is M(z) and rung k holds E S_k^j.
+``psn_via_classical`` reads the column of ``factorial_ladder(m)``, where G
+is the EGF F(u) = E (1+u)^Y of the factorial moments: M(z) = F(e^z - 1),
+so S_Y(j,m) = sum_l S(j,l) T_F(l,m) for T_F(., m) that column.
+``psn_gr_rep`` and the Levy moment functions read E W_m(r)^p off ladder
+(s, r) of G_k = E beta(r)^k mu_{k+s}; ``psn_gr_rep`` reads it as one scaled
+coefficient of rung m (``qc_from_numerators``).  Each ladder is built from
+the moments alone, never from the table.  A sequence keeps its column
+reader and its ladders side by side (``kept``), so they die with it, and
+an equal sequence builds its own; a column or a rung is built when it is
+first read, so a sum moment builds only the columns it sums.  Every
+structural value a route returns, zero above the diagonal and the m = 0
+one, is one shared QC.
 All arithmetic is exact; no floating point enters this module.
 """
 
@@ -41,15 +44,8 @@ from typing import NamedTuple
 
 from .powerseries import QC, EGFSeries, egf_lincomb, egf_mul, egf_one
 from .powerseries import egf_pow, kept, qc_from_numerators, triangle_rows
-from .randomvars import (
-    DistSpec,
-    MomentSeq,
-    UnsupportedSpecError,
-    abs_moments_of,
-    beta_moments,
-    moments_of,
-    vanishing_order,
-)
+from .randomvars import DistSpec, MomentSeq, UnsupportedSpecError, abs_moments_of, beta_moments
+from .randomvars import moments_of, vanishing_order
 
 
 # the structural values the routes return, built once: a QC is immutable, so one can be shared
@@ -85,9 +81,16 @@ def classical_s1_signed(l: int, i: int) -> int:
     """Signed first-kind number s(l,i): coefficient of x^i in (x)_l."""
     if l < 0 or i < 0:
         raise ValueError("indices must be nonnegative")
-    if i > l:
-        return 0
-    return _s1_row(l)[i]
+    return _s1_row(l)[i] if i <= l else 0
+
+
+def _entry(column, order: int, j: int, m: int) -> QC:
+    """S_Y(j, m) off the column reader of a table of that order: zero above the diagonal."""
+    if j < 0 or m < 0:
+        raise ValueError("indices must be nonnegative")
+    if j > order:
+        raise ValueError(f"j = {j} exceeds the table order {order}")
+    return column(m)[j] if m <= j else _QC_ZERO
 
 
 class StirlingTable(NamedTuple):
@@ -106,38 +109,36 @@ class StirlingTable(NamedTuple):
         return len(self.columns) - 1
 
     def entry(self, j: int, m: int) -> QC:
-        if j < 0 or m < 0:
-            raise ValueError("indices must be nonnegative")
-        if j > self.order:
-            raise ValueError(f"j = {j} exceeds the table order {self.order}")
-        if m > j:
-            return _QC_ZERO
-        return self.columns[m][j]
+        return _entry(self.columns.__getitem__, self.order, j, m)
 
     @property
     def is_real(self) -> bool:
         return all(column.is_real for column in self.columns)
 
 
-def psn_egf(m: MomentSeq) -> StirlingTable:
-    """Full table via coefficient extraction from (M(z)-1)^m / m!.
+def table_columns(m: MomentSeq):
+    """The reader of m's table columns k -> (M(z)-1)^k / k!, grown as it is read.
 
-    Column 1 is M(z)-1 itself, and column m > 1 is column m-1 times
-    M(z)-1, over m: one binomial convolution per column, O(J^2) exact
+    Column 1 is a copy of M(z)-1, and column k + 1 is column k times
+    M(z)-1, over k + 1: one binomial convolution per column, O(J^2) exact
     operations each, by the rows of M(z)-1 that its first product builds
     and the others reuse.
     """
     shifted = EGFSeries.from_numerators(m.den, (0,) + m.re[1:], m.im)  # M(z) - 1; im[0] is 0
     # column 1 is a copy, so that the rows the operand keeps stay out of the table
-    columns = [egf_one(m.order), EGFSeries.from_numerators(shifted.den, shifted.re, shifted.im)]
-    for col in range(2, m.order + 1):
-        columns.append(egf_mul(columns[-1], shifted, col))
-    return StirlingTable(tuple(columns[: m.order + 1]))
+    first = EGFSeries.from_numerators(shifted.den, shifted.re, shifted.im)
+    return triangle_rows(lambda k, column: egf_mul(column, shifted, k + 1) if k else first,
+                         egf_one(m.order))
 
 
-def psn_egf_cached(m: MomentSeq) -> StirlingTable:
-    """psn_egf(m), built once and kept by m, for repeated lookups against the same sequence."""
-    return kept(m, "table", psn_egf)
+def psn_egf(m: MomentSeq) -> StirlingTable:
+    """Full table via coefficient extraction from (M(z)-1)^m / m!: columns 0..J, and m keeps nothing."""
+    return StirlingTable(tuple(map(table_columns(m), range(m.order + 1))))
+
+
+def psn_egf_cached(m: MomentSeq):
+    """The column reader ``table_columns(m)`` that m keeps: a caller's read builds only what it reads."""
+    return kept(m, "table", table_columns)
 
 
 def weighted_series(m: MomentSeq, shift: int, r: int, order=None) -> EGFSeries:
@@ -159,24 +160,18 @@ def weighted_series(m: MomentSeq, shift: int, r: int, order=None) -> EGFSeries:
 class Ladder:
     """The powers G^0, G^1, ... of one series G = series(m, *args), built from m.
 
-    ``rungs`` lists the powers built so far, G itself as rung 1;
-    ``through`` appends one egf_mul by G per rung, so G builds its rows at
-    the first and keeps them for the ladder's life.  ``columns`` maps m to
-    the alternating column of ``column(m)``, built on first read.
+    ``rung(k)`` reads G^k, a ``triangle_rows`` reader: rung 1 is G and
+    each later rung is one egf_mul by G, so G builds its rows at the first
+    and keeps them for the ladder's life.  ``columns`` maps m to the
+    alternating column of ``column(m)``, built on first read.
     """
 
-    __slots__ = ("rungs", "columns")
+    __slots__ = ("rung", "columns")
 
     def __init__(self, m: MomentSeq, series, *args):
         g = series(m, *args)
-        self.rungs, self.columns = [egf_one(g.order), g], {}
-
-    def through(self, k_max: int) -> list:
-        """The rungs, grown through G^k_max.  The list may run past k_max; callers only read it."""
-        rungs = self.rungs
-        while len(rungs) <= k_max:
-            rungs.append(egf_mul(rungs[-1], rungs[1]))
-        return rungs
+        self.rung = triangle_rows(lambda k, rung: egf_mul(rung, g) if k else g, egf_one(g.order))
+        self.columns = {}
 
     def column(self, m: int) -> EGFSeries:
         """(1/m!) sum_k C(m,k)(-1)^{m-k} G^k, built once from rungs 0..m over their lcm.
@@ -186,7 +181,7 @@ class Ladder:
         column = self.columns.get(m)
         if column is None:
             weights = [alternating(m - k, comb(m, k)) for k in range(m + 1)]
-            column = self.columns[m] = egf_lincomb(self.through(m)[: m + 1], weights, factorial(m))
+            column = self.columns[m] = egf_lincomb([*map(self.rung, range(m + 1))], weights, factorial(m))
         return column
 
 
@@ -199,8 +194,7 @@ def ladder(m: MomentSeq, shift: int, r: int) -> Ladder:
     holds more moments than it reads cuts them first.
     The ladder is built from the moments alone, never from psn_egf or its
     columns, so the routes that read it stay independent of the table
-    they check.  Only ``Ladder.through`` grows its rungs and
-    ``Ladder.column`` its columns; every caller reads them.
+    they check.
     """
     return kept(m, (shift, r), Ladder, weighted_series, shift, r)
 
@@ -295,7 +289,7 @@ def psn_gr_rep(m: MomentSeq, r: int, j: int, m_idx: int) -> QC:
     p = j - k
     if p + r + 1 > m.order:
         raise ValueError("j exceeds the available moment order for this route")
-    power = ladder(m, r + 1, r + 1).through(m_idx)[m_idx]
+    power = ladder(m, r + 1, r + 1).rung(m_idx)
     # w power[p] / den, read off the one rung's numerators
     w, den = factorial(k) * comb(j, k), factorial(m_idx) * factorial(r + 1) ** m_idx
     return qc_from_numerators(power.den * den, w * power.re[p], w * power.im[p] if power.im else 0)
@@ -317,14 +311,11 @@ class BoundCheck(NamedTuple):
     rhs_is_lower_bound: bool
 
 
-def bound_check_from_moments(
-    m: MomentSeq, abs_m: MomentSeq, j: int, m_idx: int
-) -> BoundCheck:
+def bound_check_from_moments(m: MomentSeq, abs_m: MomentSeq, j: int, m_idx: int) -> BoundCheck:
     """Exact comparison given an explicit absolute-moment sequence."""
     if not m.is_real:
         raise ValueError("the bound applies to real-valued distributions")
-    table = psn_egf_cached(m)
-    lhs = abs(table.entry(j, m_idx).as_fraction())
+    lhs = abs(_entry(psn_egf_cached(m), m.order, j, m_idx).as_fraction())
     rhs = egf_pow(abs_m, m_idx)[j].as_fraction() / factorial(m_idx)
     return BoundCheck(lhs <= rhs, lhs, rhs, False)
 

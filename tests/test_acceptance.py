@@ -5,6 +5,9 @@ lines; every tolerance and runtime budget is pinned here.
 """
 
 import functools
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 from math import comb, factorial, perm
@@ -252,24 +255,41 @@ def test_criterion_12_monte_carlo():
         assert report.passed, report
 
 
+CRITERION_13_RUNS = [
+    ["stirling", "--dist", "uniformstd", "--jmax", "8"],
+    ["moments", "--dist", "poisson", "--param", "1", "--n", "7", "--jmax", "8"],
+    ["cumulants", "--dist", "rademacher", "--jmax", "8"],
+    ["levy", "--dist", "gamma", "--t", "1/2", "--jmax", "8"],
+    ["edgeworth", "--dist", "uniformstd", "--n", "16", "--K", "2", "--grid=-2:2:1/2"],
+    ["validate", "--suite", "exact"],
+]
+
+
 @criterion(13, "byte-identical repeated exact-mode CLI runs")
 def test_criterion_13_determinism(tmp_path):
     from pstirling.cli import main
 
-    runs = [
-        ["stirling", "--dist", "uniformstd", "--jmax", "8"],
-        ["moments", "--dist", "poisson", "--param", "1", "--n", "7", "--jmax", "8"],
-        ["cumulants", "--dist", "rademacher", "--jmax", "8"],
-        ["levy", "--dist", "gamma", "--t", "1/2", "--jmax", "8"],
-        ["edgeworth", "--dist", "uniformstd", "--n", "16", "--K", "2", "--grid=-2:2:1/2"],
-        ["validate", "--suite", "exact"],
-    ]
-    for i, argv in enumerate(runs):
+    for i, argv in enumerate(CRITERION_13_RUNS):
         paths = [tmp_path / f"run{i}_{k}.out" for k in (0, 1)]
         for path in paths:
             assert main(argv + ["--out", str(path)]) == 0
         first, second = (p.read_bytes() for p in paths)
         assert first == second and first, argv
+
+
+@pytest.mark.parametrize("argv", CRITERION_13_RUNS, ids=lambda argv: argv[0])
+def test_criterion_13_in_fresh_processes_under_two_hash_seeds(argv):
+    """Criterion 13 as a user runs it: each run a new process with cold caches, and str hashing
+    seeded 0 and then 1, so no output may depend on a set's or a dict's hash order."""
+    src = os.path.dirname(os.path.dirname(ps.__file__))
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-m", "pstirling.cli", *argv], env=env,
+                              capture_output=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, b""), (argv, seed)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1] and outputs[0], argv
 
 
 def test_cumulants_on_unrelated_denominators_within_budget():

@@ -1032,3 +1032,12 @@ class TestImportBoundary:
             "try:\n    pstirling.nope\nexcept AttributeError:\n    print('no attribute')\n"
         )
         assert _fresh_process(code) == "no attribute\n"
+
+    def test_dir_lists_every_public_name_and_submodule(self):
+        import pstirling
+
+        names = pstirling.__dir__()
+        assert names == sorted(set(names)) and dir(pstirling) == names
+        submodules = {"cli", "edgeworth", "levy", "moments", "oracle", "powerseries", "randomvars",
+                      "stirling"}
+        assert set(pstirling.__all__) | submodules <= set(names)

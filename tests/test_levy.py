@@ -65,6 +65,12 @@ class TestTstar:
         with pytest.raises(ValueError, match="order must be nonnegative"):
             tstar_moments(compensated_unit_jump(4), -3)
 
+    def test_an_order_past_u_is_refused(self):
+        spec = compensated_unit_jump(4)
+        assert tstar_moments(spec, 4).order == 4
+        with pytest.raises(ValueError, match="^U moments do not reach the requested order$"):
+            tstar_moments(spec, 5)
+
 
 class TestLevyMoments:
     def test_unit_jump_small_orders(self):
@@ -164,6 +170,8 @@ def test_negative_order_is_refused(spec):
     # it ended in DomainError("moment sequence must start with mu_0 = 1")
     with pytest.raises(ValueError, match="^order must be nonnegative$"):
         levy_process_moments(spec, -1, F(1, 2))
+    # order 0 is the boundary that is served: E Y(t)^0 = 1
+    assert levy_process_moments(spec, 0, F(1, 2)) == MomentSeq([1])
 
 
 class TestCompleteMonotonicity:
@@ -200,7 +208,7 @@ class TestCompleteMonotonicity:
         for j in range(2, 21, 2):
             cm_coefficients(spec, j)
             levy_moment_g(spec, j, F(2, 3))
-        assert len(builds) == 1 and builds[0] is ladder(spec._t, 0, 2).rungs[1]
+        assert len(builds) == 1 and builds[0] is ladder(spec._t, 0, 2).rung(1)
         # a copy is rebuilt through LevySpec, which builds its own T
         twin = pickle.loads(pickle.dumps(spec))
         assert twin == spec and twin._t == spec._t and twin._t is not spec._t
@@ -380,6 +388,16 @@ class TestValidationAndJson:
     def test_refusal_names_its_fault(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+    def test_zero_variances_are_accepted(self):
+        # zero is the boundary of the nonnegative variances: tau2 = 0 and sigma2 = 0 are specs
+        sub = SubordinatorSpec(0, MomentSeq([1, 2]))
+        assert sub.tau2 == 0 and levy_cumulant(sub, 2, 1) == 0
+        assert LevySpec(0, 1, MomentSeq([1, 2])).sigma2 == 0
+
+    def test_gaussian_builder_defaults_to_unit_variances(self):
+        spec = gaussian_part_only(4)
+        assert (spec.sigma2, spec.kappa2) == (1, 1) and spec == gaussian_part_only(4, 1, 1)
 
     def test_gamma_builder_moments(self):
         sub = gamma_subordinator(5)

@@ -104,6 +104,18 @@ class TestUniformFn:
     def test_rational_argument(self):
         assert uniform_fn_exact(4, F(1, 2)) == pytest.approx(uniform_fn_exact(4, 0.5), abs=1e-15)
 
+    @pytest.mark.parametrize("n", (1, 4, 33))
+    def test_the_limits_at_infinity(self, n):
+        # they raised OverflowError converting inf to a ratio
+        assert (irwin_hall_cdf(n, math.inf), irwin_hall_cdf(n, -math.inf)) == (1, 0)
+        assert (uniform_fn_exact(n, math.inf), uniform_fn_exact(n, -math.inf)) == (1.0, 0.0)
+        assert type(irwin_hall_cdf(n, math.inf)) is F and type(uniform_fn_exact(n, -math.inf)) is float
+
+    def test_nan_is_refused(self):
+        for call in (irwin_hall_cdf, uniform_fn_exact):
+            with pytest.raises(ValueError, match="^points must be numbers, not nan$"):
+                call(4, math.nan)
+
 
 class TestMcSumMoment:
     def test_point_mass_exact(self):

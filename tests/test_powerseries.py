@@ -598,8 +598,18 @@ class TestTriangleRows:
     def test_the_package_triangles_are_its_row_readers(self):
         # one helper's closure each: no lru_cache, and no second way to keep rows
         row_reader = triangle_rows(None).__code__
-        for rows in (powerseries._binomials, stirling._s1_row, stirling._s2_row):
+        m = moments_of(uniform_std(), 6)
+        for rows in (powerseries._binomials, stirling._s1_row, stirling._s2_row,
+                     stirling.psn_egf_cached(m), stirling.ladder(m, 0, 0).rung,
+                     stirling.factorial_ladder(m).rung):
             assert rows.__code__ is row_reader and not hasattr(rows, "cache_info")
+
+    def test_a_series_triangle_starts_at_its_own_row_0(self):
+        one = egf_one(3)
+        g = EGFSeries([0, 1, F(1, 2), 3])
+        powers = triangle_rows(lambda k, row: egf_mul(row, g) if k else g, one)
+        assert powers(0) is one and powers(1) is g
+        assert [powers(k) for k in range(5)] == [egf_pow(g, k) for k in range(5)]
 
 
 class TestKeptSlot:

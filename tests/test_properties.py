@@ -130,18 +130,21 @@ class TestLadder:
         (stirling.psn_direct, 10, 8),
     ]
 
-    def test_growth_order_does_not_matter(self):
+    def test_growth_order_does_not_matter(self, monkeypatch):
         m = fresh_sequence(77, 1, True)
         expected = {}
         for route, j, m_idx in self.CALLS:
             oracle = (schoolbook_psn_direct if route is stirling.psn_direct
                       else schoolbook_psn_via_classical)
             expected[route, j, m_idx] = oracle(m, j, m_idx)
+        products, _ = count_products(monkeypatch)
         for calls in (self.CALLS[::-1], self.CALLS):
             m = copy.copy(m)  # an equal sequence that keeps no ladder yet
+            products.clear()
             for route, j, m_idx in calls:
                 assert route(m, j, m_idx) == expected[route, j, m_idx], (route.__name__, j, m_idx)
-            assert len(stirling.ladder(m, 0, 0).rungs) == 9
+            # rungs 0..8 of ladder (0, 0), of which G^0 and G^1 take no product
+            assert sum(b.coeffs == m.coeffs for b in products) == 7
 
     @pytest.mark.parametrize("is_complex", (False, True), ids=("real", "complex"))
     def test_rungs_after_growth_in_random_order(self, is_complex):
@@ -150,9 +153,9 @@ class TestLadder:
         for seed in range(3):
             m = copy.copy(m)
             for k in random.Random(seed).sample(range(J + 1), J + 1):
-                rungs = stirling.ladder(m, 0, 0).through(k)
-                assert [rung.coeffs for rung in rungs] == expected[: len(rungs)], (seed, k)
-            assert len(rungs) == J + 1
+                rung = stirling.ladder(m, 0, 0).rung
+                assert [rung(i).coeffs for i in range(k + 1)] == expected[: k + 1], (seed, k)
+            assert [rung(i).coeffs for i in range(J + 1)] == expected
 
     # (0, 0) is M(z)^k, checked against its own oracle above
     @pytest.mark.parametrize("key", KEYS[1:], ids=KEY_IDS[1:])
@@ -163,9 +166,9 @@ class TestLadder:
             for seed in range(3):
                 m = copy.copy(m)
                 for k in random.Random(seed).sample(range(J + 1), J + 1):
-                    rungs = stirling.ladder(m, shift, r).through(k)
-                    assert [rung.coeffs for rung in rungs] == expected[: len(rungs)], (seed, k)
-                assert len(rungs) == J + 1
+                    rung = stirling.ladder(m, shift, r).rung
+                    assert [rung(i).coeffs for i in range(k + 1)] == expected[: k + 1], (seed, k)
+                assert [rung(i).coeffs for i in range(J + 1)] == expected
 
     @pytest.mark.parametrize("key", KEYS, ids=KEY_IDS)
     def test_one_row_build_and_one_product_per_rung(self, monkeypatch, key):
@@ -173,24 +176,25 @@ class TestLadder:
         m = fresh_sequence(81, 0, False)
         calls, builds = count_products(monkeypatch)
         ladder = stirling.ladder(m, shift, r)
-        g = ladder.rungs[1]
+        g = ladder.rung(1)
         assert g == stirling.weighted_series(m, shift, r, J - shift)
         # G^0 and G^1 take no product, so a ladder read only there builds no rows
-        assert ladder.through(1) == [egf_one(J - shift), g]
+        assert [ladder.rung(0), ladder.rung(1)] == [egf_one(J - shift), g]
         assert builds == [] and calls == []
-        ladder.through(5)
+        ladder.rung(5)
         # the rows of G, from the moments alone, built at the first product
         assert len(calls) == 4 and len(builds) == 1 and builds[0] is g
-        ladder.through(3)  # a read within the ladder grows nothing
+        ladder.rung(3)  # a read within the ladder grows nothing
         assert len(calls) == 4
-        assert stirling.ladder(m, shift, r).through(7) is ladder.rungs
+        assert stirling.ladder(m, shift, r).rung is ladder.rung
+        ladder.rung(7)
         assert len(calls) == 6 and all(b is g for b in calls) and len(builds) == 1
-        assert len(ladder.rungs) == 8 and all(rung.order == J - shift for rung in ladder.rungs)
+        assert all(ladder.rung(k).order == J - shift for k in range(8)) and len(calls) == 6
 
     def test_grows_lazily_by_one_product_per_step(self, monkeypatch):
         m = fresh_sequence(78, 0, False)
         f = stirling.factorial_moments(m)
-        stirling.psn_egf_cached(m)  # the recursion reads one table entry
+        stirling.psn_egf_cached(m)(5)  # the recursion below reads column 5 of the table
         calls, builds = count_products(monkeypatch)
 
         def products_by(g):
@@ -235,6 +239,28 @@ def test_table_builds_the_rows_of_m_minus_1_once(monkeypatch, is_complex):
     # column 1 is M - 1 itself, so the table takes J - 1 products, and it keeps no rows
     assert len(calls) == J - 1 and all(b is builds[0] for b in calls)
     assert table.columns[1] == builds[0] and all(column._kept is None for column in table.columns)
+    assert m._kept is None  # psn_egf keeps neither its reader nor the rows of M - 1 in m
+
+
+@pytest.mark.parametrize("is_complex", (False, True), ids=("real", "complex"))
+def test_a_sum_moment_builds_only_the_columns_it_sums(monkeypatch, is_complex):
+    """The kept table grows as it is read: E S_3^J sums columns 0..3, the recursion column tau."""
+    m = fresh_sequence(90, 0, is_complex)
+    assert m[1] != 0 and vanishing_order(m) == 0  # tau = j, so the sums reach past column 3
+    expected = [moments.sum_moment_egf(m, 3, J), moments.sum_moment_egf(m, 9, 5)]
+    calls, builds = count_products(monkeypatch)
+    assert moments.sum_moment(m, 3, J) == expected[0]
+    # columns 2 and 3, by the rows of M - 1; columns 0 and 1 take no product
+    assert len(calls) == 2 and len(builds) == 1 and all(b is builds[0] for b in calls)
+    assert builds[0].coeffs == (QC(0),) + m.coeffs[1:]
+    calls.clear()
+    # tau = 5: table columns 4 and 5, and rungs 2..4 of ladder (0, 0), by the rows of M
+    assert moments.sum_moment_recursion(m, 9, 5) == expected[1]
+    assert [b is builds[0] for b in calls] == [True, True, False, False, False]
+    assert all(b.coeffs == m.coeffs for b in calls[2:]) and len(builds) == 2
+    columns = stirling.psn_egf_cached(m)
+    assert [*map(columns, range(6))] == list(stirling.psn_egf(m).columns[:6])
+    assert len(calls) == 5 + J - 1  # psn_egf's own J - 1 products: columns 0..5 were kept, not rebuilt
 
 
 def test_routes_never_read_the_table(monkeypatch):
@@ -342,7 +368,7 @@ class TestWeightedLadder:
         for r in (0, 1, 2):
             for m_idx in range(J + 1):
                 for p in range(J + 1):
-                    rung = stirling.ladder(seq, 0, r).through(m_idx)[m_idx]
+                    rung = stirling.ladder(seq, 0, r).rung(m_idx)
                     assert rung[p] == stirling.weighted_sum_moment(seq, r, m_idx, p), (r, m_idx, p)
         # psn_gr_rep's shift: the prefactor times coefficient p of G^m is S_Y(j, m)
         table = stirling.psn_egf(seq)
@@ -353,7 +379,7 @@ class TestWeightedLadder:
                 if p + s > J:
                     continue
                 pref = F(factorial(mm * s), factorial(mm) * factorial(s) ** mm) * comb(j, mm * s)
-                rung = stirling.ladder(seq, s, s).through(mm)[mm]
+                rung = stirling.ladder(seq, s, s).rung(mm)
                 assert pref * rung[p] == table.entry(j, mm), (j, mm)
 
 
