@@ -118,10 +118,12 @@ def edgeworth_term(model: EdgeworthModel, k: int, n: int, y: float) -> float:
     -g(y) n^{-k/2} sum_{(m,j)} S(j,m)/j! * (n)_m/n^m * H_{j-1}(y): each
     coefficient is one quotient of integers, S(j,m)'s numerator over its
     column's denominator, rounded once to a float; a coefficient beyond
-    float range raises DomainError.
+    float range raises DomainError.  y = +-inf gives 0.0; y = nan is refused.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if math.isnan(y):
+        raise ValueError("points must be numbers, not nan")
     if not model.r - 1 <= k <= model.K:
         raise ValueError(f"k must lie in [{model.r - 1}, {model.K}]")
     pairs = delta_set(model.r, n, k)
@@ -143,9 +145,11 @@ def edgeworth_term(model: EdgeworthModel, k: int, n: int, y: float) -> float:
 
 
 def edgeworth_cdf(model: EdgeworthModel, n: int, y: float) -> float:
-    """G(y) plus all correction terms k = r-1 .. K."""
+    """G(y) plus all correction terms k = r-1 .. K: 1.0 at y = +inf and 0.0 at -inf; nan is refused."""
     if n < 1:
         raise ValueError("n must be positive")
+    if math.isnan(y):
+        raise ValueError("points must be numbers, not nan")
     if model.lattice:
         warnings.warn(
             "expansion evaluated for a lattice distribution; the integrable-"

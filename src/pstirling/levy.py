@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb
 from operator import mul
 
-from .powerseries import Record, exact_rational
+from .powerseries import Record, exact_rational, reduced_fraction
 from .randomvars import CumulantSeq, MomentSeq
 from .randomvars import bernoulli, gamma_shape, moments_of, normal, point_mass  # the catalog's laws
 from .stirling import ladder
@@ -98,8 +98,10 @@ def _moment_coefficients(spec, j: int) -> list:
     gauss = moments_of(normal(var2), j)
     out = [Fraction(1 if j == 0 else 0)]
     for m in range(1, j // 2 + 1):
-        w_mom = rung(m)[j - 2 * m].as_fraction()
-        out.append(comb(j, 2 * m) * gauss[2 * m].re * w_mom)
+        # C(j, 2m) var2^m E Z^{2m} E W_m(2)^{j-2m} off the two real series' numerators, one reduction
+        power = rung(m)
+        num = comb(j, 2 * m) * gauss.re[2 * m] * power.re[j - 2 * m]
+        out.append(reduced_fraction(num, gauss.den * power.den))
     return out
 
 

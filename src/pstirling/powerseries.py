@@ -4,7 +4,10 @@ A series of order J represents sum_{j<=J} a_j z^j / j!.  Coefficients are
 complex numbers with rational real/imaginary parts, stored as integer
 numerators over one denominator, so every operation is exact.  A value
 leaves a series as a :class:`QC`, either one coefficient (``s[j]``) or an
-integer combination of series (``egf_combination``).  Every product
+integer combination of series (``egf_combination``), read out of its
+integers by ``qc_from_numerators``: each nonzero part is one gcd and a
+Fraction whose two slots are set, with no call to Fraction's
+constructor.  Every product
 multiplies by the binomial-weighted rows of its right operand, which a
 series builds the first time it is one and keeps, so that a series that
 several products share, such as the base of a ladder of powers, builds
@@ -90,10 +93,11 @@ class Record:
 class QC(Record):
     """Complex scalar with exact rational real and imaginary parts.
 
-    Fraction keeps both parts normalized (gcd 1, positive denominator).
-    Construction and arithmetic accept int/Fraction; floats, complex and
-    strings are rejected (TypeError) so that inexact values cannot enter
-    silently.
+    Both parts are normalized Fractions (gcd 1, positive denominator):
+    Fraction keeps them so in arithmetic, and a read-out
+    (``qc_from_numerators``) builds them reduced.  Construction and
+    arithmetic accept int/Fraction; floats, complex and strings are
+    rejected (TypeError) so that inexact values cannot enter silently.
     """
 
     __slots__ = ("re", "im")
@@ -365,13 +369,39 @@ def egf_combination(series, weights, j: int, den: int = 1) -> QC:
 def qc_from_numerators(den: int, re: int, im: int) -> QC:
     """(re + i im) / den as one QC, den > 0; a zero part is the shared zero, which costs no gcd.
 
-    The parts are Fractions built here, so the QC is made without QC.__init__,
+    Each nonzero part is a reduced Fraction built as ``reduced_fraction``
+    builds one, inline, so a read-out makes no Python call per part.  The
+    parts are Fractions built here, so the QC is made without QC.__init__,
     whose check is for a caller's values: its two slots are set directly.
     """
     q = _new(QC)
-    _set_re(q, Fraction(re, den) if re else _ZERO)
-    _set_im(q, Fraction(im, den) if im else _ZERO)
+    if re:
+        g = gcd(re, den)
+        part = _new(Fraction)
+        part._numerator, part._denominator = re // g, den // g
+        _set_re(q, part)
+    else:
+        _set_re(q, _ZERO)
+    if im:
+        g = gcd(im, den)
+        part = _new(Fraction)
+        part._numerator, part._denominator = im // g, den // g
+        _set_im(q, part)
+    else:
+        _set_im(q, _ZERO)
     return q
+
+
+def reduced_fraction(num: int, den: int) -> Fraction:
+    """num / den as a Fraction, den > 0: one gcd and the Fraction's two slots set, with no checks.
+
+    The result is the normalized Fraction (gcd 1, den > 0) that
+    Fraction(num, den) builds, without Fraction's Python-level constructor.
+    """
+    g = gcd(num, den)
+    part = _new(Fraction)
+    part._numerator, part._denominator = num // g, den // g
+    return part
 
 
 def egf_lincomb(series, weights, den: int = 1) -> EGFSeries:

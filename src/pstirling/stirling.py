@@ -122,13 +122,24 @@ def table_columns(m: MomentSeq):
     Column 1 is a copy of M(z)-1, and column k + 1 is column k times
     M(z)-1, over k + 1: one binomial convolution per column, O(J^2) exact
     operations each, by the rows of M(z)-1 that its first product builds
-    and the others reuse.
+    and the others reuse.  Once column J is built the reader drops M(z)-1
+    and those rows, and keeps the columns alone.
     """
     shifted = EGFSeries.from_numerators(m.den, (0,) + m.re[1:], m.im)  # M(z) - 1; im[0] is 0
-    # column 1 is a copy, so that the rows the operand keeps stay out of the table
-    first = EGFSeries.from_numerators(shifted.den, shifted.re, shifted.im)
-    return triangle_rows(lambda k, column: egf_mul(column, shifted, k + 1) if k else first,
-                         egf_one(m.order))
+    last = m.order
+
+    def step(k: int, column: EGFSeries) -> EGFSeries:
+        nonlocal shifted
+        # column 1 is a copy, so that the rows the operand keeps stay out of the table
+        if k:
+            column = egf_mul(column, shifted, k + 1)
+        else:
+            column = EGFSeries.from_numerators(shifted.den, shifted.re, shifted.im)
+        if k + 1 == last:
+            shifted = None  # column J is built, and no read needs M(z)-1 or its rows again
+        return column
+
+    return triangle_rows(step, egf_one(last))
 
 
 def psn_egf(m: MomentSeq) -> StirlingTable:
@@ -203,7 +214,7 @@ def _in_range(m: MomentSeq, j: int, m_idx: int) -> bool:
     """Whether S_Y(j, m_idx) can be nonzero (m_idx <= j); raises on indices m cannot serve."""
     if j < 0 or m_idx < 0:
         raise ValueError("indices must be nonnegative")
-    if j > m.order:
+    if j >= len(m.re):
         raise ValueError("j exceeds the available moment order")
     return m_idx <= j
 

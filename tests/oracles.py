@@ -9,7 +9,9 @@ from a rational Maclaurin series with Machin's formula for pi, and the
 series product, log and exp from term-by-term loops over the exact
 scalar ``QC``, which bypass the integer kernel that ``powerseries`` uses.
 The Monte Carlo reference draws each Y by one closure call and reduces
-the sums in a Python loop, one sample at a time.
+the sums in a Python loop, one sample at a time.  One reference reads
+the library's own series: the Levy coefficients as Fraction products of
+read-outs, which checks only the step that forms each coefficient.
 """
 
 import math
@@ -19,7 +21,10 @@ from fractions import Fraction
 from itertools import accumulate, islice, product, repeat
 from math import comb, factorial
 
+from pstirling.levy import _variance_and_t
 from pstirling.powerseries import QC, EGFSeries
+from pstirling.randomvars import moments_of, normal
+from pstirling.stirling import ladder
 
 
 def enum_sum_moment(support, n, j):
@@ -323,6 +328,26 @@ def schoolbook_psn_via_classical(m, j, m_idx):
             inner = inner + sign * comb(m_idx, k) * falling_moment(k, l)
         acc = acc + s2[l] * inner
     return acc / factorial(m_idx)
+
+
+def fraction_product_levy_coefficients(spec, j):
+    """The 1/t-polynomial coefficients of a Levy process's or a subordinator's j-th moment function.
+
+    Each coefficient C(j,2m) var^m E Z^{2m} E W_m(2)^{j-2m} is formed from two
+    read-outs, moment 2m of the normal and coefficient j-2m of rung m, by two
+    Fraction products; ``levy._moment_coefficients``, which forms it from the
+    two series' numerators in one reduction, is tested against this.
+    """
+    if j < 0:
+        raise ValueError("indices must be nonnegative")
+    var2, tm = _variance_and_t(spec, j - 2)
+    rung = ladder(tm, 0, 2).rung
+    gauss = moments_of(normal(var2), j)
+    out = [Fraction(1 if j == 0 else 0)]
+    for m in range(1, j // 2 + 1):
+        w_mom = rung(m)[j - 2 * m].as_fraction()
+        out.append(comb(j, 2 * m) * gauss[2 * m].re * w_mom)
+    return out
 
 
 # --- Monte Carlo, one draw and one sample at a time ---------------------------

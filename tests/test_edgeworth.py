@@ -248,6 +248,23 @@ class TestCdf:
             assert edgeworth_term(model, k, 16, y) == 0.0
         assert edgeworth_cdf(model, 16, y) == normal_cdf(y) == (1.0 if y > 0 else 0.0)
 
+    @pytest.mark.parametrize("K", (1, 4))  # K = 1 has no terms, so edgeworth_cdf reads y itself
+    @pytest.mark.parametrize("y, cdf", [(math.inf, 1.0), (-math.inf, 0.0), (math.nan, None)],
+                             ids=["inf", "-inf", "nan"])
+    def test_the_limits_at_infinity_and_nan_refused(self, y, cdf, K):
+        # nan made g(y), G(y) and so every term and the CDF nan
+        model = edgeworth_model(uniform_std(), K=K)
+        terms = range(model.r - 1, model.K + 1)
+        if cdf is None:
+            with pytest.raises(ValueError, match="^points must be numbers, not nan$"):
+                edgeworth_cdf(model, 16, y)
+            for k in terms:
+                with pytest.raises(ValueError, match="^points must be numbers, not nan$"):
+                    edgeworth_term(model, k, 16, y)
+        else:
+            assert edgeworth_cdf(model, 16, y) == cdf
+            assert all(edgeworth_term(model, k, 16, y) == 0.0 for k in terms)
+
     def test_symmetric_midpoint(self):
         model = edgeworth_model(moments_of(uniform_std(), 12), K=4)
         assert edgeworth_cdf(model, 8, 0.0) == 0.5

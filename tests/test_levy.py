@@ -1,7 +1,7 @@
 import pickle
 import random
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -19,6 +19,7 @@ from pstirling.levy import (
     subordinator_moment_h,
     tstar_moments,
 )
+from pstirling import levy
 from pstirling.cli import process_from_json
 from pstirling.moments import cumulants_oracle
 from pstirling.powerseries import QC, EGFSeries
@@ -26,6 +27,7 @@ from pstirling.randomvars import MomentSeq, moments_of, poisson
 from pstirling.stirling import ladder
 
 from oracles import (
+    fraction_product_levy_coefficients,
     gamma_raw_moments,
     normal_even_moment,
     schoolbook_egf_exp,
@@ -212,6 +214,41 @@ class TestCompleteMonotonicity:
         # a copy is rebuilt through LevySpec, which builds its own T
         twin = pickle.loads(pickle.dumps(spec))
         assert twin == spec and twin._t == spec._t and twin._t is not spec._t
+
+
+def nineteen_digit_tstar(seed, order):
+    """A subordinator whose T* moments are seeded nonnegative 19-digit rationals, tau^2 = 3/7."""
+    rng = random.Random(seed)
+    digits = range(10**18, 10**19)
+    return SubordinatorSpec(F(3, 7), MomentSeq([1] + [F(rng.choice(digits), rng.choice(digits))
+                                                      for _ in range(order)]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [poisson_subordinator, gamma_subordinator,
+     lambda order: LevySpec(F(1, 2), F(3, 4), MomentSeq(random_tail(44, order, signed=True))),
+     lambda order: nineteen_digit_tstar(19, order)],
+    ids=["poisson", "gamma", "levy-spec", "19-digit-tstar"],
+)
+def test_coefficients_equal_the_fraction_products(build):
+    """Each coefficient, read off the numerators in one reduction, is the Fraction-product value."""
+    spec = build(12)
+    for j in range(13):
+        expected = fraction_product_levy_coefficients(spec, j)
+        got = levy._moment_coefficients(spec, j)
+        assert got == expected and len(got) == j // 2 + 1, j
+        for c, e in zip(got, expected):
+            assert type(c) is F and c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+            assert (c.numerator, c.denominator, hash(c), repr(c)) == (e.numerator, e.denominator,
+                                                                       hash(e), repr(e))
+        if isinstance(spec, SubordinatorSpec) or j % 2 == 0:
+            assert cm_coefficients(spec, j) == expected[1:]
+        for t in TIMES:
+            g = sum(c * t ** (m - j // 2) for m, c in enumerate(expected))
+            assert levy_moment_g(spec, j, t) == g
+            if isinstance(spec, SubordinatorSpec):
+                assert subordinator_moment_h(spec, j, t) == g
 
 
 def moments_by_cumulants(var2, tail, t, order):

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import math
 import pickle
 import random
 from fractions import Fraction as F
@@ -23,6 +24,7 @@ from pstirling.powerseries import (
     egf_pow,
     kept,
     qc_from_numerators,
+    reduced_fraction,
     triangle_rows,
 )
 from pstirling.randomvars import CumulantSeq, MomentSeq, custom, hat_transform
@@ -107,6 +109,23 @@ def test_refusal_names_its_fault(call, error, message):
         call()
 
 
+def assert_is_the_fraction(part, num: int, den: int):
+    """part is exactly Fraction(num, den): normalized, and alike in value, hash, repr, str and float."""
+    expected = F(num, den)
+    assert type(part) is F, (num, den)
+    assert part.denominator > 0 and gcd(part.numerator, part.denominator) == 1, (num, den)
+    assert (part.numerator, part.denominator) == (expected.numerator, expected.denominator)
+    assert part == expected and hash(part) == hash(expected)
+    assert repr(part) == repr(expected) and str(part) == str(expected)
+    assert float(part) == float(expected)
+
+
+# (den, re, im): den 1, negative numerators, a gcd > 1 in each part, zero parts, and 10^30-size values
+READ_OUTS = [(1, 7, -7), (1, 0, -1), (6, -4, 9), (12, 18, -30), (7, 0, 14), (5, -10, 0),
+             (10**30 + 2, 10**30, -(10**30 + 4)), (3 * 10**30, -6 * 10**30, 9 * 10**29 + 3),
+             (1, -(10**30) - 1, 10**30), (2**100, 3 * 2**99, -(2**101))]
+
+
 class TestReadOut:
     """qc_from_numerators builds, without QC's checks, the value QC builds with them."""
 
@@ -116,12 +135,52 @@ class TestReadOut:
         def numerator():
             return rng.choice((0, rng.randint(-9, 9), rng.randint(-(10**30), 10**30)))
 
-        cases = [(1, 0, 0), (1, 5, -3), (7, 0, 14), (6, -4, 0), (1, 0, -1)]
+        cases = [(1, 0, 0), (1, 5, -3), *READ_OUTS]
         cases += [(rng.choice((1, rng.randint(1, 10**12))), numerator(), numerator()) for _ in range(300)]
         for den, re, im in cases:
             q, expected = qc_from_numerators(den, re, im), QC(F(re, den), F(im, den))
             assert type(q) is QC and q == expected and hash(q) == hash(expected), (den, re, im)
-            assert type(q.re) is F and type(q.im) is F and repr(q) == repr(expected)
+            assert repr(q) == repr(expected) and str(q) == str(expected)
+            assert complex(q) == complex(expected)
+            assert_is_the_fraction(q.re, re, den)
+            assert_is_the_fraction(q.im, im, den)
+            assert_is_the_fraction(reduced_fraction(re, den), re, den)
+
+    def test_a_zero_part_is_the_shared_zero(self):
+        for den in (1, 6, 10**30):
+            q = qc_from_numerators(den, 0, 0)
+            assert q.re is q.im is powerseries._ZERO
+            assert_is_the_fraction(q.re, 0, den)
+
+    @pytest.mark.parametrize("den, re, im", READ_OUTS)
+    def test_parts_work_in_fraction_arithmetic(self, den, re, im):
+        q = qc_from_numerators(den, re, im)
+        for part, num in ((q.re, re), (q.im, im), (reduced_fraction(re, den), re)):
+            expected = F(num, den)
+            for other in (F(-5, 3), F(10**31, 7), 2):
+                assert part + other == expected + other and other - part == other - expected
+                assert part * other == expected * other and part / other == expected / other
+                assert (part < other) == (expected < other) and (part >= other) == (expected >= other)
+            assert -part == -expected and abs(part) == abs(expected) and part**3 == expected**3
+            for read in (int, round, math.floor, math.ceil):
+                assert read(part) == read(expected)
+            assert part.as_integer_ratio() == expected.as_integer_ratio()
+            assert part.limit_denominator(1000) == expected.limit_denominator(1000)
+            assert {expected: "key"}[part] == "key"
+        # QC arithmetic on the read-out equals it on the checked value
+        checked = QC(F(re, den), F(im, den))
+        assert q * q == checked * checked and q + q == 2 * checked and q - checked == 0
+
+    @pytest.mark.parametrize("den, re, im", READ_OUTS)
+    def test_parts_survive_copy_deepcopy_and_pickle(self, den, re, im):
+        q = qc_from_numerators(den, re, im)
+        for clone in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+            assert type(clone) is QC and clone == q and hash(clone) == hash(q) and repr(clone) == repr(q)
+            assert_is_the_fraction(clone.re, re, den)
+            assert_is_the_fraction(clone.im, im, den)
+        for part, num in ((q.re, re), (q.im, im)):
+            for clone in (copy.copy(part), copy.deepcopy(part), pickle.loads(pickle.dumps(part))):
+                assert_is_the_fraction(clone, num, den)
 
     def test_is_immutable(self):
         q = qc_from_numerators(3, 1, 2)

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -46,6 +48,7 @@ from oracles import (
     shift_moments,
     stirling1_signed_triangle,
 )
+from test_properties import unrelated_sequence
 
 
 class TestClassical:
@@ -148,6 +151,27 @@ class TestEgfRoute:
         assert own is not columns and tuple(map(own, range(7))) == table.columns
         fresh = MomentSeq(list(first.coeffs))
         assert psn_egf(fresh) == table and fresh._kept is None
+
+    def test_the_kept_reader_keeps_only_its_columns_once_column_j_is_built(self):
+        """After column J the reader drops M(z)-1 and its product rows, which no read needs again."""
+        psn_egf(unrelated_sequence(3000, 0, True, 30, digits=19))  # the binomial rows through 30, kept
+        m, twin = (unrelated_sequence(3001, 0, True, 30, digits=19) for _ in range(2))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            table = psn_egf(twin)  # its columns alone
+            alone = tracemalloc.get_traced_memory()[0] - base
+            base = tracemalloc.get_traced_memory()[0]
+            reader = psn_egf_cached(m)
+            columns = tuple(map(reader, range(31)))
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert columns == table.columns and reader(30) is columns[30]
+        # the reader kept about 1.75x the columns' memory with M(z)-1 and its rows
+        assert kept < 1.1 * alone, (kept / 2**20, alone / 2**20)
 
     def test_structural_zeros(self):
         table = psn_egf(moments_of(rademacher(), 6))
