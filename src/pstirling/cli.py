@@ -7,9 +7,10 @@ every flag, config key and distribution or process spec is parsed and
 bounded here, and the library takes typed values only.  Exact-mode output
 prints rationals as p/q strings, byte-identical across runs; float mode
 prints shortest-roundtrip floats.  Exit codes: 0 success, 1 validation
-failure, 2 argument errors or an output that cannot be written (one stderr
-line), 130 interrupted (one stderr line, no traceback), 141 stdout closed
-by its reader, as by ``| head`` (no stderr line).
+failure, 2 argument errors, an output that cannot be written or memory
+running out (one stderr line), 130 interrupted (one stderr line, no
+traceback), 141 stdout closed by its reader, as by ``| head`` (no stderr
+line).
 """
 
 from __future__ import annotations
@@ -235,10 +236,10 @@ def _moment(value) -> QC:
 
 
 def dist_from_json(data: dict) -> DistSpec:
-    """A spec {"dist": "<name>", <its kind's key, or "moments">: ...}; the kind's record names the key."""
+    """A spec {"dist": "<name>", <its kind's key>: ...}; the kind's record names the key."""
     name = data.get("dist")
     record = kind_record(name)
-    key = "moments" if record.moment_list else record.key
+    key = record.key
     owner = f"{name} spec"
     _refuse_other_keys(data, ("dist", key), f"a {owner} does not take the key")
     if record.moment_list:
@@ -281,10 +282,10 @@ def _dist_spec(config) -> DistSpec:
         raise ValueError("a distribution is required: pass --dist or a config with one")
     data = {"dist": dist}
     if config["param"] is not None:
-        key = kind_record(dist).key
-        if key is None:
+        record = kind_record(dist)
+        if record.key is None or record.moment_list:
             raise ValueError(f"--param is not meaningful for {dist!r}")
-        data[key] = config["param"]
+        data[record.key] = config["param"]
     return dist_from_json(data)
 
 
@@ -509,6 +510,10 @@ def main(argv=None) -> int:
         return 141
     except (ValueError, OSError) as exc:
         print(f"pstirling: error: {exc}", file=sys.stderr)
+        _release_stdout()
+        return 2
+    except MemoryError:
+        print("pstirling: error: out of memory", file=sys.stderr)
         _release_stdout()
         return 2
     except KeyboardInterrupt:

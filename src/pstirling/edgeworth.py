@@ -97,8 +97,8 @@ def edgeworth_model(source, K: int) -> EdgeworthModel:
     lattice = False
     if isinstance(source, DistSpec):
         order = max(3 * K, 4)
-        if source.custom_moments is not None:
-            order = min(order, source.custom_moments.order)
+        if isinstance(source.param, MomentSeq):  # a custom list, which may be shorter
+            order = min(order, source.param.order)
         mom = moments_of(source, order)
         lattice = source.lattice
     else:

@@ -166,9 +166,9 @@ def compensated_unit_jump(order: int) -> LevySpec:
     return LevySpec(0, 1, moments_of(point_mass(1), order))
 
 
-def gaussian_part_only(order: int, sigma2=1, kappa2=1) -> LevySpec:
-    """U = 0: only the Gaussian part contributes beyond the variance."""
-    return LevySpec(sigma2, kappa2, moments_of(point_mass(0), order))
+def gaussian_part_only(order: int) -> LevySpec:
+    """U = 0, sigma^2 = kappa^2 = 1: only the Gaussian part contributes beyond the variance."""
+    return LevySpec(1, 1, moments_of(point_mass(0), order))
 
 
 def poisson_subordinator(order: int) -> SubordinatorSpec:

@@ -1,8 +1,9 @@
 """Moments of i.i.d. partial sums and cumulants, by independent routes.
 
 E S_n^j collapses to a finite sum over the Stirling table with at most
-floor(j/(r+1)) + 1 terms when the first r moments of Y vanish; a finite
-recursion expresses E S_n^j for large n through the values at n < tau.
+floor(j/(r+1)) + 1 terms when the first r moments of Y vanish, r read off
+the sequence as its vanishing order; a finite recursion expresses E S_n^j
+for large n through the values at n < tau.
 Cumulants come from the table, from an alternating binomial over sum
 moments, and from the series logarithm, and all three must agree.  The
 table and ladder routes read their values out as integer combinations of
@@ -21,28 +22,21 @@ from .randomvars import CumulantSeq, MomentSeq, moments_of, normal, vanishing_or
 from .stirling import _in_range, alternating, ladder, psn_egf_cached
 
 
-def _tau(m: MomentSeq, j: int, r) -> int:
-    """tau = floor(j/(r+1)) once j and r are checked; r None is the vanishing order."""
+def _tau(m: MomentSeq, j: int) -> int:
+    """tau = floor(j/(r+1)), r the vanishing order, once j is checked."""
     _in_range(m, j, 0)
-    v = vanishing_order(m)
-    if r is None:
-        r = v
-    elif r < 0:
-        raise ValueError("r must be nonnegative")
-    elif r > v:
-        raise ValueError(f"requested r={r} exceeds the vanishing order {v}")
-    return j // (r + 1)
+    return j // (vanishing_order(m) + 1)
 
 
-def sum_moment(m: MomentSeq, n: int, j: int, r=None) -> QC:
+def sum_moment(m: MomentSeq, n: int, j: int) -> QC:
     """E S_n^j = sum_{m <= n ^ tau} S_Y(j,m) (n)_m with tau = floor(j/(r+1)).
 
-    r defaults to the vanishing order of the sequence (tightest tau); any
-    smaller r >= 0 is also valid and accepted for testing.
+    r is the vanishing order of the sequence, which gives the tightest tau;
+    a smaller r would only add terms whose table entries are zero.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    top = min(n, _tau(m, j, r))
+    top = min(n, _tau(m, j))
     # (n)_0, (n)_1, ..., (n)_top
     weights = accumulate(range(n, n - top, -1), mul, initial=1)
     return egf_combination([*map(psn_egf_cached(m), range(top + 1))], weights, j)
@@ -63,14 +57,14 @@ def sum_moment_egf(m: MomentSeq, n: int, j: int) -> QC:
     return egf_pow(m, n)[j]
 
 
-def sum_moment_recursion(m: MomentSeq, n: int, j: int, r=None) -> QC:
-    """E S_n^j for n >= tau from the moments at k < tau and S_Y(j,tau).
+def sum_moment_recursion(m: MomentSeq, n: int, j: int) -> QC:
+    """E S_n^j for n >= tau from the moments at k < tau and S_Y(j,tau), tau as in ``sum_moment``.
 
     Evaluates (n)_tau * [ S_Y(j,tau)
         + (1/(tau-1)!) sum_{k<tau} C(tau-1,k) (-1)^{tau-k-1}/(n-k) E S_k^j ]
     over the common denominator d = (tau-1)! lcm(n-k : k < tau).
     """
-    tau = _tau(m, j, r)
+    tau = _tau(m, j)
     if tau < 1:
         raise ValueError("recursion needs tau >= 1, i.e. j >= r + 1")
     if n < tau:

@@ -84,24 +84,21 @@ class CumulantSeq(EGFSeries):
 
 
 class DistSpec(Record):
-    """Catalog distribution: a variant tag plus at most one rational parameter.
+    """Catalog distribution: a variant tag plus at most one parameter.
 
-    The kind's record in ``_KINDS`` names the parameter.  Custom specs
-    carry an explicit moment list instead, held as the MomentSeq it makes.
+    The kind's record in ``_KINDS`` names the parameter: a rational, or for
+    a custom spec its explicit moment list, held as the MomentSeq it makes.
     """
 
-    __slots__ = ("kind", "param", "custom_moments")
+    __slots__ = ("kind", "param")
 
-    def __init__(self, kind: str, param: Optional[Fraction] = None, custom_moments=None):
+    def __init__(self, kind: str, param=None):
         record = kind_record(kind)
         _require(param is None or record.key is not None, f"{kind} spec takes no parameter")
         _require(param is not None or record.key is None, f"{kind} spec needs its parameter")
-        _require(custom_moments is None or record.moment_list, f"{kind} spec takes no moment list")
         if param is not None:
-            param = exact_rational(param)
-        if custom_moments is not None:
-            custom_moments = MomentSeq(custom_moments)
-        self._init(kind, param, custom_moments)
+            param = MomentSeq(param) if record.moment_list else exact_rational(param)
+        self._init(kind, param)
         record.check(self)
 
     @property
@@ -147,7 +144,7 @@ def normal(sigma2=1) -> DistSpec:
 
 
 def custom(moments) -> DistSpec:
-    return DistSpec(CUSTOM, custom_moments=tuple(moments))
+    return DistSpec(CUSTOM, tuple(moments))
 
 
 def moments_of(spec: DistSpec, order: int) -> MomentSeq:
@@ -357,7 +354,7 @@ def _normal_draws(spec: DistSpec, random: _Draw, size: int) -> Iterator[float]:
 
 
 def _custom_moments(spec: DistSpec, order: int) -> MomentSeq:
-    m = spec.custom_moments
+    m = spec.param
     _require(order <= m.order, "custom spec does not carry that many moments")
     return MomentSeq.from_numerators(m.den, m.re[: order + 1], m.im and m.im[: order + 1])
 
@@ -367,15 +364,11 @@ def _require(holds: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _check_custom(spec: DistSpec) -> None:
-    _require(spec.custom_moments is not None, "custom spec needs a moment list")
-
-
 class _Kind(NamedTuple):
     """How one distribution kind is parameterized, described and sampled."""
 
     moments: Callable[[DistSpec, int], MomentSeq]  # exact mu_0..mu_order
-    key: Optional[str] = None  # the CLI's JSON and --param name of the rational parameter
+    key: Optional[str] = None  # the parameter's JSON key, and for a rational one its --param name
     default: Optional[Fraction] = None  # the parameter when a spec omits its key
     check: Callable[[DistSpec], None] = lambda spec: None  # rejects a parameter off the domain
     abs_spec: Optional[Callable[[DistSpec], DistSpec]] = None  # |Y|, when E|Y|^k is rational
@@ -383,7 +376,7 @@ class _Kind(NamedTuple):
     draws: Optional[Callable[[DistSpec, _Draw, int], Iterator[float]]] = None
     lattice: bool = False
     symmetric: Callable[[DistSpec], bool] = lambda spec: False
-    moment_list: bool = False  # carries its moments (JSON "moments") instead of a parameter
+    moment_list: bool = False  # the parameter is the moment list, not a rational
 
 
 _KINDS = {
@@ -450,7 +443,7 @@ _KINDS = {
         draws=_normal_draws,
         symmetric=lambda spec: True,
     ),
-    CUSTOM: _Kind(_custom_moments, check=_check_custom, moment_list=True),
+    CUSTOM: _Kind(_custom_moments, key="moments", moment_list=True),
 }
 
 

@@ -331,7 +331,7 @@ def bound_check_from_moments(m: MomentSeq, abs_m: MomentSeq, j: int, m_idx: int)
     return BoundCheck(lhs <= rhs, lhs, rhs, False)
 
 
-def bound_holds(spec: DistSpec, j: int, m_idx: int, order: int | None = None) -> BoundCheck:
+def bound_holds(spec: DistSpec, j: int, m_idx: int) -> BoundCheck:
     """Check the bound for a catalog spec, exactly.
 
     Specs with exact rational absolute moments compare both sides
@@ -341,11 +341,12 @@ def bound_holds(spec: DistSpec, j: int, m_idx: int, order: int | None = None) ->
     multinomial expansion of E(|Y_1|+...+|Y_m|)^j leaves exactly E S_m^j,
     which already dominates m! S_Y(j,m) because every table entry of a
     symmetric distribution is nonnegative for even j and zero for odd j.
+    Entry (j, m) and coefficient j of the power read moments through j only,
+    so those are the moments built.
     """
-    J = max(order if order is not None else j, j)
-    mom = moments_of(spec, J)
+    mom = moments_of(spec, j)
     try:
-        abs_m = abs_moments_of(spec, J)
+        abs_m = abs_moments_of(spec, j)
     except UnsupportedSpecError:
         if not spec.symmetric:
             raise

@@ -495,6 +495,17 @@ class TestValidateCommand:
         monkeypatch.setattr(importlib.import_module(f"pstirling.{module}"), name, interrupted)
         assert run_cli(capsys, *argv) == (130, "", "pstirling: interrupted\n")
 
+    def test_running_out_of_memory_is_one_line_exit_2(self, capsys, monkeypatch):
+        # a MemoryError used to leave main and end the process in a traceback
+        from pstirling import cli
+
+        def exhausted(config):
+            raise MemoryError
+
+        summary, keys, _ = cli._COMMANDS["stirling"]
+        monkeypatch.setitem(cli._COMMANDS, "stirling", (summary, keys, exhausted))
+        assert run_cli(capsys, "stirling", "--dist", "rademacher") == (2, "", "pstirling: error: out of memory\n")
+
 
 class TestConfigAndOutput:
     def test_config_file_with_flag_override(self, tmp_path, capsys):

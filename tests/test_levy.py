@@ -23,7 +23,7 @@ from pstirling import levy
 from pstirling.cli import process_from_json
 from pstirling.moments import cumulants_oracle
 from pstirling.powerseries import QC, EGFSeries
-from pstirling.randomvars import MomentSeq, moments_of, poisson
+from pstirling.randomvars import MomentSeq, moments_of, point_mass, poisson
 from pstirling.stirling import ladder
 
 from oracles import (
@@ -45,6 +45,11 @@ def centered_poisson_moments(t, order):
 
 def centered_gamma_moments(t, order):
     return shift_moments(gamma_raw_moments(t, order), -t)
+
+
+def gaussian_only(order, sigma2, kappa2):
+    """U = 0 at the given variances; ``gaussian_part_only`` builds it at sigma2 = kappa2 = 1."""
+    return LevySpec(sigma2, kappa2, moments_of(point_mass(0), order))
 
 
 class TestTstar:
@@ -93,7 +98,7 @@ class TestLevyMoments:
             assert [v.re for v in computed.coeffs] == reference
 
     def test_gaussian_only(self):
-        spec = gaussian_part_only(10, F(1, 2), F(1, 3))
+        spec = gaussian_only(10, F(1, 2), F(1, 3))
         var = F(1, 2) + F(1, 3)
         for j in range(11):
             g = levy_moment_g(spec, j, F(2))
@@ -184,7 +189,7 @@ class TestCompleteMonotonicity:
         assert cm_coefficients(gamma_subordinator(8), 3) == [2]
 
     def test_gaussian_single_term(self):
-        spec = gaussian_part_only(12, 1, 1)
+        spec = gaussian_part_only(12)
         for jp in range(1, 6):
             coeffs = cm_coefficients(spec, 2 * jp)
             assert coeffs[:-1] == [0] * (jp - 1)
@@ -194,7 +199,7 @@ class TestCompleteMonotonicity:
         for spec in (poisson_subordinator(10), gamma_subordinator(10)):
             for j in range(2, 11):
                 assert all(c >= 0 for c in cm_coefficients(spec, j))
-        for spec in (compensated_unit_jump(10), gaussian_part_only(10, 1, 2)):
+        for spec in (compensated_unit_jump(10), gaussian_only(10, 1, 2)):
             for j in range(2, 11, 2):
                 assert all(c >= 0 for c in cm_coefficients(spec, j))
 
@@ -321,7 +326,7 @@ class TestLevyCumulant:
                 assert levy_cumulant(spec, j, t) == t
 
     def test_gaussian_only(self):
-        spec = gaussian_part_only(8, 2, 1)
+        spec = gaussian_only(8, 2, 1)
         assert levy_cumulant(spec, 2, F(3)) == 9
         for j in range(3, 8):
             assert levy_cumulant(spec, j, F(3)) == 0
@@ -434,7 +439,7 @@ class TestValidationAndJson:
 
     def test_gaussian_builder_defaults_to_unit_variances(self):
         spec = gaussian_part_only(4)
-        assert (spec.sigma2, spec.kappa2) == (1, 1) and spec == gaussian_part_only(4, 1, 1)
+        assert (spec.sigma2, spec.kappa2) == (1, 1) and spec == gaussian_only(4, 1, 1)
 
     def test_gamma_builder_moments(self):
         sub = gamma_subordinator(5)

@@ -25,6 +25,7 @@ from pstirling.randomvars import (
     poisson,
     rademacher,
     uniform_std,
+    vanishing_order,
 )
 from pstirling.powerseries import QC, DomainError
 from pstirling.stirling import psn_egf
@@ -75,21 +76,6 @@ class TestSumMoment:
             for n in range(13):
                 assert sum_moment(m, n, j) == sum_moment_egf(m, n, j)
 
-    def test_r_override(self):
-        m = moments_of(rademacher(), 8)
-        for j in range(9):
-            for n in range(9):
-                assert sum_moment(m, n, j, r=0) == sum_moment(m, n, j, r=1)
-        with pytest.raises(ValueError):
-            sum_moment(m, 3, 4, r=2)
-
-    def test_negative_r_is_refused(self):
-        # r = -2 used to give QC(0) for E S_3^4 = 21, and r = -1 a ZeroDivisionError
-        m = moments_of(rademacher(), 8)
-        for r in (-1, -2):
-            with pytest.raises(ValueError, match="r must be nonnegative"):
-                sum_moment(m, 3, 4, r=r)
-
     def test_negative_j_is_refused(self):
         m = moments_of(rademacher(), 8)
         with pytest.raises(ValueError, match="indices must be nonnegative"):
@@ -99,6 +85,29 @@ class TestSumMoment:
         m = moments_of(rademacher(), 8)
         with pytest.raises(ValueError, match="indices must be nonnegative"):
             sum_moment_egf(m, 3, -1)
+
+
+@pytest.mark.parametrize(
+    "m, v",
+    [
+        (moments_of(rademacher(), 8), 1),
+        (moments_of(custom([1, 0, 0, 0, F(5, 2), F(-1, 3), 7, F(2, 9), 3]), 8), 3),
+        (moments_of(custom([1, 0, QC(F(1, 2), F(1, 3)), 2, QC(0, -1), F(5, 7), QC(3, 4), 1, -2]), 8), 1),
+        (unrelated_sequence(88, 2, True, 30), 2),
+    ],
+    ids=["rademacher", "custom-v3", "complex-custom", "complex-unrelated-v2"],
+)
+def test_collapse_holds_for_every_r_up_to_the_vanishing_order(m, v):
+    # when the first r moments vanish, E S_n^j = sum_{k <= min(n, floor(j/(r+1)))} S_Y(j,k) (n)_k;
+    # sum_moment takes r = v, and a smaller r adds only entries that are 0
+    assert vanishing_order(m) == v
+    table = psn_egf(m)
+    for n in (0, 1, 2, 3, 7, 1000):
+        for j in range(m.order + 1):
+            expected = sum_moment(m, n, j)
+            for r in range(v + 1):
+                terms = [table.entry(j, k) * perm(n, k) for k in range(min(n, j // (r + 1)) + 1)]
+                assert sum(terms, QC(0)) == expected, (n, j, r)
 
 
 @pytest.mark.parametrize(
@@ -133,8 +142,6 @@ class TestRecursion:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
     def test_matches_sum_moment(self, spec):
         m = moments_of(spec, 8)
-        from pstirling.randomvars import vanishing_order
-
         r = vanishing_order(m)
         for j in range(1, 9):
             tau = j // (r + 1)
@@ -155,9 +162,6 @@ class TestRecursion:
         # all three were refused before a table or a ladder was built
         assert m._kept is None and short._kept is None
 
-    def test_negative_r_is_refused(self):
-        with pytest.raises(ValueError, match="r must be nonnegative"):
-            sum_moment_recursion(moments_of(rademacher(), 8), 3, 4, r=-1)
 
 
 class TestEvenMomentSequence:

@@ -148,8 +148,11 @@ class TestMomentsOf:
             DistSpec("rademacher", 3)
 
     def test_moment_list_of_a_kind_without_one_is_refused(self):
-        with pytest.raises(ValueError, match="poisson spec takes no moment list"):
-            DistSpec("poisson", 1, custom_moments=(1, 2))
+        # a rational kind's one parameter is a rational, and a custom spec's is its moment list
+        with pytest.raises(TypeError, match="cannot build exact scalar from tuple"):
+            DistSpec("poisson", (1, 2))
+        with pytest.raises(TypeError, match="not iterable"):
+            DistSpec("custom", F(1, 2))
 
 
 # mu_0..mu_J of each kind as Fractions, by the textbook formulas
@@ -190,7 +193,7 @@ KIND_RECORDS = [
     (exponential(), None, False, False, True, True),
     (gamma_shape(F(5, 2)), "a", False, False, True, True),
     (normal(1), "sigma2", False, True, True, False),
-    (custom([1, 0, 1]), None, False, False, False, False),
+    (custom([1, 0, 1]), "moments", False, False, False, False),
 ]
 
 
@@ -209,7 +212,9 @@ def _supported(call) -> bool:
 )
 def test_kind_record(spec, key, lattice, symmetric, samplable, exact_abs):
     assert kind_record(spec.kind).key == key
-    if key is not None:
+    if key == "moments":
+        assert dist_from_json({"dist": spec.kind, key: [str(mu.re) for mu in spec.param.coeffs]}) == spec
+    elif key is not None:
         assert dist_from_json({"dist": spec.kind, key: str(spec.param)}) == spec
     assert (spec.lattice, spec.symmetric) == (lattice, symmetric)
     assert _supported(lambda: next(sample_sums(spec, 1, 1, random.Random(0)))) == samplable

@@ -566,6 +566,25 @@ class TestBound:
                     assert check.holds
                     assert check.rhs_is_lower_bound
 
+    @pytest.mark.parametrize(
+        "spec",
+        [point_mass(2), point_mass(F(-3, 2)), rademacher(), bernoulli(F(1, 2)), uniform_std(), poisson(1),
+         exponential(), gamma_shape(F(5, 2)), normal(1)],
+        ids=lambda s: f"{s.kind}({s.param})",
+    )
+    def test_moments_past_j_change_nothing(self, spec):
+        # entry (j, m) and coefficient j of the power read moments through j only, so the check
+        # on moments through j equals the one on order-10 moments, for j <= 10
+        mom = moments_of(spec, 10)
+        try:
+            abs_m, lower = abs_moments_of(spec, 10), False
+        except UnsupportedSpecError:
+            abs_m, lower = mom, True  # the even-term certificate of a symmetric spec
+        for j in range(11):
+            for mm in range(j + 1):
+                expected = bound_check_from_moments(mom, abs_m, j, mm)._replace(rhs_is_lower_bound=lower)
+                assert bound_holds(spec, j, mm) == expected, (j, mm)
+
     def test_explicit_abs_moments(self):
         m = moments_of(point_mass(-2), 6)
         abs_m = moments_of(point_mass(2), 6)
