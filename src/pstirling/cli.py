@@ -249,11 +249,10 @@ def dist_from_json(data: dict) -> DistSpec:
     return DistSpec(name, parse_rational(_spec_value(data, key, owner, record.default), repr(key)))
 
 
-def process_from_json(data: dict, order: int):
-    """A Levy process or subordinator spec, its moments kept 0..order as the named builders keep them.
+def process_from_json(data: dict):
+    """A Levy process or subordinator spec, keeping every moment it is given.
 
-    The key set picks the process family.  Every entry is read and
-    checked, those past the order too, before the sequence is cut.
+    The key set picks the process family.  Every entry is read and checked.
     """
     from .levy import LevySpec, SubordinatorSpec
 
@@ -268,8 +267,7 @@ def process_from_json(data: dict, order: int):
     _refuse_other_keys(data, keys, f"a {owner} does not take the key")
     params = [parse_rational(_spec_value(data, key, owner), repr(key)) for key in names]
     mu = _spec_list(data, moments, owner, lambda v: parse_rational(v, f"a {moments} entry"))
-    family(*params, MomentSeq(mu))  # checks the entries past the order too
-    return family(*params, MomentSeq(mu[: order + 1]))
+    return family(*params, MomentSeq(mu))
 
 
 def _dist_spec(config) -> DistSpec:
@@ -377,7 +375,7 @@ def _process_spec(config, jmax: int):
     from . import levy
 
     if isinstance(config["process"], dict):
-        return process_from_json(config["process"], jmax)
+        return process_from_json(config["process"])
     # --dist of the levy command: each named process and its builder, which takes the order
     named = {"poisson": levy.poisson_subordinator, "gamma": levy.gamma_subordinator,
              "unitjump": levy.compensated_unit_jump, "gaussian": levy.gaussian_part_only}

@@ -65,51 +65,56 @@ def delta_set(r: int, n: int, k: int) -> list:
 
 
 class EdgeworthModel(Record):
-    """Expansion state: matching order r, hat table (of the moment order), truncation K."""
+    """Expansion state of a standardized moment sequence, truncated at K.
 
-    __slots__ = ("r", "hat_table", "K", "lattice")
+    The moments fix the rest, built with the model: the Stirling table ``hat_table``
+    of their hat sequence (that of Y + iZ) and the matching order ``r``, its vanishing order.
+    """
 
-    def __init__(self, r: int, hat_table: StirlingTable, K: int, lattice: bool = False):
-        self._init(r, hat_table, K, lattice)
-        if self.r < 2:
-            raise DomainError("expansion needs matching order r >= 2")
-        if not self.hat_table.is_real:
-            raise DomainError("hat table must be real")
-        # S(j,m) = 0 for j < m(r+1): column m's real numerators below that index
-        for m, column in enumerate(self.hat_table.columns):
-            if any(column.re[: m * (self.r + 1)]):
-                raise DomainError("hat table violates the vanishing structure")
-        max_m = self.K // (self.r - 1)
-        if 2 * max_m + self.K > self.hat_table.order:
-            raise DomainError(f"truncation K={self.K} needs moment order >= {2 * max_m + self.K}")
+    __slots__ = ("moments", "K", "lattice", "_r", "_hat_table")
+
+    def __init__(self, moments: MomentSeq, K: int, lattice: bool = False):
+        self._init(moments, K, lattice)
+        if K < 0:
+            raise ValueError(f"K must be at least 0, not {K}")
+        if moments.order < 2:
+            raise DomainError(f"expansion needs moment order >= 2, not {moments.order}")
+        if moments[1] != 0 or moments[2] != 1:
+            raise DomainError("expansion needs a standardized source (mean 0, variance 1)")
+        # the hat sequence is real exactly when the moments are
+        if not moments.is_real:
+            raise DomainError("expansion needs real moments")
+        # mean 0 and variance 1 make the first two hat moments zero, so r >= 2
+        hat = hat_transform(moments)
+        r = vanishing_order(hat)
+        max_m = K // (r - 1)
+        if 2 * max_m + K > moments.order:
+            raise DomainError(f"truncation K={K} needs moment order >= {2 * max_m + K}")
+        object.__setattr__(self, "_r", r)
+        object.__setattr__(self, "_hat_table", psn_egf(hat))
+
+    @property
+    def r(self) -> int:
+        return self._r
+
+    @property
+    def hat_table(self) -> StirlingTable:
+        return self._hat_table
 
 
 def edgeworth_model(source, K: int) -> EdgeworthModel:
     """Build the expansion model from a spec or a standardized moment sequence.
 
-    The source must have mean 0 and variance 1; the matching order is
-    read off the hat-transformed sequence.  K terms read the moments
-    through order 3K: a spec gives its first max(3K, 4), or all that a
-    custom list carries when that is fewer, and a sequence gives its own.
+    K terms read the moments through order 3K: a spec gives its first
+    max(3K, 4), or all that a custom list carries when that is fewer, and
+    a sequence gives its own.
     """
-    if K < 0:
-        raise ValueError(f"K must be at least 0, not {K}")
-    lattice = False
     if isinstance(source, DistSpec):
         order = max(3 * K, 4)
         if isinstance(source.param, MomentSeq):  # a custom list, which may be shorter
             order = min(order, source.param.order)
-        mom = moments_of(source, order)
-        lattice = source.lattice
-    else:
-        mom = source
-    if mom.order < 2:
-        raise DomainError(f"expansion needs moment order >= 2, not {mom.order}")
-    if mom[1] != 0 or mom[2] != 1:
-        raise DomainError("expansion needs a standardized source (mean 0, variance 1)")
-    # mean 0 and variance 1 make the first two hat moments zero, so r >= 2
-    hat = hat_transform(mom)
-    return EdgeworthModel(r=vanishing_order(hat), hat_table=psn_egf(hat), K=K, lattice=lattice)
+        return EdgeworthModel(moments_of(source, order), K, source.lattice)
+    return EdgeworthModel(source, K)
 
 
 def edgeworth_term(model: EdgeworthModel, k: int, n: int, y: float) -> float:
@@ -124,13 +129,14 @@ def edgeworth_term(model: EdgeworthModel, k: int, n: int, y: float) -> float:
         raise ValueError("n must be positive")
     if math.isnan(y):
         raise ValueError("points must be numbers, not nan")
-    if not model.r - 1 <= k <= model.K:
-        raise ValueError(f"k must lie in [{model.r - 1}, {model.K}]")
-    pairs = delta_set(model.r, n, k)
+    r, columns = model.r, model.hat_table.columns
+    if not r - 1 <= k <= model.K:
+        raise ValueError(f"k must lie in [{r - 1}, {model.K}]")
+    pairs = delta_set(r, n, k)
     hermite = _hermite_values(pairs[-1][1] if pairs else 0, y)
     total = 0.0
     for m, j in pairs:
-        column = model.hat_table.columns[m]
+        column = columns[m]
         if not column.re[j]:
             continue
         try:

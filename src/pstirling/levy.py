@@ -35,7 +35,7 @@ class LevySpec(Record):
             raise ValueError("kappa2 must be positive")
         if not self.u_moments.is_real:
             raise ValueError("U must be real-valued")
-        object.__setattr__(self, "_t", tstar_moments(self, self.u_moments.order))
+        object.__setattr__(self, "_t", tstar_moments(self))
 
 
 class SubordinatorSpec(Record):
@@ -53,19 +53,15 @@ class SubordinatorSpec(Record):
             raise ValueError("T* moments must be nonnegative")
 
 
-def tstar_moments(spec: LevySpec, order: int) -> MomentSeq:
-    """Moments of T = U 1{V < w} with mixing weight w = kappa^2/(sigma^2+kappa^2).
+def tstar_moments(spec: LevySpec) -> MomentSeq:
+    """Moments of T = U 1{V < w}, mixing weight w = kappa^2/(sigma^2+kappa^2), at U's order.
 
     T = U B for B ~ Bernoulli(w) independent of U, so E T^k = E U^k E B^k:
     U's numerators times those of B's moments, over the product of the
-    two denominators.
+    two denominators.  The spec keeps this sequence, built once.
     """
     u = spec.u_moments
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if order > u.order:
-        raise ValueError("U moments do not reach the requested order")
-    b = moments_of(bernoulli(spec.kappa2 / (spec.sigma2 + spec.kappa2)), order)
+    b = moments_of(bernoulli(spec.kappa2 / (spec.sigma2 + spec.kappa2)), u.order)
     return MomentSeq.from_numerators(u.den * b.den, list(map(mul, u.re, b.re)), None)
 
 
@@ -118,8 +114,8 @@ def cm_coefficients(spec, j: int) -> list:
 
 
 def _time(t) -> Fraction:
-    """A positive time t as a Fraction; a float t is taken at its exact value, a str is a TypeError."""
-    t = Fraction(t) if isinstance(t, float) else exact_rational(t)
+    """A positive rational time t as a Fraction; a float or a str is a TypeError."""
+    t = exact_rational(t)
     if t <= 0:
         raise ValueError("t must be positive")
     return t
@@ -140,7 +136,8 @@ def subordinator_moment_h(spec: SubordinatorSpec, j: int, t):
 def _cumulant_series(spec, order: int) -> CumulantSeq:
     """The cumulants at t = 1 through ``order``: K_j = var2 E T^{j-2}, K_0 = K_1 = 0."""
     var2, tm = _variance_and_t(spec, order - 2)
-    k = [0, 0, *(var2.numerator * x for x in tm.re)][: order + 1]
+    # only the T numerators through order - 2 are multiplied, however long the sequence
+    k = [0, 0, *(var2.numerator * x for x in tm.re[: max(order - 1, 0)])][: order + 1]
     return CumulantSeq.from_numerators(var2.denominator * tm.den, k, None)
 
 

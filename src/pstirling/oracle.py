@@ -23,7 +23,7 @@ from typing import NamedTuple
 # the engines need only randomvars and the powerseries it imports; the validation
 # suite imports the modules it checks, so a process that reads the Irwin-Hall CDF
 # loads none of them
-from .powerseries import DomainError
+from .powerseries import DomainError, exact_rational
 from .randomvars import DistSpec, moments_of, point_mass, sample_sums, uniform_std
 from . import randomvars
 
@@ -32,10 +32,15 @@ _CHUNK = 100_000
 _BLOCK = 1024  # powers held at once while a stream is reduced
 
 
+def _exact_point(x) -> Fraction:
+    """A point as a Fraction: a float at the dyadic rational it is, anything else by ``exact_rational``."""
+    return Fraction(x) if isinstance(x, float) else exact_rational(x)
+
+
 def irwin_hall_cdf(n: int, x):
     """CDF of U_1 + ... + U_n for standard uniforms, by inclusion-exclusion, as a Fraction.
 
-    x is read exactly (a float as the dyadic rational it is), and the
+    x is read exactly (``_exact_point``), and the
     alternating sum (1/n!) sum_{k<=floor(x)} (-1)^k C(n,k) (x-k)^n
     suffers no cancellation in exact arithmetic.  With x = p/q it is
     summed over the integers, sum_k (-1)^k C(n,k) (p-kq)^n, and divided by
@@ -47,7 +52,7 @@ def irwin_hall_cdf(n: int, x):
         if math.isnan(x):
             raise ValueError("points must be numbers, not nan")
         return Fraction(x > 0)
-    x = Fraction(x)
+    x = _exact_point(x)
     if x <= 0:
         return Fraction(0)
     if x >= n:
@@ -76,7 +81,7 @@ def uniform_fn_exact(n: int, y) -> float:
     """
     if isinstance(y, float) and not math.isfinite(y):
         return float(irwin_hall_cdf(n, y))  # the limits at +-inf; nan is refused there
-    yq = Fraction(y)  # floats are dyadic rationals, so this is exact
+    yq = _exact_point(y)
     x = Fraction(n, 2) + yq * _sqrt_fraction(3 * n) / 6
     return float(irwin_hall_cdf(n, x))
 

@@ -51,10 +51,6 @@ class MomentSeq(EGFSeries):
 
     __slots__ = ()
 
-    def __init__(self, mu):
-        # an empty sequence fails the mu_0 check, as one starting with 0 does
-        super().__init__(mu or (0,))
-
     def _check(self) -> None:
         if self.re[0] != self.den or self.im and self.im[0]:
             raise DomainError("moment sequence must start with mu_0 = 1")

@@ -233,7 +233,8 @@ class TestLevyCommand:
         assert (code, out) == (2, "")
         assert err == "pstirling: error: levy does not take --param\n"
 
-    def test_config_moments_past_jmax_are_cut(self, tmp_path, capsys, monkeypatch):
+    def test_config_moments_past_jmax_are_checked_and_kept(self, tmp_path, capsys, monkeypatch):
+        # the spec keeps every moment it is given; the one series exp reads those through jmax
         rng = random.Random(40)
         tstar = ["1"] + [f"{rng.randrange(10**18, 10**19)}/{rng.randrange(10**18, 10**19)}"
                          for _ in range(39)]
@@ -254,7 +255,7 @@ class TestLevyCommand:
 
         full, cut = run(tstar), run(tstar[:9])
         assert full == cut and full[0] == 0 and len(full[1].split()) == 10
-        assert orders == [(8, 8), (8, 8)]
+        assert orders == [(39, 8), (8, 8)]
         tstar[20] = "-1"
         code, out, err = run(tstar)
         assert (code, out) == (2, "")
@@ -321,7 +322,7 @@ class TestSweepsMatchThePapersRoutes:
         else:
             path = tmp_path / "process.json"
             path.write_text(json.dumps({"process": process}))
-            argv, spec = ["--config", str(path)], process_from_json(process, jmax)
+            argv, spec = ["--config", str(path)], process_from_json(process)
         code, out, err = run_cli(capsys, "levy", *argv, "--t", t, "--jmax", str(jmax))
         ladder = [f"{t},{j},{_p_q(levy.levy_moment_g(spec, j, F(t)))}" for j in range(jmax + 1)]
         assert (code, err) == (0, "")
@@ -649,6 +650,12 @@ class TestConfigAndOutput:
             # --param on a kind that takes none
             (["stirling", "--dist", "rademacher", "--param", "2"], None,
              "--param is not meaningful for 'rademacher'"),
+            # an empty custom list is no series, and a complex standardized one has no real expansion
+            (["stirling"], {"dist": {"dist": "custom", "moments": []}},
+             "series needs at least the order-0 coefficient"),
+            (["edgeworth", "--n", "16", "--K", "2"],
+             {"dist": {"dist": "custom", "moments": ["1", "0", "1", {"re": "1/2", "im": "1/3"}, "3"]}},
+             "expansion needs real moments"),
         ],
     )
     def test_bad_input_is_one_line_exit_2(self, tmp_path, capsys, argv, config, message):

@@ -16,7 +16,7 @@ from pstirling.edgeworth import (
     normal_pdf,
 )
 from pstirling.oracle import uniform_fn_exact
-from pstirling.powerseries import DomainError
+from pstirling.powerseries import QC, DomainError
 from pstirling.randomvars import (
     MomentSeq,
     custom,
@@ -28,6 +28,7 @@ from pstirling.randomvars import (
     standardize_moments,
     uniform_std,
 )
+from pstirling.stirling import psn_egf
 
 from oracles import normal_cdf_series, normal_even_moment
 
@@ -145,13 +146,59 @@ class TestModel:
             edgeworth_model(uniform_std(), K=-1)
         assert edgeworth_model(uniform_std(), K=0).K == 0
 
-    def test_vanishing_structure_enforced(self):
-        hat = hat_transform(moments_of(uniform_std(), 8))
-        from pstirling.stirling import psn_egf
+    def test_a_model_is_built_from_its_moments(self):
+        mom = moments_of(uniform_std(), 6)
+        model = EdgeworthModel(mom, 2)
+        assert model == edgeworth_model(uniform_std(), K=2) and model.moments is mom
+        assert (model.r, model.hat_table) == (3, psn_egf(hat_transform(mom)))
 
-        with pytest.raises(DomainError):
-            # r=4 overstates the matching order: S(4,1) = -6/5 != 0
-            EdgeworthModel(r=4, hat_table=psn_egf(hat), K=2)
+
+# the matching order r of each source; a custom list matching the normal through order 5
+R5_MOMENTS = [1, 0, 1, 0, 3, 0, 16, 0, 50, 0, 300]
+MATCHING_ORDERS = [
+    (lambda K: edgeworth_model(uniform_std(), K), 3),
+    (lambda K: edgeworth_model(rademacher(), K), 3),
+    (lambda K: edgeworth_model(standardize_moments(moments_of(exponential(), 3 * K)), K), 2),
+    (lambda K: edgeworth_model(custom(R5_MOMENTS), K), 5),
+    (lambda K: edgeworth_model(normal(1), K), None),  # every hat moment vanishes: r = J
+]
+MATCHING_IDS = ["uniformstd", "rademacher", "exponential-std", "custom-r5", "normal"]
+
+
+@pytest.mark.parametrize("build, r", MATCHING_ORDERS, ids=MATCHING_IDS)
+def test_hat_table_columns_vanish_below_m_times_r_plus_1(build, r):
+    # S(j, m) = 0 for j < m(r + 1): the model's r is the hat sequence's own vanishing order
+    model = build(3)
+    assert model.r == (model.hat_table.order if r is None else r)
+    for m, column in enumerate(model.hat_table.columns):
+        assert column.im is None and not any(column.re[: m * (model.r + 1)]), m
+
+
+@pytest.mark.parametrize("build, r", MATCHING_ORDERS, ids=MATCHING_IDS)
+def test_a_smaller_matching_order_adds_only_zero_terms(build, r):
+    """Summed over delta_set(r', n, k) for any r' in [2, r], the k-th term is the model's own.
+
+    Each pair that r' adds has j < m(r + 1), so its entry is zero: the sum
+    equals edgeworth_term for k in [r - 1, K] and is zero for k < r - 1.
+    """
+    # custom-r5: two further moments take the table to order 12, so that K = 4 reaches k = r - 1
+    model = build(4) if r != 5 else edgeworth_model(custom(R5_MOMENTS + [0, 2000]), 4)
+    assert r is None or model.r == r
+
+    def term(r_prime, k, n, y):
+        total = 0.0
+        for m, j in delta_set(r_prime, n, k):
+            c = model.hat_table.entry(j, m).as_fraction() * math.perm(n, m) / (math.factorial(j) * n**m)
+            total += float(c) * hermite_eval(j - 1, y)
+        return -normal_pdf(y) * float(n) ** (-k / 2.0) * total
+
+    for r_prime in range(2, model.r + 1):
+        for n in (4, 16, 64):
+            for y in (-1.5, 0.0, 0.7, 2.0):
+                for k in range(r_prime - 1, min(model.r - 2, model.K) + 1):
+                    assert term(r_prime, k, n, y) == 0, (r_prime, k, n, y)
+                for k in range(model.r - 1, model.K + 1):
+                    assert term(r_prime, k, n, y) == edgeworth_term(model, k, n, y), (r_prime, k, n, y)
 
 
 @pytest.mark.parametrize(
@@ -159,15 +206,16 @@ class TestModel:
     [
         (lambda: hermite_eval(-1, 0.5), ValueError, "^degree must be nonnegative$"),
         (lambda: delta_set(1, 4, 3), ValueError, "^matching order r must be at least 2$"),
-        (lambda: EdgeworthModel(1, edgeworth_model(uniform_std(), K=2).hat_table, 2), DomainError,
-         "^expansion needs matching order r >= 2$"),
         # a custom list gives the moments it carries, however many K terms read
         (lambda: edgeworth_model(custom([1, 0]), K=2), DomainError,
          "^expansion needs moment order >= 2, not 1$"),
         (lambda: hat_even_moment(moments_of(uniform_std(), 4), 3), ValueError,
          "^2s exceeds the available moment order$"),
+        # the hat sequence, and so its table, is real exactly when the moments are
+        (lambda: EdgeworthModel(MomentSeq([1, 0, 1, QC(1, 1), 3]), 1), DomainError,
+         "^expansion needs real moments$"),
     ],
-    ids=["hermite-degree", "delta-r", "model-r", "model-short-list", "hat-even-2s"],
+    ids=["hermite-degree", "delta-r", "model-short-list", "hat-even-2s", "model-complex"],
 )
 def test_refusal_names_its_fault(call, error, message):
     with pytest.raises(error, match=message):

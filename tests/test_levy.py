@@ -55,28 +55,22 @@ def gaussian_only(order, sigma2, kappa2):
 class TestTstar:
     def test_no_gaussian_part(self):
         spec = LevySpec(0, 1, MomentSeq([F(1), F(2), F(5), F(14)]))
-        tm = tstar_moments(spec, 3)
+        tm = tstar_moments(spec)
         assert [v.re for v in tm.coeffs] == [1, 2, 5, 14]
 
     def test_equal_parts_halve(self):
         spec = LevySpec(1, 1, MomentSeq([F(1), F(2), F(5), F(14)]))
-        tm = tstar_moments(spec, 3)
+        tm = tstar_moments(spec)
         assert [v.re for v in tm.coeffs] == [1, 1, F(5, 2), 7]
 
     def test_zeroth_stays_one(self):
         spec = LevySpec(3, 2, MomentSeq([F(1), F(2)]))
-        assert tstar_moments(spec, 1)[0] == 1
+        assert tstar_moments(spec)[0] == 1
 
-    def test_negative_order_is_refused(self):
-        # it sliced from the end: order -3 of the order-4 sequence gave order 2
-        with pytest.raises(ValueError, match="order must be nonnegative"):
-            tstar_moments(compensated_unit_jump(4), -3)
-
-    def test_an_order_past_u_is_refused(self):
-        spec = compensated_unit_jump(4)
-        assert tstar_moments(spec, 4).order == 4
-        with pytest.raises(ValueError, match="^U moments do not reach the requested order$"):
-            tstar_moments(spec, 5)
+    @pytest.mark.parametrize("order", (0, 1, 4))
+    def test_at_the_order_of_u_as_the_spec_keeps_them(self, order):
+        spec = compensated_unit_jump(order)
+        assert tstar_moments(spec).order == order and tstar_moments(spec) == spec._t
 
 
 class TestLevyMoments:
@@ -107,9 +101,16 @@ class TestLevyMoments:
             else:
                 assert g == var ** (j // 2) * normal_even_moment(j)
 
-    def test_float_time(self):
-        spec = compensated_unit_jump(8)
-        assert levy_moment_g(spec, 4, 2.0) == pytest.approx(3.5)
+    @pytest.mark.parametrize("t", [0.1, 0.5, 2.0])
+    def test_float_time_is_a_type_error(self, t):
+        # 0.1 was read at its dyadic value: g_4 returned 46837436124653159/3602879701896397
+        for call in (lambda: levy_moment_g(compensated_unit_jump(8), 4, t),
+                     lambda: subordinator_moment_h(gamma_subordinator(8), 4, t),
+                     lambda: levy_process_moments(compensated_unit_jump(8), 4, t),
+                     lambda: levy_cumulant(compensated_unit_jump(8), 4, t)):
+            with pytest.raises(TypeError, match="exact"):
+                call()
+        assert levy_moment_g(compensated_unit_jump(8), 4, F(t)) == 3 + 1 / F(t)
 
     @pytest.mark.parametrize("t", ["1/2", "1e5000000"])
     def test_str_time_is_a_type_error(self, t):
@@ -119,7 +120,7 @@ class TestLevyMoments:
             levy_moment_g(spec, 4, t)
         with pytest.raises(TypeError):
             levy_process_moments(spec, 4, t)
-        assert levy_moment_g(spec, 4, 0.5) == levy_moment_g(spec, 4, F(1, 2)) == 5
+        assert levy_moment_g(spec, 4, F(1, 2)) == 5
 
     def test_rejects_bad_time(self):
         spec = compensated_unit_jump(8)
@@ -210,7 +211,7 @@ class TestCompleteMonotonicity:
     def test_a_levy_spec_builds_the_rows_of_g_once(self, monkeypatch):
         """The spec keeps one T sequence, so every j reads one ladder and G builds its rows once."""
         spec = LevySpec(F(1, 2), F(3, 4), MomentSeq(random_tail(43, 20, signed=True)))
-        assert spec._t == tstar_moments(spec, 20) and spec._t._kept is None
+        assert spec._t == tstar_moments(spec) and spec._t._kept is None
         builds = count_row_builds(monkeypatch)
         for j in range(2, 21, 2):
             cm_coefficients(spec, j)
@@ -367,7 +368,7 @@ class TestConsistency:
         # routes describe the same process
         u = MomentSeq([F(1), F(2), F(6), F(24), F(120), F(720), F(5040)])
         levy = LevySpec(0, F(3, 4), u)
-        tm = tstar_moments(levy, 6)
+        tm = tstar_moments(levy)
         sub = SubordinatorSpec(F(3, 4), tm)
         for t in TIMES:
             for j in range(7):
@@ -400,23 +401,41 @@ class TestValidationAndJson:
     def test_round_trips(self):
         levy = LevySpec(F(1, 2), F(3, 2), MomentSeq([F(1), F(4), F(20)]))
         data = {"sigma2": "1/2", "kappa2": "3/2", "u_moments": ["1", "4", "20"]}
-        assert process_from_json(data, 2) == levy
+        assert process_from_json(data) == levy
         data = {"tau2": "1", "tstar_moments": ["1", "2", "6", "24", "120"]}
-        assert process_from_json(data, 4) == gamma_subordinator(4)
+        assert process_from_json(data) == gamma_subordinator(4)
 
-    def test_moments_past_the_order_are_checked_then_cut(self):
-        data = {"tau2": "1", "tstar_moments": ["1", "2", "6", "24", "120"]}
-        assert process_from_json(data, 2) == gamma_subordinator(2)
-        assert process_from_json(data, 9) == gamma_subordinator(4)  # nothing to cut
+    def test_every_moment_given_is_kept_and_checked(self):
         data = {"sigma2": "0", "kappa2": "1", "u_moments": ["1", "1/2", "3"]}
-        assert process_from_json(data, 1) == LevySpec(0, 1, MomentSeq([F(1), F(1, 2)]))
+        assert process_from_json(data) == LevySpec(0, 1, MomentSeq([F(1), F(1, 2), F(3)]))
         for data, message in [
             ({"tau2": "1", "tstar_moments": ["1", "2", "-6"]}, "T\\* moments must be nonnegative"),
             ({"tau2": "1", "tstar_moments": ["1", "2", "x"]}, "tstar_moments entry"),
             ({"sigma2": "0", "kappa2": "1", "u_moments": ["1", "0", "1+"]}, "u_moments entry"),
         ]:
             with pytest.raises(ValueError, match=message):
-                process_from_json(data, 1)
+                process_from_json(data)
+
+    @pytest.mark.parametrize("data", [
+        {"sigma2": "1/2", "kappa2": "1", "u_moments": ["1", "1/3", "2", "1/5", "7", "11/13"]},
+        {"sigma2": "1/3", "kappa2": "2/5", "u_moments": ["1"] + [f"{(-1) ** k * k}/{k + 3}" for k in range(1, 12)]},
+        {"tau2": "7/3", "tstar_moments": ["1"] + [f"{k * k + 1}/{k + 2}" for k in range(1, 12)]},
+    ], ids=["levy", "levy-signed", "subordinator"])
+    def test_moments_past_the_order_change_no_value_and_no_error(self, data):
+        # a spec cut to an order gives the values and the errors of the spec it was cut from
+        moments = "u_moments" if "u_moments" in data else "tstar_moments"
+        full = process_from_json(data)
+        for order in range(len(data[moments]) + 3):  # the last order passes every list
+            cut = process_from_json({**data, moments: data[moments][: order + 1]})
+            outcomes = []
+            for spec in (full, cut):
+                try:
+                    outcomes.append(levy_process_moments(spec, order, F(2, 3)))
+                except ValueError as error:
+                    outcomes.append(str(error))
+            assert outcomes[0] == outcomes[1], order
+        assert outcomes[0] == {"u_moments": "U moments do not reach the requested order",
+                               "tstar_moments": "moment sequence does not reach the requested order"}[moments]
 
     @pytest.mark.parametrize(
         "build, message",
@@ -447,4 +466,4 @@ class TestValidationAndJson:
 
     def test_bad_json(self):
         with pytest.raises(ValueError):
-            process_from_json({"sigma2": "1"}, 4)
+            process_from_json({"sigma2": "1"})

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction as F
 
@@ -115,6 +116,21 @@ class TestUniformFn:
         for call in (irwin_hall_cdf, uniform_fn_exact):
             with pytest.raises(ValueError, match="^points must be numbers, not nan$"):
                 call(4, math.nan)
+
+    @pytest.mark.parametrize("call", [irwin_hall_cdf, uniform_fn_exact], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("x", ["1/2", "1e5000000"])
+    def test_a_str_point_is_a_type_error(self, call, x):
+        # irwin_hall_cdf(2, "1/2") returned 1/8, and "1e5000000" took 2.7 s to build a 16.6-million-bit int
+        start = time.perf_counter()
+        with pytest.raises(TypeError, match="exact"):
+            call(2, x)
+        assert time.perf_counter() - start < 0.5
+
+    def test_int_fraction_and_float_points_are_read_exactly(self):
+        assert irwin_hall_cdf(2, 1) == irwin_hall_cdf(2, F(1)) == irwin_hall_cdf(2, 1.0) == F(1, 2)
+        assert irwin_hall_cdf(2, F(1, 2)) == irwin_hall_cdf(2, 0.5) == F(1, 8)
+        assert uniform_fn_exact(4, 0) == uniform_fn_exact(4, F(0)) == uniform_fn_exact(4, 0.0) == 0.5
+        assert uniform_fn_exact(4, F(1, 2)) == uniform_fn_exact(4, 0.5)
 
 
 class TestMcSumMoment:

@@ -244,11 +244,30 @@ class TestMomentSeq:
     """A MomentSeq is the EGFSeries of M(z), and a value of its own class."""
 
     @pytest.mark.parametrize(
-        "mu", [(QC(1, 1), 0, 1), (2, 1), (F(1, 2),), (0, 1), ()], ids=repr
+        "mu", [(QC(1, 1), 0, 1), (2, 1), (F(1, 2),), (0, 1)], ids=repr
     )
     def test_mu0_must_be_one(self, mu):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^moment sequence must start with mu_0 = 1$"):
             MomentSeq(mu)
+
+    @pytest.mark.parametrize("mu", [0, 1, None], ids=repr)
+    def test_a_scalar_is_a_type_error(self, mu):
+        # 0 and None were read as an empty list, and refused as not starting at mu_0 = 1
+        with pytest.raises(TypeError):
+            MomentSeq(mu)
+        if mu is None:  # a custom spec refuses a missing list before it builds the sequence
+            with pytest.raises(ValueError, match="^custom spec needs its parameter$"):
+                DistSpec("custom", mu)
+        else:
+            with pytest.raises(TypeError):
+                DistSpec("custom", mu)
+
+    def test_an_empty_list_is_no_series(self):
+        # it was refused as not starting at mu_0 = 1
+        for build in (MomentSeq, lambda mu: DistSpec("custom", mu)):
+            with pytest.raises(ValueError, match="^series needs at least the order-0 coefficient$") as raised:
+                build([])
+            assert type(raised.value) is ValueError
 
     @pytest.mark.parametrize(
         "den, re, im", [(1, (2,), None), (2, (1, 1), None), (1, (1, 0), (1, 0))], ids=repr
@@ -275,10 +294,9 @@ class TestMomentSeq:
             assert hat == MomentSeq(egf_mul(m, i_z).coeffs), spec
             if not m.is_real:
                 continue
-            levy = LevySpec(F(2, 3), F(5, 7), m)
             w = F(5, 7) / (F(2, 3) + F(5, 7))
             for order in range(9):
-                tm = tstar_moments(levy, order)
+                tm = tstar_moments(LevySpec(F(2, 3), F(5, 7), moments_of(spec, order)))
                 assert type(tm) is MomentSeq
                 assert tm == MomentSeq([1] + [w * m[k] for k in range(1, order + 1)]), (spec, order)
 
